@@ -17,8 +17,8 @@ from .codes import (
     codeword_weight,
     codeword_weight_formula,
     dual_codeword,
+    weight_prefix,
     weight_prefix_bruteforce,
-    weight_prefix_dp,
 )
 from .combinat import stirling2, trinomial
 from .errors import (

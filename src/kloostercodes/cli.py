@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import charsums, gauss, moments, ogroups
-from .codes import weight_prefix_dp
+from .codes import weight_prefix
 from .errors import CapacityError, ConsistencyError, DomainError, FieldConstructionError
 from .gf3r import field_create, format_poly, load_modulus_config
 from .ogroups import GroupId
@@ -112,9 +112,9 @@ def _make_ctx(args):
 
 
 def _limits(args):
-    ops = args.limit_ops if args.limit_ops else charsums.DEFAULT_OPS_LIMIT
-    scan = args.limit_ops if args.limit_ops else ogroups.DEFAULT_SCAN_LIMIT
-    return ops, scan
+    if args.limit_ops is None:
+        return charsums.DEFAULT_OPS_LIMIT, ogroups.DEFAULT_SCAN_LIMIT
+    return args.limit_ops, args.limit_ops
 
 
 def _emit(args, payload, csv_rows, text_lines):
@@ -168,12 +168,11 @@ def _cmd_moments(args):
         label = "direct"
     else:
         gid = _CODE_IDS[args.code]
+        n = ogroups.group_order(gid, ctx.q)
+        prefix = weight_prefix(ogroups.histogram_closed_form(ctx, gid, ops_limit=ops),
+                               ctx, min(n, args.h), ops_limit=ops)
         if gid is GroupId.SO4:
-            n = ogroups.group_order(gid, ctx.q)
-            prefix = weight_prefix_dp(ogroups.histogram_closed_form(ctx, gid, ops_limit=ops),
-                                      ctx, min(n, args.h))
-            chain = moments.sk2_recursive_chain(ctx, args.h, prefix)
-            vals = chain  # SK^0, SK^2, ..., SK^{2h}
+            vals = moments.sk2_recursive_chain(ctx, args.h, prefix)  # SK^0, SK^2, ..., SK^{2h}
             payload = {
                 "q": ctx.q, "r": ctx.r, "code": args.code,
                 "rows": [{"h": 2 * i, "sk": str(v)} for i, v in enumerate(vals)],
@@ -182,9 +181,6 @@ def _cmd_moments(args):
             text = ["SK^%d = %d" % (2 * i, v) for i, v in enumerate(vals)]
             _emit(args, payload, rows, text)
             return 0
-        n = ogroups.group_order(gid, ctx.q)
-        prefix = weight_prefix_dp(ogroups.histogram_closed_form(ctx, gid), ctx,
-                                  min(n, args.h))
         vals = moments.sk_recursive_chain(ctx, gid, args.h, prefix)
         label = args.code
     payload = {
@@ -199,9 +195,10 @@ def _cmd_moments(args):
 
 def _cmd_weights(args):
     ctx = _make_ctx(args)
+    ops, _ = _limits(args)
     gid = _CODE_IDS[args.code]
-    hist = ogroups.histogram_closed_form(ctx, gid)
-    prefix = weight_prefix_dp(hist, ctx, args.max_j)
+    hist = ogroups.histogram_closed_form(ctx, gid, ops_limit=ops)
+    prefix = weight_prefix(hist, ctx, args.max_j, ops_limit=ops)
     payload = {
         "q": ctx.q, "r": ctx.r, "code": args.code, "max_j": args.max_j,
         "counts": {str(j): str(c) for j, c in enumerate(prefix.counts)},

@@ -4,17 +4,20 @@ The code of a group is the set of GF(3)-vectors orthogonal to the vector of
 matrix traces of the group elements in canonical order; its dual consists of
 the q words a -> (tr(a Tr g_1), ..., tr(a Tr g_N)) by Delsarte duality.
 Truncated weight distributions are computed exactly from the trace histogram
-alone by a generating-polynomial dynamic program, so they remain available
-when the group itself is far too large to enumerate.  Brute-force scans act
-as oracles.
+alone: one radix-3 transform of the histogram gives every dual weight, and
+the MacWilliams identity turns the few distinct dual weights into the low
+weight counts of the code.  They remain available when the group itself is
+far too large to enumerate, and nothing here reads a Kloosterman sum except
+the closed weight formula.  Brute-force scans act as oracles.
 """
 
+from collections import Counter
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
-from .charsums import kloosterman
-from .combinat import trinomial
+from .charsums import DEFAULT_OPS_LIMIT, kloosterman
 from .errors import CapacityError, ConsistencyError, DomainError
 from .ogroups import DEFAULT_SCAN_LIMIT, GroupId, TraceHistogram, enumerate_group, mat_trace
 
@@ -90,53 +93,88 @@ class WeightPrefix:
         return self.counts[j]
 
 
-def weight_prefix_dp(hist: TraceHistogram, ctx, j_max: int) -> WeightPrefix:
+def _zero_trace_counts(hist: TraceHistogram, ctx):
+    """Z(a) = sum of n(beta) over tr(a beta) = 0, for every a at once.
+
+    tr(a beta) is the linear functional s(a) = (tr(a x^k))_k applied to the
+    coordinate vector of beta, so Z(a) is read off the radix-3 Fourier
+    transform F(s) = sum_beta n(beta) omega^{s . beta} over (Z/3)^r.  F is
+    carried exactly in Z[omega] as A + B omega (omega^2 = -1 - omega), in
+    object arrays of Python ints; the three counts n_0 + n_1 + n_2 = N with
+    F = n_0 + n_1 omega + n_2 omega^2 give n_0 = (N + 2A - B) / 3.
+    """
+    q, r = ctx.q, ctx.r
+    a_part = np.array(hist.counts, dtype=object)
+    b_part = np.zeros(q, dtype=object)
+    for k in range(r):
+        shape = (q // 3 ** (k + 1), 3, 3 ** k)  # axis 1 is coordinate k
+        a3, b3 = a_part.reshape(shape), b_part.reshape(shape)
+        a0, a1, a2 = a3[:, 0], a3[:, 1], a3[:, 2]
+        b0, b1, b2 = b3[:, 0], b3[:, 1], b3[:, 2]
+        a_part, b_part = np.empty_like(a3), np.empty_like(b3)
+        # y_s = x_0 + omega^s x_1 + omega^{2s} x_2, with
+        # omega (A + B omega) = -B + (A - B) omega
+        a_part[:, 0], b_part[:, 0] = a0 + a1 + a2, b0 + b1 + b2
+        a_part[:, 1], b_part[:, 1] = a0 - a2 - b1 + b2, b0 + a1 - b1 - a2
+        a_part[:, 2], b_part[:, 2] = a0 - a1 + b1 - b2, b0 - a1 + a2 - b2
+        a_part, b_part = a_part.reshape(q), b_part.reshape(q)
+    elements = np.arange(q)
+    functional = sum(ctx._trace[ctx._mul_vec(3 ** k, elements)].astype(np.int64) * 3 ** k
+                     for k in range(r))
+    num = hist.total + 2 * a_part[functional] - b_part[functional]
+    if any(num % 3):
+        raise ConsistencyError("trace-zero counts (N + 2A - B)/3 are not all integers")
+    return num // 3
+
+
+def _admit_prefix(q: int, top: int, cost: int, distinct: int, ops_limit: int) -> None:
+    if cost > ops_limit:
+        raise CapacityError(
+            "weight prefix over GF(%d) up to j=%d costs about %d operations "
+            "(q*r + %d distinct weights * (j+1)^2; limit %d); raise it with --limit-ops"
+            % (q, top, cost, distinct, ops_limit)
+        )
+
+
+def weight_prefix(hist: TraceHistogram, ctx, j_max: int, *,
+                  ops_limit: int = DEFAULT_OPS_LIMIT) -> WeightPrefix:
     """Codeword counts of weight <= j_max from the trace histogram alone.
 
-    A codeword assigns nu(beta) ones and mu(beta) twos to the coordinates of
-    each trace class beta, subject to sum(nu) + sum(mu) = j and
-    sum(nu(beta) beta) = sum(mu(beta) beta) in the field.  Each class of size
-    n contributes the generating polynomial
-    sum_{nu+mu<=n} trinomial(n; nu, mu) x^{nu+mu} z^{(nu-mu) beta}, and the
-    product is truncated at x-degree j_max with z tracked over the additive
-    group; the answer reads off the z = 0 state.
+    The dual word of a has weight w(a) = N - Z(a), Z(a) the number of
+    coordinates of trace t with tr(a t) = 0; the Z(a) come from one exact
+    transform of the histogram.  The MacWilliams identity then gives
+    C_j = q^{-1} sum_w mult(w) [x^j] (1 + 2x)^{N - w} (1 - x)^w, summed over
+    the distinct dual weights w (a = 0 contributes w = 0).  The work is
+    about q*r + (distinct weights) * (min(j_max, N) + 1)^2 big-integer
+    operations, admitted only within ops_limit.
     """
     if j_max < 0:
         raise DomainError("j_max must be nonnegative")
-    q = ctx.q
-    dp = [[0] * q for _ in range(j_max + 1)]
-    dp[0][0] = 1
-    for beta in range(q):
-        n = hist[beta]
-        if n == 0:
-            continue
-        shift = [
-            list(range(q)),
-            [ctx.add(s, beta) for s in range(q)],
-            [ctx.add(s, ctx.neg(beta)) for s in range(q)],
-        ]
-        tri = [
-            [trinomial(n, nu, mu) for mu in range(j_max - nu + 1)]
-            for nu in range(j_max + 1)
-        ]
-        new = [[0] * q for _ in range(j_max + 1)]
-        for d in range(j_max + 1):
-            row = dp[d]
-            for s in range(q):
-                c = row[s]
-                if not c:
-                    continue
-                for nu in range(j_max - d + 1):
-                    tri_nu = tri[nu]
-                    for mu in range(j_max - d - nu + 1):
-                        t = tri_nu[mu]
-                        if t:
-                            new[d + nu + mu][shift[(nu - mu) % 3][s]] += c * t
-        dp = new
-    counts = tuple(dp[j][0] for j in range(j_max + 1))
-    if counts and counts[0] != 1:
+    q, n = ctx.q, hist.total
+    top = min(j_max, n)
+    # a = 0 always gives w = 0, so one distinct weight is known before the
+    # transform; the full estimate is checked once the weights are grouped
+    _admit_prefix(q, top, q * ctx.r + (top + 1) ** 2, 1, ops_limit)
+    mult = Counter((n - _zero_trace_counts(hist, ctx)).tolist())
+    _admit_prefix(q, top, q * ctx.r + len(mult) * (top + 1) ** 2, len(mult), ops_limit)
+    sums = [0] * (top + 1)
+    for w, m in mult.items():
+        ones = [comb(n - w, i) * 2 ** i for i in range(top + 1)]
+        signs = [comb(w, i) * (-1) ** i for i in range(top + 1)]
+        for i, c in enumerate(ones):
+            if c:
+                for k in range(top + 1 - i):
+                    sums[i + k] += m * c * signs[k]
+    counts = []
+    for j, s in enumerate(sums):
+        if s % q:
+            raise ConsistencyError(
+                "MacWilliams sum %d for weight %d is not divisible by q=%d" % (s, j, q)
+            )
+        counts.append(s // q)
+    if counts[0] != 1:
         raise ConsistencyError("weight-0 count must be 1, got %r" % (counts[0],))
-    return WeightPrefix(j_max, counts)
+    return WeightPrefix(j_max, tuple(counts) + (0,) * (j_max - top))
 
 
 def _full_scan(spec: CodeSpec, j_max: int) -> WeightPrefix:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from . import charsums
-from .codes import codeword_weight_formula, weight_prefix_dp
+from .codes import codeword_weight_formula, weight_prefix
 from .combinat import stirling2, trinomial  # noqa: F401  (re-exported helpers)
 from .errors import ConsistencyError, DomainError
 from .ogroups import GroupId, group_order, histogram_closed_form
@@ -138,13 +138,15 @@ def pless_check(ctx, gid: GroupId, h: int, prefix=None) -> PlessCheck:
     Left side: sum over all q dual codewords of weight^h (0^0 = 1, so h = 0
     counts every codeword).  Right side: the Stirling-number expansion over
     the code's weight counts C_j, j <= min(N, h), for a ternary [N, r] dual.
+    When no prefix is given it is built under the default work limits; pass
+    one from weight_prefix to choose another.
     """
     if h < 0:
         raise DomainError("h must be nonnegative")
     q = ctx.q
     n = group_order(gid, q)
     if prefix is None:
-        prefix = weight_prefix_dp(histogram_closed_form(ctx, gid), ctx, min(n, h))
+        prefix = weight_prefix(histogram_closed_form(ctx, gid), ctx, min(n, h))
     lhs = sum(codeword_weight_formula(ctx, gid, a) ** h for a in range(1, q))
     if h == 0:
         lhs += 1  # the zero codeword contributes 0^0 = 1
@@ -231,7 +233,8 @@ def verify_report(ctx, h_max: int, *, ops_limit: int = charsums.DEFAULT_OPS_LIMI
     for gid in (GroupId.SO2, GroupId.O2):
         start = time.perf_counter()
         n = group_order(gid, q)
-        prefix = weight_prefix_dp(histogram_closed_form(ctx, gid), ctx, min(n, h_max))
+        prefix = weight_prefix(histogram_closed_form(ctx, gid), ctx, min(n, h_max),
+                               ops_limit=ops_limit)
         chain = sk_recursive_chain(ctx, gid, h_max, prefix)
         rows = [MomentRow(h, direct[h], chain[h]) for h in range(1, h_max + 1)]
         reports.append(
@@ -242,7 +245,7 @@ def verify_report(ctx, h_max: int, *, ops_limit: int = charsums.DEFAULT_OPS_LIMI
     if g3_h >= 1:
         n3 = group_order(GroupId.SO4, q)
         hist3 = histogram_closed_form(ctx, GroupId.SO4, ops_limit=ops_limit)
-        prefix3 = weight_prefix_dp(hist3, ctx, min(n3, g3_h))
+        prefix3 = weight_prefix(hist3, ctx, min(n3, g3_h), ops_limit=ops_limit)
         chain3 = sk2_recursive_chain(ctx, g3_h, prefix3)
         rows3 = [MomentRow(2 * h, direct[2 * h], chain3[h]) for h in range(1, g3_h + 1)]
         reports.append(

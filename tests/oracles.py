@@ -1,0 +1,71 @@
+"""Slow, independent reference computations used only by the tests.
+
+`weight_prefix_dp` is the generating-polynomial dynamic program that the
+library used before the MacWilliams transform replaced it; it costs
+O(q^2 j^3) big-integer steps and is kept as an oracle for small fields.
+`pair_counts` reads C_1 and C_2 off the trace histogram by counting
+coordinate pairs, as the pair scan does on the trace vector itself.
+"""
+
+from kloostercodes import ConsistencyError, DomainError, trinomial
+from kloostercodes.codes import WeightPrefix
+
+
+def weight_prefix_dp(hist, ctx, j_max: int) -> WeightPrefix:
+    """Codeword counts of weight <= j_max from the trace histogram alone.
+
+    A codeword assigns nu(beta) ones and mu(beta) twos to the coordinates of
+    each trace class beta, subject to sum(nu) + sum(mu) = j and
+    sum(nu(beta) beta) = sum(mu(beta) beta) in the field.  Each class of size
+    n contributes the generating polynomial
+    sum_{nu+mu<=n} trinomial(n; nu, mu) x^{nu+mu} z^{(nu-mu) beta}, and the
+    product is truncated at x-degree j_max with z tracked over the additive
+    group; the answer reads off the z = 0 state.
+    """
+    if j_max < 0:
+        raise DomainError("j_max must be nonnegative")
+    q = ctx.q
+    dp = [[0] * q for _ in range(j_max + 1)]
+    dp[0][0] = 1
+    for beta in range(q):
+        n = hist[beta]
+        if n == 0:
+            continue
+        shift = [
+            list(range(q)),
+            [ctx.add(s, beta) for s in range(q)],
+            [ctx.add(s, ctx.neg(beta)) for s in range(q)],
+        ]
+        tri = [
+            [trinomial(n, nu, mu) for mu in range(j_max - nu + 1)]
+            for nu in range(j_max + 1)
+        ]
+        new = [[0] * q for _ in range(j_max + 1)]
+        for d in range(j_max + 1):
+            row = dp[d]
+            for s in range(q):
+                c = row[s]
+                if not c:
+                    continue
+                for nu in range(j_max - d + 1):
+                    tri_nu = tri[nu]
+                    for mu in range(j_max - d - nu + 1):
+                        t = tri_nu[mu]
+                        if t:
+                            new[d + nu + mu][shift[(nu - mu) % 3][s]] += c * t
+        dp = new
+    counts = tuple(dp[j][0] for j in range(j_max + 1))
+    if counts and counts[0] != 1:
+        raise ConsistencyError("weight-0 count must be 1, got %r" % (counts[0],))
+    return WeightPrefix(j_max, counts)
+
+
+def pair_counts(hist, ctx):
+    """(C_0, C_1, C_2) from the histogram: a weight-1 word puts 1 or 2 on a
+    trace-zero coordinate; a weight-2 word puts (1, 2) or (2, 1) on two
+    coordinates of equal trace, or (1, 1) or (2, 2) on two of opposite
+    trace."""
+    n = hist.counts
+    same = sum(c * (c - 1) // 2 for c in n)
+    opposite = n[0] * (n[0] - 1) // 2 + sum(n[b] * n[ctx.neg(b)] for b in range(1, ctx.q)) // 2
+    return (1, 2 * n[0], 2 * same + 2 * opposite)

@@ -25,8 +25,8 @@ from kloostercodes import (
     sk2_recursive_chain,
     sk_moment,
     sk_recursive_chain,
+    weight_prefix,
     weight_prefix_bruteforce,
-    weight_prefix_dp,
 )
 from kloostercodes.ogroups import group_order
 
@@ -96,11 +96,11 @@ def test_criterion_4_moment_recursions():
             direct = [sk_moment(ctx, h) for h in range(11)]
             for gid in (GroupId.SO2, GroupId.O2):
                 n = group_order(gid, ctx.q)
-                prefix = weight_prefix_dp(histogram_closed_form(ctx, gid), ctx, min(n, 10))
+                prefix = weight_prefix(histogram_closed_form(ctx, gid), ctx, min(n, 10))
                 chain = sk_recursive_chain(ctx, gid, 10, prefix)
                 assert chain == direct[:11]
             n3 = group_order(GroupId.SO4, ctx.q)
-            prefix3 = weight_prefix_dp(histogram_closed_form(ctx, GroupId.SO4), ctx, min(n3, 5))
+            prefix3 = weight_prefix(histogram_closed_form(ctx, GroupId.SO4), ctx, min(n3, 5))
             chain3 = sk2_recursive_chain(ctx, 5, prefix3)
             assert chain3 == [direct[2 * h] for h in range(6)]
             if ctx.q == 3:
@@ -136,12 +136,12 @@ def test_criterion_6_oracle_equivalence():
         for ctx, gid in ((f3, GroupId.SO2), (f3, GroupId.O2), (f9, GroupId.SO2)):
             spec = build_code_spec(ctx, gid)
             scan = weight_prefix_bruteforce(spec, spec.length)
-            dp = weight_prefix_dp(histogram_closed_form(ctx, gid), ctx, spec.length)
-            assert dp.counts == scan.counts
+            prefix = weight_prefix(histogram_closed_form(ctx, gid), ctx, spec.length)
+            assert prefix.counts == scan.counts
         spec4 = build_code_spec(f3, GroupId.SO4)
         pair = weight_prefix_bruteforce(spec4, 2)
-        dp4 = weight_prefix_dp(histogram_closed_form(f3, GroupId.SO4), f3, 2)
-        assert pair.counts == dp4.counts
+        prefix4 = weight_prefix(histogram_closed_form(f3, GroupId.SO4), f3, 2)
+        assert pair.counts == prefix4.counts
         assert pair.counts[1] == 180
 
 

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from kloostercodes.cli import run_command
 
 
@@ -113,6 +115,55 @@ def test_limit_ops_flag(capsys):
                        "--limit-ops", "10")
     assert code == 2
     assert "limit" in err
+
+
+def test_limit_ops_zero_is_a_limit(capsys):
+    # 0 is an explicit limit, not "use the defaults"
+    code, out, err = run(capsys, "moments", "direct", "--r", "2", "--h", "2",
+                         "--limit-ops", "0")
+    assert code == 2
+    assert out == ""
+    assert "limit 0" in err
+
+
+def test_weights_honours_limit_ops(capsys):
+    # the so4 histogram needs delta(2) at about q^2/2 = 364 operations
+    code, _, err = run(capsys, "weights", "--code", "so4", "--r", "3", "--limit-ops", "300")
+    assert code == 2
+    assert "limit 300" in err
+    code, _, err = run(capsys, "weights", "--code", "so4", "--r", "3", "--max-j", "10",
+                       "--limit-ops", "500")
+    assert code == 2
+    assert "weight prefix" in err and "limit 500" in err and "--limit-ops" in err
+
+
+def test_weights_large_field_with_raised_limit(capsys):
+    # delta(2) at q = 3^8 is above the default limit; the flag must lift it
+    argv = ("weights", "--code", "so4", "--r", "8", "--max-j", "2", "--format", "csv")
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "limit 5000000" in err
+    code, out, _ = run(capsys, *argv, "--limit-ops", "100000000")
+    assert code == 0
+    assert out.splitlines() == [
+        "j,count", "0,1", "1,3706040463797124",
+        "2,1939843032177072620705429084626368917369514",
+    ]
+
+
+@pytest.mark.parametrize("code_name", ["so2", "o2", "so4"])
+def test_moments_recursive_honours_limit_ops(capsys, code_name):
+    code, _, err = run(capsys, "moments", "recursive", "--code", code_name, "--r", "3",
+                       "--h", "10", "--limit-ops", "400")
+    assert code == 2
+    assert "weight prefix" in err and "limit 400" in err
+
+
+@pytest.mark.parametrize("r", [6, 7])
+def test_verify_at_advertised_sizes(capsys, r):
+    code, out, _ = run(capsys, "verify", "--r", str(r), "--h-max", "10")
+    assert code == 0
+    assert out.splitlines()[-1] == "verified: all moments match"
 
 
 def test_gauss_subcommands(capsys):

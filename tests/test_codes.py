@@ -1,7 +1,10 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kloostercodes import (
     CapacityError,
+    ConsistencyError,
     DomainError,
     GroupId,
     build_code_spec,
@@ -11,9 +14,11 @@ from kloostercodes import (
     enumerate_group,
     field_create,
     histogram_closed_form,
+    weight_prefix,
     weight_prefix_bruteforce,
-    weight_prefix_dp,
 )
+from kloostercodes.gf3r import _is_irreducible
+from oracles import pair_counts, weight_prefix_dp
 
 C1_Q3 = (1, 4, 6, 8, 8)
 C2_Q3 = (1, 12, 62, 184, 360, 512, 544, 384, 128)
@@ -143,7 +148,7 @@ def test_bruteforce_capacity(f3):
 
 def test_negation_symmetry(f9):
     # u and -u weigh the same, so every count past j=0 is even here
-    dp = weight_prefix_dp(histogram_closed_form(f9, GroupId.O2), f9, 12)
+    dp = weight_prefix(histogram_closed_form(f9, GroupId.O2), f9, 12)
     assert dp.counts[0] == 1
     assert all(c % 2 == 0 for c in dp.counts[1:])
 
@@ -151,9 +156,9 @@ def test_negation_symmetry(f9):
 def test_dp_uses_parity_correct_histogram(f9, f27):
     # q=9 (even exponent) has no weight-1 words in the rank-2 codes, while
     # q=27 (odd exponent) has plenty: the zero-trace class sizes differ
-    even = weight_prefix_dp(histogram_closed_form(f9, GroupId.SO2), f9, 1)
+    even = weight_prefix(histogram_closed_form(f9, GroupId.SO2), f9, 1)
     assert even.counts[1] == 0
-    odd = weight_prefix_dp(histogram_closed_form(f27, GroupId.SO2), f27, 1)
+    odd = weight_prefix(histogram_closed_form(f27, GroupId.SO2), f27, 1)
     assert odd.counts[1] == 2 * histogram_closed_form(f27, GroupId.SO2)[0] > 0
 
 
@@ -163,7 +168,112 @@ def test_dp_counts_grow_with_histogram(f27):
     hist = histogram_closed_form(f27, GroupId.SO4)
     dp = weight_prefix_dp(hist, f27, 2)
     assert dp.counts[1] == 2 * hist[0]
-    same = sum(n * (n - 1) // 2 for n in hist.counts)
-    cross = sum(hist.counts[b] * hist.counts[f27.neg(b)] for b in range(1, 27))
-    negated = cross // 2 + hist.counts[0] * (hist.counts[0] - 1) // 2
-    assert dp.counts[2] == 2 * same + 2 * negated
+    assert dp.counts == pair_counts(hist, f27)
+
+
+# -- the library prefix (MacWilliams transform of the histogram) ------------
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+@pytest.mark.parametrize("gid", [GroupId.SO2, GroupId.O2, GroupId.SO4])
+def test_prefix_matches_dp(r, gid):
+    ctx = field_create(r)
+    hist = histogram_closed_form(ctx, gid)
+    assert weight_prefix(hist, ctx, 10) == weight_prefix_dp(hist, ctx, 10)
+
+
+def test_prefix_pads_past_code_length(f3):
+    # j_max beyond N: the counts stop at N and the rest are zero
+    hist = histogram_closed_form(f3, GroupId.SO2)
+    assert weight_prefix(hist, f3, 12).counts == C1_Q3 + (0,) * 8
+    # the work stops at j = N whatever j_max asks for
+    far = weight_prefix(hist, f3, 10 ** 5, ops_limit=100)
+    assert far.counts[:5] == C1_Q3 and not any(far.counts[5:])
+
+
+def _irreducible_moduli(r):
+    from itertools import product
+
+    return [low + (1,) for low in product(range(3), repeat=r) if _is_irreducible(low + (1,))]
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from([(r, m) for r in (1, 2, 3) for m in _irreducible_moduli(r)]),
+       st.sampled_from(list(GroupId)), st.integers(0, 10))
+def test_prefix_matches_dp_random_moduli(field, gid, j_max):
+    r, modulus = field
+    ctx = field_create(r, modulus)
+    hist = histogram_closed_form(ctx, gid)
+    assert weight_prefix(hist, ctx, j_max) == weight_prefix_dp(hist, ctx, j_max)
+
+
+@pytest.mark.parametrize("gid", [GroupId.SO2, GroupId.O2, GroupId.SO4])
+def test_prefix_matches_pair_counts_r7(gid):
+    # SO-(4, 3^7) has a 67-bit order: the transform must stay exact there
+    ctx = field_create(7)
+    hist = histogram_closed_form(ctx, gid)
+    if gid is GroupId.SO4:
+        assert hist.total.bit_length() == 67
+    assert weight_prefix(hist, ctx, 2).counts == pair_counts(hist, ctx)
+
+
+def test_prefix_never_reads_kloosterman(monkeypatch, f27):
+    # the recursion side must stay independent of the K values it is checked against
+    hists = {gid: histogram_closed_form(f27, gid) for gid in GroupId}
+    expected = {gid: weight_prefix(h, f27, 10) for gid, h in hists.items()}
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("weight_prefix read a Kloosterman sum")
+
+    for target in ("kloostercodes.charsums.kloosterman", "kloostercodes.codes.kloosterman",
+                   "kloostercodes.kloosterman", "kloostercodes.charsums.kloosterman_on_squares"):
+        monkeypatch.setattr(target, forbidden)
+    for gid in GroupId:
+        assert weight_prefix(histogram_closed_form(f27, gid), f27, 10) == expected[gid]
+
+
+def test_prefix_work_limit(f27):
+    # the estimate q*r + (distinct weights) * (j+1)^2 admits itself exactly
+    hist = histogram_closed_form(f27, GroupId.O2)
+    distinct = len({0} | {codeword_weight_formula(f27, GroupId.O2, a) for a in range(1, 27)})
+    cost = 27 * 3 + distinct * 11 ** 2
+    assert weight_prefix(hist, f27, 10, ops_limit=cost) == weight_prefix(hist, f27, 10)
+    with pytest.raises(CapacityError) as exc:
+        weight_prefix(hist, f27, 10, ops_limit=cost - 1)
+    message = str(exc.value)
+    assert "about %d operations" % cost in message
+    assert "limit %d" % (cost - 1) in message and "--limit-ops" in message
+
+
+def test_prefix_refused_before_transform(f27, monkeypatch):
+    # q*r + (j+1)^2 is known before the transform, so a limit below it
+    # refuses without running the transform
+    hist = histogram_closed_form(f27, GroupId.O2)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the transform ran before the limit was checked")
+
+    monkeypatch.setattr("kloostercodes.codes._zero_trace_counts", forbidden)
+    with pytest.raises(CapacityError) as exc:
+        weight_prefix(hist, f27, 10, ops_limit=27 * 3 + 11 ** 2 - 1)
+    assert "about %d operations" % (27 * 3 + 11 ** 2) in str(exc.value)
+
+
+def test_prefix_validation(f3):
+    with pytest.raises(DomainError):
+        weight_prefix(histogram_closed_form(f3, GroupId.SO2), f3, -1)
+
+
+def test_corrupted_dual_weight_is_detected(monkeypatch, f9):
+    # one dual weight off by one breaks the exact division by q
+    from kloostercodes import codes
+
+    real = codes._zero_trace_counts
+
+    def skewed(hist, ctx):
+        zeros = real(hist, ctx)
+        zeros[1] += 1
+        return zeros
+
+    monkeypatch.setattr(codes, "_zero_trace_counts", skewed)
+    with pytest.raises(ConsistencyError):
+        weight_prefix(histogram_closed_form(f9, GroupId.O2), f9, 2)

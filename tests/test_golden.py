@@ -1,0 +1,25 @@
+"""CLI stdout pinned byte for byte.
+
+golden_cli.json maps each command line to the stdout it printed when the
+weight prefix was still computed by the dynamic program (now
+oracles.weight_prefix_dp): weights for every code at --max-j 12, the
+recursive moments of every code at --h 10, and verify at --h-max 10, each
+in json, csv and text for r = 1..3.
+"""
+
+import json
+import os
+
+import pytest
+
+from kloostercodes.cli import run_command
+
+with open(os.path.join(os.path.dirname(__file__), "golden_cli.json")) as f:
+    GOLDEN = json.load(f)
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN))
+def test_stdout_matches_golden(capsys, command):
+    code = run_command(command.split())
+    assert code == 0
+    assert capsys.readouterr().out == GOLDEN[command]

@@ -4,6 +4,7 @@ from math import comb, factorial
 import pytest
 
 from kloostercodes import (
+    CapacityError,
     ConsistencyError,
     DomainError,
     GroupId,
@@ -19,7 +20,7 @@ from kloostercodes import (
     stirling2,
     trinomial,
     verify_report,
-    weight_prefix_dp,
+    weight_prefix,
 )
 from kloostercodes.codes import WeightPrefix
 from kloostercodes.ogroups import group_order
@@ -82,7 +83,7 @@ def test_trinomial_huge_class_sizes():
 
 
 def _prefix(ctx, gid, j_max):
-    return weight_prefix_dp(histogram_closed_form(ctx, gid), ctx, j_max)
+    return weight_prefix(histogram_closed_form(ctx, gid), ctx, j_max)
 
 
 def test_pless_q3_rank2(f3):
@@ -109,6 +110,20 @@ def test_pless_all_codes_q3(f3, gid, h):
 @pytest.mark.parametrize("h", range(7))
 def test_pless_rank2_q9(f9, gid, h):
     assert pless_check(f9, gid, h).match
+
+
+def test_pless_and_verify_honour_ops_limit(f27):
+    # the weight prefix at q = 27 costs 81 + (distinct weights) * (j+1)^2;
+    # pless_check takes a prefix built under any limit
+    hist = histogram_closed_form(f27, GroupId.O2)
+    with pytest.raises(CapacityError) as exc:
+        weight_prefix(hist, f27, 10, ops_limit=400)
+    assert "weight prefix" in str(exc.value)
+    prefix = weight_prefix(hist, f27, 10, ops_limit=10 ** 4)
+    assert pless_check(f27, GroupId.O2, 10, prefix=prefix).match
+    with pytest.raises(CapacityError) as exc:
+        verify_report(f27, 10, ops_limit=400)
+    assert "weight prefix" in str(exc.value)
 
 
 def test_sk_recursive_q3_hand_values(f3):
