@@ -41,10 +41,8 @@ from .moments import (
     MomentReport,
     PlessCheck,
     pless_check,
-    sk2_recursive,
-    sk2_recursive_chain,
+    recursive_moments,
     sk_initial,
-    sk_recursive,
     sk_recursive_chain,
     verify_report,
 )

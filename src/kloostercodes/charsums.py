@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, ConsistencyError, DomainError
+from .errors import ConsistencyError, DomainError, admit
 
 # Direct moment computations sweep all Kloosterman values over the squares,
 # about q^2/2 character evaluations; this default admits r <= 7.
@@ -72,45 +72,22 @@ def kloosterman(ctx, a: int) -> int:
     return kloosterman_omega(ctx, a).value()
 
 
-_SQUARE_K_CACHE = {}
+def kloosterman_on_squares(ctx):
+    """K(a) for every nonzero square a, in ascending order of a (kept on ctx)."""
+    if ctx._k_on_squares is None:
+        ctx._k_on_squares = tuple(kloosterman(ctx, a) for a in ctx.squares())
+    return ctx._k_on_squares
 
 
-def kloosterman_on_squares(ctx, threads: int = 1):
-    """K(a) for every nonzero square a, in ascending order of a (cached)."""
-    key = id(ctx)
-    hit = _SQUARE_K_CACHE.get(key)
-    if hit is not None and hit[0] is ctx:
-        return hit[1]
-    squares = ctx.squares()
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        chunks = [squares[i::threads] for i in range(threads)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda ch: [kloosterman(ctx, a) for a in ch], chunks))
-        vals = [0] * len(squares)
-        for i, part in enumerate(parts):
-            vals[i::threads] = part
-        vals = tuple(vals)
-    else:
-        vals = tuple(kloosterman(ctx, a) for a in squares)
-    _SQUARE_K_CACHE[key] = (ctx, vals)
-    return vals
-
-
-def sk_moment(ctx, h: int, *, ops_limit: int = DEFAULT_OPS_LIMIT, threads: int = 1) -> int:
+def sk_moment(ctx, h: int, *, ops_limit: int = DEFAULT_OPS_LIMIT) -> int:
     """Direct h-th power moment of the Kloosterman sums over the nonzero squares."""
     if h < 0:
         raise DomainError("moment order must be nonnegative")
     if h == 0:
         return (ctx.q - 1) // 2
-    cost = ctx.q * ctx.q // 2
-    if cost > ops_limit:
-        raise CapacityError(
-            "direct moment over GF(%d) needs about %d character evaluations "
-            "(limit %d); raise ops_limit to force it" % (ctx.q, cost, ops_limit)
-        )
-    return sum(k ** h for k in kloosterman_on_squares(ctx, threads=threads))
+    admit("direct moment over GF(%d) (q^2/2 character evaluations)" % ctx.q,
+          ctx.q * ctx.q // 2, ops_limit)
+    return sum(k ** h for k in kloosterman_on_squares(ctx))
 
 
 @dataclass(frozen=True)
@@ -158,11 +135,8 @@ def delta_count(ctx, m: int, *, ops_limit: int = DEFAULT_OPS_LIMIT) -> DeltaTabl
     q = ctx.q
     if m == 0:
         return DeltaTable(0, tuple(1 if b == 0 else 0 for b in range(q)))
-    if m >= 2 and q * q // 2 > ops_limit:
-        raise CapacityError(
-            "delta(%d, %d) convolution costs about %d operations per step "
-            "(limit %d)" % (m, q, q * q // 2, ops_limit)
-        )
+    if m >= 2:
+        admit("delta(%d, %d) convolution (q^2/2 per step)" % (m, q), q * q // 2, ops_limit)
     d1 = _delta_one(ctx)
     cur = d1
     if m >= 2:

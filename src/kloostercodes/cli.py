@@ -50,8 +50,6 @@ def _build_parser():
                         help="config file mapping r to modulus coefficients")
     common.add_argument("--format", choices=("json", "csv", "text"),
                         default=_env("format", str, "text"), help="output format")
-    common.add_argument("--threads", type=int, default=_env("threads", int, 1),
-                        help="worker threads for the heavy sums")
     common.add_argument("--limit-ops", type=int, default=_env("limit_ops", int),
                         help="override the work limits (character evaluations and scan sizes)")
 
@@ -162,33 +160,23 @@ def _cmd_moments(args):
     ops, _ = _limits(args)
     if args.mode == "direct":
         vals = [moments.sk_initial(ctx.q)] + [
-            charsums.sk_moment(ctx, h, ops_limit=ops, threads=args.threads)
-            for h in range(1, args.h + 1)
+            charsums.sk_moment(ctx, h, ops_limit=ops) for h in range(1, args.h + 1)
         ]
-        label = "direct"
+        step, key, label = 1, "source", "direct"
     else:
         gid = _CODE_IDS[args.code]
-        n = ogroups.group_order(gid, ctx.q)
-        prefix = weight_prefix(ogroups.histogram_closed_form(ctx, gid, ops_limit=ops),
-                               ctx, min(n, args.h), ops_limit=ops)
-        if gid is GroupId.SO4:
-            vals = moments.sk2_recursive_chain(ctx, args.h, prefix)  # SK^0, SK^2, ..., SK^{2h}
-            payload = {
-                "q": ctx.q, "r": ctx.r, "code": args.code,
-                "rows": [{"h": 2 * i, "sk": str(v)} for i, v in enumerate(vals)],
-            }
-            rows = [("h", "sk")] + [(2 * i, v) for i, v in enumerate(vals)]
-            text = ["SK^%d = %d" % (2 * i, v) for i, v in enumerate(vals)]
-            _emit(args, payload, rows, text)
-            return 0
-        vals = moments.sk_recursive_chain(ctx, gid, args.h, prefix)
+        vals = moments.recursive_moments(ctx, gid, args.h, ops_limit=ops)
+        # the rank-4 chain holds the even moments SK^0, SK^2, ..., SK^{2h}
+        step = gid.dim // 2
+        key = "code" if gid is GroupId.SO4 else "source"
         label = args.code
+    hs = [step * i for i in range(len(vals))]
     payload = {
-        "q": ctx.q, "r": ctx.r, "source": label,
-        "rows": [{"h": h, "sk": str(v)} for h, v in enumerate(vals)],
+        "q": ctx.q, "r": ctx.r, key: label,
+        "rows": [{"h": h, "sk": str(v)} for h, v in zip(hs, vals)],
     }
-    rows = [("h", "sk")] + list(enumerate(vals))
-    text = ["SK^%d = %d" % (h, v) for h, v in enumerate(vals)]
+    rows = [("h", "sk")] + list(zip(hs, vals))
+    text = ["SK^%d = %d" % hv for hv in zip(hs, vals)]
     _emit(args, payload, rows, text)
     return 0
 
@@ -258,7 +246,7 @@ def _cmd_gauss(args):
 def _cmd_verify(args):
     ctx = _make_ctx(args)
     ops, _ = _limits(args)
-    reports = moments.verify_report(ctx, args.h_max, ops_limit=ops, threads=args.threads)
+    reports = moments.verify_report(ctx, args.h_max, ops_limit=ops)
     payload = [rep.to_dict(include_timing=args.timing) for rep in reports]
     rows = [("code", "h", "direct", "recursive", "match")]
     text = []

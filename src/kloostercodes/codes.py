@@ -18,7 +18,7 @@ from math import comb
 import numpy as np
 
 from .charsums import DEFAULT_OPS_LIMIT, kloosterman
-from .errors import CapacityError, ConsistencyError, DomainError
+from .errors import ConsistencyError, DomainError, admit
 from .ogroups import DEFAULT_SCAN_LIMIT, GroupId, TraceHistogram, enumerate_group, mat_trace
 
 
@@ -51,18 +51,22 @@ def dual_codeword(spec: CodeSpec, a: int):
     return tuple(ctx.trace(ctx.mul(a, t)) for t in spec.trace_vector)
 
 
+def weight_form(gid: GroupId, q: int):
+    """(s, b) such that the dual word of a != 0 has weight
+    (2/3) s (K(a^2)^e + b), with e = gid.dim // 2: s = 1, b = q + 1 in rank 2
+    and s = q^2, b = q^4 + q^3 - q - 1 in rank 4."""
+    if gid is GroupId.SO4:
+        return q * q, q ** 4 + q ** 3 - q - 1
+    return 1, q + 1
+
+
 def codeword_weight_formula(ctx, gid: GroupId, a: int) -> int:
-    """Hamming weight of the dual word via Kloosterman sums:
-    (2/3)(q + 1 + K(a^2)) in rank 2 and (2/3) q^2 (K(a^2)^2 + q^4 + q^3 - q - 1)
-    in rank 4.  Needs no enumeration."""
+    """Hamming weight of the dual word via Kloosterman sums, by weight_form.
+    Needs no enumeration."""
     if not 0 < a < ctx.q:
         raise DomainError("a must be a nonzero element")
-    q = ctx.q
-    k = kloosterman(ctx, ctx.mul(a, a))
-    if gid in (GroupId.SO2, GroupId.O2):
-        num = 2 * (q + 1 + k)
-    else:
-        num = 2 * q * q * (k * k + q ** 4 + q ** 3 - q - 1)
+    s, b = weight_form(gid, ctx.q)
+    num = 2 * s * (kloosterman(ctx, ctx.mul(a, a)) ** (gid.dim // 2) + b)
     if num % 3:
         raise ConsistencyError(
             "weight expression %d for %s, a=%d is not divisible by 3" % (num, gid.value, a)
@@ -127,13 +131,9 @@ def _zero_trace_counts(hist: TraceHistogram, ctx):
     return num // 3
 
 
-def _admit_prefix(q: int, top: int, cost: int, distinct: int, ops_limit: int) -> None:
-    if cost > ops_limit:
-        raise CapacityError(
-            "weight prefix over GF(%d) up to j=%d costs about %d operations "
-            "(q*r + %d distinct weights * (j+1)^2; limit %d); raise it with --limit-ops"
-            % (q, top, cost, distinct, ops_limit)
-        )
+def _admit_prefix(ctx, top: int, distinct: int, ops_limit: int) -> None:
+    admit("weight prefix over GF(%d) up to j=%d (q*r + %d distinct weights * (j+1)^2)"
+          % (ctx.q, top, distinct), ctx.q * ctx.r + distinct * (top + 1) ** 2, ops_limit)
 
 
 def weight_prefix(hist: TraceHistogram, ctx, j_max: int, *,
@@ -154,9 +154,9 @@ def weight_prefix(hist: TraceHistogram, ctx, j_max: int, *,
     top = min(j_max, n)
     # a = 0 always gives w = 0, so one distinct weight is known before the
     # transform; the full estimate is checked once the weights are grouped
-    _admit_prefix(q, top, q * ctx.r + (top + 1) ** 2, 1, ops_limit)
+    _admit_prefix(ctx, top, 1, ops_limit)
     mult = Counter((n - _zero_trace_counts(hist, ctx)).tolist())
-    _admit_prefix(q, top, q * ctx.r + len(mult) * (top + 1) ** 2, len(mult), ops_limit)
+    _admit_prefix(ctx, top, len(mult), ops_limit)
     sums = [0] * (top + 1)
     for w, m in mult.items():
         ones = [comb(n - w, i) * 2 ** i for i in range(top + 1)]
@@ -216,11 +216,8 @@ def weight_prefix_bruteforce(spec: CodeSpec, j_max: int, *, scan_limit: int = DE
     scan over coordinate pairs for j_max <= 2."""
     if j_max < 0:
         raise DomainError("j_max must be nonnegative")
-    if 3 ** spec.length <= scan_limit:
-        return _full_scan(spec, j_max)
-    if j_max <= 2:
+    if j_max <= 2 and 3 ** spec.length > scan_limit:
         return _pair_scan(spec, j_max)
-    raise CapacityError(
-        "brute-force weights need a 3^%d scan (limit %d) or j_max <= 2"
-        % (spec.length, scan_limit)
-    )
+    admit("brute-force weights up to j=%d (a 3^%d scan; the pair scan covers j <= 2)"
+          % (j_max, spec.length), 3 ** spec.length, scan_limit)
+    return _full_scan(spec, j_max)

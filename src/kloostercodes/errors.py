@@ -19,3 +19,16 @@ class ConsistencyError(KloosterError, RuntimeError):
 
 class CapacityError(KloosterError, RuntimeError):
     """The requested computation exceeds the configured work limit."""
+
+
+def admit(what: str, cost: int, limit: int) -> None:
+    """Refuse a job whose estimated cost exceeds its work limit.
+
+    `what` names the job and how its cost is counted; the refusal names the
+    estimate, the limit and the flag that raises it.
+    """
+    if cost > limit:
+        raise CapacityError(
+            "%s costs about %d operations (limit %d); raise the limit with --limit-ops"
+            % (what, cost, limit)
+        )

@@ -5,8 +5,9 @@ encodes the coefficient vector of the residue polynomial in base 3, so 0 is
 the additive identity and 1 the multiplicative identity.  A FieldContext
 verifies its modulus irreducible at construction and precomputes log/antilog,
 inverse and trace tables (r <= 8, i.e. q <= 6561), after which every
-operation is a table lookup or an O(r) digit loop.  Contexts are immutable
-and safe to share between workers.
+operation is a table lookup or an O(r) digit loop.  A context also holds the
+derived tables that the layers above memoise on it (the Kloosterman table on
+the squares, the group enumerations), so they live and die with the context.
 """
 
 import json
@@ -123,6 +124,8 @@ class FieldContext:
         self.q = 3 ** r
         self.modulus = modulus
         self._build_tables()
+        self._k_on_squares = None  # charsums.kloosterman_on_squares
+        self._enumerations = {}  # ogroups.enumerate_group, keyed by group
 
     # -- construction internals -------------------------------------------
 

@@ -1,21 +1,20 @@
 """Power moments of Kloosterman sums with square arguments.
 
-The Pless power moment identity ties the h-th powers of the dual-codeword
-weights to the truncated weight distribution of each group code.  Unwinding
-it gives exact recursions for the moments SK^h (rank-2 groups) and for the
-even moments SK^{2h} (rank 4).  All intermediate terms carrying negative
-powers of 2 or q are accumulated as exact rationals; every final moment is
-asserted integral.
+The dual word of a != 0 in each group code has weight
+w(a) = (2/3) s (K(a^2)^e + b) (codes.weight_form), and the Pless power moment
+identity gives sum_a w(a)^h from the code's low weight counts C_j alone.
+Expanding (K^e + b)^h turns that one integer sum into one recursion for every
+code: SK^h on the rank-2 codes (e = 1) and SK^{2h} on the rank-4 code
+(e = 2).  All arithmetic is in integers; every division is asserted exact.
 """
 
 import json
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import comb, factorial
 
 from . import charsums
-from .codes import codeword_weight_formula, weight_prefix
+from .codes import codeword_weight_formula, weight_form, weight_prefix
 from .combinat import stirling2, trinomial  # noqa: F401  (re-exported helpers)
 from .errors import ConsistencyError, DomainError
 from .ogroups import GroupId, group_order, histogram_closed_form
@@ -26,98 +25,62 @@ def sk_initial(q: int) -> int:
     return (q - 1) // 2
 
 
-def _prefix_count(prefix, j: int) -> int:
-    return prefix.counts[j] if j <= prefix.j_max else 0
+def _pless_sum(prefix, n: int, r: int, h: int) -> int:
+    """sum_a w(a)^h over the q dual words of a ternary [n, r] code, from its
+    weight counts C_j, j <= m = min(n, h):
 
+        sum_{j<=m} (-1)^j C_j sum_{t=j}^{m} t! S(h,t) 2^{t-j} C(n-j, t-j) 3^{r-t}.
 
-def _moment_inner_sum(n: int, h: int, j: int):
-    """sum_{t=j}^{h} t! S(h,t) 3^{h-t} 2^{t-h-j-1} C(n-j, n-t), exact rational."""
-    total = Fraction(0)
-    for t in range(j, min(h, n) + 1):
-        total += (
-            factorial(t)
-            * stirling2(h, t)
-            * 3 ** (h - t)
-            * Fraction(2) ** (t - h - j - 1)
-            * comb(n - j, t - j)
-        )
-    return total
-
-
-def sk_recursive(ctx, gid: GroupId, h: int, prefix, lower=None) -> int:
-    """SK^h from the rank-2 recursion for the given group code.
-
-    `prefix` must hold the code's weight counts for j <= min(N, h); `lower`
-    is the sequence SK^0..SK^{h-1} (computed by the recursion itself when
-    omitted).
+    The terms are scaled by 3^c, c = max(0, m - r), to keep them integral,
+    and the total is asserted divisible by 3^c.
     """
-    if gid not in (GroupId.SO2, GroupId.O2):
-        raise DomainError("the single-step recursion applies to the rank-2 codes")
-    if h < 1:
-        raise DomainError("h must be positive")
-    q = ctx.q
-    n = group_order(gid, q)
-    if prefix.j_max < min(n, h):
-        raise DomainError(
-            "weight prefix covers j <= %d but j <= %d is needed" % (prefix.j_max, min(n, h))
-        )
-    if lower is None:
-        lower = sk_recursive_chain(ctx, gid, h - 1, prefix)
-    first = -sum(comb(h, j) * (q + 1) ** (h - j) * lower[j] for j in range(h))
-    second = Fraction(0)
-    for j in range(min(n, h) + 1):
-        c = _prefix_count(prefix, j)
-        if c:
-            second += (-1) ** j * c * _moment_inner_sum(n, h, j)
-    total = first + q * second
-    if total.denominator != 1:
-        raise ConsistencyError("moment SK^%d came out non-integral: %s" % (h, total))
-    return int(total)
+    m = min(n, h)
+    if prefix.j_max < m:
+        raise DomainError("weight prefix covers j <= %d but j <= %d is needed" % (prefix.j_max, m))
+    c = max(0, m - r)
+    total = 0
+    for t in range(m + 1):
+        inner = sum((-1) ** j * prefix.counts[j] * 2 ** (t - j) * comb(n - j, t - j)
+                    for j in range(t + 1))
+        total += factorial(t) * stirling2(h, t) * 3 ** (r - t + c) * inner
+    if total % 3 ** c:
+        raise ConsistencyError("power-moment sum %d at h=%d is not divisible by 3^%d" % (total, h, c))
+    return total // 3 ** c
 
 
 def sk_recursive_chain(ctx, gid: GroupId, h_max: int, prefix):
-    """[SK^0, ..., SK^{h_max}] built purely from the recursion."""
-    chain = [sk_initial(ctx.q)]
-    for h in range(1, h_max + 1):
-        chain.append(sk_recursive(ctx, gid, h, prefix, lower=chain))
-    return chain
+    """[SK^0, SK^e, ..., SK^{e h_max}] from the code's weight prefix alone,
+    e = 1 for the rank-2 codes and 2 for SO-(4,q).
 
-
-def sk2_recursive(ctx, h: int, prefix, lower=None) -> int:
-    """SK^{2h} from the rank-4 recursion.
-
-    `prefix` holds the rank-4 code's weight counts for j <= min(N, h);
-    `lower` is the even-moment sequence SK^0, SK^2, ..., SK^{2(h-1)}.
+    With w(a) = (2/3) s (K(a^2)^e + b) and a -> a^2 covering each nonzero
+    square twice, the power moment sum P_h gives
+    M_h = 3^h P_h / (2^{h+1} s^h) - sum_{j<h} C(h,j) b^{h-j} M_j, M_j = SK^{ej}.
+    `prefix` must hold the weight counts for j <= min(N, h_max).
     """
-    if h < 1:
-        raise DomainError("h must be positive")
-    q = ctx.q
-    n = group_order(GroupId.SO4, q)
-    if prefix.j_max < min(n, h):
-        raise DomainError(
-            "weight prefix covers j <= %d but j <= %d is needed" % (prefix.j_max, min(n, h))
-        )
-    if lower is None:
-        lower = sk2_recursive_chain(ctx, h - 1, prefix)
-    base = q ** 4 + q ** 3 - q - 1
-    first = -sum(comb(h, j) * base ** (h - j) * lower[j] for j in range(h))
-    second = Fraction(0)
-    for j in range(min(n, h) + 1):
-        c = _prefix_count(prefix, j)
-        if c:
-            second += (-1) ** j * c * _moment_inner_sum(n, h, j)
-    total = first + Fraction(q) ** (1 - 2 * h) * second
-    if total.denominator != 1:
-        raise ConsistencyError("moment SK^%d came out non-integral: %s" % (2 * h, total))
-    return int(total)
-
-
-def sk2_recursive_chain(ctx, h_max: int, prefix):
-    """[SK^0, SK^2, ..., SK^{2 h_max}] built purely from the recursion."""
-    chain = [sk_initial(ctx.q)]
+    if h_max < 0:
+        raise DomainError("h_max must be nonnegative")
+    q, r = ctx.q, ctx.r
+    n = group_order(gid, q)
+    s, b = weight_form(gid, q)
+    chain = [sk_initial(q)]
     for h in range(1, h_max + 1):
-        chain.append(sk2_recursive(ctx, h, prefix, lower=chain))
+        num = 3 ** h * _pless_sum(prefix, n, r, h)
+        den = 2 ** (h + 1) * s ** h
+        if num % den:
+            raise ConsistencyError(
+                "moment SK^%d came out non-integral: %d/%d" % (gid.dim // 2 * h, num, den)
+            )
+        chain.append(num // den - sum(comb(h, j) * b ** (h - j) * chain[j] for j in range(h)))
     return chain
+
+
+def recursive_moments(ctx, gid: GroupId, h_max: int, *,
+                      ops_limit: int = charsums.DEFAULT_OPS_LIMIT):
+    """The recursion chain of the code from its closed-form trace histogram:
+    histogram_closed_form -> weight_prefix -> sk_recursive_chain."""
+    hist = histogram_closed_form(ctx, gid, ops_limit=ops_limit)
+    prefix = weight_prefix(hist, ctx, h_max, ops_limit=ops_limit)
+    return sk_recursive_chain(ctx, gid, h_max, prefix)
 
 
 @dataclass(frozen=True)
@@ -144,30 +107,13 @@ def pless_check(ctx, gid: GroupId, h: int, prefix=None) -> PlessCheck:
     if h < 0:
         raise DomainError("h must be nonnegative")
     q = ctx.q
-    n = group_order(gid, q)
     if prefix is None:
-        prefix = weight_prefix(histogram_closed_form(ctx, gid), ctx, min(n, h))
+        prefix = weight_prefix(histogram_closed_form(ctx, gid), ctx, h)
     lhs = sum(codeword_weight_formula(ctx, gid, a) ** h for a in range(1, q))
     if h == 0:
         lhs += 1  # the zero codeword contributes 0^0 = 1
-    rhs = Fraction(0)
-    for j in range(min(n, h) + 1):
-        c = _prefix_count(prefix, j)
-        if not c:
-            continue
-        inner = Fraction(0)
-        for t in range(j, min(h, n) + 1):
-            inner += (
-                factorial(t)
-                * stirling2(h, t)
-                * Fraction(3) ** (ctx.r - t)
-                * 2 ** (t - j)
-                * comb(n - j, t - j)
-            )
-        rhs += (-1) ** j * c * inner
-    if rhs.denominator != 1:
-        raise ConsistencyError("power-moment right side non-integral: %s" % (rhs,))
-    return PlessCheck(gid, h, lhs, int(rhs))
+    rhs = _pless_sum(prefix, group_order(gid, q), ctx.r, h)
+    return PlessCheck(gid, h, lhs, rhs)
 
 
 @dataclass(frozen=True)
@@ -218,37 +164,25 @@ class MomentReport:
         return json.dumps(self.to_dict(include_timing), sort_keys=True)
 
 
-def verify_report(ctx, h_max: int, *, ops_limit: int = charsums.DEFAULT_OPS_LIMIT, threads: int = 1):
-    """Run all three recursions against direct moments: SK^h for h <= h_max
-    on the rank-2 codes, SK^{2h} for h <= h_max // 2 on the rank-4 code.
-    Returns one MomentReport per code."""
+def verify_report(ctx, h_max: int, *, ops_limit: int = charsums.DEFAULT_OPS_LIMIT):
+    """Run the recursion of every code against direct moments: SK^h for
+    h <= h_max on the rank-2 codes, SK^{2h} for h <= h_max // 2 on the rank-4
+    code.  Returns one MomentReport per code."""
     if h_max < 1:
         raise DomainError("h_max must be positive")
     q = ctx.q
     direct = [sk_initial(q)] + [
-        charsums.sk_moment(ctx, h, ops_limit=ops_limit, threads=threads)
-        for h in range(1, h_max + 1)
+        charsums.sk_moment(ctx, h, ops_limit=ops_limit) for h in range(1, h_max + 1)
     ]
     reports = []
-    for gid in (GroupId.SO2, GroupId.O2):
+    for gid in (GroupId.SO2, GroupId.O2, GroupId.SO4):
+        e = gid.dim // 2
+        if h_max // e < 1:
+            continue
         start = time.perf_counter()
-        n = group_order(gid, q)
-        prefix = weight_prefix(histogram_closed_form(ctx, gid), ctx, min(n, h_max),
-                               ops_limit=ops_limit)
-        chain = sk_recursive_chain(ctx, gid, h_max, prefix)
-        rows = [MomentRow(h, direct[h], chain[h]) for h in range(1, h_max + 1)]
+        chain = recursive_moments(ctx, gid, h_max // e, ops_limit=ops_limit)
+        rows = [MomentRow(e * h, direct[e * h], chain[h]) for h in range(1, len(chain))]
         reports.append(
             MomentReport(q, ctx.r, gid.value, rows, (time.perf_counter() - start) * 1e3)
-        )
-    start = time.perf_counter()
-    g3_h = h_max // 2
-    if g3_h >= 1:
-        n3 = group_order(GroupId.SO4, q)
-        hist3 = histogram_closed_form(ctx, GroupId.SO4, ops_limit=ops_limit)
-        prefix3 = weight_prefix(hist3, ctx, min(n3, g3_h), ops_limit=ops_limit)
-        chain3 = sk2_recursive_chain(ctx, g3_h, prefix3)
-        rows3 = [MomentRow(2 * h, direct[2 * h], chain3[h]) for h in range(1, g3_h + 1)]
-        reports.append(
-            MomentReport(q, ctx.r, GroupId.SO4.value, rows3, (time.perf_counter() - start) * 1e3)
         )
     return reports

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import charsums
-from .errors import CapacityError, ConsistencyError, DomainError
+from .errors import ConsistencyError, DomainError, admit
 
 # Exhaustive scans are bounded by a 3^16-point search space by default:
 # the 4x4 enumeration over GF(3) and ternary-vector scans of length <= 16.
@@ -174,7 +174,7 @@ def _add_table(ctx):
     return ((d[:, None, :] + d[None, :, :]) % 3) @ ctx._pow3
 
 
-def _so4_elements(ctx, scan_limit: int):
+def _so4_elements(ctx):
     """Complete scan of all q^16 4x4 matrices for the defining relation and
     determinant 1, organised as a hash join over the two row halves.
 
@@ -185,11 +185,6 @@ def _so4_elements(ctx, scan_limit: int):
     matrices is covered.
     """
     q = ctx.q
-    if q ** 16 > scan_limit:
-        raise CapacityError(
-            "enumerating SO-(4,%d) scans %d matrices, above the limit %d; "
-            "use histogram_closed_form instead" % (q, q ** 16, scan_limit)
-        )
     eps = ctx.epsilon
     add_t = _add_table(ctx)
     mul_t = _mul_table(ctx)
@@ -241,23 +236,23 @@ class GroupEnumeration:
     histogram: TraceHistogram
 
 
-_ENUM_CACHE = {}
-
-
 def enumerate_group(ctx, gid: GroupId, *, scan_limit: int = DEFAULT_SCAN_LIMIT) -> GroupEnumeration:
     """All elements of the group in canonical (ascending row-major) order,
     with their trace histogram.  SO-(4, q) is scanned exhaustively and is
-    feasible only at q = 3 under the default limit."""
-    key = (id(ctx), gid, scan_limit)
-    hit = _ENUM_CACHE.get(key)
-    if hit is not None and hit[0] is ctx:
-        return hit[1]
+    feasible only at q = 3 under the default limit.  The result is kept on
+    ctx, and the limit is checked before it is looked up."""
+    if gid is GroupId.SO4:
+        admit("enumerating SO-(4,%d) (a q^16-matrix scan; histogram_closed_form "
+              "gives the histogram for every q)" % ctx.q, ctx.q ** 16, scan_limit)
+    hit = ctx._enumerations.get(gid)
+    if hit is not None:
+        return hit
     if gid is GroupId.SO2:
         els = _so2_elements(ctx)
     elif gid is GroupId.O2:
         els = _o2_elements(ctx)
     elif gid is GroupId.SO4:
-        els = _so4_elements(ctx, scan_limit)
+        els = _so4_elements(ctx)
     else:
         raise DomainError("unknown group %r" % (gid,))
     dim = gid.dim
@@ -271,7 +266,7 @@ def enumerate_group(ctx, gid: GroupId, *, scan_limit: int = DEFAULT_SCAN_LIMIT) 
             % (len(els), gid.value, ctx.q, expected)
         )
     result = GroupEnumeration(gid, tuple(els), TraceHistogram(tuple(counts)))
-    _ENUM_CACHE[key] = (ctx, result)
+    ctx._enumerations[gid] = result
     return result
 
 

@@ -22,13 +22,11 @@ from kloostercodes import (
     kloosterman_omega,
     OmegaSum,
     pless_check,
-    sk2_recursive_chain,
     sk_moment,
     sk_recursive_chain,
     weight_prefix,
     weight_prefix_bruteforce,
 )
-from kloostercodes.ogroups import group_order
 
 
 class criterion:
@@ -95,13 +93,11 @@ def test_criterion_4_moment_recursions():
             ctx = field_create(r)
             direct = [sk_moment(ctx, h) for h in range(11)]
             for gid in (GroupId.SO2, GroupId.O2):
-                n = group_order(gid, ctx.q)
-                prefix = weight_prefix(histogram_closed_form(ctx, gid), ctx, min(n, 10))
+                prefix = weight_prefix(histogram_closed_form(ctx, gid), ctx, 10)
                 chain = sk_recursive_chain(ctx, gid, 10, prefix)
                 assert chain == direct[:11]
-            n3 = group_order(GroupId.SO4, ctx.q)
-            prefix3 = weight_prefix(histogram_closed_form(ctx, GroupId.SO4), ctx, min(n3, 5))
-            chain3 = sk2_recursive_chain(ctx, 5, prefix3)
+            prefix3 = weight_prefix(histogram_closed_form(ctx, GroupId.SO4), ctx, 5)
+            chain3 = sk_recursive_chain(ctx, GroupId.SO4, 5, prefix3)
             assert chain3 == [direct[2 * h] for h in range(6)]
             if ctx.q == 3:
                 assert chain3 == [1] * 6

@@ -97,10 +97,6 @@ def test_sk_moment_validation(f9):
     assert sk_moment(f9, 0, ops_limit=0) == 4
 
 
-def test_sk_moment_threads_agree(f27):
-    assert sk_moment(f27, 3, threads=4) == sk_moment(f27, 3)
-
-
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_full_square_sum_is_twice_sk(r):
     # a -> a^2 covers each nonzero square exactly twice

@@ -159,6 +159,22 @@ def test_moments_recursive_honours_limit_ops(capsys, code_name):
     assert "weight prefix" in err and "limit 400" in err
 
 
+@pytest.mark.parametrize("argv, cost", [
+    ("moments direct --r 2 --h 2 --limit-ops 10", 9 * 9 // 2),
+    ("weights --code so4 --r 3 --limit-ops 300", 27 * 27 // 2),
+    ("groups enumerate --r 1 --group so4 --limit-ops 1000000", 3 ** 16),
+    ("weights --code so2 --r 3 --limit-ops 10", 27 * 3 + (8 + 1) ** 2),  # --max-j 8
+])
+def test_every_refusal_names_the_flag(capsys, argv, cost):
+    code, out, err = run(capsys, *argv.split())
+    limit = argv.split()[-1]
+    assert code == 2
+    assert out == ""
+    assert "about %d operations" % cost in err
+    assert "limit %s" % limit in err
+    assert "--limit-ops" in err
+
+
 @pytest.mark.parametrize("r", [6, 7])
 def test_verify_at_advertised_sizes(capsys, r):
     code, out, _ = run(capsys, "verify", "--r", str(r), "--h-max", "10")
@@ -224,14 +240,6 @@ def test_byte_identical_outputs(capsys):
         ("groups", "enumerate", "--r", "1", "--group", "o2", "--format", "json"),
     ):
         assert run(capsys, *argv) == run(capsys, *argv)
-
-
-def test_threads_do_not_change_output(capsys):
-    base = run(capsys, "moments", "direct", "--r", "3", "--h", "5", "--format", "json")
-    threaded = run(capsys, "moments", "direct", "--r", "3", "--h", "5", "--format",
-                   "json", "--threads", "4")
-    assert base[0] == threaded[0] == 0
-    assert base[1] == threaded[1]
 
 
 def test_env_overrides(capsys, monkeypatch):

@@ -4,7 +4,11 @@ golden_cli.json maps each command line to the stdout it printed when the
 weight prefix was still computed by the dynamic program (now
 oracles.weight_prefix_dp): weights for every code at --max-j 12, the
 recursive moments of every code at --h 10, and verify at --h-max 10, each
-in json, csv and text for r = 1..3.
+in json, csv and text for r = 1..3.  A second set was recorded while the
+recursions still ran in exact rationals, one copy per rank: moments direct
+--h 10, field, kloosterman and gauss (so2, o2, so4 with --a 1) for
+r = 1..3, and groups enumerate (so2 and o2 at r = 1, 2; so4 at r = 1), each
+in json, csv and text.
 """
 
 import json

@@ -1,4 +1,3 @@
-from fractions import Fraction
 from math import comb, factorial
 
 import pytest
@@ -11,11 +10,9 @@ from kloostercodes import (
     field_create,
     histogram_closed_form,
     pless_check,
-    sk2_recursive,
-    sk2_recursive_chain,
+    recursive_moments,
     sk_initial,
     sk_moment,
-    sk_recursive,
     sk_recursive_chain,
     stirling2,
     trinomial,
@@ -23,6 +20,7 @@ from kloostercodes import (
     weight_prefix,
 )
 from kloostercodes.codes import WeightPrefix
+from kloostercodes.moments import _pless_sum
 from kloostercodes.ogroups import group_order
 
 C3_Q9_PREFIX = (
@@ -128,22 +126,21 @@ def test_pless_and_verify_honour_ops_limit(f27):
 
 def test_sk_recursive_q3_hand_values(f3):
     prefix = _prefix(f3, GroupId.SO2, 4)
-    assert sk_recursive(f3, GroupId.SO2, 1, prefix) == -1
-    assert sk_recursive(f3, GroupId.SO2, 2, prefix) == 1
+    assert sk_recursive_chain(f3, GroupId.SO2, 2, prefix)[1:] == [-1, 1]
     prefix2 = _prefix(f3, GroupId.O2, 8)
-    assert sk_recursive(f3, GroupId.O2, 1, prefix2) == -1
+    assert sk_recursive_chain(f3, GroupId.O2, 1, prefix2)[1] == -1
 
 
 def test_sk2_recursive_q3(f3):
+    # the rank-4 chain holds SK^0, SK^2, SK^4
     prefix = _prefix(f3, GroupId.SO4, 5)
-    assert sk2_recursive(f3, 1, prefix) == 1
-    assert sk2_recursive(f3, 2, prefix) == 1
+    assert sk_recursive_chain(f3, GroupId.SO4, 2, prefix)[1:] == [1, 1]
 
 
 def test_sk2_recursive_q9_matches_direct(f9):
     prefix = _prefix(f9, GroupId.SO4, 5)
     assert prefix.counts == C3_Q9_PREFIX
-    chain = sk2_recursive_chain(f9, 5, prefix)
+    chain = sk_recursive_chain(f9, GroupId.SO4, 5, prefix)
     assert chain[0] == sk_initial(9)
     for h in range(1, 6):
         assert chain[h] == sk_moment(f9, 2 * h)
@@ -162,22 +159,23 @@ def test_rank2_chains_match_direct(r, gid):
 def test_recursion_validation(f3):
     prefix = _prefix(f3, GroupId.SO2, 4)
     with pytest.raises(DomainError):
-        sk_recursive(f3, GroupId.SO4, 1, prefix)
-    with pytest.raises(DomainError):
-        sk_recursive(f3, GroupId.SO2, 0, prefix)
+        sk_recursive_chain(f3, GroupId.SO2, -1, prefix)
+    assert sk_recursive_chain(f3, GroupId.SO2, 0, prefix) == [sk_initial(3)]
     short = _prefix(f3, GroupId.SO2, 2)
     with pytest.raises(DomainError):
-        sk_recursive(f3, GroupId.SO2, 3, short)  # needs j <= min(N, h) = 3
+        sk_recursive_chain(f3, GroupId.SO2, 3, short)  # needs j <= min(N, h) = 3
+    with pytest.raises(DomainError):
+        pless_check(f3, GroupId.SO2, 3, prefix=short)
 
 
 def test_corrupted_prefix_is_detected(f3):
     # a wrong weight count makes the result non-integral, which is trapped
     bad = WeightPrefix(4, (1, 5, 6, 8, 8))
     with pytest.raises(ConsistencyError):
-        sk_recursive(f3, GroupId.SO2, 1, bad)
+        sk_recursive_chain(f3, GroupId.SO2, 1, bad)
     bad3 = WeightPrefix(2, (1, 181, 412290))
     with pytest.raises(ConsistencyError):
-        sk2_recursive(f3, 1, bad3)
+        sk_recursive_chain(f3, GroupId.SO4, 1, bad3)
 
 
 def test_two_path_consistency(f3):
@@ -210,10 +208,37 @@ def test_verify_report_shape(f9):
     assert "elapsed_ms" in timed
 
 
-def test_moment_inner_terms_use_exact_rationals():
-    # 2^{t-h-j-1} exponents go negative; spot-check one inner sum stays exact
-    from kloostercodes.moments import _moment_inner_sum
+def test_pless_sum_spot_values(f3):
+    # SO-(2,3): N = 4, C = (1, 4, ...); h = 1 keeps t = 1 only:
+    # 1! S(1,1) 3^0 (C_0 2 C(4,1) - C_1 C(3,0)) = 8 - 4
+    prefix = _prefix(f3, GroupId.SO2, 4)
+    assert prefix.counts[:2] == (1, 4)
+    assert _pless_sum(prefix, 4, 1, 1) == 4
+    # h = 0 counts the q dual words
+    assert _pless_sum(prefix, 4, 1, 0) == 3
+    # h = 3 > r needs the 3^c scaling and still lands on an integer
+    assert _pless_sum(prefix, 4, 1, 3) == pless_check(f3, GroupId.SO2, 3).lhs
 
-    val = _moment_inner_sum(4, 1, 0)
-    assert val == Fraction(2)  # t=1: 1 * 1 * 1 * 2^{-1} * C(4,3) = 2
-    assert _moment_inner_sum(4, 1, 1) == Fraction(1, 4)
+
+def test_pless_sum_traps_a_non_multiple_of_3():
+    # r = 1, h = 2: c = 1 and the C_2 term carries no factor 3, so an
+    # off-by-one C_2 leaves a total that 3 does not divide
+    good = _pless_sum(WeightPrefix(2, (1, 4, 6)), 4, 1, 2)
+    with pytest.raises(ConsistencyError):
+        _pless_sum(WeightPrefix(2, (1, 4, 7)), 4, 1, 2)
+    assert good == 8
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("gid", [GroupId.SO2, GroupId.O2, GroupId.SO4])
+def test_recursive_moments_pipeline(r, gid):
+    ctx = field_create(r)
+    e = gid.dim // 2
+    chain = recursive_moments(ctx, gid, 6)
+    assert chain == [sk_moment(ctx, e * h) for h in range(7)]
+
+
+def test_recursive_moments_reaches_high_h(f9):
+    # h = 40 runs far past N = 10 and 20 for the rank-2 codes
+    for gid in (GroupId.SO2, GroupId.O2):
+        assert recursive_moments(f9, gid, 40) == [sk_moment(f9, h) for h in range(41)]

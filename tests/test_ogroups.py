@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -10,6 +12,7 @@ from kloostercodes import (
     group_order,
     histogram_closed_form,
     o_minus_order,
+    sk_moment,
     so_minus_order,
 )
 from kloostercodes.ogroups import (
@@ -139,6 +142,26 @@ def test_so4_capacity_error(f9):
     with pytest.raises(CapacityError) as exc:
         enumerate_group(f9, GroupId.SO4)
     assert "histogram_closed_form" in str(exc.value)
+
+
+def test_so4_refusal_survives_a_cached_enumeration():
+    ctx = field_create(1)
+    assert len(enumerate_group(ctx, GroupId.SO4).elements) == 720
+    with pytest.raises(CapacityError) as exc:
+        enumerate_group(ctx, GroupId.SO4, scan_limit=3 ** 15)
+    assert "limit %d" % 3 ** 15 in str(exc.value)
+
+
+def test_cached_tables_live_and_die_with_the_context():
+    refs = []
+    for _ in range(50):
+        ctx = field_create(3)
+        sk_moment(ctx, 2)
+        assert enumerate_group(ctx, GroupId.SO2) is enumerate_group(ctx, GroupId.SO2)
+        refs.append(weakref.ref(ctx))
+    del ctx
+    gc.collect()
+    assert [ref for ref in refs if ref() is not None] == []
 
 
 def test_j_form_shape(f3, f9):
