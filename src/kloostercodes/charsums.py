@@ -6,6 +6,12 @@ combination of 1, omega, omega^2 and reduced through omega^2 = -1 - omega.
 Kloosterman sums, their power moments over the square arguments, and the
 solution counts delta(m, q; beta) of x_1 + 1/x_1 + ... + x_m + 1/x_m = beta
 all come out as exact (big) integers.
+
+A single K(a) is one O(q) count of exponents.  The whole K table and the
+delta(m) tables come from the exact radix-3 transform over (Z/3)^r
+(FieldContext.transform): one transform of y -> omega^{tr(1/y)} gives K(a)
+for every a, and delta(m) is the transform of the m-th power of the
+transform of delta(1).  The two tables never read each other.
 """
 
 from dataclasses import dataclass
@@ -14,8 +20,9 @@ import numpy as np
 
 from .errors import ConsistencyError, DomainError, admit
 
-# Direct moment computations sweep all Kloosterman values over the squares,
-# about q^2/2 character evaluations; this default admits r <= 7.
+# The K table costs about q*r + q operations and delta(m) about (2r + m) q,
+# one or two radix-3 transforms; this default admits them, and the weight
+# prefix, for every field with a shipped modulus (r <= 8).
 DEFAULT_OPS_LIMIT = 5_000_000
 
 
@@ -72,10 +79,36 @@ def kloosterman(ctx, a: int) -> int:
     return kloosterman_omega(ctx, a).value()
 
 
+def _kloosterman_table(ctx):
+    """K(a) for every a, as an int64 array indexed by a (K(0) = -1).
+
+    With y = 1/x, K(a) = sum_{y != 0} omega^{tr(1/y)} omega^{tr(a y)}, so one
+    transform of y -> omega^{tr(1/y)} (0 at y = 0) gives K(a) = F(s(a)) for
+    every a at once, in int64 since |K| <= q - 1.  The table is checked to
+    be real, with sum_{a != 0} K(a) = 1 and sum_{a != 0} K(a)^2 = q^2 - q - 1.
+    """
+    q = ctx.q
+    t = ctx._trace[ctx._np_inv]
+    # omega^t = A + B omega: (1, 0), (0, 1), (-1, -1) for t = 0, 1, 2
+    a_part, b_part = np.array([[1, 0, -1], [0, 1, -1]], dtype=np.int64)[:, t]
+    a_part[0] = b_part[0] = 0
+    big_a, big_b = ctx.transform(a_part, b_part)
+    if np.count_nonzero(big_b):
+        raise ConsistencyError("Kloosterman table over GF(%d) is not real" % q)
+    k = big_a[ctx._functional]
+    total, squares = int(k[1:].sum()), int((k[1:] ** 2).sum())
+    if (total, squares) != (1, q * q - q - 1):
+        raise ConsistencyError(
+            "Kloosterman table over GF(%d) has sum %d and square sum %d over a != 0, "
+            "expected 1 and %d" % (q, total, squares, q * q - q - 1)
+        )
+    return k
+
+
 def kloosterman_on_squares(ctx):
     """K(a) for every nonzero square a, in ascending order of a (kept on ctx)."""
     if ctx._k_on_squares is None:
-        ctx._k_on_squares = tuple(kloosterman(ctx, a) for a in ctx.squares())
+        ctx._k_on_squares = tuple(_kloosterman_table(ctx)[list(ctx.squares())].tolist())
     return ctx._k_on_squares
 
 
@@ -85,8 +118,8 @@ def sk_moment(ctx, h: int, *, ops_limit: int = DEFAULT_OPS_LIMIT) -> int:
         raise DomainError("moment order must be nonnegative")
     if h == 0:
         return (ctx.q - 1) // 2
-    admit("direct moment over GF(%d) (q^2/2 character evaluations)" % ctx.q,
-          ctx.q * ctx.q // 2, ops_limit)
+    admit("direct moment over GF(%d) (a K table by one transform, q*r + q)" % ctx.q,
+          ctx.q * ctx.r + ctx.q, ops_limit)
     return sum(k ** h for k in kloosterman_on_squares(ctx))
 
 
@@ -104,61 +137,57 @@ class DeltaTable:
         return sum(self.values)
 
 
-def _delta_one(ctx) -> list:
-    """Root counts of x^2 - beta*x + 1, cross-checked against the
-    square-class case split of beta^2 - 1."""
+def _delta_one(ctx):
+    """Root counts of x^2 - beta*x + 1 for every beta, cross-checked against
+    1 + chi(beta^2 - 1), the square-class split of the discriminant."""
     q = ctx.q
     nz = np.arange(1, q)
-    vals = ctx._add_vec(nz, ctx._np_inv[nz])
-    counts = np.bincount(vals, minlength=q)
-    d1 = [int(c) for c in counts]
-    for beta in range(q):
-        s = ctx.sub(ctx.mul(beta, beta), 1)
-        if s == 0:
-            expect = 1
-        elif ctx.is_square(s):
-            expect = 2
-        else:
-            expect = 0
-        if d1[beta] != expect:
-            raise ConsistencyError(
-                "delta(1, %d; %d) root count %d disagrees with the square-class "
-                "value %d" % (q, beta, d1[beta], expect)
-            )
+    d1 = np.bincount(ctx._add_vec(nz, ctx._np_inv[nz]), minlength=q)
+    expect = 1 + ctx._chi_sq_minus_one()
+    bad = np.flatnonzero(d1 != expect)
+    if bad.size:
+        beta = int(bad[0])
+        raise ConsistencyError(
+            "delta(1, %d; %d) root count %d disagrees with the square-class "
+            "value %d" % (q, beta, d1[beta], expect[beta])
+        )
     return d1
 
 
 def delta_count(ctx, m: int, *, ops_limit: int = DEFAULT_OPS_LIMIT) -> DeltaTable:
-    """The table beta -> delta(m, q; beta), by additive convolution."""
+    """The table beta -> delta(m, q; beta).
+
+    delta(m) is the m-fold additive convolution of delta(1), so the
+    transform of delta(m) is F^m, F the transform of delta(1).  Transforming
+    F^m again gives G(t) = q delta(m; -t), which is asserted real and
+    divisible by q: about (2r + m) q operations.  Every value stays below
+    q (q-1)^m in modulus; int64 is exact while that is below 2^62 (the
+    products in Z[omega] then stay below 4 (q-1)^m), Python ints otherwise.
+    """
     if m < 0:
         raise DomainError("m must be nonnegative")
     q = ctx.q
     if m == 0:
         return DeltaTable(0, tuple(1 if b == 0 else 0 for b in range(q)))
     if m >= 2:
-        admit("delta(%d, %d) convolution (q^2/2 per step)" % (m, q), q * q // 2, ops_limit)
-    d1 = _delta_one(ctx)
-    cur = d1
+        admit("delta(%d, %d) by two radix-3 transforms ((2r + m) q)" % (m, q),
+              (2 * ctx.r + m) * q, ops_limit)
+    values = _delta_one(ctx)
     if m >= 2:
-        d1_arr = np.array(d1, dtype=np.int64)
-        for step in range(m - 1):
-            # int64 is safe while the running maximum stays below 2^62
-            if (q - 1) ** (step + 2) < 2 ** 62:
-                nxt = np.zeros(q, dtype=np.int64)
-                for g, w in enumerate(cur):
-                    if w:
-                        np.add.at(nxt, ctx._add_row(g), w * d1_arr)
-                cur = [int(v) for v in nxt]
-            else:
-                nxt = [0] * q
-                for g, w in enumerate(cur):
-                    if w:
-                        row = ctx._add_row(g)
-                        for y, dv in enumerate(d1):
-                            if dv:
-                                nxt[row[y]] += w * dv
-                cur = nxt
-    table = DeltaTable(m, tuple(cur))
+        dtype = np.int64 if q * (q - 1) ** m < 2 ** 62 else object
+        f_a, f_b = ctx.transform(values.astype(dtype), np.zeros(q, dtype=dtype))
+        p_a, p_b = f_a, f_b
+        for _ in range(m - 1):
+            # (A + B omega)(C + D omega) = AC - BD + (AD + BC - BD) omega
+            p_a, p_b = p_a * f_a - p_b * f_b, p_a * f_b + p_b * f_a - p_b * f_b
+        g_a, g_b = ctx.transform(p_a, p_b)
+        g_a = g_a[ctx._np_neg]
+        if np.count_nonzero(g_b) or np.count_nonzero(g_a % q):
+            raise ConsistencyError(
+                "delta(%d, %d): the second transform is not q times an integer table" % (m, q)
+            )
+        values = g_a // q
+    table = DeltaTable(m, tuple(values.tolist()))
     if table.total() != (q - 1) ** m:
         raise ConsistencyError(
             "delta(%d, %d) table totals %d, expected %d"

@@ -51,7 +51,7 @@ def _build_parser():
     common.add_argument("--format", choices=("json", "csv", "text"),
                         default=_env("format", str, "text"), help="output format")
     common.add_argument("--limit-ops", type=int, default=_env("limit_ops", int),
-                        help="override the work limits (character evaluations and scan sizes)")
+                        help="override the work limits (estimated operations and scan sizes)")
 
     sub = parser.add_subparsers(dest="command", required=True)
 

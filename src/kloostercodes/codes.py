@@ -100,32 +100,15 @@ class WeightPrefix:
 def _zero_trace_counts(hist: TraceHistogram, ctx):
     """Z(a) = sum of n(beta) over tr(a beta) = 0, for every a at once.
 
-    tr(a beta) is the linear functional s(a) = (tr(a x^k))_k applied to the
-    coordinate vector of beta, so Z(a) is read off the radix-3 Fourier
-    transform F(s) = sum_beta n(beta) omega^{s . beta} over (Z/3)^r.  F is
-    carried exactly in Z[omega] as A + B omega (omega^2 = -1 - omega), in
-    object arrays of Python ints; the three counts n_0 + n_1 + n_2 = N with
+    tr(a beta) = s(a) . beta for the digit vectors, so Z(a) is read off the
+    transform F(s(a)) = sum_beta n(beta) omega^{tr(a beta)} of the histogram
+    (FieldContext.transform), in object arrays of Python ints since N runs
+    past 2^63; the three counts n_0 + n_1 + n_2 = N with
     F = n_0 + n_1 omega + n_2 omega^2 give n_0 = (N + 2A - B) / 3.
     """
-    q, r = ctx.q, ctx.r
-    a_part = np.array(hist.counts, dtype=object)
-    b_part = np.zeros(q, dtype=object)
-    for k in range(r):
-        shape = (q // 3 ** (k + 1), 3, 3 ** k)  # axis 1 is coordinate k
-        a3, b3 = a_part.reshape(shape), b_part.reshape(shape)
-        a0, a1, a2 = a3[:, 0], a3[:, 1], a3[:, 2]
-        b0, b1, b2 = b3[:, 0], b3[:, 1], b3[:, 2]
-        a_part, b_part = np.empty_like(a3), np.empty_like(b3)
-        # y_s = x_0 + omega^s x_1 + omega^{2s} x_2, with
-        # omega (A + B omega) = -B + (A - B) omega
-        a_part[:, 0], b_part[:, 0] = a0 + a1 + a2, b0 + b1 + b2
-        a_part[:, 1], b_part[:, 1] = a0 - a2 - b1 + b2, b0 + a1 - b1 - a2
-        a_part[:, 2], b_part[:, 2] = a0 - a1 + b1 - b2, b0 - a1 + a2 - b2
-        a_part, b_part = a_part.reshape(q), b_part.reshape(q)
-    elements = np.arange(q)
-    functional = sum(ctx._trace[ctx._mul_vec(3 ** k, elements)].astype(np.int64) * 3 ** k
-                     for k in range(r))
-    num = hist.total + 2 * a_part[functional] - b_part[functional]
+    a_part, b_part = ctx.transform(np.array(hist.counts, dtype=object),
+                                   np.zeros(ctx.q, dtype=object))
+    num = hist.total + 2 * a_part[ctx._functional] - b_part[ctx._functional]
     if any(num % 3):
         raise ConsistencyError("trace-zero counts (N + 2A - B)/3 are not all integers")
     return num // 3

@@ -3,14 +3,20 @@
 Field elements are canonical integer indices in [0, q), q = 3^r: the index
 encodes the coefficient vector of the residue polynomial in base 3, so 0 is
 the additive identity and 1 the multiplicative identity.  A FieldContext
-verifies its modulus irreducible at construction and precomputes log/antilog,
-inverse and trace tables (r <= 8, i.e. q <= 6561), after which every
-operation is a table lookup or an O(r) digit loop.  A context also holds the
-derived tables that the layers above memoise on it (the Kloosterman table on
-the squares, the group enumerations), so they live and die with the context.
+verifies its modulus irreducible at construction and precomputes log/antilog
+tables (for the least generator, found by testing g^((q-1)/p) != 1 for the
+primes p dividing q - 1), inverse and trace tables (r <= 8, i.e. q <= 6561),
+after which every operation is a table lookup or an O(r) digit loop.
+`FieldContext.transform` is the one radix-3 Fourier transform over (Z/3)^r,
+exact in Z[omega]; the context keeps the index maps that read it (a -> s(a)
+with tr(a beta) = s(a) . beta, and digitwise negation).  A context also holds
+the derived tables that the layers above memoise on it (the Kloosterman
+table on the squares, the group enumerations), so they live and die with
+the context.
 """
 
 import json
+import math
 
 import numpy as np
 
@@ -146,23 +152,42 @@ class FieldContext:
         p = _poly_mod(_poly_mul(self._index_to_poly(x), self._index_to_poly(y)), self.modulus)
         return self._poly_to_index(p)
 
+    def _raw_pow(self, x: int, e: int) -> int:
+        out = 1
+        while e:
+            if e & 1:
+                out = self._raw_mul(out, x)
+            x = self._raw_mul(x, x)
+            e >>= 1
+        return out
+
     def _build_tables(self):
         q = self.q
-        # discrete log / antilog for some multiplicative generator
-        exp = None
-        for g in range(2, q):
-            chain = [1]
-            cur = g
-            while cur != 1:
-                chain.append(cur)
-                cur = self._raw_mul(cur, g)
-                if len(chain) > q:  # pragma: no cover - impossible for a field
-                    raise FieldConstructionError("multiplicative structure broken")
-            if len(chain) == q - 1:
-                exp = chain
-                break
-        if exp is None:  # pragma: no cover
+        digits = np.zeros((q, self.r), dtype=np.int8)
+        idx = np.arange(q)
+        for i in range(self.r):
+            digits[:, i] = (idx // 3 ** i) % 3
+        self._digits = digits
+        self._pow3 = (3 ** np.arange(self.r)).astype(np.int64)
+
+        # discrete log / antilog for the least generator g: g^((q-1)/p) != 1
+        # for every prime p dividing q - 1, tested by square-and-multiply
+        primes = [p for p in range(2, q) if (q - 1) % p == 0
+                  and all(p % d for d in range(2, math.isqrt(p) + 1))]
+        g = next((g for g in range(2, q)
+                  if all(self._raw_pow(g, (q - 1) // p) != 1 for p in primes)), None)
+        if g is None:  # pragma: no cover
             raise FieldConstructionError("no multiplicative generator found")
+        # the chain 1, g, g^2, ... in doubling blocks: multiplying by g^k is
+        # GF(3)-linear on digit vectors, row i of its matrix the digits of g^k x^i
+        chain, step = np.ones(1, dtype=np.int64), g
+        while len(chain) < q - 1:
+            mat = digits[[self._raw_mul(step, 3 ** i) for i in range(self.r)]].astype(np.int64)
+            chain = np.concatenate([chain, (digits[chain] @ mat) % 3 @ self._pow3])
+            step = self._raw_mul(step, step)
+        exp = chain[:q - 1].tolist()
+        if len(set(exp)) != q - 1:  # pragma: no cover - impossible for a field
+            raise FieldConstructionError("multiplicative structure broken")
         log = [0] * q
         for i, v in enumerate(exp):
             log[v] = i
@@ -182,12 +207,6 @@ class FieldContext:
                 t = self.add(t, z)
                 z = self._raw_mul(self._raw_mul(z, z), z)
             basis_tr.append(t)
-        digits = np.zeros((q, self.r), dtype=np.int8)
-        idx = np.arange(q)
-        for i in range(self.r):
-            digits[:, i] = (idx // 3 ** i) % 3
-        self._digits = digits
-        self._pow3 = (3 ** np.arange(self.r)).astype(np.int64)
         self._trace = ((digits.astype(np.int64) @ np.array(basis_tr, dtype=np.int64)) % 3).astype(np.int8)
 
         # quadratic structure: the squares are the even powers of the generator
@@ -203,6 +222,11 @@ class FieldContext:
         self._np_exp = np.array(exp, dtype=np.int64)
         self._np_log = np.array(log, dtype=np.int64)
         self._np_inv = np.array(self._inv, dtype=np.int64)
+        # index maps for reading transforms: -x digit by digit, and
+        # a -> s(a), s(a)_k = tr(a x^k), so that tr(a beta) = s(a) . beta
+        self._np_neg = (-digits.astype(np.int64) % 3) @ self._pow3
+        self._functional = sum(self._trace[self._mul_vec(3 ** k, idx)].astype(np.int64) * 3 ** k
+                               for k in range(self.r))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -286,10 +310,43 @@ class FieldContext:
         d = (self._digits[xs].astype(np.int64) + self._digits[ys]) % 3
         return d @ self._pow3
 
-    def _add_row(self, x: int):
-        """Indices of x + y for every y, as one array."""
-        d = (self._digits.astype(np.int64) + self._digits[x]) % 3
-        return d @ self._pow3
+    def _chi_sq_minus_one(self):
+        """chi(beta^2 - 1) for every beta: 0 where beta^2 = 1, 1 where
+        beta^2 - 1 is a nonzero square (an even power of the generator) and
+        -1 where it is a nonsquare."""
+        q = self.q
+        sq = np.zeros(q, dtype=np.int64)
+        sq[1:] = self._np_exp[2 * self._np_log[1:] % (q - 1)]
+        s = self._add_vec(sq, np.full(q, 2))  # 2 is the index of -1
+        return np.where(s == 0, 0, np.where(self._np_log[s] % 2 == 0, 1, -1))
+
+    def transform(self, a_part, b_part):
+        """F(s) = sum_beta (A + B omega)(beta) omega^{s . beta} for every s.
+
+        The radix-3 Fourier transform over (Z/3)^r, with s . beta the dot
+        product of base-3 digit vectors of the indices; omega^2 = -1 - omega
+        keeps every value exactly in the form A + B omega.  Takes and returns
+        the pair (A, B) of arrays of length q, in their dtype.  int64 is exact
+        when every input has modulus at most M and 1.6 q M < 2^63: a sum of n
+        values of modulus M has coordinates at most 2 n M / sqrt(3), and each
+        output of a stage adds four coordinates of the stage before.  Object
+        arrays of Python ints are exact always.  F(s(a)), with
+        s(a) = _functional[a], is sum_beta f(beta) omega^{tr(a beta)}.
+        """
+        q = self.q
+        for k in range(self.r):
+            shape = (q // 3 ** (k + 1), 3, 3 ** k)  # axis 1 is digit k
+            a3, b3 = a_part.reshape(shape), b_part.reshape(shape)
+            a0, a1, a2 = a3[:, 0], a3[:, 1], a3[:, 2]
+            b0, b1, b2 = b3[:, 0], b3[:, 1], b3[:, 2]
+            a_part, b_part = np.empty_like(a3), np.empty_like(b3)
+            # y_s = x_0 + omega^s x_1 + omega^{2s} x_2, with
+            # omega (A + B omega) = -B + (A - B) omega
+            a_part[:, 0], b_part[:, 0] = a0 + a1 + a2, b0 + b1 + b2
+            a_part[:, 1], b_part[:, 1] = a0 - a2 - b1 + b2, b0 + a1 - b1 - a2
+            a_part[:, 2], b_part[:, 2] = a0 - a1 + b1 - b2, b0 - a1 + a2 - b2
+            a_part, b_part = a_part.reshape(q), b_part.reshape(q)
+        return a_part, b_part
 
     def __repr__(self):
         return "FieldContext(q=%d, modulus=%s)" % (self.q, format_poly(self.modulus))

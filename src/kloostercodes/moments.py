@@ -25,27 +25,36 @@ def sk_initial(q: int) -> int:
     return (q - 1) // 2
 
 
-def _pless_sum(prefix, n: int, r: int, h: int) -> int:
-    """sum_a w(a)^h over the q dual words of a ternary [n, r] code, from its
-    weight counts C_j, j <= m = min(n, h):
+def _pless_inner(prefix, n: int, top: int) -> list:
+    """D_t = sum_{j<=t} (-1)^j C_j 2^{t-j} C(n-j, t-j) for t <= top, from the
+    weight counts C_j of a ternary code of length n; D_t does not depend on h."""
+    if prefix.j_max < top:
+        raise DomainError("weight prefix covers j <= %d but j <= %d is needed" % (prefix.j_max, top))
+    return [sum((-1) ** j * prefix.counts[j] * 2 ** (t - j) * comb(n - j, t - j)
+                for j in range(t + 1)) for t in range(top + 1)]
 
-        sum_{j<=m} (-1)^j C_j sum_{t=j}^{m} t! S(h,t) 2^{t-j} C(n-j, t-j) 3^{r-t}.
+
+def _pless_total(inner: list, r: int, h: int) -> int:
+    """sum_a w(a)^h over the q = 3^r dual words of a ternary code of length n,
+    given inner = _pless_inner(prefix, n, top) with top >= m = min(n, h):
+
+        sum_{t<=m} t! S(h,t) 3^{r-t} D_t.
 
     The terms are scaled by 3^c, c = max(0, m - r), to keep them integral,
     and the total is asserted divisible by 3^c.
     """
-    m = min(n, h)
-    if prefix.j_max < m:
-        raise DomainError("weight prefix covers j <= %d but j <= %d is needed" % (prefix.j_max, m))
+    m = min(len(inner) - 1, h)
     c = max(0, m - r)
-    total = 0
-    for t in range(m + 1):
-        inner = sum((-1) ** j * prefix.counts[j] * 2 ** (t - j) * comb(n - j, t - j)
-                    for j in range(t + 1))
-        total += factorial(t) * stirling2(h, t) * 3 ** (r - t + c) * inner
+    total = sum(factorial(t) * stirling2(h, t) * 3 ** (r - t + c) * inner[t] for t in range(m + 1))
     if total % 3 ** c:
         raise ConsistencyError("power-moment sum %d at h=%d is not divisible by 3^%d" % (total, h, c))
     return total // 3 ** c
+
+
+def _pless_sum(prefix, n: int, r: int, h: int) -> int:
+    """sum_a w(a)^h over the q dual words of a ternary [n, r] code, from its
+    weight counts C_j, j <= min(n, h) (the Pless power moment identity)."""
+    return _pless_total(_pless_inner(prefix, n, min(n, h)), r, h)
 
 
 def sk_recursive_chain(ctx, gid: GroupId, h_max: int, prefix):
@@ -62,9 +71,10 @@ def sk_recursive_chain(ctx, gid: GroupId, h_max: int, prefix):
     q, r = ctx.q, ctx.r
     n = group_order(gid, q)
     s, b = weight_form(gid, q)
+    inner = _pless_inner(prefix, n, min(n, h_max))
     chain = [sk_initial(q)]
     for h in range(1, h_max + 1):
-        num = 3 ** h * _pless_sum(prefix, n, r, h)
+        num = 3 ** h * _pless_total(inner, r, h)
         den = 2 ** (h + 1) * s ** h
         if num % den:
             raise ConsistencyError(

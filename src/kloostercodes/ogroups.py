@@ -188,7 +188,6 @@ def _so4_elements(ctx):
     eps = ctx.epsilon
     add_t = _add_table(ctx)
     mul_t = _mul_table(ctx)
-    neg_t = np.array([ctx.neg(x) for x in range(q)], dtype=np.int64)
 
     m = q ** 4
     idx = np.arange(m)
@@ -206,7 +205,7 @@ def _so4_elements(ctx):
     # bottom halves: want A == J - outer(r2, r2) + eps*outer(r3, r3)
     self_outer = mul_t[vecs[:, :, None], vecs[:, None, :]]  # (m, 4, 4)
     eps_outer = mul_t[eps][self_outer]
-    j_minus = add_t[jm[None, :, :], neg_t[self_outer]]  # (m, 4, 4)
+    j_minus = add_t[jm[None, :, :], ctx._np_neg[self_outer]]  # (m, 4, 4)
     want = add_t[j_minus[:, None], eps_outer[None, :]]  # (m, m, 4, 4)
     want_keys = want.reshape(m * m, 16) @ powers
 
@@ -274,29 +273,18 @@ def histogram_closed_form(ctx, gid: GroupId, *, ops_limit: int = charsums.DEFAUL
     """Exact trace histogram from the square-class case splits; valid for
     any q, no enumeration involved."""
     q = ctx.q
-    counts = [0] * q
     if gid in (GroupId.SO2, GroupId.O2):
-        r_even = ctx.r % 2 == 0
-        for beta in range(q):
-            s = ctx.sub(ctx.mul(beta, beta), 1)
-            if s == 0:
-                n = 1
-            elif ctx.is_square(s):
-                n = 0
-            else:
-                n = 2
-            if gid is GroupId.O2 and beta == 0:
-                # beta = 0 is the only point with beta^2 - 1 = -1; the whole
-                # trace-zero coset of SO-(2,q) lands here
-                n = q + 1 if r_even else q + 3
-            counts[beta] = n
+        # 1 element of SO-(2,q) where beta^2 = 1, 2 where beta^2 - 1 is a
+        # nonsquare, none where it is a nonzero square
+        counts = (1 - ctx._chi_sq_minus_one()).tolist()
+        if gid is GroupId.O2:
+            # beta = 0 is the only point with beta^2 - 1 = -1; the whole
+            # trace-zero coset of SO-(2,q) lands here
+            counts[0] = q + 1 if ctx.r % 2 == 0 else q + 3
     else:
-        d2 = charsums.delta_count(ctx, 2, ops_limit=ops_limit)
-        for beta in range(q):
-            if beta == 0:
-                counts[beta] = -q * q * d2[0] + q ** 4 + 2 * q ** 3 - 3 * q * q
-            else:
-                counts[beta] = -q * q * d2[beta] + q ** 5 + q ** 4 + q ** 3 - 3 * q * q
+        d2 = charsums.delta_count(ctx, 2, ops_limit=ops_limit).values
+        counts = [-q * q * d + q ** 5 + q ** 4 + q ** 3 - 3 * q * q for d in d2]
+        counts[0] = -q * q * d2[0] + q ** 4 + 2 * q ** 3 - 3 * q * q
     hist = TraceHistogram(tuple(counts))
     expected = group_order(gid, q)
     if hist.total != expected:

@@ -5,10 +5,37 @@ library used before the MacWilliams transform replaced it; it costs
 O(q^2 j^3) big-integer steps and is kept as an oracle for small fields.
 `pair_counts` reads C_1 and C_2 off the trace histogram by counting
 coordinate pairs, as the pair scan does on the trace vector itself.
+`delta_convolution` and `kloosterman_per_a` are the O(q^2) loops that the
+library's delta and K tables used before the radix-3 transform replaced them.
 """
 
-from kloostercodes import ConsistencyError, DomainError, trinomial
+from kloostercodes import ConsistencyError, DomainError, kloosterman, trinomial
 from kloostercodes.codes import WeightPrefix
+
+
+def kloosterman_per_a(ctx) -> list:
+    """[K(1), ..., K(q - 1)], one O(q) pass of `kloosterman` per a."""
+    return [kloosterman(ctx, a) for a in range(1, ctx.q)]
+
+
+def delta_convolution(ctx, m: int) -> list:
+    """delta(m, q; beta) for every beta, by m additive convolutions of
+    delta(1) in Python ints, starting from the point mass at 0."""
+    q = ctx.q
+    add = [[ctx.add(x, y) for y in range(q)] for x in range(q)]
+    d1 = [0] * q
+    for x in range(1, q):
+        d1[add[x][ctx.inv(x)]] += 1
+    cur = [1] + [0] * (q - 1)
+    for _ in range(m):
+        nxt = [0] * q
+        for g, w in enumerate(cur):
+            if w:
+                for y, dv in enumerate(d1):
+                    if dv:
+                        nxt[add[g][y]] += w * dv
+        cur = nxt
+    return cur
 
 
 def weight_prefix_dp(hist, ctx, j_max: int) -> WeightPrefix:

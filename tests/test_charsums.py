@@ -15,6 +15,9 @@ from kloostercodes import (
     omega_reduce,
     sk_moment,
 )
+from kloostercodes.charsums import _kloosterman_table, kloosterman_on_squares
+
+from oracles import delta_convolution, kloosterman_per_a
 
 # frozen over the default modulus x^2 + 1 for GF(9)
 K9 = {1: 5, 2: 2, 3: -1, 4: -4, 5: 2, 6: -1, 7: -4, 8: 2}
@@ -136,6 +139,22 @@ def test_delta_one_square_class_split(r):
             assert d1[beta] == 0
 
 
+def test_delta_one_cross_check_traps_a_wrong_count(monkeypatch):
+    # the root counts of x^2 - beta x + 1 must match 1 + chi(beta^2 - 1)
+    ctx = field_create(2)
+    real = ctx._chi_sq_minus_one
+
+    def skewed():
+        chi = real()
+        chi[4] = -chi[4] if chi[4] else 1
+        return chi
+
+    monkeypatch.setattr(ctx, "_chi_sq_minus_one", skewed)
+    for m in (1, 2):
+        with pytest.raises(ConsistencyError):
+            delta_count(ctx, m)
+
+
 @pytest.mark.parametrize("r", [1, 2])
 def test_delta_convolution_matches_direct_tuples(r):
     ctx = field_create(r)
@@ -180,3 +199,65 @@ def test_delta_validation(f9):
         delta_count(f9, -1)
     with pytest.raises(CapacityError):
         delta_count(f9, 2, ops_limit=3)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+def test_kloosterman_table_matches_per_a_loop(r):
+    ctx = field_create(r)
+    table = _kloosterman_table(ctx)
+    per_a = kloosterman_per_a(ctx)
+    assert table[1:].tolist() == per_a
+    assert sum(per_a) == 1
+    assert sum(k * k for k in per_a) == ctx.q ** 2 - ctx.q - 1
+    assert kloosterman_on_squares(ctx) == tuple(per_a[a - 1] for a in ctx.squares())
+
+
+@pytest.mark.parametrize("shift", [(1, 0), (0, 1)])
+def test_corrupted_kloosterman_table_is_detected(monkeypatch, shift):
+    # one transform value off by 1 or by omega breaks the sum or the realness
+    ctx = field_create(2)
+    real = ctx.transform
+
+    def skewed(a_part, b_part):
+        big_a, big_b = real(a_part, b_part)
+        big_a[5] += shift[0]
+        big_b[5] += shift[1]
+        return big_a, big_b
+
+    monkeypatch.setattr(ctx, "transform", skewed)
+    with pytest.raises(ConsistencyError):
+        kloosterman_on_squares(ctx)
+    with pytest.raises(ConsistencyError):
+        sk_moment(ctx, 2)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_delta_matches_convolution_oracle(r, m):
+    ctx = field_create(r)
+    assert list(delta_count(ctx, m).values) == delta_convolution(ctx, m)
+
+
+@pytest.mark.parametrize("r, m", [
+    (2, 19),  # 9 * 8^19 < 2^62: the largest m carried in int64 at q = 9
+    (2, 20),  # the smallest m carried in Python ints at q = 9
+    (3, 14),  # 27 * 26^14 is about 2^70
+])
+def test_delta_at_the_int64_bound(r, m):
+    ctx = field_create(r)
+    values = delta_count(ctx, m).values
+    assert list(values) == delta_convolution(ctx, m)
+    assert all(type(v) is int for v in values)
+
+
+@pytest.mark.parametrize("job, cost", [
+    # two transforms of r stages and m pointwise products: (2r + m) q
+    (lambda ctx, limit: delta_count(ctx, 3, ops_limit=limit), (2 * 3 + 3) * 27),
+    # one transform for the K table: q r + q
+    (lambda ctx, limit: sk_moment(ctx, 3, ops_limit=limit), 27 * 3 + 27),
+], ids=["delta_count", "sk_moment"])
+def test_table_cost_estimates_admit_themselves(f27, job, cost):
+    assert job(f27, cost) == job(f27, 10 ** 9)
+    with pytest.raises(CapacityError) as exc:
+        job(f27, cost - 1)
+    assert "about %d operations" % cost in str(exc.value)

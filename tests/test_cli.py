@@ -127,10 +127,10 @@ def test_limit_ops_zero_is_a_limit(capsys):
 
 
 def test_weights_honours_limit_ops(capsys):
-    # the so4 histogram needs delta(2) at about q^2/2 = 364 operations
-    code, _, err = run(capsys, "weights", "--code", "so4", "--r", "3", "--limit-ops", "300")
+    # the so4 histogram needs delta(2) at about (2r + 2) q = 216 operations
+    code, _, err = run(capsys, "weights", "--code", "so4", "--r", "3", "--limit-ops", "200")
     assert code == 2
-    assert "limit 300" in err
+    assert "delta(2, 27)" in err and "limit 200" in err
     code, _, err = run(capsys, "weights", "--code", "so4", "--r", "3", "--max-j", "10",
                        "--limit-ops", "500")
     assert code == 2
@@ -138,12 +138,13 @@ def test_weights_honours_limit_ops(capsys):
 
 
 def test_weights_large_field_with_raised_limit(capsys):
-    # delta(2) at q = 3^8 is above the default limit; the flag must lift it
+    # delta(2) at q = 3^8 costs about (2r + 2) q = 118098 operations; the
+    # flag must lift a limit below that
     argv = ("weights", "--code", "so4", "--r", "8", "--max-j", "2", "--format", "csv")
-    code, _, err = run(capsys, *argv)
+    code, _, err = run(capsys, *argv, "--limit-ops", "100000")
     assert code == 2
-    assert "limit 5000000" in err
-    code, out, _ = run(capsys, *argv, "--limit-ops", "100000000")
+    assert "about 118098 operations" in err and "limit 100000" in err
+    code, out, _ = run(capsys, *argv, "--limit-ops", "200000")
     assert code == 0
     assert out.splitlines() == [
         "j,count", "0,1", "1,3706040463797124",
@@ -160,8 +161,8 @@ def test_moments_recursive_honours_limit_ops(capsys, code_name):
 
 
 @pytest.mark.parametrize("argv, cost", [
-    ("moments direct --r 2 --h 2 --limit-ops 10", 9 * 9 // 2),
-    ("weights --code so4 --r 3 --limit-ops 300", 27 * 27 // 2),
+    ("moments direct --r 2 --h 2 --limit-ops 10", 9 * 2 + 9),  # q*r + q
+    ("weights --code so4 --r 3 --limit-ops 200", (2 * 3 + 2) * 27),  # (2r + m) q
     ("groups enumerate --r 1 --group so4 --limit-ops 1000000", 3 ** 16),
     ("weights --code so2 --r 3 --limit-ops 10", 27 * 3 + (8 + 1) ** 2),  # --max-j 8
 ])
@@ -175,8 +176,9 @@ def test_every_refusal_names_the_flag(capsys, argv, cost):
     assert "--limit-ops" in err
 
 
-@pytest.mark.parametrize("r", [6, 7])
+@pytest.mark.parametrize("r", [6, 7, 8])
 def test_verify_at_advertised_sizes(capsys, r):
+    # r = 8 runs under the default limits
     code, out, _ = run(capsys, "verify", "--r", str(r), "--h-max", "10")
     assert code == 0
     assert out.splitlines()[-1] == "verified: all moments match"

@@ -1,3 +1,7 @@
+import math
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +13,7 @@ from kloostercodes import (
     field_ops,
     load_modulus_config,
 )
-from kloostercodes.gf3r import DEFAULT_MODULI, format_poly
+from kloostercodes.gf3r import DEFAULT_MODULI, _is_irreducible, format_poly
 
 
 def test_default_contexts_construct():
@@ -96,6 +100,57 @@ def test_square_subgroup_size(r):
     ctx = field_create(r)
     assert len(ctx.squares()) == (ctx.q - 1) // 2
     assert sum(ctx.is_square(x) for x in range(1, ctx.q)) == (ctx.q - 1) // 2
+
+
+def _last_irreducible(r):
+    """The monic irreducible of degree r that comes last in index order."""
+    for idx in range(3 ** r - 1, -1, -1):
+        modulus = tuple((idx // 3 ** k) % 3 for k in range(r)) + (1,)
+        if _is_irreducible(modulus):
+            return modulus
+
+
+@pytest.mark.parametrize("r, modulus", [(r, None) for r in range(1, 9)]
+                         + [(r, _last_irreducible(r)) for r in (2, 5, 7)])
+def test_log_tables_use_the_least_generator(r, modulus):
+    ctx = field_create(r, modulus)
+    assert sorted(ctx._exp) == list(range(1, ctx.q))
+    assert all(ctx._exp[ctx._log[x]] == x for x in range(1, ctx.q))
+    # x has order (q - 1) / gcd(log x, q - 1): every candidate below g falls short
+    g = ctx._exp[1]
+    assert all(math.gcd(ctx._log[x], ctx.q - 1) > 1 for x in range(2, g))
+
+
+def _digits(x, r):
+    return [(x // 3 ** k) % 3 for k in range(r)]
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("dtype", [np.int64, object])
+def test_transform_matches_literal_sum(r, dtype):
+    ctx = field_create(r)
+    rng = random.Random(r)
+    a = [rng.randint(-5, 5) for _ in range(ctx.q)]
+    b = [rng.randint(-5, 5) for _ in range(ctx.q)]
+    big_a, big_b = ctx.transform(np.array(a, dtype=dtype), np.array(b, dtype=dtype))
+    for s in range(ctx.q):
+        acc = [0, 0, 0]  # coefficients of 1, omega, omega^2
+        for beta in range(ctx.q):
+            e = sum(x * y for x, y in zip(_digits(s, r), _digits(beta, r))) % 3
+            acc[e] += a[beta]
+            acc[(e + 1) % 3] += b[beta]
+        assert (big_a[s], big_b[s]) == (acc[0] - acc[2], acc[1] - acc[2])
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_transform_index_maps(r):
+    ctx = field_create(r)
+    for x in range(ctx.q):
+        assert ctx._np_neg[x] == ctx.neg(x)
+        s = _digits(int(ctx._functional[x]), r)
+        for beta in range(ctx.q):
+            dot = sum(u * v for u, v in zip(s, _digits(beta, r))) % 3
+            assert ctx.trace(ctx.mul(x, beta)) == dot
 
 
 _f27 = field_create(3)

@@ -242,3 +242,22 @@ def test_recursive_moments_reaches_high_h(f9):
     # h = 40 runs far past N = 10 and 20 for the rank-2 codes
     for gid in (GroupId.SO2, GroupId.O2):
         assert recursive_moments(f9, gid, 40) == [sk_moment(f9, h) for h in range(41)]
+
+
+def test_chain_builds_the_inner_sums_once(monkeypatch, f9):
+    # D_t does not depend on h: one pass over the prefix serves the whole chain
+    from kloostercodes import moments
+
+    prefix = _prefix(f9, GroupId.SO2, 10)
+    expected = sk_recursive_chain(f9, GroupId.SO2, 40, prefix)
+    calls = []
+    real = moments._pless_inner
+
+    def counted(*args):
+        calls.append(args[1:])
+        return real(*args)
+
+    monkeypatch.setattr(moments, "_pless_inner", counted)
+    assert sk_recursive_chain(f9, GroupId.SO2, 40, prefix) == expected
+    assert calls == [(10, 10)]  # N = q + 1 = 10 caps t
+    assert expected == [sk_moment(f9, h) for h in range(41)]

@@ -6,9 +6,11 @@ import pytest
 
 from kloostercodes import (
     CapacityError,
+    GaussSumRequest,
     GroupId,
     enumerate_group,
     field_create,
+    gauss_sum_closed,
     group_order,
     histogram_closed_form,
     o_minus_order,
@@ -136,6 +138,27 @@ def test_so4_histogram_closed_form(f3):
 def test_closed_form_totals(r, gid):
     ctx = field_create(r)
     assert histogram_closed_form(ctx, gid).total == group_order(gid, ctx.q)
+
+
+def test_so4_histogram_never_reads_kloosterman(monkeypatch, f243):
+    # the delta side stays independent of the K values it is checked against
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the SO-(4,q) histogram read a Kloosterman sum")
+
+    with monkeypatch.context() as patch:
+        for target in ("kloostercodes.charsums.kloosterman",
+                       "kloostercodes.charsums.kloosterman_on_squares",
+                       "kloostercodes.charsums._kloosterman_table"):
+            patch.setattr(target, forbidden)
+        hist = histogram_closed_form(f243, GroupId.SO4)
+    assert hist.total == group_order(GroupId.SO4, 243)
+    # sum_beta n(beta) omega^{tr(a beta)} is the closed-form group character sum
+    for a in (1, 2, 5):
+        acc = [0, 0, 0]
+        for beta, n in enumerate(hist.counts):
+            acc[f243.trace(f243.mul(a, beta))] += n
+        assert acc[1] == acc[2]
+        assert acc[0] - acc[2] == gauss_sum_closed(f243, GaussSumRequest(n=2, variant="so", a=a))
 
 
 def test_so4_capacity_error(f9):
