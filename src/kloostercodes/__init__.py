@@ -6,7 +6,6 @@ from .charsums import (
     OmegaSum,
     delta_count,
     kloosterman,
-    kloosterman_omega,
     omega_reduce,
     sk_moment,
 )

@@ -7,11 +7,12 @@ Kloosterman sums, their power moments over the square arguments, and the
 solution counts delta(m, q; beta) of x_1 + 1/x_1 + ... + x_m + 1/x_m = beta
 all come out as exact (big) integers.
 
-A single K(a) is one O(q) count of exponents.  The whole K table and the
-delta(m) tables come from the exact radix-3 transform over (Z/3)^r
-(FieldContext.transform): one transform of y -> omega^{tr(1/y)} gives K(a)
-for every a, and delta(m) is the transform of the m-th power of the
-transform of delta(1).  The two tables never read each other.
+The K table and the delta(m) tables come from the exact radix-3 transform
+over (Z/3)^r (FieldContext.transform): one transform of y -> omega^{tr(1/y)}
+gives K(a) for every a, kept on the field context, and every reader of a
+Kloosterman sum, single values included, reads that table.  delta(m) is the
+transform of the m-th power of the transform of delta(1).  The two tables
+never read each other.
 """
 
 from dataclasses import dataclass
@@ -62,32 +63,21 @@ def omega_reduce(n0: int, n1: int, n2: int):
     return OmegaSum(n0, n1, n2).reduce()
 
 
-def kloosterman_omega(ctx, a: int) -> OmegaSum:
-    """The accumulator of sum_{x != 0} omega^{tr(x) + tr(a/x)}, unreduced."""
-    if not 0 < a < ctx.q:
-        raise DomainError("Kloosterman argument must be a nonzero element, got %r" % (a,))
-    q = ctx.q
-    nz = np.arange(1, q)
-    # tr is additive, so tr(x + a/x) = tr(x) + tr(a * inv(x)) mod 3
-    e = (ctx._trace[nz] + ctx._trace[ctx._mul_vec(a, ctx._np_inv[nz])]) % 3
-    c = np.bincount(e, minlength=3)
-    return OmegaSum(int(c[0]), int(c[1]), int(c[2]))
-
-
-def kloosterman(ctx, a: int) -> int:
-    """Exact Kloosterman sum K(a) = sum_{x != 0} omega^{tr(x + a x^{-1})}."""
-    return kloosterman_omega(ctx, a).value()
-
-
-def _kloosterman_table(ctx):
+def _kloosterman_table(ctx, ops_limit: int = DEFAULT_OPS_LIMIT):
     """K(a) for every a, as an int64 array indexed by a (K(0) = -1).
 
     With y = 1/x, K(a) = sum_{y != 0} omega^{tr(1/y)} omega^{tr(a y)}, so one
     transform of y -> omega^{tr(1/y)} (0 at y = 0) gives K(a) = F(s(a)) for
     every a at once, in int64 since |K| <= q - 1.  The table is checked to
     be real, with sum_{a != 0} K(a) = 1 and sum_{a != 0} K(a)^2 = q^2 - q - 1.
+    It is admitted at about q*r + q operations, then kept on ctx; the limit
+    is checked before the kept table is read.
     """
     q = ctx.q
+    admit("K table over GF(%d) by one radix-3 transform (q*r + q)" % q,
+          q * ctx.r + q, ops_limit)
+    if ctx._k_table is not None:
+        return ctx._k_table
     t = ctx._trace[ctx._np_inv]
     # omega^t = A + B omega: (1, 0), (0, 1), (-1, -1) for t = 0, 1, 2
     a_part, b_part = np.array([[1, 0, -1], [0, 1, -1]], dtype=np.int64)[:, t]
@@ -102,14 +92,21 @@ def _kloosterman_table(ctx):
             "Kloosterman table over GF(%d) has sum %d and square sum %d over a != 0, "
             "expected 1 and %d" % (q, total, squares, q * q - q - 1)
         )
+    ctx._k_table = k
     return k
 
 
-def kloosterman_on_squares(ctx):
-    """K(a) for every nonzero square a, in ascending order of a (kept on ctx)."""
-    if ctx._k_on_squares is None:
-        ctx._k_on_squares = tuple(_kloosterman_table(ctx)[list(ctx.squares())].tolist())
-    return ctx._k_on_squares
+def kloosterman(ctx, a: int, *, ops_limit: int = DEFAULT_OPS_LIMIT) -> int:
+    """Exact Kloosterman sum K(a) = sum_{x != 0} omega^{tr(x + a x^{-1})},
+    read off the K table."""
+    if not 0 < a < ctx.q:
+        raise DomainError("Kloosterman argument must be a nonzero element, got %r" % (a,))
+    return int(_kloosterman_table(ctx, ops_limit)[a])
+
+
+def kloosterman_on_squares(ctx, *, ops_limit: int = DEFAULT_OPS_LIMIT):
+    """K(a) for every nonzero square a, in ascending order of a."""
+    return tuple(_kloosterman_table(ctx, ops_limit)[list(ctx.squares())].tolist())
 
 
 def sk_moment(ctx, h: int, *, ops_limit: int = DEFAULT_OPS_LIMIT) -> int:
@@ -118,9 +115,7 @@ def sk_moment(ctx, h: int, *, ops_limit: int = DEFAULT_OPS_LIMIT) -> int:
         raise DomainError("moment order must be nonnegative")
     if h == 0:
         return (ctx.q - 1) // 2
-    admit("direct moment over GF(%d) (a K table by one transform, q*r + q)" % ctx.q,
-          ctx.q * ctx.r + ctx.q, ops_limit)
-    return sum(k ** h for k in kloosterman_on_squares(ctx))
+    return sum(k ** h for k in kloosterman_on_squares(ctx, ops_limit=ops_limit))
 
 
 @dataclass(frozen=True)

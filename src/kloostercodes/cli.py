@@ -50,8 +50,10 @@ def _build_parser():
                         help="config file mapping r to modulus coefficients")
     common.add_argument("--format", choices=("json", "csv", "text"),
                         default=_env("format", str, "text"), help="output format")
-    common.add_argument("--limit-ops", type=int, default=_env("limit_ops", int),
-                        help="override the work limits (estimated operations and scan sizes)")
+    common.add_argument("--limit-ops", type=int,
+                        default=_env("limit_ops", int, charsums.DEFAULT_OPS_LIMIT),
+                        help="work limit in estimated operations (default %d)"
+                        % charsums.DEFAULT_OPS_LIMIT)
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -109,12 +111,6 @@ def _make_ctx(args):
     return field_create(args.r, poly)
 
 
-def _limits(args):
-    if args.limit_ops is None:
-        return charsums.DEFAULT_OPS_LIMIT, ogroups.DEFAULT_SCAN_LIMIT
-    return args.limit_ops, args.limit_ops
-
-
 def _emit(args, payload, csv_rows, text_lines):
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True, indent=2))
@@ -147,7 +143,7 @@ def _cmd_field(args):
 def _cmd_kloosterman(args):
     ctx = _make_ctx(args)
     targets = [args.a] if args.a is not None else list(range(1, ctx.q))
-    values = {a: charsums.kloosterman(ctx, a) for a in targets}
+    values = {a: charsums.kloosterman(ctx, a, ops_limit=args.limit_ops) for a in targets}
     payload = {"q": ctx.q, "values": {str(a): str(v) for a, v in values.items()}}
     rows = [("a", "K")] + [(a, v) for a, v in sorted(values.items())]
     text = ["K(%d) = %d" % (a, v) for a, v in sorted(values.items())]
@@ -157,15 +153,14 @@ def _cmd_kloosterman(args):
 
 def _cmd_moments(args):
     ctx = _make_ctx(args)
-    ops, _ = _limits(args)
     if args.mode == "direct":
         vals = [moments.sk_initial(ctx.q)] + [
-            charsums.sk_moment(ctx, h, ops_limit=ops) for h in range(1, args.h + 1)
+            charsums.sk_moment(ctx, h, ops_limit=args.limit_ops) for h in range(1, args.h + 1)
         ]
         step, key, label = 1, "source", "direct"
     else:
         gid = _CODE_IDS[args.code]
-        vals = moments.recursive_moments(ctx, gid, args.h, ops_limit=ops)
+        vals = moments.recursive_moments(ctx, gid, args.h, ops_limit=args.limit_ops)
         # the rank-4 chain holds the even moments SK^0, SK^2, ..., SK^{2h}
         step = gid.dim // 2
         key = "code" if gid is GroupId.SO4 else "source"
@@ -183,10 +178,9 @@ def _cmd_moments(args):
 
 def _cmd_weights(args):
     ctx = _make_ctx(args)
-    ops, _ = _limits(args)
     gid = _CODE_IDS[args.code]
-    hist = ogroups.histogram_closed_form(ctx, gid, ops_limit=ops)
-    prefix = weight_prefix(hist, ctx, args.max_j, ops_limit=ops)
+    hist = ogroups.histogram_closed_form(ctx, gid, ops_limit=args.limit_ops)
+    prefix = weight_prefix(hist, ctx, args.max_j, ops_limit=args.limit_ops)
     payload = {
         "q": ctx.q, "r": ctx.r, "code": args.code, "max_j": args.max_j,
         "counts": {str(j): str(c) for j, c in enumerate(prefix.counts)},
@@ -199,9 +193,8 @@ def _cmd_weights(args):
 
 def _cmd_groups(args):
     ctx = _make_ctx(args)
-    _, scan = _limits(args)
     gid = _CODE_IDS[args.group]
-    enum = ogroups.enumerate_group(ctx, gid, scan_limit=scan)
+    enum = ogroups.enumerate_group(ctx, gid, ops_limit=args.limit_ops)
     hist = enum.histogram.as_dict()
     if args.mode == "enumerate":
         payload = {
@@ -226,7 +219,7 @@ def _cmd_groups(args):
 def _cmd_gauss(args):
     ctx = _make_ctx(args)
     if args.group == "gl":
-        val = gauss.kloosterman_gl(ctx, args.t, args.a)
+        val = gauss.kloosterman_gl(ctx, args.t, args.a, ops_limit=args.limit_ops)
         payload = {"q": ctx.q, "group": "gl", "t": args.t, "a": args.a, "value": str(val)}
         text = ["K_GL(%d, %d)(a=%d) = %d" % (args.t, ctx.q, args.a, val)]
     else:
@@ -236,7 +229,7 @@ def _cmd_gauss(args):
             n = 2 if args.group == "so4" else 1
             variant = "o" if args.group == "o2" else "so"
         req = gauss.GaussSumRequest(n=n, variant=variant, a=args.a)
-        val = gauss.gauss_sum_closed(ctx, req)
+        val = gauss.gauss_sum_closed(ctx, req, ops_limit=args.limit_ops)
         payload = {"q": ctx.q, "n": n, "variant": variant, "a": args.a, "value": str(val)}
         text = ["gauss sum %s-(2*%d, %d), a=%d: %d" % (variant, n, ctx.q, args.a, val)]
     _emit(args, payload, [("value",), (val,)], text)
@@ -245,8 +238,7 @@ def _cmd_gauss(args):
 
 def _cmd_verify(args):
     ctx = _make_ctx(args)
-    ops, _ = _limits(args)
-    reports = moments.verify_report(ctx, args.h_max, ops_limit=ops)
+    reports = moments.verify_report(ctx, args.h_max, ops_limit=args.limit_ops)
     payload = [rep.to_dict(include_timing=args.timing) for rep in reports]
     rows = [("code", "h", "direct", "recursive", "match")]
     text = []

@@ -19,7 +19,7 @@ import numpy as np
 
 from .charsums import DEFAULT_OPS_LIMIT, kloosterman
 from .errors import ConsistencyError, DomainError, admit
-from .ogroups import DEFAULT_SCAN_LIMIT, GroupId, TraceHistogram, enumerate_group, mat_trace
+from .ogroups import GroupId, TraceHistogram, enumerate_group, mat_trace
 
 
 @dataclass(frozen=True)
@@ -36,8 +36,8 @@ class CodeSpec:
         return len(self.trace_vector)
 
 
-def build_code_spec(ctx, gid: GroupId, *, scan_limit: int = DEFAULT_SCAN_LIMIT) -> CodeSpec:
-    enum = enumerate_group(ctx, gid, scan_limit=scan_limit)
+def build_code_spec(ctx, gid: GroupId, *, ops_limit: int = DEFAULT_OPS_LIMIT) -> CodeSpec:
+    enum = enumerate_group(ctx, gid, ops_limit=ops_limit)
     dim = gid.dim
     traces = tuple(mat_trace(ctx, w, dim) for w in enum.elements)
     return CodeSpec(gid, ctx, traces)
@@ -194,13 +194,13 @@ def _pair_scan(spec: CodeSpec, j_max: int) -> WeightPrefix:
     return WeightPrefix(j_max, tuple(counts))
 
 
-def weight_prefix_bruteforce(spec: CodeSpec, j_max: int, *, scan_limit: int = DEFAULT_SCAN_LIMIT) -> WeightPrefix:
+def weight_prefix_bruteforce(spec: CodeSpec, j_max: int, *, ops_limit: int = DEFAULT_OPS_LIMIT) -> WeightPrefix:
     """Oracle counts: a full 3^N scan when it fits the limit, else a literal
     scan over coordinate pairs for j_max <= 2."""
     if j_max < 0:
         raise DomainError("j_max must be nonnegative")
-    if j_max <= 2 and 3 ** spec.length > scan_limit:
+    if j_max <= 2 and 3 ** spec.length > ops_limit:
         return _pair_scan(spec, j_max)
     admit("brute-force weights up to j=%d (a 3^%d scan; the pair scan covers j <= 2)"
-          % (j_max, spec.length), 3 ** spec.length, scan_limit)
+          % (j_max, spec.length), 3 ** spec.length, ops_limit)
     return _full_scan(spec, j_max)

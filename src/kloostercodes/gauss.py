@@ -8,9 +8,9 @@ counterparts are included as oracles for the small cases.
 import itertools
 from dataclasses import dataclass
 
-from .charsums import OmegaSum, kloosterman
+from .charsums import DEFAULT_OPS_LIMIT, OmegaSum, kloosterman
 from .errors import DomainError
-from .ogroups import DEFAULT_SCAN_LIMIT, GroupId, enumerate_group
+from .ogroups import GroupId, enumerate_group
 
 __all__ = [
     "GaussSumRequest",
@@ -101,18 +101,18 @@ def b_r_bruteforce(ctx, r: int, a: int = 1) -> int:
     return OmegaSum(*acc).value()
 
 
-def kloosterman_gl(ctx, t: int, a: int):
+def kloosterman_gl(ctx, t: int, a: int, *, ops_limit: int = DEFAULT_OPS_LIMIT):
     """Kloosterman sum over GL(t, q) for the canonical character, by the
     exact recursion in K = K(a); K_GL(0) = 1."""
     if t < 0:
         raise DomainError("t must be nonnegative")
     if not 0 < a < ctx.q:
         raise DomainError("argument a must be a nonzero element")
-    q = ctx.q
-    k = kloosterman(ctx, a)
-    prev2, prev1 = 1, k  # K_GL(0), K_GL(1)
     if t == 0:
         return 1
+    q = ctx.q
+    k = kloosterman(ctx, a, ops_limit=ops_limit)
+    prev2, prev1 = 1, k  # K_GL(0), K_GL(1)
     if t == 1:
         return k
     for s in range(2, t + 1):
@@ -153,7 +153,7 @@ class GaussSumRequest:
     a: int
 
 
-def gauss_sum_closed(ctx, req: GaussSumRequest):
+def gauss_sum_closed(ctx, req: GaussSumRequest, *, ops_limit: int = DEFAULT_OPS_LIMIT):
     """Exact value of sum_w psi(Tr w) over the requested group.
 
     Cheap for any n; independent enumeration cross-checks exist only for
@@ -168,8 +168,8 @@ def gauss_sum_closed(ctx, req: GaussSumRequest):
         raise DomainError("character scaling a must be a nonzero element")
     q = ctx.q
     a_sq = ctx.mul(a, a)
-    k = kloosterman(ctx, a_sq)
-    kgl = {t: kloosterman_gl(ctx, t, a_sq) for t in range(n)}
+    k = kloosterman(ctx, a_sq, ops_limit=ops_limit)
+    kgl = {t: kloosterman_gl(ctx, t, a_sq, ops_limit=ops_limit) for t in range(n)}
 
     even_sum = 0
     odd_sum = 0
@@ -185,12 +185,12 @@ def gauss_sum_closed(ctx, req: GaussSumRequest):
     return pre * (-k + q + 1) * (even_sum - odd_sum)
 
 
-def gauss_sum_enumerated(ctx, gid: GroupId, a: int, *, scan_limit: int = DEFAULT_SCAN_LIMIT) -> int:
+def gauss_sum_enumerated(ctx, gid: GroupId, a: int, *, ops_limit: int = DEFAULT_OPS_LIMIT) -> int:
     """Oracle: the same sum evaluated from the enumerated trace histogram,
     sum_beta n(beta) omega^{tr(a beta)}."""
     if not 0 < a < ctx.q:
         raise DomainError("character scaling a must be a nonzero element")
-    hist = enumerate_group(ctx, gid, scan_limit=scan_limit).histogram
+    hist = enumerate_group(ctx, gid, ops_limit=ops_limit).histogram
     acc = [0, 0, 0]
     for beta, count in enumerate(hist.counts):
         if count:

@@ -130,7 +130,7 @@ class FieldContext:
         self.q = 3 ** r
         self.modulus = modulus
         self._build_tables()
-        self._k_on_squares = None  # charsums.kloosterman_on_squares
+        self._k_table = None  # charsums._kloosterman_table
         self._enumerations = {}  # ogroups.enumerate_group, keyed by group
 
     # -- construction internals -------------------------------------------

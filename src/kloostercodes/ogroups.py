@@ -16,11 +16,6 @@ import numpy as np
 from . import charsums
 from .errors import ConsistencyError, DomainError, admit
 
-# Exhaustive scans are bounded by a 3^16-point search space by default:
-# the 4x4 enumeration over GF(3) and ternary-vector scans of length <= 16.
-DEFAULT_SCAN_LIMIT = 3 ** 16
-
-
 class GroupId(enum.Enum):
     SO2 = "so2"
     O2 = "o2"
@@ -175,14 +170,15 @@ def _add_table(ctx):
 
 
 def _so4_elements(ctx):
-    """Complete scan of all q^16 4x4 matrices for the defining relation and
+    """Complete search of all q^16 4x4 matrices for the defining relation and
     determinant 1, organised as a hash join over the two row halves.
 
     transpose(w) J w depends on the rows r0..r3 of w through
     outer(r0,r1) + outer(r1,r0) + outer(r2,r2) - eps*outer(r3,r3), so the
     matrices splitting as (top rows, bottom rows) match exactly when the two
     half contributions pack to equal keys.  Every one of the q^16 candidate
-    matrices is covered.
+    matrices is covered, while the work is two key tables of q^8 rows of 16
+    entries each.
     """
     q = ctx.q
     eps = ctx.epsilon
@@ -194,7 +190,8 @@ def _so4_elements(ctx):
     vecs = np.stack([(idx // q ** 3) % q, (idx // q ** 2) % q, (idx // q) % q, idx % q], axis=1)
 
     jm = np.array(j_form(ctx, 2), dtype=np.int64).reshape(4, 4)
-    # any scan admitted by the limit has q^16 well inside int64
+    # q^16 fits int64 for q <= 9; at q = 27 the (q^8, 16) tables below
+    # cannot even be allocated
     powers = (q ** np.arange(15, -1, -1)).astype(np.int64)
 
     # top halves: A = outer(r0, r1) + outer(r1, r0)
@@ -214,14 +211,15 @@ def _so4_elements(ctx):
     lo = np.searchsorted(sorted_keys, want_keys, side="left")
     hi = np.searchsorted(sorted_keys, want_keys, side="right")
 
+    rows = [tuple(v) for v in vecs.tolist()]  # Python ints, not numpy scalars
     out = []
     hits = np.nonzero(hi > lo)[0]
     for flat_bot in hits:
         bi, bj = divmod(int(flat_bot), m)
-        bottom = tuple(vecs[bi]) + tuple(vecs[bj])
+        bottom = rows[bi] + rows[bj]
         for t in order[lo[flat_bot]:hi[flat_bot]]:
             ti, tj = divmod(int(t), m)
-            w = tuple(vecs[ti]) + tuple(vecs[tj]) + bottom
+            w = rows[ti] + rows[tj] + bottom
             if mat_det(ctx, w, 4) == 1:
                 out.append(w)
     out.sort()
@@ -235,34 +233,37 @@ class GroupEnumeration:
     histogram: TraceHistogram
 
 
-def enumerate_group(ctx, gid: GroupId, *, scan_limit: int = DEFAULT_SCAN_LIMIT) -> GroupEnumeration:
+def enumerate_group(ctx, gid: GroupId, *,
+                    ops_limit: int = charsums.DEFAULT_OPS_LIMIT) -> GroupEnumeration:
     """All elements of the group in canonical (ascending row-major) order,
-    with their trace histogram.  SO-(4, q) is scanned exhaustively and is
-    feasible only at q = 3 under the default limit.  The result is kept on
-    ctx, and the limit is checked before it is looked up."""
+    with their trace histogram.  SO-(2, q) and O-(2, q) scan the q^2 pairs
+    (a, b); SO-(4, q) is searched exhaustively by a hash join of 32 q^8
+    operations, feasible only at q = 3 under the default limit.  The result
+    is kept on ctx, and the limit is checked before it is looked up."""
+    q = ctx.q
     if gid is GroupId.SO4:
-        admit("enumerating SO-(4,%d) (a q^16-matrix scan; histogram_closed_form "
-              "gives the histogram for every q)" % ctx.q, ctx.q ** 16, scan_limit)
+        admit("enumerating SO-(4,%d) (a hash join of two q^8-row key tables of 16 "
+              "entries, 32 q^8; histogram_closed_form gives the histogram for every q)"
+              % q, 32 * q ** 8, ops_limit)
+    elif gid in (GroupId.SO2, GroupId.O2):
+        admit("enumerating %s(%d) (a scan of q^2 pairs; histogram_closed_form gives "
+              "the histogram for every q)" % (gid.value, q), q * q, ops_limit)
+    else:
+        raise DomainError("unknown group %r" % (gid,))
     hit = ctx._enumerations.get(gid)
     if hit is not None:
         return hit
-    if gid is GroupId.SO2:
-        els = _so2_elements(ctx)
-    elif gid is GroupId.O2:
-        els = _o2_elements(ctx)
-    elif gid is GroupId.SO4:
-        els = _so4_elements(ctx)
-    else:
-        raise DomainError("unknown group %r" % (gid,))
+    builders = {GroupId.SO2: _so2_elements, GroupId.O2: _o2_elements, GroupId.SO4: _so4_elements}
+    els = builders[gid](ctx)
     dim = gid.dim
-    counts = [0] * ctx.q
+    counts = [0] * q
     for w in els:
         counts[mat_trace(ctx, w, dim)] += 1
-    expected = group_order(gid, ctx.q)
+    expected = group_order(gid, q)
     if len(els) != expected:
         raise ConsistencyError(
             "enumerated %d elements of %s over GF(%d), expected %d"
-            % (len(els), gid.value, ctx.q, expected)
+            % (len(els), gid.value, q, expected)
         )
     result = GroupEnumeration(gid, tuple(els), TraceHistogram(tuple(counts)))
     ctx._enumerations[gid] = result

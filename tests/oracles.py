@@ -6,16 +6,34 @@ O(q^2 j^3) big-integer steps and is kept as an oracle for small fields.
 `pair_counts` reads C_1 and C_2 off the trace histogram by counting
 coordinate pairs, as the pair scan does on the trace vector itself.
 `delta_convolution` and `kloosterman_per_a` are the O(q^2) loops that the
-library's delta and K tables used before the radix-3 transform replaced them.
+library's delta and K tables used before the radix-3 transform replaced them;
+neither reads a library character sum.
 """
 
-from kloostercodes import ConsistencyError, DomainError, kloosterman, trinomial
+import numpy as np
+
+from kloostercodes import ConsistencyError, DomainError, trinomial
 from kloostercodes.codes import WeightPrefix
 
 
 def kloosterman_per_a(ctx) -> list:
-    """[K(1), ..., K(q - 1)], one O(q) pass of `kloosterman` per a."""
-    return [kloosterman(ctx, a) for a in range(1, ctx.q)]
+    """[K(1), ..., K(q - 1)], one O(q) count of exponents per a.
+
+    K(a) = c_0 + c_1 omega + c_2 omega^2 with c_e the number of x != 0 with
+    tr(x) + tr(a/x) = e mod 3; each sum is asserted real (c_1 = c_2), so
+    K(a) = c_0 - c_2.
+    """
+    q = ctx.q
+    nz = np.arange(1, q)
+    tr_x = ctx._trace[nz]
+    out = []
+    for a in range(1, q):
+        e = (tr_x + ctx._trace[ctx._mul_vec(a, ctx._np_inv[nz])]) % 3
+        c0, c1, c2 = np.bincount(e, minlength=3).tolist()
+        if c1 != c2:
+            raise ConsistencyError("K(%d) over GF(%d) is not real: %d != %d" % (a, q, c1, c2))
+        out.append(c0 - c2)
+    return out
 
 
 def delta_convolution(ctx, m: int) -> list:

@@ -11,7 +11,6 @@ from kloostercodes import (
     delta_count,
     field_create,
     kloosterman,
-    kloosterman_omega,
     omega_reduce,
     sk_moment,
 )
@@ -66,18 +65,51 @@ def test_kloosterman_matches_complex_oracle(r):
 
 
 def test_kloosterman_rejects_zero(f9):
+    for a in (0, 9, -1):
+        with pytest.raises(DomainError):
+            kloosterman(f9, a)
+    # the argument is checked before any work is admitted
     with pytest.raises(DomainError):
-        kloosterman(f9, 0)
+        kloosterman(f9, 0, ops_limit=0)
+
+
+def test_kloosterman_honours_ops_limit():
+    ctx = field_create(2)
+    with pytest.raises(CapacityError) as exc:
+        kloosterman(ctx, 1, ops_limit=26)
+    assert "about 27 operations" in str(exc.value)
+    assert kloosterman(ctx, 1, ops_limit=27) == K9[1]
+    # a kept table is no way round the limit
+    with pytest.raises(CapacityError):
+        kloosterman(ctx, 1, ops_limit=26)
+
+
+def test_every_k_reader_shares_one_transform(monkeypatch):
+    ctx = field_create(4)
+    real = ctx.transform
+    calls = []
+
+    def counted(a_part, b_part):
+        calls.append(1)
+        return real(a_part, b_part)
+
+    monkeypatch.setattr(ctx, "transform", counted)
+    values = [kloosterman(ctx, a) for a in range(1, ctx.q)]
+    moments = [sk_moment(ctx, h) for h in range(1, 21)]
+    assert len(calls) == 1
+    assert values == kloosterman_per_a(ctx)
+    assert kloosterman_on_squares(ctx) == tuple(values[a - 1] for a in ctx.squares())
+    assert moments[1] == sum(values[a - 1] ** 2 for a in ctx.squares())
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
 def test_weil_bound_and_realness(r):
     ctx = field_create(r)
     bound = math.isqrt(4 * ctx.q)
+    # the oracle asserts every exponent count real
+    assert kloosterman_per_a(ctx) == [kloosterman(ctx, a) for a in range(1, ctx.q)]
     for a in range(1, ctx.q):
-        acc = kloosterman_omega(ctx, a)
-        assert acc.is_real
-        assert abs(acc.value()) <= bound
+        assert abs(kloosterman(ctx, a)) <= bound
 
 
 def test_sk_moment_q3(f3):

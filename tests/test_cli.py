@@ -1,8 +1,16 @@
+import contextlib
+import io
 import json
+import os
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kloostercodes.cli import run_command
+
+from test_golden import GOLDEN
 
 
 def run(capsys, *argv):
@@ -163,7 +171,10 @@ def test_moments_recursive_honours_limit_ops(capsys, code_name):
 @pytest.mark.parametrize("argv, cost", [
     ("moments direct --r 2 --h 2 --limit-ops 10", 9 * 2 + 9),  # q*r + q
     ("weights --code so4 --r 3 --limit-ops 200", (2 * 3 + 2) * 27),  # (2r + m) q
-    ("groups enumerate --r 1 --group so4 --limit-ops 1000000", 3 ** 16),
+    # the SO-(4,3) hash join: two key tables of q^8 rows x 16 entries
+    ("groups enumerate --r 1 --group so4 --limit-ops 100000", 32 * 3 ** 8),
+    ("kloosterman --r 2 --limit-ops 10", 9 * 2 + 9),  # the K table, q*r + q
+    ("gauss --r 2 --group so4 --a 1 --limit-ops 10", 9 * 2 + 9),
     ("weights --code so2 --r 3 --limit-ops 10", 27 * 3 + (8 + 1) ** 2),  # --max-j 8
 ])
 def test_every_refusal_names_the_flag(capsys, argv, cost):
@@ -174,6 +185,87 @@ def test_every_refusal_names_the_flag(capsys, argv, cost):
     assert "about %d operations" % cost in err
     assert "limit %s" % limit in err
     assert "--limit-ops" in err
+
+
+@pytest.mark.parametrize("argv, limit", [
+    ("kloosterman --r 2 --format csv", 27),
+    ("kloosterman --r 2 --a 4 --format csv", 27),
+    ("gauss --r 2 --group so4 --a 1 --format csv", 27),
+    ("gauss --r 2 --group gl --t 2 --a 1 --format csv", 27),
+])
+def test_limit_ops_is_honoured_at_its_estimate(capsys, argv, limit):
+    default = run(capsys, *argv.split())
+    assert default[0] == 0
+    assert run(capsys, *argv.split(), "--limit-ops", str(limit)) == default
+    code, out, err = run(capsys, *argv.split(), "--limit-ops", str(limit - 1))
+    assert (code, out) == (2, "")
+    assert "about %d operations" % limit in err and "--limit-ops" in err
+
+
+def test_so4_enumeration_no_longer_counts_candidate_matrices(capsys):
+    # a limit far below the 3^16 candidate matrices admits the 32 q^8 join
+    command = "groups enumerate --r 1 --group so4 --format json"
+    code, out, _ = run(capsys, *command.split(), "--limit-ops", "1000000")
+    assert code == 0
+    assert out == GOLDEN[command]
+
+
+def test_groups_dump_so4_json(capsys):
+    code, out, _ = run(capsys, "groups", "dump", "--r", "1", "--group", "so4",
+                       "--format", "json")
+    assert code == 0
+    elements = json.loads(out)["elements"]
+    assert len(elements) == 720
+    code, csv_out, _ = run(capsys, "groups", "dump", "--r", "1", "--group", "so4",
+                           "--format", "csv")
+    assert code == 0
+    assert [" ".join(map(str, w)) for w in elements] == csv_out.splitlines()[1:]
+
+
+def test_kloosterman_r8_reads_one_table(capsys):
+    code, out, _ = run(capsys, "kloosterman", "--r", "8", "--format", "csv")
+    assert code == 0
+    rows = out.splitlines()
+    assert len(rows) == 3 ** 8
+    values = [int(row.split(",")[1]) for row in rows[1:]]
+    assert sum(values) == 1
+    assert max(abs(v) for v in values) <= 2 * 3 ** 4
+
+
+# each job at r <= 2 with the estimate of the last job it admits: n is drawn
+# around it, so both sides of every refusal are covered
+_PARITY_JOBS = [
+    ("field --r 2", 0),
+    ("kloosterman --r 2", 27),
+    ("moments direct --r 2 --h 3", 27),
+    ("moments recursive --r 2 --code so4 --h 2", 54),
+    ("weights --code o2 --r 2 --max-j 3", 18 + 4 * 16),  # 4 distinct weights
+    ("groups enumerate --r 2 --group so2", 81),
+    ("groups dump --r 1 --group o2", 9),
+    ("gauss --r 2 --group o2 --a 3", 27),
+    ("verify --r 1 --h-max 2", 3 + 2 * 9),  # the so4 prefix, 2 distinct weights
+]
+
+
+def _run_captured(argv, env):
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, env), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_command(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=25, deadline=None)
+@given(job=st.sampled_from(_PARITY_JOBS), offset=st.integers(-3, 3),
+       fmt=st.sampled_from(["json", "csv", "text"]))
+def test_limit_env_and_flag_agree(job, offset, fmt):
+    command, estimate = job
+    n = str(max(0, estimate + offset))
+    argv = command.split() + ["--format", fmt]
+    by_env = _run_captured(argv, {"KLOOSTERCODES_LIMIT_OPS": n})
+    by_flag = _run_captured(argv + ["--limit-ops", n], {})
+    assert by_env == by_flag
+    assert (by_flag[0] == 0) == (int(n) >= estimate)
 
 
 @pytest.mark.parametrize("r", [6, 7, 8])

@@ -136,7 +136,7 @@ def test_pair_scan_matches_full_scan(f3):
     # the two brute-force strategies agree where both apply
     spec = build_code_spec(f3, GroupId.O2)
     full = weight_prefix_bruteforce(spec, 2)
-    pair = weight_prefix_bruteforce(spec, 2, scan_limit=1)
+    pair = weight_prefix_bruteforce(spec, 2, ops_limit=1)
     assert full.counts[:3] == pair.counts
 
 

@@ -8,7 +8,9 @@ in json, csv and text for r = 1..3.  A second set was recorded while the
 recursions still ran in exact rationals, one copy per rank: moments direct
 --h 10, field, kloosterman and gauss (so2, o2, so4 with --a 1) for
 r = 1..3, and groups enumerate (so2 and o2 at r = 1, 2; so4 at r = 1), each
-in json, csv and text.
+in json, csv and text.  A third set, recorded before the work limits became
+one budget, pins groups dump for so2 and o2 at r = 1, 2 in json, csv and
+text, so every subcommand is covered.
 """
 
 import json

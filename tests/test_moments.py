@@ -110,6 +110,19 @@ def test_pless_rank2_q9(f9, gid, h):
     assert pless_check(f9, gid, h).match
 
 
+@pytest.fixture(scope="module")
+def f6561():
+    return field_create(8)
+
+
+@pytest.mark.parametrize("gid", [GroupId.SO2, GroupId.O2, GroupId.SO4])
+def test_pless_at_the_largest_shipped_field(f6561, gid):
+    # the left side reads every K(a^2) off the one K table, under the default limit
+    chk = pless_check(f6561, gid, 2)
+    assert chk.match
+    assert chk.lhs > 0
+
+
 def test_pless_and_verify_honour_ops_limit(f27):
     # the weight prefix at q = 27 costs 81 + (distinct weights) * (j+1)^2;
     # pless_check takes a prefix built under any limit

@@ -171,8 +171,27 @@ def test_so4_refusal_survives_a_cached_enumeration():
     ctx = field_create(1)
     assert len(enumerate_group(ctx, GroupId.SO4).elements) == 720
     with pytest.raises(CapacityError) as exc:
-        enumerate_group(ctx, GroupId.SO4, scan_limit=3 ** 15)
-    assert "limit %d" % 3 ** 15 in str(exc.value)
+        enumerate_group(ctx, GroupId.SO4, ops_limit=32 * 3 ** 8 - 1)
+    assert "limit %d" % (32 * 3 ** 8 - 1) in str(exc.value)
+
+
+@pytest.mark.parametrize("gid, cost", [
+    (GroupId.SO2, 9 * 9),  # q^2 pairs (a, b)
+    (GroupId.O2, 9 * 9),
+    (GroupId.SO4, 32 * 3 ** 8),  # two q^8-row key tables of 16 entries, at q = 3
+])
+def test_enumeration_cost_estimates_admit_themselves(gid, cost):
+    ctx = field_create(1 if gid is GroupId.SO4 else 2)
+    with pytest.raises(CapacityError) as exc:
+        enumerate_group(ctx, gid, ops_limit=cost - 1)
+    assert "about %d operations" % cost in str(exc.value)
+    assert len(enumerate_group(ctx, gid, ops_limit=cost).elements) == group_order(gid, ctx.q)
+
+
+def test_enumerated_elements_are_python_ints(f3, f9):
+    for ctx, gid in ((f9, GroupId.SO2), (f9, GroupId.O2), (f3, GroupId.SO4)):
+        els = enumerate_group(ctx, gid).elements
+        assert all(type(x) is int for w in els for x in w)
 
 
 def test_cached_tables_live_and_die_with_the_context():
