@@ -10,11 +10,17 @@ all come out as exact (big) integers.
 The K table and the delta(m) tables come from the exact radix-3 transform
 over (Z/3)^r (FieldContext.transform): one transform of y -> omega^{tr(1/y)}
 gives K(a) for every a, kept on the field context, and every reader of a
-Kloosterman sum, single values included, reads that table.  delta(m) is the
-transform of the m-th power of the transform of delta(1).  The two tables
-never read each other.
+Kloosterman sum, single values included, reads that table.  Next to it the
+context keeps the value histogram of K over the nonzero squares: K(a) is
+-1 mod 3 and at most 2 sqrt(q) in modulus, so it takes at most about
+4 sqrt(q)/3 + 1 values (81 at q = 3^8), and the direct moments
+SK^h = sum_k mult(k) k^h and the left side of the Pless check sum over those
+values instead of over the (q - 1)/2 squares.  delta(m) is the transform of
+the m-th power of the transform of delta(1).  The two tables never read
+each other.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,8 +76,9 @@ def _kloosterman_table(ctx, ops_limit: int = DEFAULT_OPS_LIMIT):
     transform of y -> omega^{tr(1/y)} (0 at y = 0) gives K(a) = F(s(a)) for
     every a at once, in int64 since |K| <= q - 1.  The table is checked to
     be real, with sum_{a != 0} K(a) = 1 and sum_{a != 0} K(a)^2 = q^2 - q - 1.
-    It is admitted at about q*r + q operations, then kept on ctx; the limit
-    is checked before the kept table is read.
+    It is admitted at about q*r + q operations, then kept on ctx together
+    with its value histogram over the nonzero squares; the limit is checked
+    before the kept table is read.
     """
     q = ctx.q
     admit("K table over GF(%d) by one radix-3 transform (q*r + q)" % q,
@@ -86,14 +93,50 @@ def _kloosterman_table(ctx, ops_limit: int = DEFAULT_OPS_LIMIT):
     if np.count_nonzero(big_b):
         raise ConsistencyError("Kloosterman table over GF(%d) is not real" % q)
     k = big_a[ctx._functional]
+    histogram = _value_histogram(q, k[ctx._np_squares])
     total, squares = int(k[1:].sum()), int((k[1:] ** 2).sum())
     if (total, squares) != (1, q * q - q - 1):
         raise ConsistencyError(
             "Kloosterman table over GF(%d) has sum %d and square sum %d over a != 0, "
             "expected 1 and %d" % (q, total, squares, q * q - q - 1)
         )
-    ctx._k_table = k
+    ctx._k_table, ctx._k_histogram = k, histogram
     return k
+
+
+def _value_histogram(q: int, on_squares):
+    """The distinct values k of K on the nonzero squares with their
+    multiplicities, as a tuple of (k, mult) pairs of Python ints, ascending.
+
+    Every K(a) is n_0 - n_2 with n_0 + 2 n_2 = q - 1 (n_e the number of
+    x != 0 with tr(x + a/x) = e, and n_1 = n_2 since K is real), so
+    K(a) = -1 mod 3; with the Weil bound k^2 <= 4q, K takes at most about
+    4 sqrt(q)/3 + 1 values.  Both are asserted, as is the total (q - 1)/2.
+    """
+    bound = math.isqrt(4 * q)
+    worst = max(int(on_squares.max()), -int(on_squares.min()))
+    if worst > bound:
+        raise ConsistencyError("|K| = %d over GF(%d) breaks the Weil bound |K| <= 2 sqrt(q)"
+                               % (worst, q))
+    off = on_squares[on_squares % 3 != 2]
+    if off.size:
+        raise ConsistencyError("K = %d over GF(%d) is not -1 mod 3" % (off[0], q))
+    # one bin per value in [-bound, bound]: a bincount, not a sort
+    counts = np.bincount(on_squares + bound)
+    values = np.flatnonzero(counts)
+    pairs = tuple(zip((values - bound).tolist(), counts[values].tolist()))
+    covered = sum(m for _, m in pairs)
+    if covered != (q - 1) // 2:
+        raise ConsistencyError("Kloosterman values over GF(%d) cover %d squares, expected %d"
+                               % (q, covered, (q - 1) // 2))
+    return pairs
+
+
+def kloosterman_histogram(ctx, *, ops_limit: int = DEFAULT_OPS_LIMIT):
+    """The value histogram of K over the nonzero squares: ascending pairs
+    (k, number of nonzero squares a with K(a) = k)."""
+    _kloosterman_table(ctx, ops_limit)
+    return ctx._k_histogram
 
 
 def kloosterman(ctx, a: int, *, ops_limit: int = DEFAULT_OPS_LIMIT) -> int:
@@ -106,16 +149,17 @@ def kloosterman(ctx, a: int, *, ops_limit: int = DEFAULT_OPS_LIMIT) -> int:
 
 def kloosterman_on_squares(ctx, *, ops_limit: int = DEFAULT_OPS_LIMIT):
     """K(a) for every nonzero square a, in ascending order of a."""
-    return tuple(_kloosterman_table(ctx, ops_limit)[list(ctx.squares())].tolist())
+    return tuple(_kloosterman_table(ctx, ops_limit)[ctx._np_squares].tolist())
 
 
 def sk_moment(ctx, h: int, *, ops_limit: int = DEFAULT_OPS_LIMIT) -> int:
-    """Direct h-th power moment of the Kloosterman sums over the nonzero squares."""
+    """Direct h-th power moment of the Kloosterman sums over the nonzero
+    squares, sum_k mult(k) k^h over the value histogram of K."""
     if h < 0:
         raise DomainError("moment order must be nonnegative")
     if h == 0:
         return (ctx.q - 1) // 2
-    return sum(k ** h for k in kloosterman_on_squares(ctx, ops_limit=ops_limit))
+    return sum(m * k ** h for k, m in kloosterman_histogram(ctx, ops_limit=ops_limit))
 
 
 @dataclass(frozen=True)

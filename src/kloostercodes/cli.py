@@ -63,7 +63,9 @@ def _build_parser():
     p.add_argument("--a", type=int, default=_env("a", int),
                    help="argument index (default: all nonzero a)")
 
-    p = sub.add_parser("moments", parents=[common], help="moments over square arguments")
+    # the common flags go after the mode (moments direct --r 2), so the
+    # mode parsers alone take them: given before the mode, a flag is an error
+    p = sub.add_parser("moments", help="moments over square arguments")
     msub = p.add_subparsers(dest="mode", required=True)
     pd = msub.add_parser("direct", parents=[common], help="direct power sums")
     pd.add_argument("--h", type=int, default=_env("h", int, 4), help="highest moment")
@@ -78,7 +80,7 @@ def _build_parser():
     p.add_argument("--max-j", type=int, default=_env("max_j", int, 8),
                    help="largest weight to report")
 
-    p = sub.add_parser("groups", parents=[common], help="group enumeration")
+    p = sub.add_parser("groups", help="group enumeration")
     gsub = p.add_subparsers(dest="mode", required=True)
     ge = gsub.add_parser("enumerate", parents=[common], help="order and trace histogram")
     ge.add_argument("--group", choices=sorted(_CODE_IDS), default=_env("group", str, "so2"))

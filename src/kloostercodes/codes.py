@@ -60,18 +60,24 @@ def weight_form(gid: GroupId, q: int):
     return 1, q + 1
 
 
+def weight_of_k(gid: GroupId, q: int, k: int) -> int:
+    """(2/3) s (k^e + b) of weight_form, the weight of every dual word of a
+    with K(a^2) = k; the division by 3 is asserted exact."""
+    s, b = weight_form(gid, q)
+    num = 2 * s * (k ** (gid.dim // 2) + b)
+    if num % 3:
+        raise ConsistencyError(
+            "weight expression %d for %s at K = %d is not divisible by 3" % (num, gid.value, k)
+        )
+    return num // 3
+
+
 def codeword_weight_formula(ctx, gid: GroupId, a: int) -> int:
     """Hamming weight of the dual word via Kloosterman sums, by weight_form.
     Needs no enumeration."""
     if not 0 < a < ctx.q:
         raise DomainError("a must be a nonzero element")
-    s, b = weight_form(gid, ctx.q)
-    num = 2 * s * (kloosterman(ctx, ctx.mul(a, a)) ** (gid.dim // 2) + b)
-    if num % 3:
-        raise ConsistencyError(
-            "weight expression %d for %s, a=%d is not divisible by 3" % (num, gid.value, a)
-        )
-    return num // 3
+    return weight_of_k(gid, ctx.q, kloosterman(ctx, ctx.mul(a, a)))
 
 
 def codeword_weight(spec: CodeSpec, a: int, mode: str = "direct") -> int:

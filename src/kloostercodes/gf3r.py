@@ -3,10 +3,12 @@
 Field elements are canonical integer indices in [0, q), q = 3^r: the index
 encodes the coefficient vector of the residue polynomial in base 3, so 0 is
 the additive identity and 1 the multiplicative identity.  A FieldContext
-verifies its modulus irreducible at construction and precomputes log/antilog
-tables (for the least generator, found by testing g^((q-1)/p) != 1 for the
-primes p dividing q - 1), inverse and trace tables (r <= 8, i.e. q <= 6561),
-after which every operation is a table lookup or an O(r) digit loop.
+verifies its modulus irreducible at construction and builds, with numpy
+arrays, the log/antilog tables (for the least generator, found by testing
+g^((q-1)/p) != 1 for the primes p dividing q - 1 on the r x r matrices of
+multiplication over GF(3)), the inverse, trace and square tables, for every
+r with a modulus, shipped (r <= 8) or given; after that every operation is a
+table lookup or an O(r) digit loop.
 `FieldContext.transform` is the one radix-3 Fourier transform over (Z/3)^r,
 exact in Z[omega]; the context keeps the index maps that read it (a -> s(a)
 with tr(a beta) = s(a) . beta, and digitwise negation).  A context also holds
@@ -16,7 +18,6 @@ the context.
 """
 
 import json
-import math
 
 import numpy as np
 
@@ -57,17 +58,6 @@ def _poly_trim(p):
     while p and p[-1] == 0:
         p.pop()
     return p
-
-
-def _poly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % 3
-    return _poly_trim(out)
 
 
 def _poly_mod(a, m):
@@ -131,102 +121,118 @@ class FieldContext:
         self.modulus = modulus
         self._build_tables()
         self._k_table = None  # charsums._kloosterman_table
+        self._k_histogram = None  # its value histogram over the squares
         self._enumerations = {}  # ogroups.enumerate_group, keyed by group
 
     # -- construction internals -------------------------------------------
 
-    def _index_to_poly(self, x):
-        out = []
-        while x:
-            out.append(x % 3)
-            x //= 3
-        return out
-
-    def _poly_to_index(self, p):
-        idx = 0
-        for c in reversed(p):
-            idx = idx * 3 + c
-        return idx
-
-    def _raw_mul(self, x: int, y: int) -> int:
-        p = _poly_mod(_poly_mul(self._index_to_poly(x), self._index_to_poly(y)), self.modulus)
-        return self._poly_to_index(p)
-
-    def _raw_pow(self, x: int, e: int) -> int:
-        out = 1
-        while e:
-            if e & 1:
-                out = self._raw_mul(out, x)
-            x = self._raw_mul(x, x)
-            e >>= 1
-        return out
-
     def _build_tables(self):
-        q = self.q
-        digits = np.zeros((q, self.r), dtype=np.int8)
+        q, r = self.q, self.r
+        digits = np.zeros((q, r), dtype=np.int8)
         idx = np.arange(q)
-        for i in range(self.r):
+        for i in range(r):
             digits[:, i] = (idx // 3 ** i) % 3
         self._digits = digits
-        self._pow3 = (3 ** np.arange(self.r)).astype(np.int64)
+        self._pow3 = (3 ** np.arange(r)).astype(np.int64)
+        # -x digit by digit, an index map for reading transforms; built first,
+        # while its (q, r) int64 temporaries are the only large arrays alive
+        self._np_neg = (-digits.astype(np.int64) % 3) @ self._pow3
 
         # discrete log / antilog for the least generator g: g^((q-1)/p) != 1
-        # for every prime p dividing q - 1, tested by square-and-multiply
-        primes = [p for p in range(2, q) if (q - 1) % p == 0
-                  and all(p % d for d in range(2, math.isqrt(p) + 1))]
-        g = next((g for g in range(2, q)
-                  if all(self._raw_pow(g, (q - 1) // p) != 1 for p in primes)), None)
+        # for every prime p dividing q - 1 (found by trial division up to
+        # sqrt(q - 1)), tested by square-and-multiply on matrices
+        primes, n, p = [], q - 1, 2
+        while p * p <= n:
+            if n % p == 0:
+                primes.append(p)
+                while n % p == 0:
+                    n //= p
+            p += 1
+        if n > 1:
+            primes.append(n)
+        # y -> x y is GF(3)-linear on digit vectors: digits(x y) = digits(y) @ M_x,
+        # row i of M_x the digits of x X^i, so M_x = sum_i x_i C^i with C the
+        # companion matrix of the modulus
+        companion = np.zeros((r, r), dtype=np.int64)
+        companion[np.arange(r - 1), np.arange(1, r)] = 1
+        companion[r - 1] = (-np.array(self.modulus[:r])) % 3
+        eye = np.eye(r, dtype=np.int64)
+        powers = [eye]
+        for _ in range(r - 1):
+            powers.append((powers[-1] @ companion) % 3)
+        powers = np.array(powers)
+
+        def mul_matrix(x):  # M_x, or a stack of them for an array x
+            return np.tensordot(digits[x], powers, 1) % 3
+
+        def is_one_at(mats, e):  # whether x^e = 1, for a stack of M_x; e >= 1
+            out = eye
+            while e:
+                if e & 1:
+                    out = (out @ mats) % 3
+                mats = (mats @ mats) % 3
+                e >>= 1
+            return (out == eye).all(axis=(1, 2))
+
+        g = None
+        for start in range(2, q, 16):  # candidates in blocks, least first
+            cands = np.arange(start, min(start + 16, q))
+            mats = mul_matrix(cands)
+            ok = ~np.any([is_one_at(mats, (q - 1) // p) for p in primes], axis=0)
+            if ok.any():
+                g = int(cands[ok][0])
+                break
         if g is None:  # pragma: no cover
             raise FieldConstructionError("no multiplicative generator found")
-        # the chain 1, g, g^2, ... in doubling blocks: multiplying by g^k is
-        # GF(3)-linear on digit vectors, row i of its matrix the digits of g^k x^i
-        chain, step = np.ones(1, dtype=np.int64), g
+        # the chain 1, g, g^2, ... in doubling blocks, the matrix of g^2k the
+        # square of that of g^k; entries of a product of two such matrices,
+        # or of a digit vector and one, stay below 4r, so int8 holds them (r < 32)
+        chain = np.ones(1, dtype=np.int64)
+        mat = mul_matrix(g).astype(np.int8)
         while len(chain) < q - 1:
-            mat = digits[[self._raw_mul(step, 3 ** i) for i in range(self.r)]].astype(np.int64)
-            chain = np.concatenate([chain, (digits[chain] @ mat) % 3 @ self._pow3])
-            step = self._raw_mul(step, step)
-        exp = chain[:q - 1].tolist()
-        if len(set(exp)) != q - 1:  # pragma: no cover - impossible for a field
+            block = digits[chain[:q - 1 - len(chain)]]
+            chain = np.concatenate([chain, (block @ mat) % 3 @ self._pow3])
+            mat = (mat @ mat) % 3
+        np_exp = chain
+        # q - 1 nonzero indices, so distinct exactly when each occurs once
+        if np.any(np.bincount(np_exp, minlength=q)[1:] != 1):  # pragma: no cover
             raise FieldConstructionError("multiplicative structure broken")
-        log = [0] * q
-        for i, v in enumerate(exp):
-            log[v] = i
+        np_log = np.zeros(q, dtype=np.int64)
+        np_log[np_exp] = np.arange(q - 1)
+        np_inv = np.zeros(q, dtype=np.int64)
+        inv_at = (-np_log[1:]) % (q - 1)
+        np_inv[1:] = np_exp[inv_at]
+        # _inv and _squares index the _exp list, so all three share its ints
+        exp = np_exp.tolist()
         self._exp = exp
-        self._log = log
-        self._inv = [0] * q
-        for x in range(1, q):
-            self._inv[x] = exp[(q - 1 - log[x]) % (q - 1)]
+        self._log = np_log.tolist()
+        self._inv = [0, *map(exp.__getitem__, inv_at)]
 
-        # trace of the basis powers x^i, then the full table by linearity
-        basis_tr = []
-        for i in range(self.r):
-            y = 3 ** i
-            t = 0
-            z = y
-            for _ in range(self.r):
-                t = self.add(t, z)
-                z = self._raw_mul(self._raw_mul(z, z), z)
-            basis_tr.append(t)
-        self._trace = ((digits.astype(np.int64) @ np.array(basis_tr, dtype=np.int64)) % 3).astype(np.int8)
+        # trace of each basis power x^i, the digitwise sum of its r
+        # conjugates x^(i 3^j), then the full table by linearity
+        conj = np_exp[(np_log[3 ** np.arange(r)][:, None] * 3 ** np.arange(r)[None, :]) % (q - 1)]
+        basis_tr = (digits[conj].sum(axis=1, dtype=np.int64) % 3) @ self._pow3
+        if np.any(basis_tr >= 3):  # pragma: no cover - impossible for a field
+            raise FieldConstructionError("a trace fell outside GF(3)")
+        self._trace = (digits @ basis_tr.astype(np.int8)) % 3
 
         # quadratic structure: the squares are the even powers of the generator
-        sq = sorted(exp[i] for i in range(0, q - 1, 2))
-        self._squares = tuple(sq)
-        is_sq = [False] * q
-        for s in sq:
-            is_sq[s] = True
-        self._is_square = is_sq
-        self.epsilon = next(x for x in range(1, q) if not is_sq[x])
+        is_sq = np.zeros(q, dtype=bool)
+        is_sq[np_exp[::2]] = True
+        np_squares = np.flatnonzero(is_sq)
+        self._squares = tuple(map(exp.__getitem__, np_log[np_squares]))
+        self._is_square = is_sq.tolist()
+        self.epsilon = int(np.flatnonzero(~is_sq[1:])[0]) + 1
 
         # numpy views for the vectorized internals
-        self._np_exp = np.array(exp, dtype=np.int64)
-        self._np_log = np.array(log, dtype=np.int64)
-        self._np_inv = np.array(self._inv, dtype=np.int64)
-        # index maps for reading transforms: -x digit by digit, and
-        # a -> s(a), s(a)_k = tr(a x^k), so that tr(a beta) = s(a) . beta
-        self._np_neg = (-digits.astype(np.int64) % 3) @ self._pow3
+        self._np_exp = np_exp
+        self._np_log = np_log
+        self._np_inv = np_inv
+        self._np_squares = np_squares
+        # the index map a -> s(a), s(a)_k = tr(a x^k), for reading
+        # transforms: tr(a beta) = s(a) . beta
         self._functional = sum(self._trace[self._mul_vec(3 ** k, idx)].astype(np.int64) * 3 ** k
-                               for k in range(self.r))
+                               for k in range(r))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -310,14 +316,18 @@ class FieldContext:
         d = (self._digits[xs].astype(np.int64) + self._digits[ys]) % 3
         return d @ self._pow3
 
+    def _sq_minus_one(self):
+        """beta^2 - 1 for every beta."""
+        q = self.q
+        sq = np.zeros(q, dtype=np.int64)
+        sq[1:] = self._np_exp[2 * self._np_log[1:] % (q - 1)]
+        return self._add_vec(sq, np.full(q, 2))  # 2 is the index of -1
+
     def _chi_sq_minus_one(self):
         """chi(beta^2 - 1) for every beta: 0 where beta^2 = 1, 1 where
         beta^2 - 1 is a nonzero square (an even power of the generator) and
         -1 where it is a nonsquare."""
-        q = self.q
-        sq = np.zeros(q, dtype=np.int64)
-        sq[1:] = self._np_exp[2 * self._np_log[1:] % (q - 1)]
-        s = self._add_vec(sq, np.full(q, 2))  # 2 is the index of -1
+        s = self._sq_minus_one()
         return np.where(s == 0, 0, np.where(self._np_log[s] % 2 == 0, 1, -1))
 
     def transform(self, a_part, b_part):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from math import comb, factorial
 
 from . import charsums
-from .codes import codeword_weight_formula, weight_form, weight_prefix
+from .codes import weight_form, weight_of_k, weight_prefix
 from .combinat import stirling2, trinomial  # noqa: F401  (re-exported helpers)
 from .errors import ConsistencyError, DomainError
 from .ogroups import GroupId, group_order, histogram_closed_form
@@ -109,17 +109,20 @@ def pless_check(ctx, gid: GroupId, h: int, prefix=None) -> PlessCheck:
     """Both sides of the power moment identity for the dual of the group code.
 
     Left side: sum over all q dual codewords of weight^h (0^0 = 1, so h = 0
-    counts every codeword).  Right side: the Stirling-number expansion over
-    the code's weight counts C_j, j <= min(N, h), for a ternary [N, r] dual.
-    When no prefix is given it is built under the default work limits; pass
-    one from weight_prefix to choose another.
+    counts every codeword).  The word of a != 0 has weight w(K(a^2)), and
+    a -> a^2 covers each nonzero square twice, so the sum runs over the value
+    histogram of K: 2 sum_k mult(k) w(k)^h.  Right side: the Stirling-number
+    expansion over the code's weight counts C_j, j <= min(N, h), for a
+    ternary [N, r] dual.  When no prefix is given it is built under the
+    default work limits; pass one from weight_prefix to choose another.
     """
     if h < 0:
         raise DomainError("h must be nonnegative")
     q = ctx.q
     if prefix is None:
         prefix = weight_prefix(histogram_closed_form(ctx, gid), ctx, h)
-    lhs = sum(codeword_weight_formula(ctx, gid, a) ** h for a in range(1, q))
+    lhs = 2 * sum(m * weight_of_k(gid, q, k) ** h
+                  for k, m in charsums.kloosterman_histogram(ctx))
     if h == 0:
         lhs += 1  # the zero codeword contributes 0^0 = 1
     rhs = _pless_sum(prefix, group_order(gid, q), ctx.r, h)

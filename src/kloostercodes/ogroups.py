@@ -134,15 +134,24 @@ def satisfies_relation(ctx, w, n: int) -> bool:
 
 
 def _so2_elements(ctx):
-    eps = ctx.epsilon
-    out = []
-    for a in range(ctx.q):
-        aa = ctx.mul(a, a)
-        for b in range(ctx.q):
-            if ctx.sub(aa, ctx.mul(eps, ctx.mul(b, b))) == 1:
-                out.append((a, ctx.mul(b, eps), b, a))
-    out.sort()
-    return out
+    """The q + 1 matrices (a, eps b; b, a) with a^2 - eps b^2 = 1, ascending.
+
+    For each a, b^2 = (a^2 - 1)/eps has the root b = 0 when a^2 = 1, the two
+    roots +-g^(l/2) when (a^2 - 1)/eps = g^l with l even, and none otherwise;
+    the log tables find them for every a at once."""
+    q, eps = ctx.q, ctx.epsilon
+    a = np.arange(q)
+    rhs = ctx._mul_vec(ctx.inv(eps), ctx._sq_minus_one())
+    zero = rhs == 0
+    rooted = ~zero & (ctx._np_log[rhs] % 2 == 0)
+    root = ctx._np_exp[ctx._np_log[rhs[rooted]] // 2]
+    a_col = np.concatenate([a[zero], a[rooted], a[rooted]])
+    b_col = np.concatenate([np.zeros(np.count_nonzero(zero), dtype=np.int64),
+                            root, ctx._np_neg[root]])
+    be_col = ctx._mul_vec(eps, b_col)
+    order = np.lexsort((be_col, a_col))
+    rows = np.stack([a_col, be_col, b_col, a_col], axis=1)[order]
+    return [tuple(w) for w in rows.tolist()]
 
 
 def _o2_elements(ctx):
@@ -236,18 +245,20 @@ class GroupEnumeration:
 def enumerate_group(ctx, gid: GroupId, *,
                     ops_limit: int = charsums.DEFAULT_OPS_LIMIT) -> GroupEnumeration:
     """All elements of the group in canonical (ascending row-major) order,
-    with their trace histogram.  SO-(2, q) and O-(2, q) scan the q^2 pairs
-    (a, b); SO-(4, q) is searched exhaustively by a hash join of 32 q^8
-    operations, feasible only at q = 3 under the default limit.  The result
-    is kept on ctx, and the limit is checked before it is looked up."""
+    with their trace histogram.  SO-(2, q) and O-(2, q) solve for b at every
+    a through the log tables; SO-(4, q) is searched exhaustively by a hash
+    join of 32 q^8 operations, feasible only at q = 3 under the default
+    limit.  The result is kept on ctx, and the limit is checked before it is
+    looked up."""
     q = ctx.q
     if gid is GroupId.SO4:
         admit("enumerating SO-(4,%d) (a hash join of two q^8-row key tables of 16 "
               "entries, 32 q^8; histogram_closed_form gives the histogram for every q)"
               % q, 32 * q ** 8, ops_limit)
     elif gid in (GroupId.SO2, GroupId.O2):
-        admit("enumerating %s(%d) (a scan of q^2 pairs; histogram_closed_form gives "
-              "the histogram for every q)" % (gid.value, q), q * q, ops_limit)
+        admit("enumerating %s(%d) (one digitwise pass over the q values of a, q*r + q; "
+              "histogram_closed_form gives the histogram for every q)" % (gid.value, q),
+              q * ctx.r + q, ops_limit)
     else:
         raise DomainError("unknown group %r" % (gid,))
     hit = ctx._enumerations.get(gid)
@@ -283,9 +294,15 @@ def histogram_closed_form(ctx, gid: GroupId, *, ops_limit: int = charsums.DEFAUL
             # trace-zero coset of SO-(2,q) lands here
             counts[0] = q + 1 if ctx.r % 2 == 0 else q + 3
     else:
+        # q^2 (q^3 + q^2 + q - 3 - delta(2; beta)), and q^2 (q^2 + 2q - 3 -
+        # delta(2; 0)) at beta = 0: the inner term in int64 while q^3 < 2^62,
+        # then one Python-int product per entry, since the counts pass 2^63
+        # from r = 7 on
         d2 = charsums.delta_count(ctx, 2, ops_limit=ops_limit).values
-        counts = [-q * q * d + q ** 5 + q ** 4 + q ** 3 - 3 * q * q for d in d2]
-        counts[0] = -q * q * d2[0] + q ** 4 + 2 * q ** 3 - 3 * q * q
+        dtype = np.int64 if q ** 3 < 2 ** 62 else object
+        inner = q ** 3 + q * q + q - 3 - np.array(d2, dtype=dtype)
+        inner[0] -= q ** 3 - q
+        counts = [q * q * x for x in inner.tolist()]
     hist = TraceHistogram(tuple(counts))
     expected = group_order(gid, q)
     if hist.total != expected:

@@ -7,13 +7,18 @@ O(q^2 j^3) big-integer steps and is kept as an oracle for small fields.
 coordinate pairs, as the pair scan does on the trace vector itself.
 `delta_convolution` and `kloosterman_per_a` are the O(q^2) loops that the
 library's delta and K tables used before the radix-3 transform replaced them;
-neither reads a library character sum.
+neither reads a library character sum.  `field_tables_reference` is the
+Python-list construction of a field's tables that `FieldContext` used before
+it built them with numpy.
 """
+
+import math
 
 import numpy as np
 
 from kloostercodes import ConsistencyError, DomainError, trinomial
 from kloostercodes.codes import WeightPrefix
+from kloostercodes.gf3r import _poly_mod, _poly_trim
 
 
 def kloosterman_per_a(ctx) -> list:
@@ -114,3 +119,114 @@ def pair_counts(hist, ctx):
     same = sum(c * (c - 1) // 2 for c in n)
     opposite = n[0] * (n[0] - 1) // 2 + sum(n[b] * n[ctx.neg(b)] for b in range(1, ctx.q)) // 2
     return (1, 2 * n[0], 2 * same + 2 * opposite)
+
+
+def _poly_mul(a, b):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] = (out[i + j] + x * y) % 3
+    return _poly_trim(out)
+
+
+def _raw_mul(modulus, x: int, y: int) -> int:
+    """x y by polynomial arithmetic on the base-3 digits of the indices."""
+    def to_poly(v):
+        out = []
+        while v:
+            out.append(v % 3)
+            v //= 3
+        return out
+
+    idx = 0
+    for c in reversed(_poly_mod(_poly_mul(to_poly(x), to_poly(y)), modulus)):
+        idx = idx * 3 + c
+    return idx
+
+
+def _raw_pow(modulus, x: int, e: int) -> int:
+    out = 1
+    while e:
+        if e & 1:
+            out = _raw_mul(modulus, out, x)
+        x = _raw_mul(modulus, x, x)
+        e >>= 1
+    return out
+
+
+def field_tables_reference(ctx) -> dict:
+    """Every table `FieldContext` builds, by Python-list loops.
+
+    Reads only the modulus of ctx and its digit-loop `add`, and multiplies
+    by polynomial arithmetic: the generator is the least g with
+    g^((q-1)/p) != 1 for every prime p dividing q - 1, found among all
+    p < q; the chain 1, g, g^2, ... grows in doubling blocks, multiplying by
+    g^k through the digits of g^k x^i; the trace of each basis power x^i is
+    the sum of its r conjugates.
+    """
+    q, r, modulus = ctx.q, ctx.r, ctx.modulus
+    idx = np.arange(q)
+    digits = np.zeros((q, r), dtype=np.int8)
+    for i in range(r):
+        digits[:, i] = (idx // 3 ** i) % 3
+    pow3 = (3 ** np.arange(r)).astype(np.int64)
+
+    primes = [p for p in range(2, q) if (q - 1) % p == 0
+              and all(p % d for d in range(2, math.isqrt(p) + 1))]
+    g = next(g for g in range(2, q)
+             if all(_raw_pow(modulus, g, (q - 1) // p) != 1 for p in primes))
+    chain, step = np.ones(1, dtype=np.int64), g
+    while len(chain) < q - 1:
+        mat = digits[[_raw_mul(modulus, step, 3 ** i) for i in range(r)]].astype(np.int64)
+        chain = np.concatenate([chain, (digits[chain] @ mat) % 3 @ pow3])
+        step = _raw_mul(modulus, step, step)
+    exp = chain[:q - 1].tolist()
+    assert len(set(exp)) == q - 1
+    log = [0] * q
+    for i, v in enumerate(exp):
+        log[v] = i
+    inv = [0] * q
+    for x in range(1, q):
+        inv[x] = exp[(q - 1 - log[x]) % (q - 1)]
+
+    basis_tr = []
+    for i in range(r):
+        t, z = 0, 3 ** i
+        for _ in range(r):
+            t = ctx.add(t, z)
+            z = _raw_mul(modulus, _raw_mul(modulus, z, z), z)
+        basis_tr.append(t)
+    trace = ((digits.astype(np.int64) @ np.array(basis_tr, dtype=np.int64)) % 3).astype(np.int8)
+
+    squares = sorted(exp[i] for i in range(0, q - 1, 2))
+    is_square = [False] * q
+    for s in squares:
+        is_square[s] = True
+
+    def mul_vec(a, arr):
+        out = np.zeros_like(arr)
+        nz = arr != 0
+        out[nz] = np.array(exp)[(np.array(log)[arr[nz]] + log[a]) % (q - 1)]
+        return out
+
+    return {
+        "_digits": digits,
+        "_pow3": pow3,
+        "_exp": exp,
+        "_log": log,
+        "_inv": inv,
+        "_trace": trace,
+        "_squares": tuple(squares),
+        "_is_square": is_square,
+        "epsilon": next(x for x in range(1, q) if not is_square[x]),
+        "_np_exp": np.array(exp, dtype=np.int64),
+        "_np_log": np.array(log, dtype=np.int64),
+        "_np_inv": np.array(inv, dtype=np.int64),
+        "_np_squares": np.array(squares, dtype=np.int64),
+        "_np_neg": (-digits.astype(np.int64) % 3) @ pow3,
+        "_functional": sum(trace[mul_vec(3 ** k, idx)].astype(np.int64) * 3 ** k
+                           for k in range(r)),
+    }

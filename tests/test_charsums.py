@@ -14,7 +14,11 @@ from kloostercodes import (
     omega_reduce,
     sk_moment,
 )
-from kloostercodes.charsums import _kloosterman_table, kloosterman_on_squares
+from kloostercodes.charsums import (
+    _kloosterman_table,
+    kloosterman_histogram,
+    kloosterman_on_squares,
+)
 
 from oracles import delta_convolution, kloosterman_per_a
 
@@ -261,6 +265,39 @@ def test_corrupted_kloosterman_table_is_detected(monkeypatch, shift):
         kloosterman_on_squares(ctx)
     with pytest.raises(ConsistencyError):
         sk_moment(ctx, 2)
+
+
+@pytest.mark.parametrize("skew, message", [
+    (1, "not -1 mod 3"),  # off by 1 at a square
+    (3 * 81, "Weil bound"),  # still -1 mod 3, far beyond 2 sqrt(q)
+])
+def test_corrupted_kloosterman_values_are_detected(monkeypatch, skew, message):
+    ctx = field_create(4)
+    a = ctx.squares()[3]
+    real = ctx.transform
+
+    def skewed(a_part, b_part):
+        big_a, big_b = real(a_part, b_part)
+        big_a[ctx._functional[a]] += skew
+        return big_a, big_b
+
+    monkeypatch.setattr(ctx, "transform", skewed)
+    with pytest.raises(ConsistencyError, match=message):
+        sk_moment(ctx, 2)
+    with pytest.raises(ConsistencyError, match=message):
+        kloosterman_histogram(ctx)
+
+
+@pytest.mark.parametrize("r", range(1, 9))
+def test_sk_moments_match_per_square_powers(r):
+    ctx = field_create(r)
+    values = kloosterman_on_squares(ctx)
+    histogram = kloosterman_histogram(ctx)
+    assert sorted(set(values)) == [k for k, _ in histogram]
+    # the values are -1 mod 3 and at most isqrt(4q) in modulus
+    assert len(histogram) <= 2 * math.isqrt(4 * ctx.q) // 3 + 1
+    for h in range(1, 21):
+        assert sk_moment(ctx, h) == sum(k ** h for k in values)
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])

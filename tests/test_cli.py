@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kloostercodes.cli import run_command
+from kloostercodes.cli import ENV_PREFIX, run_command
 
 from test_golden import GOLDEN
 
@@ -240,8 +240,8 @@ _PARITY_JOBS = [
     ("moments direct --r 2 --h 3", 27),
     ("moments recursive --r 2 --code so4 --h 2", 54),
     ("weights --code o2 --r 2 --max-j 3", 18 + 4 * 16),  # 4 distinct weights
-    ("groups enumerate --r 2 --group so2", 81),
-    ("groups dump --r 1 --group o2", 9),
+    ("groups enumerate --r 2 --group so2", 27),
+    ("groups dump --r 1 --group o2", 6),
     ("gauss --r 2 --group o2 --a 3", 27),
     ("verify --r 1 --h-max 2", 3 + 2 * 9),  # the so4 prefix, 2 distinct weights
 ]
@@ -266,6 +266,25 @@ def test_limit_env_and_flag_agree(job, offset, fmt):
     by_flag = _run_captured(argv + ["--limit-ops", n], {})
     assert by_env == by_flag
     assert (by_flag[0] == 0) == (int(n) >= estimate)
+
+
+_MODE_JOBS = ["moments direct --h 2", "moments recursive --code so4 --h 2",
+              "groups enumerate --group so2", "groups dump --group o2"]
+_COMMON_FLAGS = ["--r 2", "--format csv", "--limit-ops 10", "--poly 1,0,1"]
+
+
+@settings(max_examples=25, deadline=None)
+@given(job=st.sampled_from(_MODE_JOBS), flag=st.sampled_from(_COMMON_FLAGS))
+def test_flags_before_the_mode_are_rejected(job, flag):
+    # a common flag belongs to the mode: after it, it acts as its environment
+    # variable does; before it, it is a usage error, never silently dropped
+    command, mode, *rest = job.split()
+    name, value = flag.split()
+    before = _run_captured([command, name, value, mode, *rest], {})
+    assert before[0] == 2 and before[1] == ""
+    after = _run_captured([command, mode, *rest, name, value], {})
+    by_env = _run_captured(job.split(), {ENV_PREFIX + name[2:].upper().replace("-", "_"): value})
+    assert after == by_env
 
 
 @pytest.mark.parametrize("r", [6, 7, 8])

@@ -14,6 +14,7 @@ from kloostercodes import (
     enumerate_group,
     field_create,
     histogram_closed_form,
+    recursive_moments,
     weight_prefix,
     weight_prefix_bruteforce,
 )
@@ -229,6 +230,23 @@ def test_prefix_never_reads_kloosterman(monkeypatch, f27):
         monkeypatch.setattr(target, forbidden)
     for gid in GroupId:
         assert weight_prefix(histogram_closed_form(f27, gid), f27, 10) == expected[gid]
+
+
+def test_recursion_never_reads_the_k_table_or_its_histogram(monkeypatch, f27):
+    # the whole pipeline histogram -> prefix -> chain, on a fresh context,
+    # reads neither the K table nor its value histogram, which the direct side reads
+    expected = {gid: recursive_moments(f27, gid, 10) for gid in GroupId}
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the recursion side read the K table")
+
+    for target in ("kloostercodes.charsums._kloosterman_table",
+                   "kloostercodes.charsums.kloosterman_histogram",
+                   "kloostercodes.charsums.kloosterman", "kloostercodes.codes.kloosterman",
+                   "kloostercodes.kloosterman", "kloostercodes.charsums.kloosterman_on_squares"):
+        monkeypatch.setattr(target, forbidden)
+    for gid in GroupId:
+        assert recursive_moments(field_create(3), gid, 10) == expected[gid]
 
 
 def test_prefix_work_limit(f27):

@@ -14,6 +14,7 @@ from kloostercodes import (
     load_modulus_config,
 )
 from kloostercodes.gf3r import DEFAULT_MODULI, _is_irreducible, format_poly
+from oracles import field_tables_reference
 
 
 def test_default_contexts_construct():
@@ -119,6 +120,37 @@ def test_log_tables_use_the_least_generator(r, modulus):
     # x has order (q - 1) / gcd(log x, q - 1): every candidate below g falls short
     g = ctx._exp[1]
     assert all(math.gcd(ctx._log[x], ctx.q - 1) > 1 for x in range(2, g))
+
+
+def _first_irreducibles(r, count):
+    """The first `count` monic irreducibles of degree r in index order."""
+    out = []
+    for idx in range(3 ** r):
+        modulus = tuple((idx // 3 ** k) % 3 for k in range(r)) + (1,)
+        if _is_irreducible(modulus):
+            out.append(modulus)
+            if len(out) == count:
+                break
+    return out
+
+
+@pytest.mark.parametrize("r", range(1, 9))
+def test_tables_match_the_list_reference(r):
+    # the default modulus comes first in index order; r = 1 has only three
+    moduli = _first_irreducibles(r, 4)
+    assert moduli[0] == DEFAULT_MODULI[r]
+    for modulus in moduli:
+        ctx = field_create(r, modulus)
+        for name, want in field_tables_reference(ctx).items():
+            got = getattr(ctx, name)
+            assert type(got) is type(want), (modulus, name)
+            if isinstance(want, np.ndarray):
+                assert got.dtype == want.dtype, (modulus, name)
+                assert np.array_equal(got, want), (modulus, name)
+            else:
+                assert got == want, (modulus, name)
+                if isinstance(want, (list, tuple)):
+                    assert {type(x) for x in got} == {type(x) for x in want}, (modulus, name)
 
 
 def _digits(x, r):

@@ -7,6 +7,7 @@ from kloostercodes import (
     ConsistencyError,
     DomainError,
     GroupId,
+    codeword_weight_formula,
     field_create,
     histogram_closed_form,
     pless_check,
@@ -117,10 +118,19 @@ def f6561():
 
 @pytest.mark.parametrize("gid", [GroupId.SO2, GroupId.O2, GroupId.SO4])
 def test_pless_at_the_largest_shipped_field(f6561, gid):
-    # the left side reads every K(a^2) off the one K table, under the default limit
+    # the left side sums over the value histogram of the one K table, under the default limit
     chk = pless_check(f6561, gid, 2)
     assert chk.match
     assert chk.lhs > 0
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+def test_pless_lhs_matches_the_per_a_weight_sum(r):
+    ctx = field_create(r)
+    for gid in GroupId:
+        weights = [codeword_weight_formula(ctx, gid, a) for a in range(1, ctx.q)]
+        for h in range(7):
+            assert pless_check(ctx, gid, h).lhs == sum(w ** h for w in weights) + (h == 0)
 
 
 def test_pless_and_verify_honour_ops_limit(f27):

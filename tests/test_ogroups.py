@@ -176,8 +176,8 @@ def test_so4_refusal_survives_a_cached_enumeration():
 
 
 @pytest.mark.parametrize("gid, cost", [
-    (GroupId.SO2, 9 * 9),  # q^2 pairs (a, b)
-    (GroupId.O2, 9 * 9),
+    (GroupId.SO2, 9 * 2 + 9),  # one digitwise pass over the q values of a, q r + q
+    (GroupId.O2, 9 * 2 + 9),
     (GroupId.SO4, 32 * 3 ** 8),  # two q^8-row key tables of 16 entries, at q = 3
 ])
 def test_enumeration_cost_estimates_admit_themselves(gid, cost):
@@ -186,6 +186,17 @@ def test_enumeration_cost_estimates_admit_themselves(gid, cost):
         enumerate_group(ctx, gid, ops_limit=cost - 1)
     assert "about %d operations" % cost in str(exc.value)
     assert len(enumerate_group(ctx, gid, ops_limit=cost).elements) == group_order(gid, ctx.q)
+
+
+@pytest.mark.parametrize("r", [7, 8])
+def test_rank2_enumeration_at_the_largest_shipped_fields(r):
+    # one pass over a, admitted by the default limit
+    ctx = field_create(r)
+    for gid in (GroupId.SO2, GroupId.O2):
+        enum = enumerate_group(ctx, gid)
+        assert len(enum.elements) == group_order(gid, ctx.q)
+        assert list(enum.elements) == sorted(set(enum.elements))
+        assert enum.histogram == histogram_closed_form(ctx, gid)
 
 
 def test_enumerated_elements_are_python_ints(f3, f9):
