@@ -3,23 +3,16 @@ the ternary codes of the minus-type orthogonal groups."""
 
 from .charsums import (
     DeltaTable,
-    OmegaSum,
     delta_count,
     kloosterman,
-    omega_reduce,
     sk_moment,
 )
 from .codes import (
-    CodeSpec,
     WeightPrefix,
-    build_code_spec,
-    codeword_weight,
     codeword_weight_formula,
-    dual_codeword,
     weight_prefix,
-    weight_prefix_bruteforce,
 )
-from .combinat import stirling2, trinomial
+from .combinat import stirling2
 from .errors import (
     CapacityError,
     ConsistencyError,
@@ -29,13 +22,11 @@ from .errors import (
 )
 from .gauss import (
     GaussSumRequest,
-    b_r_closed,
     gauss_sum_closed,
-    gauss_sum_enumerated,
     kloosterman_gl,
     q_binomial,
 )
-from .gf3r import FieldContext, field_create, field_ops, load_modulus_config
+from .gf3r import FieldContext, field_create, load_modulus_config
 from .moments import (
     MomentReport,
     PlessCheck,

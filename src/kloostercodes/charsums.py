@@ -1,8 +1,8 @@
 """Additive character sums over GF(3^r), exactly.
 
 Every sum of values of the canonical character x -> omega^{tr(x)}
-(omega a primitive cube root of unity) is tracked as an integer
-combination of 1, omega, omega^2 and reduced through omega^2 = -1 - omega.
+(omega a primitive cube root of unity) is carried exactly as A + B omega
+with integer A, B, through omega^2 = -1 - omega.
 Kloosterman sums, their power moments over the square arguments, and the
 solution counts delta(m, q; beta) of x_1 + 1/x_1 + ... + x_m + 1/x_m = beta
 all come out as exact (big) integers.
@@ -31,42 +31,6 @@ from .errors import ConsistencyError, DomainError, admit
 # one or two radix-3 transforms; this default admits them, and the weight
 # prefix, for every field with a shipped modulus (r <= 8).
 DEFAULT_OPS_LIMIT = 5_000_000
-
-
-@dataclass(frozen=True)
-class OmegaSum:
-    """n0 + n1*omega + n2*omega^2 with integer coefficients."""
-
-    n0: int = 0
-    n1: int = 0
-    n2: int = 0
-
-    def reduce(self):
-        """Canonical form A + B*omega."""
-        return (self.n0 - self.n2, self.n1 - self.n2)
-
-    @property
-    def is_real(self) -> bool:
-        return self.n1 == self.n2
-
-    def value(self) -> int:
-        """The integer value; valid only for real sums."""
-        a, b = self.reduce()
-        if b != 0:
-            raise ConsistencyError(
-                "character sum %r is not real (reduced to %d + %d*omega)" % (self, a, b)
-            )
-        return a
-
-    def __add__(self, other):
-        return OmegaSum(self.n0 + other.n0, self.n1 + other.n1, self.n2 + other.n2)
-
-
-def omega_reduce(n0: int, n1: int, n2: int):
-    """Reduce nonnegative counts of omega^0, omega^1, omega^2 to (A, B)."""
-    if n0 < 0 or n1 < 0 or n2 < 0:
-        raise DomainError("omega_reduce takes nonnegative counts")
-    return OmegaSum(n0, n1, n2).reduce()
 
 
 def _kloosterman_table(ctx, ops_limit: int = DEFAULT_OPS_LIMIT):

@@ -108,8 +108,14 @@ def _build_parser():
 def _make_ctx(args):
     poly = args.poly
     if poly is None and args.poly_file:
-        table = load_modulus_config(args.poly_file)
-        poly = table.get(args.r)
+        try:
+            table = load_modulus_config(args.poly_file)
+        except (OSError, DomainError) as exc:  # unreadable or malformed
+            raise DomainError("--poly-file: %s" % exc) from None
+        if args.r not in table:
+            raise DomainError("--poly-file %s has no modulus for r=%d (entries: %s)"
+                              % (args.poly_file, args.r, sorted(table) or "none"))
+        poly = table[args.r]
     return field_create(args.r, poly)
 
 
@@ -154,6 +160,8 @@ def _cmd_kloosterman(args):
 
 
 def _cmd_moments(args):
+    if args.h < 0:
+        raise DomainError("--h must be nonnegative, got %d" % args.h)
     ctx = _make_ctx(args)
     if args.mode == "direct":
         vals = [moments.sk_initial(ctx.q)] + [

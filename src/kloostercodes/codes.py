@@ -8,7 +8,8 @@ alone: one radix-3 transform of the histogram gives every dual weight, and
 the MacWilliams identity turns the few distinct dual weights into the low
 weight counts of the code.  They remain available when the group itself is
 far too large to enumerate, and nothing here reads a Kloosterman sum except
-the closed weight formula.  Brute-force scans act as oracles.
+the closed weight formula.  The codes word by word (dual words, counted
+weights, full and pair scans) are test oracles in tests/oracles.py.
 """
 
 from collections import Counter
@@ -19,36 +20,7 @@ import numpy as np
 
 from .charsums import DEFAULT_OPS_LIMIT, kloosterman
 from .errors import ConsistencyError, DomainError, admit
-from .ogroups import GroupId, TraceHistogram, enumerate_group, mat_trace
-
-
-@dataclass(frozen=True)
-class CodeSpec:
-    """A concrete code instance: the group, its field, and the trace vector
-    fixing the coordinate order."""
-
-    group: GroupId
-    ctx: object
-    trace_vector: tuple
-
-    @property
-    def length(self) -> int:
-        return len(self.trace_vector)
-
-
-def build_code_spec(ctx, gid: GroupId, *, ops_limit: int = DEFAULT_OPS_LIMIT) -> CodeSpec:
-    enum = enumerate_group(ctx, gid, ops_limit=ops_limit)
-    dim = gid.dim
-    traces = tuple(mat_trace(ctx, w, dim) for w in enum.elements)
-    return CodeSpec(gid, ctx, traces)
-
-
-def dual_codeword(spec: CodeSpec, a: int):
-    """The dual word (tr(a t_1), ..., tr(a t_N)); a = 0 gives the zero word."""
-    ctx = spec.ctx
-    if not 0 <= a < ctx.q:
-        raise DomainError("a must be an element index, got %r" % (a,))
-    return tuple(ctx.trace(ctx.mul(a, t)) for t in spec.trace_vector)
+from .ogroups import GroupId, TraceHistogram
 
 
 def weight_form(gid: GroupId, q: int):
@@ -78,18 +50,6 @@ def codeword_weight_formula(ctx, gid: GroupId, a: int) -> int:
     if not 0 < a < ctx.q:
         raise DomainError("a must be a nonzero element")
     return weight_of_k(gid, ctx.q, kloosterman(ctx, ctx.mul(a, a)))
-
-
-def codeword_weight(spec: CodeSpec, a: int, mode: str = "direct") -> int:
-    """Weight of the dual word, either counted from the word itself or via
-    the closed formula; the two must agree."""
-    if not 0 < a < spec.ctx.q:
-        raise DomainError("a must be a nonzero element")
-    if mode == "direct":
-        return sum(1 for c in dual_codeword(spec, a) if c)
-    if mode == "formula":
-        return codeword_weight_formula(spec.ctx, spec.group, a)
-    raise DomainError("mode must be 'direct' or 'formula'")
 
 
 @dataclass(frozen=True)
@@ -164,49 +124,3 @@ def weight_prefix(hist: TraceHistogram, ctx, j_max: int, *,
     if counts[0] != 1:
         raise ConsistencyError("weight-0 count must be 1, got %r" % (counts[0],))
     return WeightPrefix(j_max, tuple(counts) + (0,) * (j_max - top))
-
-
-def _full_scan(spec: CodeSpec, j_max: int) -> WeightPrefix:
-    ctx = spec.ctx
-    n = spec.length
-    vd = ctx._digits[np.array(spec.trace_vector)].astype(np.int64)  # (n, r)
-    totals = np.zeros(n + 1, dtype=np.int64)
-    chunk_digits = min(n, 9)
-    tail = 3 ** chunk_digits
-    pow3 = 3 ** np.arange(n)
-    tail_idx = np.arange(tail)
-    for head in range(3 ** (n - chunk_digits)):
-        idx = head * tail + tail_idx
-        u = (idx[:, None] // pow3[None, :]) % 3  # (tail, n), digits of u
-        dots = (u @ vd) % 3
-        mask = ~dots.any(axis=1)
-        weights = np.count_nonzero(u[mask], axis=1)
-        totals += np.bincount(weights, minlength=n + 1)
-    upto = min(j_max, n)
-    return WeightPrefix(j_max, tuple(int(t) for t in totals[: upto + 1]) + (0,) * (j_max - upto))
-
-
-def _pair_scan(spec: CodeSpec, j_max: int) -> WeightPrefix:
-    ctx = spec.ctx
-    v = np.array(spec.trace_vector)
-    neg = np.array([ctx.neg(int(x)) for x in spec.trace_vector])
-    counts = [1]
-    if j_max >= 1:
-        counts.append(2 * int(np.count_nonzero(v == 0)))
-    if j_max >= 2:
-        same = np.triu(v[None, :] == v[:, None], 1).sum()
-        negated = np.triu(v[None, :] == neg[:, None], 1).sum()
-        counts.append(2 * int(same) + 2 * int(negated))
-    return WeightPrefix(j_max, tuple(counts))
-
-
-def weight_prefix_bruteforce(spec: CodeSpec, j_max: int, *, ops_limit: int = DEFAULT_OPS_LIMIT) -> WeightPrefix:
-    """Oracle counts: a full 3^N scan when it fits the limit, else a literal
-    scan over coordinate pairs for j_max <= 2."""
-    if j_max < 0:
-        raise DomainError("j_max must be nonnegative")
-    if j_max <= 2 and 3 ** spec.length > ops_limit:
-        return _pair_scan(spec, j_max)
-    admit("brute-force weights up to j=%d (a 3^%d scan; the pair scan covers j <= 2)"
-          % (j_max, spec.length), 3 ** spec.length, ops_limit)
-    return _full_scan(spec, j_max)

@@ -1,21 +1,4 @@
-"""Exact combinatorial helpers used by the weight-distribution and moment code."""
-
-from math import comb
-
-
-def trinomial(c: int, a: int, b: int) -> int:
-    """Trinomial coefficient c!/(a! b! (c-a-b)!), with the convention that
-    it vanishes whenever a + b > c.
-
-    Valid for arbitrarily large c (the group-class sizes run to q^5 and
-    beyond); only O(a + b) multiplications are performed.
-    """
-    if a < 0 or b < 0 or c < 0:
-        raise ValueError("trinomial arguments must be nonnegative")
-    if a + b > c:
-        return 0
-    return comb(c, a) * comb(c - a, b)
-
+"""Exact combinatorial helpers used by the moment code."""
 
 _STIRLING_ROWS = [[1]]  # row h holds S(h, 0..h)
 

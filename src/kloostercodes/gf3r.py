@@ -367,43 +367,35 @@ def field_create(r: int, modulus=None) -> FieldContext:
     return FieldContext(r, modulus)
 
 
-def field_ops(ctx: FieldContext, op: str, *operands):
-    """Dispatch a named field operation: add, mul, neg, inv, pow, sub, trace."""
-    table = {
-        "add": ctx.add,
-        "sub": ctx.sub,
-        "mul": ctx.mul,
-        "neg": ctx.neg,
-        "inv": ctx.inv,
-        "pow": ctx.pow,
-        "trace": ctx.trace,
-    }
-    if op not in table:
-        raise DomainError("unknown field operation %r" % (op,))
-    return table[op](*operands)
-
-
 def load_modulus_config(path) -> dict:
     """Read a modulus table mapping r -> coefficient list (low degree first).
 
     Accepts JSON ({"2": [1, 0, 1], ...}) or plain text lines of the form
-    "r: c0 c1 ... cr" (colon optional).  Returned coefficients are not yet
-    validated; FieldContext performs the irreducibility check.
+    "r: c0 c1 ... cr" (colon optional, "#" starts a comment).  An entry that
+    is not an integer r with integer coefficients raises DomainError naming
+    the file and the entry; undecodable bytes read as U+FFFD and so fail
+    there too.  FieldContext then checks the degree and irreducibility.
     """
-    text = open(path).read()
-    out = {}
+    with open(path, errors="replace") as fh:
+        text = fh.read()
     try:
         data = json.loads(text)
     except ValueError:
         data = None
     if isinstance(data, dict):
-        for k, v in data.items():
-            out[int(k)] = tuple(int(c) for c in v)
-        return out
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].replace(":", " ").strip()
-        if not line:
-            continue
-        parts = line.split()
-        out[int(parts[0])] = tuple(int(c) for c in parts[1:])
+        entries = [("entry %r" % (k,), k, v) for k, v in data.items()]
+    else:
+        entries = []
+        for num, line in enumerate(text.splitlines(), 1):
+            fields = line.split("#", 1)[0].replace(":", " ").split()
+            if fields:
+                entries.append(("line %d %r" % (num, line[:80]), fields[0], fields[1:]))
+    out = {}
+    for label, r, coeffs in entries:
+        try:
+            # through str, so a JSON 1.5 or true is refused, not truncated
+            out[int(str(r))] = tuple(int(str(c)) for c in coeffs)
+        except (TypeError, ValueError):
+            raise DomainError("%s, %s: expected r followed by integer coefficients"
+                              % (path, label)) from None
     return out

@@ -8,14 +8,13 @@ code: SK^h on the rank-2 codes (e = 1) and SK^{2h} on the rank-4 code
 (e = 2).  All arithmetic is in integers; every division is asserted exact.
 """
 
-import json
 import time
 from dataclasses import dataclass, field
 from math import comb, factorial
 
 from . import charsums
 from .codes import weight_form, weight_of_k, weight_prefix
-from .combinat import stirling2, trinomial  # noqa: F401  (re-exported helpers)
+from .combinat import stirling2
 from .errors import ConsistencyError, DomainError
 from .ogroups import GroupId, group_order, histogram_closed_form
 
@@ -172,9 +171,6 @@ class MomentReport:
         if include_timing:
             out["elapsed_ms"] = round(self.elapsed_ms, 3)
         return out
-
-    def to_json(self, include_timing: bool = False) -> str:
-        return json.dumps(self.to_dict(include_timing), sort_keys=True)
 
 
 def verify_report(ctx, h_max: int, *, ops_limit: int = charsums.DEFAULT_OPS_LIMIT):

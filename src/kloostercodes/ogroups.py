@@ -66,21 +66,6 @@ class TraceHistogram:
 
 # -- matrix helpers (flat row-major tuples of element indices) --------------
 
-def mat_mul(ctx, a, b, dim: int):
-    out = []
-    for i in range(dim):
-        for j in range(dim):
-            s = 0
-            for k in range(dim):
-                s = ctx.add(s, ctx.mul(a[i * dim + k], b[k * dim + j]))
-            out.append(s)
-    return tuple(out)
-
-
-def mat_transpose(a, dim: int):
-    return tuple(a[j * dim + i] for i in range(dim) for j in range(dim))
-
-
 def mat_trace(ctx, a, dim: int) -> int:
     t = 0
     for i in range(dim):
@@ -109,11 +94,6 @@ def mat_det(ctx, a, dim: int) -> int:
     return det(rows)
 
 
-def delta_eps(ctx):
-    """diag(1, -eps), the 2x2 block of the defining form."""
-    return (1, 0, 0, ctx.neg(ctx.epsilon))
-
-
 def j_form(ctx, n: int):
     """The defining 2n x 2n symmetric form, flat row-major."""
     dim = 2 * n
@@ -124,13 +104,6 @@ def j_form(ctx, n: int):
     m[(dim - 2) * dim + (dim - 2)] = 1
     m[(dim - 1) * dim + (dim - 1)] = ctx.neg(ctx.epsilon)
     return tuple(m)
-
-
-def satisfies_relation(ctx, w, n: int) -> bool:
-    """Whether transpose(w) . J . w == J."""
-    dim = 2 * n
-    j = j_form(ctx, n)
-    return mat_mul(ctx, mat_mul(ctx, mat_transpose(w, dim), j, dim), w, dim) == j
 
 
 def _so2_elements(ctx):

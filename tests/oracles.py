@@ -4,21 +4,71 @@
 library used before the MacWilliams transform replaced it; it costs
 O(q^2 j^3) big-integer steps and is kept as an oracle for small fields.
 `pair_counts` reads C_1 and C_2 off the trace histogram by counting
-coordinate pairs, as the pair scan does on the trace vector itself.
+coordinate pairs, as `pair_scan` does on the trace vector itself.
 `delta_convolution` and `kloosterman_per_a` are the O(q^2) loops that the
 library's delta and K tables used before the radix-3 transform replaced them;
 neither reads a library character sum.  `field_tables_reference` is the
 Python-list construction of a field's tables that `FieldContext` used before
 it built them with numpy.
+
+The rest are brute-force counterparts of the pipeline that the library never
+calls: character sums counted in `OmegaSum`, the literal sums b_r, K_GL and
+the group character sums, the defining relation, and the group codes word by
+word (`CodeSpec`, with the full 3^N and pair scans of the weight prefix).
 """
 
+import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from kloostercodes import ConsistencyError, DomainError, trinomial
+from kloostercodes import ConsistencyError, DomainError, GroupId, enumerate_group
+from kloostercodes.charsums import DEFAULT_OPS_LIMIT
 from kloostercodes.codes import WeightPrefix
+from kloostercodes.errors import admit
+from kloostercodes.gauss import _odd_power_product
 from kloostercodes.gf3r import _poly_mod, _poly_trim
+from kloostercodes.ogroups import j_form, mat_det, mat_trace
+
+
+@dataclass(frozen=True)
+class OmegaSum:
+    """n0 + n1*omega + n2*omega^2 with integer coefficients."""
+
+    n0: int = 0
+    n1: int = 0
+    n2: int = 0
+
+    def reduce(self):
+        """Canonical form A + B*omega."""
+        return (self.n0 - self.n2, self.n1 - self.n2)
+
+    def value(self) -> int:
+        """The integer value; valid only for real sums."""
+        a, b = self.reduce()
+        if b != 0:
+            raise ConsistencyError(
+                "character sum %r is not real (reduced to %d + %d*omega)" % (self, a, b)
+            )
+        return a
+
+    def __add__(self, other):
+        return OmegaSum(self.n0 + other.n0, self.n1 + other.n1, self.n2 + other.n2)
+
+
+def trinomial(c: int, a: int, b: int) -> int:
+    """Trinomial coefficient c!/(a! b! (c-a-b)!), with the convention that
+    it vanishes whenever a + b > c.
+
+    Valid for arbitrarily large c (the group-class sizes run to q^5 and
+    beyond); only O(a + b) multiplications are performed.
+    """
+    if a < 0 or b < 0 or c < 0:
+        raise ValueError("trinomial arguments must be nonnegative")
+    if a + b > c:
+        return 0
+    return math.comb(c, a) * math.comb(c - a, b)
 
 
 def kloosterman_per_a(ctx) -> list:
@@ -230,3 +280,202 @@ def field_tables_reference(ctx) -> dict:
         "_functional": sum(trace[mul_vec(3 ** k, idx)].astype(np.int64) * 3 ** k
                            for k in range(r)),
     }
+
+
+# -- gauss: literal sums for the closed forms ------------------------------
+
+def b_r_closed(r: int, q: int):
+    """Character sum over nonsingular symmetric r x r matrices paired with
+    r x 2 blocks against diag(1, -eps); independent of which nontrivial
+    character is used.  r = 0 gives the empty product 1."""
+    if r < 0:
+        raise DomainError("r must be nonnegative")
+    if r == 0:
+        return 1
+    if r % 2 == 0:
+        return q ** (r * (r + 6) // 4) * _odd_power_product(q, r // 2)
+    return -(q ** ((r * r + 4 * r - 1) // 4)) * _odd_power_product(q, (r + 1) // 2)
+
+
+def _symmetric_nonsingular(ctx, r: int):
+    """All nonsingular symmetric r x r matrices, as row-major tuples."""
+    out = []
+    pos = [(i, j) for i in range(r) for j in range(i, r)]
+    for vals in itertools.product(range(ctx.q), repeat=len(pos)):
+        m = [[0] * r for _ in range(r)]
+        for (i, j), v in zip(pos, vals):
+            m[i][j] = v
+            m[j][i] = v
+        flat = tuple(x for row in m for x in row)
+        if mat_det(ctx, flat, r) != 0:
+            out.append(flat)
+    return out
+
+
+def b_r_bruteforce(ctx, r: int, a: int = 1) -> int:
+    """Literal double sum defining b_r, with psi(x) = omega^{tr(ax)}.
+    Exponential in r; intended for r <= 2."""
+    if r < 1 or r > 3:
+        raise DomainError("brute-force b_r supported for 1 <= r <= 3")
+    if a == 0:
+        raise DomainError("psi must be nontrivial (a != 0)")
+    eps = ctx.epsilon
+    acc = [0, 0, 0]
+    for bmat in _symmetric_nonsingular(ctx, r):
+        rows = [bmat[i * r:(i + 1) * r] for i in range(r)]
+        for h in itertools.product(range(ctx.q), repeat=2 * r):
+            hcols = [h[0::2], h[1::2]]  # two columns, each of length r
+            # Tr(diag(1, -eps) h^T B h) = (h^T B h)_00 - eps (h^T B h)_11
+            vals = []
+            for c in range(2):
+                s = 0
+                for i in range(r):
+                    for j in range(r):
+                        s = ctx.add(s, ctx.mul(hcols[c][i], ctx.mul(rows[i][j], hcols[c][j])))
+                vals.append(s)
+            arg = ctx.sub(vals[0], ctx.mul(eps, vals[1]))
+            acc[ctx.trace(ctx.mul(a, arg))] += 1
+    return OmegaSum(*acc).value()
+
+
+def kloosterman_gl_bruteforce(ctx, t: int, a: int) -> int:
+    """sum over w in GL(t, q) of omega^{tr(Tr w + a Tr w^{-1})}; t <= 2."""
+    if not 0 < a < ctx.q:
+        raise DomainError("argument a must be a nonzero element")
+    if t == 0:
+        return 1
+    acc = [0, 0, 0]
+    if t == 1:
+        for w in range(1, ctx.q):
+            acc[(ctx.trace(w) + ctx.trace(ctx.mul(a, ctx.inv(w)))) % 3] += 1
+        return OmegaSum(*acc).value()
+    if t != 2:
+        raise DomainError("brute-force GL sum supported for t <= 2")
+    for m in itertools.product(range(ctx.q), repeat=4):
+        det = ctx.sub(ctx.mul(m[0], m[3]), ctx.mul(m[1], m[2]))
+        if det == 0:
+            continue
+        tr_w = ctx.add(m[0], m[3])
+        tr_inv = ctx.mul(ctx.inv(det), tr_w)  # adjugate: Tr w^{-1} = Tr w / det
+        acc[(ctx.trace(tr_w) + ctx.trace(ctx.mul(a, tr_inv))) % 3] += 1
+    return OmegaSum(*acc).value()
+
+
+def gauss_sum_enumerated(ctx, gid: GroupId, a: int, *, ops_limit: int = DEFAULT_OPS_LIMIT) -> int:
+    """The group character sum evaluated from the enumerated trace histogram,
+    sum_beta n(beta) omega^{tr(a beta)}."""
+    if not 0 < a < ctx.q:
+        raise DomainError("character scaling a must be a nonzero element")
+    hist = enumerate_group(ctx, gid, ops_limit=ops_limit).histogram
+    acc = [0, 0, 0]
+    for beta, count in enumerate(hist.counts):
+        if count:
+            acc[ctx.trace(ctx.mul(a, beta))] += count
+    return OmegaSum(*acc).value()
+
+
+# -- ogroups: the defining relation, by matrix products --------------------
+
+def mat_mul(ctx, a, b, dim: int):
+    out = []
+    for i in range(dim):
+        for j in range(dim):
+            s = 0
+            for k in range(dim):
+                s = ctx.add(s, ctx.mul(a[i * dim + k], b[k * dim + j]))
+            out.append(s)
+    return tuple(out)
+
+
+def mat_transpose(a, dim: int):
+    return tuple(a[j * dim + i] for i in range(dim) for j in range(dim))
+
+
+def delta_eps(ctx):
+    """diag(1, -eps), the 2x2 block of the defining form."""
+    return (1, 0, 0, ctx.neg(ctx.epsilon))
+
+
+def satisfies_relation(ctx, w, n: int) -> bool:
+    """Whether transpose(w) . J . w == J."""
+    dim = 2 * n
+    j = j_form(ctx, n)
+    return mat_mul(ctx, mat_mul(ctx, mat_transpose(w, dim), j, dim), w, dim) == j
+
+
+# -- codes: the group codes word by word ------------------------------------
+
+@dataclass(frozen=True)
+class CodeSpec:
+    """A concrete code instance: the group, its field, and the trace vector
+    fixing the coordinate order."""
+
+    group: GroupId
+    ctx: object
+    trace_vector: tuple
+
+    @property
+    def length(self) -> int:
+        return len(self.trace_vector)
+
+
+def build_code_spec(ctx, gid: GroupId, *, ops_limit: int = DEFAULT_OPS_LIMIT) -> CodeSpec:
+    enum = enumerate_group(ctx, gid, ops_limit=ops_limit)
+    dim = gid.dim
+    traces = tuple(mat_trace(ctx, w, dim) for w in enum.elements)
+    return CodeSpec(gid, ctx, traces)
+
+
+def dual_codeword(spec: CodeSpec, a: int):
+    """The dual word (tr(a t_1), ..., tr(a t_N)); a = 0 gives the zero word."""
+    ctx = spec.ctx
+    if not 0 <= a < ctx.q:
+        raise DomainError("a must be an element index, got %r" % (a,))
+    return tuple(ctx.trace(ctx.mul(a, t)) for t in spec.trace_vector)
+
+
+def codeword_weight(spec: CodeSpec, a: int) -> int:
+    """Weight of the dual word of a != 0, counted from the word itself."""
+    if not 0 < a < spec.ctx.q:
+        raise DomainError("a must be a nonzero element")
+    return sum(1 for c in dual_codeword(spec, a) if c)
+
+
+def full_scan(spec: CodeSpec, j_max: int, *, ops_limit: int = DEFAULT_OPS_LIMIT) -> WeightPrefix:
+    """Codeword counts of weight <= j_max by scanning all 3^N words u for
+    u . (tr(a t_i))_i = 0 against the basis a = 3^k; admitted at 3^N."""
+    admit("brute-force weights up to j=%d (a 3^%d scan; the pair scan covers j <= 2)"
+          % (j_max, spec.length), 3 ** spec.length, ops_limit)
+    ctx = spec.ctx
+    n = spec.length
+    vd = ctx._digits[np.array(spec.trace_vector)].astype(np.int64)  # (n, r)
+    totals = np.zeros(n + 1, dtype=np.int64)
+    chunk_digits = min(n, 9)
+    tail = 3 ** chunk_digits
+    pow3 = 3 ** np.arange(n)
+    tail_idx = np.arange(tail)
+    for head in range(3 ** (n - chunk_digits)):
+        idx = head * tail + tail_idx
+        u = (idx[:, None] // pow3[None, :]) % 3  # (tail, n), digits of u
+        dots = (u @ vd) % 3
+        mask = ~dots.any(axis=1)
+        weights = np.count_nonzero(u[mask], axis=1)
+        totals += np.bincount(weights, minlength=n + 1)
+    upto = min(j_max, n)
+    return WeightPrefix(j_max, tuple(int(t) for t in totals[: upto + 1]) + (0,) * (j_max - upto))
+
+
+def pair_scan(spec: CodeSpec, j_max: int) -> WeightPrefix:
+    """C_0, C_1, C_2 (j_max <= 2) by comparing the trace vector's coordinates
+    pairwise, for codes far too long to scan."""
+    ctx = spec.ctx
+    v = np.array(spec.trace_vector)
+    neg = np.array([ctx.neg(int(x)) for x in spec.trace_vector])
+    counts = [1]
+    if j_max >= 1:
+        counts.append(2 * int(np.count_nonzero(v == 0)))
+    if j_max >= 2:
+        same = np.triu(v[None, :] == v[:, None], 1).sum()
+        negated = np.triu(v[None, :] == neg[:, None], 1).sum()
+        counts.append(2 * int(same) + 2 * int(negated))
+    return WeightPrefix(j_max, tuple(counts))

@@ -10,24 +10,28 @@ import time
 from kloostercodes import (
     GaussSumRequest,
     GroupId,
-    build_code_spec,
-    codeword_weight,
+    codeword_weight_formula,
     delta_count,
     enumerate_group,
     field_create,
     gauss_sum_closed,
-    gauss_sum_enumerated,
     histogram_closed_form,
     kloosterman,
-    OmegaSum,
     pless_check,
     sk_moment,
     sk_recursive_chain,
     weight_prefix,
-    weight_prefix_bruteforce,
 )
 
-from oracles import kloosterman_per_a
+from oracles import (
+    OmegaSum,
+    build_code_spec,
+    codeword_weight,
+    full_scan,
+    gauss_sum_enumerated,
+    kloosterman_per_a,
+    pair_scan,
+)
 
 
 class criterion:
@@ -117,8 +121,8 @@ def test_criterion_5_pless_identity():
             for gid in gids:
                 spec = build_code_spec(ctx, gid)
                 for a in range(1, ctx.q):
-                    assert codeword_weight(spec, a, "direct") == \
-                        codeword_weight(spec, a, "formula")
+                    assert codeword_weight(spec, a) == \
+                        codeword_weight_formula(ctx, gid, a)
         for h in range(7):
             for gid in (GroupId.SO2, GroupId.O2, GroupId.SO4):
                 assert pless_check(f3, gid, h).match
@@ -132,11 +136,11 @@ def test_criterion_6_oracle_equivalence():
         f9 = field_create(2)
         for ctx, gid in ((f3, GroupId.SO2), (f3, GroupId.O2), (f9, GroupId.SO2)):
             spec = build_code_spec(ctx, gid)
-            scan = weight_prefix_bruteforce(spec, spec.length)
+            scan = full_scan(spec, spec.length)
             prefix = weight_prefix(histogram_closed_form(ctx, gid), ctx, spec.length)
             assert prefix.counts == scan.counts
         spec4 = build_code_spec(f3, GroupId.SO4)
-        pair = weight_prefix_bruteforce(spec4, 2)
+        pair = pair_scan(spec4, 2)
         prefix4 = weight_prefix(histogram_closed_form(f3, GroupId.SO4), f3, 2)
         assert pair.counts == prefix4.counts
         assert pair.counts[1] == 180

@@ -45,6 +45,32 @@ def test_poly_file(capsys, tmp_path):
     assert json.loads(out)["modulus"] == [2, 2, 1]
 
 
+@pytest.mark.parametrize("content, needle", [
+    (None, "No such file"),
+    ("garbage line\n", "line 1 'garbage line'"),
+    ('{"2": 5}', "entry '2'"),
+    ('{"2": [1.5, 0, 1]}', "entry '2'"),
+    ("3: 1 2 0 1\n", "no modulus for r=2"),
+], ids=["missing", "garbage-line", "json-int", "json-float", "no-entry-for-r"])
+def test_poly_file_refusals(capsys, tmp_path, content, needle):
+    # an unreadable or malformed file, or one without the requested r, is a
+    # usage error naming the flag: never a traceback, never the shipped modulus
+    cfg = tmp_path / "moduli.txt"
+    if content is not None:
+        cfg.write_text(content)
+    code, out, err = run(capsys, "field", "--r", "2", "--poly-file", str(cfg))
+    assert code == 2 and out == ""
+    assert "--poly-file" in err and str(cfg) in err and needle in err
+
+
+@pytest.mark.parametrize("mode", [["direct"], ["recursive", "--code", "so4"]],
+                         ids=["direct", "recursive"])
+def test_negative_h_is_a_usage_error(capsys, mode):
+    code, out, err = run(capsys, "moments", *mode, "--r", "2", "--h", "-1")
+    assert code == 2 and out == ""
+    assert "--h must be nonnegative" in err
+
+
 def test_kloosterman_table(capsys):
     code, out, _ = run(capsys, "kloosterman", "--r", "1", "--format", "json")
     assert code == 0

@@ -7,19 +7,23 @@ from kloostercodes import (
     ConsistencyError,
     DomainError,
     GroupId,
-    build_code_spec,
-    codeword_weight,
     codeword_weight_formula,
-    dual_codeword,
     enumerate_group,
     field_create,
     histogram_closed_form,
     recursive_moments,
     weight_prefix,
-    weight_prefix_bruteforce,
 )
 from kloostercodes.gf3r import _is_irreducible
-from oracles import pair_counts, weight_prefix_dp
+from oracles import (
+    build_code_spec,
+    codeword_weight,
+    dual_codeword,
+    full_scan,
+    pair_counts,
+    pair_scan,
+    weight_prefix_dp,
+)
 
 C1_Q3 = (1, 4, 6, 8, 8)
 C2_Q3 = (1, 12, 62, 184, 360, 512, 544, 384, 128)
@@ -67,11 +71,11 @@ def test_dual_code_has_q_distinct_words(r, gid):
 def test_codeword_weights_q3(f3):
     for gid in (GroupId.SO2, GroupId.O2):
         spec = build_code_spec(f3, gid)
-        assert codeword_weight(spec, 1, "direct") == 2
-        assert codeword_weight(spec, 1, "formula") == 2
+        assert codeword_weight(spec, 1) == 2
+        assert codeword_weight_formula(f3, gid, 1) == 2
     spec3 = build_code_spec(f3, GroupId.SO4)
-    assert codeword_weight(spec3, 1, "direct") == 630
-    assert codeword_weight(spec3, 1, "formula") == 630
+    assert codeword_weight(spec3, 1) == 630
+    assert codeword_weight_formula(f3, GroupId.SO4, 1) == 630
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
@@ -80,21 +84,19 @@ def test_weight_modes_agree_rank2(r, gid):
     ctx = field_create(r)
     spec = build_code_spec(ctx, gid)
     for a in range(1, ctx.q):
-        assert codeword_weight(spec, a, "direct") == codeword_weight(spec, a, "formula")
+        assert codeword_weight(spec, a) == codeword_weight_formula(ctx, gid, a)
 
 
 def test_weight_modes_agree_rank4(f3):
     spec = build_code_spec(f3, GroupId.SO4)
     for a in (1, 2):
-        assert codeword_weight(spec, a, "direct") == codeword_weight(spec, a, "formula")
+        assert codeword_weight(spec, a) == codeword_weight_formula(f3, GroupId.SO4, a)
 
 
 def test_weight_validation(f3):
     spec = build_code_spec(f3, GroupId.SO2)
     with pytest.raises(DomainError):
         codeword_weight(spec, 0)
-    with pytest.raises(DomainError):
-        codeword_weight(spec, 1, "guess")
     with pytest.raises(DomainError):
         codeword_weight_formula(f3, GroupId.SO2, 0)
 
@@ -109,7 +111,7 @@ def test_dp_q3_rank2(f3):
 def test_dp_against_full_scan_q3(f3):
     for gid, frozen in ((GroupId.SO2, C1_Q3), (GroupId.O2, C2_Q3)):
         spec = build_code_spec(f3, gid)
-        scan = weight_prefix_bruteforce(spec, spec.length)
+        scan = full_scan(spec, spec.length)
         assert scan.counts == frozen
         dp = weight_prefix_dp(enumerate_group(f3, gid).histogram, f3, spec.length)
         assert dp.counts == scan.counts
@@ -117,7 +119,7 @@ def test_dp_against_full_scan_q3(f3):
 
 def test_dp_against_full_scan_q9(f9):
     spec = build_code_spec(f9, GroupId.SO2)
-    scan = weight_prefix_bruteforce(spec, 10)
+    scan = full_scan(spec, 10)
     assert scan.counts == C1_Q9
     dp = weight_prefix_dp(histogram_closed_form(f9, GroupId.SO2), f9, 10)
     assert dp.counts == C1_Q9
@@ -125,7 +127,7 @@ def test_dp_against_full_scan_q9(f9):
 
 def test_dp_against_pair_scan_so4(f3):
     spec = build_code_spec(f3, GroupId.SO4)
-    pair = weight_prefix_bruteforce(spec, 2)
+    pair = pair_scan(spec, 2)
     assert pair.counts == (1, 180, 412290)
     dp = weight_prefix_dp(histogram_closed_form(f3, GroupId.SO4), f3, 2)
     assert dp.counts == pair.counts
@@ -136,15 +138,15 @@ def test_dp_against_pair_scan_so4(f3):
 def test_pair_scan_matches_full_scan(f3):
     # the two brute-force strategies agree where both apply
     spec = build_code_spec(f3, GroupId.O2)
-    full = weight_prefix_bruteforce(spec, 2)
-    pair = weight_prefix_bruteforce(spec, 2, ops_limit=1)
+    full = full_scan(spec, 2)
+    pair = pair_scan(spec, 2)
     assert full.counts[:3] == pair.counts
 
 
 def test_bruteforce_capacity(f3):
     spec = build_code_spec(f3, GroupId.SO4)
     with pytest.raises(CapacityError):
-        weight_prefix_bruteforce(spec, 5)
+        full_scan(spec, 5)
 
 
 def test_negation_symmetry(f9):

@@ -4,18 +4,22 @@ from kloostercodes import (
     DomainError,
     GaussSumRequest,
     GroupId,
-    OmegaSum,
-    b_r_closed,
     enumerate_group,
     field_create,
     gauss_sum_closed,
-    gauss_sum_enumerated,
     kloosterman,
     kloosterman_gl,
     q_binomial,
 )
-from kloostercodes.gauss import b_r_bruteforce, kloosterman_gl_bruteforce
-from kloostercodes.ogroups import mat_mul
+
+from oracles import (
+    OmegaSum,
+    b_r_bruteforce,
+    b_r_closed,
+    gauss_sum_enumerated,
+    kloosterman_gl_bruteforce,
+    mat_mul,
+)
 
 
 def test_q_binomial_values():

@@ -10,7 +10,6 @@ from kloostercodes import (
     DomainError,
     FieldConstructionError,
     field_create,
-    field_ops,
     load_modulus_config,
 )
 from kloostercodes.gf3r import DEFAULT_MODULI, _is_irreducible, format_poly
@@ -231,14 +230,6 @@ def test_pow_edge_cases(f9):
         f9.inv(0)
     with pytest.raises(DomainError):
         f9.add(9, 0)
-
-
-def test_field_ops_dispatch(f3):
-    assert field_ops(f3, "add", 2, 2) == 1
-    assert field_ops(f3, "inv", 2) == 2
-    assert field_ops(f3, "pow", 2, 2) == 1
-    with pytest.raises(DomainError):
-        field_ops(f3, "sqrt", 2)
 
 
 def test_modulus_config_roundtrip(tmp_path):

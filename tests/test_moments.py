@@ -16,13 +16,14 @@ from kloostercodes import (
     sk_moment,
     sk_recursive_chain,
     stirling2,
-    trinomial,
     verify_report,
     weight_prefix,
 )
 from kloostercodes.codes import WeightPrefix
 from kloostercodes.moments import _pless_sum
 from kloostercodes.ogroups import group_order
+
+from oracles import trinomial
 
 C3_Q9_PREFIX = (
     1,

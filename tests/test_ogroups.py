@@ -17,14 +17,9 @@ from kloostercodes import (
     sk_moment,
     so_minus_order,
 )
-from kloostercodes.ogroups import (
-    delta_eps,
-    j_form,
-    mat_det,
-    mat_mul,
-    mat_trace,
-    satisfies_relation,
-)
+from kloostercodes.ogroups import j_form, mat_det, mat_trace
+
+from oracles import delta_eps, mat_mul, satisfies_relation
 
 G2_HIST_Q9 = {0: 10, 1: 1, 2: 1, 4: 2, 5: 2, 7: 2, 8: 2}
 
