@@ -187,6 +187,8 @@ def _cmd_moments(args):
 
 
 def _cmd_weights(args):
+    if args.max_j < 0:
+        raise DomainError("--max-j must be nonnegative, got %d" % args.max_j)
     ctx = _make_ctx(args)
     gid = _CODE_IDS[args.code]
     hist = ogroups.histogram_closed_form(ctx, gid, ops_limit=args.limit_ops)
@@ -277,6 +279,8 @@ _HANDLERS = {
 
 
 def run_command(argv) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):  # exact values pass 4300 digits
+        sys.set_int_max_str_digits(0)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

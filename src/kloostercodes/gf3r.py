@@ -303,13 +303,12 @@ class FieldContext:
 
     # -- vectorized internals (element-index numpy arrays) ------------------
 
-    def _mul_vec(self, a: int, arr):
-        """a * arr elementwise; arr entries may include 0."""
-        if a == 0:
-            return np.zeros_like(arr)
-        out = np.zeros_like(arr)
-        nz = arr != 0
-        out[nz] = self._np_exp[(self._np_log[arr[nz]] + self._log[a]) % (self.q - 1)]
+    def _mul_vec(self, xs, ys):
+        """xs * ys elementwise, broadcasting (either may be a scalar); the
+        index product xs * ys is 0 exactly where a factor is, and the log
+        table's entry at 0 is overwritten there."""
+        out = self._np_exp[(self._np_log[xs] + self._np_log[ys]) % (self.q - 1)]
+        out[xs * ys == 0] = 0
         return out
 
     def _add_vec(self, xs, ys):

@@ -1,14 +1,18 @@
 """The minus-type orthogonal groups SO-(2,q), O-(2,q), SO-(4,q) over GF(3^r).
 
-Provides exhaustive enumeration (small q) with trace histograms, and the
-exact closed-form histograms valid for every q.  Matrices are stored as flat
-row-major tuples of element indices.  The defining form uses the block
-diag(1, -eps) with eps the fixed nonsquare chosen by the field context, and
-the canonical element order is ascending row-major entry tuples, which pins
-the coordinate order of the associated codes.
+Provides enumeration (small q) with trace histograms, and the exact
+closed-form histograms valid for every q.  Each builder returns one (k, dim^2)
+array of element indices: SO-(2,q) through the log tables, O-(2,q) as SO-(2,q)
+and its reflection coset, SO-(4,q) by a column search over the Gram table of
+the form; elements leave as flat row-major tuples.  The defining form uses the
+block diag(1, -eps) with eps the fixed nonsquare chosen by the field context,
+and the canonical element order is ascending row-major entry tuples, which
+pins the coordinate order of the associated codes.
 """
 
 import enum
+import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,35 +68,7 @@ class TraceHistogram:
         return {b: c for b, c in enumerate(self.counts) if c}
 
 
-# -- matrix helpers (flat row-major tuples of element indices) --------------
-
-def mat_trace(ctx, a, dim: int) -> int:
-    t = 0
-    for i in range(dim):
-        t = ctx.add(t, a[i * dim + i])
-    return t
-
-
-def mat_det(ctx, a, dim: int) -> int:
-    if dim == 1:
-        return a[0]
-    rows = [list(a[i * dim:(i + 1) * dim]) for i in range(dim)]
-
-    def det(r):
-        n = len(r)
-        if n == 1:
-            return r[0][0]
-        total = 0
-        for c in range(n):
-            if r[0][c] == 0:
-                continue
-            minor = [row[:c] + row[c + 1:] for row in r[1:]]
-            term = ctx.mul(r[0][c], det(minor))
-            total = ctx.add(total, term) if c % 2 == 0 else ctx.sub(total, term)
-        return total
-
-    return det(rows)
-
+# -- the defining form and the group builders -------------------------------
 
 def j_form(ctx, n: int):
     """The defining 2n x 2n symmetric form, flat row-major."""
@@ -107,7 +83,7 @@ def j_form(ctx, n: int):
 
 
 def _so2_elements(ctx):
-    """The q + 1 matrices (a, eps b; b, a) with a^2 - eps b^2 = 1, ascending.
+    """The q + 1 matrices (a, eps b; b, a) with a^2 - eps b^2 = 1.
 
     For each a, b^2 = (a^2 - 1)/eps has the root b = 0 when a^2 = 1, the two
     roots +-g^(l/2) when (a^2 - 1)/eps = g^l with l even, and none otherwise;
@@ -121,91 +97,54 @@ def _so2_elements(ctx):
     a_col = np.concatenate([a[zero], a[rooted], a[rooted]])
     b_col = np.concatenate([np.zeros(np.count_nonzero(zero), dtype=np.int64),
                             root, ctx._np_neg[root]])
-    be_col = ctx._mul_vec(eps, b_col)
-    order = np.lexsort((be_col, a_col))
-    rows = np.stack([a_col, be_col, b_col, a_col], axis=1)[order]
-    return [tuple(w) for w in rows.tolist()]
+    return np.stack([a_col, ctx._mul_vec(eps, b_col), b_col, a_col], axis=1)
 
 
 def _o2_elements(ctx):
-    out = []
-    for (a, be, b, a2) in _so2_elements(ctx):
-        out.append((a, be, b, a2))
-        # left coset by diag(1, -1): negates the bottom row
-        out.append((a, be, ctx.neg(b), ctx.neg(a2)))
-    out.sort()
-    return out
+    """SO-(2,q) and its left coset by diag(1, -1), which negates the bottom row."""
+    so2 = _so2_elements(ctx)
+    coset = so2.copy()
+    coset[:, 2:] = ctx._np_neg[so2[:, 2:]]
+    return np.concatenate([so2, coset])
 
 
-def _mul_table(ctx):
-    q = ctx.q
-    t = np.zeros((q, q), dtype=np.int64)
-    logs = ctx._np_log
-    nz = np.arange(1, q)
-    t[1:, 1:] = ctx._np_exp[(logs[nz][:, None] + logs[nz][None, :]) % (q - 1)]
-    return t
-
-
-def _add_table(ctx):
-    d = ctx._digits.astype(np.int64)
-    return ((d[:, None, :] + d[None, :, :]) % 3) @ ctx._pow3
+def _dets(ctx, mats):
+    """Determinants of a (k, n, n) stack of index matrices: the Leibniz sum
+    over the n! permutations, each term one product down the whole stack."""
+    n = mats.shape[-1]
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        term = mats[:, 0, perm[0]]
+        for i in range(1, n):
+            term = ctx._mul_vec(term, mats[:, i, perm[i]])
+        odd = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n)) % 2
+        total = ctx._add_vec(total, ctx._np_neg[term] if odd else term)
+    return total
 
 
 def _so4_elements(ctx):
-    """Complete search of all q^16 4x4 matrices for the defining relation and
-    determinant 1, organised as a hash join over the two row halves.
-
-    transpose(w) J w depends on the rows r0..r3 of w through
-    outer(r0,r1) + outer(r1,r0) + outer(r2,r2) - eps*outer(r3,r3), so the
-    matrices splitting as (top rows, bottom rows) match exactly when the two
-    half contributions pack to equal keys.  Every one of the q^16 candidate
-    matrices is covered, while the work is two key tables of q^8 rows of 16
-    entries each.
+    """SO-(4,q) by a column search.  transpose(w) J w = J says exactly that
+    the columns of w satisfy B(c_i, c_j) = J_ij, B(u, v) = transpose(u) J v.
+    With the Gram table of B over all q^4 vectors (4 q^8), the frames
+    (c_0, ..., c_l) are extended one column at a time by one boolean filter
+    of q^4 candidates each; every level has at most |O-(4,q)| frames, and
+    the last holds exactly O-(4,q), of which the determinant-1 half is kept.
     """
     q = ctx.q
-    eps = ctx.epsilon
-    add_t = _add_table(ctx)
-    mul_t = _mul_table(ctx)
-
-    m = q ** 4
-    idx = np.arange(m)
-    vecs = np.stack([(idx // q ** 3) % q, (idx // q ** 2) % q, (idx // q) % q, idx % q], axis=1)
-
-    jm = np.array(j_form(ctx, 2), dtype=np.int64).reshape(4, 4)
-    # q^16 fits int64 for q <= 9; at q = 27 the (q^8, 16) tables below
-    # cannot even be allocated
-    powers = (q ** np.arange(15, -1, -1)).astype(np.int64)
-
-    # top halves: A = outer(r0, r1) + outer(r1, r0)
-    outer = mul_t[vecs[:, None, :, None], vecs[None, :, None, :]]  # (m, m, 4, 4)
-    top = add_t[outer, outer.transpose(0, 1, 3, 2)]
-    top_keys = top.reshape(m * m, 16) @ powers
-
-    # bottom halves: want A == J - outer(r2, r2) + eps*outer(r3, r3)
-    self_outer = mul_t[vecs[:, :, None], vecs[:, None, :]]  # (m, 4, 4)
-    eps_outer = mul_t[eps][self_outer]
-    j_minus = add_t[jm[None, :, :], ctx._np_neg[self_outer]]  # (m, 4, 4)
-    want = add_t[j_minus[:, None], eps_outer[None, :]]  # (m, m, 4, 4)
-    want_keys = want.reshape(m * m, 16) @ powers
-
-    order = np.argsort(top_keys, kind="stable")
-    sorted_keys = top_keys[order]
-    lo = np.searchsorted(sorted_keys, want_keys, side="left")
-    hi = np.searchsorted(sorted_keys, want_keys, side="right")
-
-    rows = [tuple(v) for v in vecs.tolist()]  # Python ints, not numpy scalars
-    out = []
-    hits = np.nonzero(hi > lo)[0]
-    for flat_bot in hits:
-        bi, bj = divmod(int(flat_bot), m)
-        bottom = rows[bi] + rows[bj]
-        for t in order[lo[flat_bot]:hi[flat_bot]]:
-            ti, tj = divmod(int(t), m)
-            w = rows[ti] + rows[tj] + bottom
-            if mat_det(ctx, w, 4) == 1:
-                out.append(w)
-    out.sort()
-    return out
+    jm = np.array(j_form(ctx, 2)).reshape(4, 4)
+    idx = np.arange(q ** 4)
+    vecs = np.stack([idx // q ** 3, idx // q ** 2 % q, idx // q % q, idx % q], axis=1)
+    gram = 0
+    for i, j in zip(*np.nonzero(jm)):
+        term = ctx._mul_vec(ctx._mul_vec(jm[i, j], vecs[:, None, i]), vecs[None, :, j])
+        gram = ctx._add_vec(gram, term)
+    frames = np.zeros((1, 0), dtype=np.int64)
+    for col in range(4):  # B(c_col, c_col) = J_col,col, B(c_i, c_col) = J_i,col for i < col
+        ok = (gram.diagonal() == jm[col, col]) & (gram[frames] == jm[:col, col, None]).all(axis=1)
+        f, v = np.nonzero(ok)
+        frames = np.concatenate([frames[f], v[:, None]], axis=1)
+    mats = vecs[frames]  # (k, column, coordinate): the transposes of the elements
+    return mats[_dets(ctx, mats) == 1].transpose(0, 2, 1).reshape(-1, 16)
 
 
 @dataclass(frozen=True)
@@ -219,15 +158,18 @@ def enumerate_group(ctx, gid: GroupId, *,
                     ops_limit: int = charsums.DEFAULT_OPS_LIMIT) -> GroupEnumeration:
     """All elements of the group in canonical (ascending row-major) order,
     with their trace histogram.  SO-(2, q) and O-(2, q) solve for b at every
-    a through the log tables; SO-(4, q) is searched exhaustively by a hash
-    join of 32 q^8 operations, feasible only at q = 3 under the default
-    limit.  The result is kept on ctx, and the limit is checked before it is
-    looked up."""
+    a through the log tables; SO-(4, q) is found by a column search admitted
+    at 4 q^8 + 3 |O-(4,q)| q^4 operations (the Gram table and three candidate
+    masks), which the default limit allows at q = 3 only.  Each builder
+    returns one (k, dim^2) array of indices, sorted, counted and traced here.
+    The result is kept on ctx, and the limit is checked before it is looked
+    up."""
     q = ctx.q
     if gid is GroupId.SO4:
-        admit("enumerating SO-(4,%d) (a hash join of two q^8-row key tables of 16 "
-              "entries, 32 q^8; histogram_closed_form gives the histogram for every q)"
-              % q, 32 * q ** 8, ops_limit)
+        admit("enumerating SO-(4,%d) (a column search: the Gram table of the form "
+              "and three candidate masks, 4 q^8 + 3 |O-(4,q)| q^4; "
+              "histogram_closed_form gives the histogram for every q)" % q,
+              4 * q ** 8 + 3 * o_minus_order(2, q) * q ** 4, ops_limit)
     elif gid in (GroupId.SO2, GroupId.O2):
         admit("enumerating %s(%d) (one digitwise pass over the q values of a, q*r + q; "
               "histogram_closed_form gives the histogram for every q)" % (gid.value, q),
@@ -238,18 +180,19 @@ def enumerate_group(ctx, gid: GroupId, *,
     if hit is not None:
         return hit
     builders = {GroupId.SO2: _so2_elements, GroupId.O2: _o2_elements, GroupId.SO4: _so4_elements}
-    els = builders[gid](ctx)
-    dim = gid.dim
-    counts = [0] * q
-    for w in els:
-        counts[mat_trace(ctx, w, dim)] += 1
+    rows = builders[gid](ctx)
+    rows = rows[np.lexsort(rows.T[::-1])]
+    distinct = np.count_nonzero((rows[1:] != rows[:-1]).any(axis=1)) + 1
     expected = group_order(gid, q)
-    if len(els) != expected:
+    if not len(rows) == distinct == expected:
         raise ConsistencyError(
-            "enumerated %d elements of %s over GF(%d), expected %d"
-            % (len(els), gid.value, q, expected)
+            "enumerated %d elements (%d distinct) of %s over GF(%d), expected %d"
+            % (len(rows), distinct, gid.value, q, expected)
         )
-    result = GroupEnumeration(gid, tuple(els), TraceHistogram(tuple(counts)))
+    trace = functools.reduce(ctx._add_vec, rows[:, ::gid.dim + 1].T)
+    counts = np.bincount(trace, minlength=q).tolist()
+    result = GroupEnumeration(gid, tuple(map(tuple, rows.tolist())),
+                              TraceHistogram(tuple(counts)))
     ctx._enumerations[gid] = result
     return result
 

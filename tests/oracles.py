@@ -9,7 +9,9 @@ coordinate pairs, as `pair_scan` does on the trace vector itself.
 library's delta and K tables used before the radix-3 transform replaced them;
 neither reads a library character sum.  `field_tables_reference` is the
 Python-list construction of a field's tables that `FieldContext` used before
-it built them with numpy.
+it built them with numpy.  `mat_det` and `mat_trace` are the scalar,
+one-field-operation-at-a-time references for `ogroups._dets` and the traces
+that `enumerate_group` reads off the diagonals of its index array.
 
 The rest are brute-force counterparts of the pipeline that the library never
 calls: character sums counted in `OmegaSum`, the literal sums b_r, K_GL and
@@ -29,7 +31,7 @@ from kloostercodes.codes import WeightPrefix
 from kloostercodes.errors import admit
 from kloostercodes.gauss import _odd_power_product
 from kloostercodes.gf3r import _poly_mod, _poly_trim
-from kloostercodes.ogroups import j_form, mat_det, mat_trace
+from kloostercodes.ogroups import j_form
 
 
 @dataclass(frozen=True)
@@ -374,7 +376,36 @@ def gauss_sum_enumerated(ctx, gid: GroupId, a: int, *, ops_limit: int = DEFAULT_
     return OmegaSum(*acc).value()
 
 
-# -- ogroups: the defining relation, by matrix products --------------------
+# -- ogroups: traces, determinants and the defining relation, scalar -------
+
+def mat_trace(ctx, a, dim: int) -> int:
+    t = 0
+    for i in range(dim):
+        t = ctx.add(t, a[i * dim + i])
+    return t
+
+
+def mat_det(ctx, a, dim: int) -> int:
+    """Cofactor expansion along the first row, one field operation at a time."""
+    if dim == 1:
+        return a[0]
+    rows = [list(a[i * dim:(i + 1) * dim]) for i in range(dim)]
+
+    def det(r):
+        n = len(r)
+        if n == 1:
+            return r[0][0]
+        total = 0
+        for c in range(n):
+            if r[0][c] == 0:
+                continue
+            minor = [row[:c] + row[c + 1:] for row in r[1:]]
+            term = ctx.mul(r[0][c], det(minor))
+            total = ctx.add(total, term) if c % 2 == 0 else ctx.sub(total, term)
+        return total
+
+    return det(rows)
+
 
 def mat_mul(ctx, a, b, dim: int):
     out = []

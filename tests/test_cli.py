@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kloostercodes import GaussSumRequest, gauss_sum_closed
 from kloostercodes.cli import ENV_PREFIX, run_command
 
 from test_golden import GOLDEN
@@ -63,12 +64,25 @@ def test_poly_file_refusals(capsys, tmp_path, content, needle):
     assert "--poly-file" in err and str(cfg) in err and needle in err
 
 
-@pytest.mark.parametrize("mode", [["direct"], ["recursive", "--code", "so4"]],
-                         ids=["direct", "recursive"])
-def test_negative_h_is_a_usage_error(capsys, mode):
-    code, out, err = run(capsys, "moments", *mode, "--r", "2", "--h", "-1")
+@pytest.mark.parametrize("argv", [["moments", "direct", "--h"],
+                                  ["moments", "recursive", "--code", "so4", "--h"],
+                                  ["weights", "--code", "so4", "--max-j"]],
+                         ids=["direct", "recursive", "weights"])
+def test_negative_h_is_a_usage_error(capsys, argv):
+    # the refusal names the flag, not the library argument behind it
+    code, out, err = run(capsys, *argv, "-1", "--r", "2")
     assert code == 2 and out == ""
-    assert "--h must be nonnegative" in err
+    assert "%s must be nonnegative" % argv[-1] in err
+
+
+def test_values_past_the_int_string_limit_print(capsys, f3):
+    # SO-(180,3) has a Gauss sum of more than 4300 digits
+    value = gauss_sum_closed(f3, GaussSumRequest(n=90, variant="so", a=1))
+    assert abs(value) > 10 ** 4300
+    code, out, _ = run(capsys, "gauss", "--r", "1", "--n", "90", "--format", "csv")
+    assert code == 0
+    # run_command lifted the interpreter's limit, so the value formats here too
+    assert out == "value\n%d\n" % value
 
 
 def test_kloosterman_table(capsys):
@@ -197,8 +211,9 @@ def test_moments_recursive_honours_limit_ops(capsys, code_name):
 @pytest.mark.parametrize("argv, cost", [
     ("moments direct --r 2 --h 2 --limit-ops 10", 9 * 2 + 9),  # q*r + q
     ("weights --code so4 --r 3 --limit-ops 200", (2 * 3 + 2) * 27),  # (2r + m) q
-    # the SO-(4,3) hash join: two key tables of q^8 rows x 16 entries
-    ("groups enumerate --r 1 --group so4 --limit-ops 100000", 32 * 3 ** 8),
+    # the SO-(4,3) column search: the Gram table, 4 q^8, and three candidate
+    # masks of at most |O-(4,q)| = 1440 frames by q^4 vectors
+    ("groups enumerate --r 1 --group so4 --limit-ops 100000", 4 * 3 ** 8 + 3 * 1440 * 81),
     ("kloosterman --r 2 --limit-ops 10", 9 * 2 + 9),  # the K table, q*r + q
     ("gauss --r 2 --group so4 --a 1 --limit-ops 10", 9 * 2 + 9),
     ("weights --code so2 --r 3 --limit-ops 10", 27 * 3 + (8 + 1) ** 2),  # --max-j 8
@@ -229,7 +244,7 @@ def test_limit_ops_is_honoured_at_its_estimate(capsys, argv, limit):
 
 
 def test_so4_enumeration_no_longer_counts_candidate_matrices(capsys):
-    # a limit far below the 3^16 candidate matrices admits the 32 q^8 join
+    # a limit far below the 3^16 candidate matrices admits the column search
     command = "groups enumerate --r 1 --group so4 --format json"
     code, out, _ = run(capsys, *command.split(), "--limit-ops", "1000000")
     assert code == 0

@@ -10,7 +10,10 @@ recursions still ran in exact rationals, one copy per rank: moments direct
 r = 1..3, and groups enumerate (so2 and o2 at r = 1, 2; so4 at r = 1), each
 in json, csv and text.  A third set, recorded before the work limits became
 one budget, pins groups dump for so2 and o2 at r = 1, 2 in json, csv and
-text, so every subcommand is covered.
+text, so every subcommand is covered.  A fourth, recorded while SO-(4,q) was
+still found by a hash join over row halves, pins groups dump for so4 at
+r = 1 in csv and text (the 720 elements of SO-(4,3) in canonical order);
+test_cli.test_groups_dump_so4_json checks the json dump against the csv one.
 """
 
 import json

@@ -2,10 +2,12 @@ import gc
 import random
 import weakref
 
+import numpy as np
 import pytest
 
 from kloostercodes import (
     CapacityError,
+    ConsistencyError,
     GaussSumRequest,
     GroupId,
     enumerate_group,
@@ -17,11 +19,15 @@ from kloostercodes import (
     sk_moment,
     so_minus_order,
 )
-from kloostercodes.ogroups import j_form, mat_det, mat_trace
+from kloostercodes import ogroups
+from kloostercodes.ogroups import _dets, j_form
 
-from oracles import delta_eps, mat_mul, satisfies_relation
+from oracles import delta_eps, mat_det, mat_mul, mat_trace, satisfies_relation
 
 G2_HIST_Q9 = {0: 10, 1: 1, 2: 1, 4: 2, 5: 2, 7: 2, 8: 2}
+# the SO-(4,3) column search: the Gram table, 4 q^8, and three candidate
+# masks of at most |O-(4,q)| frames by q^4 vectors each
+SO4_Q3_COST = 4 * 3 ** 8 + 3 * 1440 * 3 ** 4
 
 
 def test_order_formulas():
@@ -166,14 +172,14 @@ def test_so4_refusal_survives_a_cached_enumeration():
     ctx = field_create(1)
     assert len(enumerate_group(ctx, GroupId.SO4).elements) == 720
     with pytest.raises(CapacityError) as exc:
-        enumerate_group(ctx, GroupId.SO4, ops_limit=32 * 3 ** 8 - 1)
-    assert "limit %d" % (32 * 3 ** 8 - 1) in str(exc.value)
+        enumerate_group(ctx, GroupId.SO4, ops_limit=SO4_Q3_COST - 1)
+    assert "limit %d" % (SO4_Q3_COST - 1) in str(exc.value)
 
 
 @pytest.mark.parametrize("gid, cost", [
     (GroupId.SO2, 9 * 2 + 9),  # one digitwise pass over the q values of a, q r + q
     (GroupId.O2, 9 * 2 + 9),
-    (GroupId.SO4, 32 * 3 ** 8),  # two q^8-row key tables of 16 entries, at q = 3
+    (GroupId.SO4, SO4_Q3_COST),
 ])
 def test_enumeration_cost_estimates_admit_themselves(gid, cost):
     ctx = field_create(1 if gid is GroupId.SO4 else 2)
@@ -220,3 +226,42 @@ def test_j_form_shape(f3, f9):
                  1, 0, 0, 0,
                  0, 0, 1, 0,
                  0, 0, 0, f9.neg(eps))
+
+
+def test_o4_q3_is_so4_and_its_reflection_coset(f3):
+    # O-(4,3) = SO-(4,3) u SO-(4,3) diag(1, 1, 1, -1), built by matrix products
+    reflection = (1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 2)
+    so4 = enumerate_group(f3, GroupId.SO4).elements
+    o4 = set(so4) | {mat_mul(f3, w, reflection, 4) for w in so4}
+    assert len(o4) == o_minus_order(2, 3) == 1440
+    assert all(satisfies_relation(f3, w, 2) for w in o4)
+    for a in (1, 2):
+        acc = [0, 0, 0]
+        for w in o4:
+            acc[f3.trace(f3.mul(a, mat_trace(f3, w, 4)))] += 1
+        assert acc[1] == acc[2]
+        assert acc[0] - acc[2] == gauss_sum_closed(f3, GaussSumRequest(2, "o", a)) == -315
+    # the vectorised Leibniz sum against the cofactor expansion
+    mats = np.array(sorted(o4)).reshape(-1, 4, 4)
+    assert _dets(f3, mats).tolist() == [mat_det(f3, w, 4) for w in sorted(o4)]
+
+
+def test_dets_match_the_cofactor_expansion_on_random_2x2(f9):
+    rng = random.Random(5)
+    flats = [tuple(rng.randrange(9) for _ in range(4)) for _ in range(200)]
+    flats.append((0, 0, 0, 0))
+    mats = np.array(flats).reshape(-1, 2, 2)
+    assert _dets(f9, mats).tolist() == [mat_det(f9, w, 2) for w in flats]
+
+
+@pytest.mark.parametrize("damage", ["duplicate", "missing"])
+def test_enumeration_checks_order_and_distinctness(monkeypatch, damage):
+    build = ogroups._so2_elements
+
+    def damaged(ctx):
+        rows = build(ctx)
+        return np.concatenate([rows[:-1], rows[:1]]) if damage == "duplicate" else rows[:-1]
+
+    monkeypatch.setattr(ogroups, "_so2_elements", damaged)
+    with pytest.raises(ConsistencyError, match="expected 10"):
+        enumerate_group(field_create(2), GroupId.SO2)
