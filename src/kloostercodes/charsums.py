@@ -141,8 +141,8 @@ class DeltaTable:
 
 
 def _delta_one(ctx):
-    """Root counts of x^2 - beta*x + 1 for every beta, cross-checked against
-    1 + chi(beta^2 - 1), the square-class split of the discriminant."""
+    """Root counts of x^2 - beta*x + 1 for every beta (x + 1/x by digit
+    addition), cross-checked against 1 + chi(beta - 1) chi(beta + 1)."""
     q = ctx.q
     nz = np.arange(1, q)
     d1 = np.bincount(ctx._add_vec(nz, ctx._np_inv[nz]), minlength=q)

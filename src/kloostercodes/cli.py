@@ -5,7 +5,9 @@ byte-identical across runs for the same flags; timing is opt-in via
 --timing so the default output stays reproducible.  Exit status: 0 on
 success or full verification, 1 on a verification mismatch, 2 on usage or
 capacity errors.  Flags may also be supplied through environment variables
-with the KLOOSTERCODES_ prefix (e.g. KLOOSTERCODES_H_MAX=6).
+with the KLOOSTERCODES_ prefix (e.g. KLOOSTERCODES_H_MAX=6); such a value
+passes the flag's own type and choices, or the command exits 2 naming the
+variable.
 """
 
 import argparse
@@ -24,11 +26,28 @@ ENV_PREFIX = "KLOOSTERCODES_"
 _CODE_IDS = {"so2": GroupId.SO2, "o2": GroupId.O2, "so4": GroupId.SO4}
 
 
-def _env(name, cast, fallback=None):
-    raw = os.environ.get(ENV_PREFIX + name.upper().replace("-", "_"))
-    if raw is None:
-        return fallback
-    return cast(raw)
+class _EnvValue:
+    """A flag's default read from KLOOSTERCODES_<FLAG>; run_command parses it
+    by the flag's own type and choices once the flag's subcommand is known."""
+
+    def __init__(self, flag, kind, choices):
+        self.var = ENV_PREFIX + flag[2:].upper().replace("-", "_")
+        self.flag, self.kind, self.choices = flag, kind, choices
+
+    def parse(self, parser):
+        raw = os.environ[self.var]
+        try:
+            value = self.kind(raw) if self.kind else raw
+            if self.choices is None or value in self.choices:
+                return value
+        except (TypeError, ValueError):
+            pass
+        parser.error("%s=%r is not a valid value for %s" % (self.var, raw, self.flag))
+
+
+def _flag(parser, flag, default=None, **kw):
+    env = _EnvValue(flag, kw.get("type"), kw.get("choices"))
+    return parser.add_argument(flag, default=env if env.var in os.environ else default, **kw)
 
 
 def _parse_poly(text):
@@ -42,64 +61,56 @@ def _build_parser():
         "minus-type orthogonal groups over GF(3^r).",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--r", type=int, default=_env("r", int, 1),
-                        help="field exponent, q = 3^r (default 1)")
-    common.add_argument("--poly", type=_parse_poly, default=_env("poly", _parse_poly),
-                        help="modulus coefficients c0,c1,...,cr (low degree first)")
-    common.add_argument("--poly-file", default=_env("poly_file", str),
-                        help="config file mapping r to modulus coefficients")
-    common.add_argument("--format", choices=("json", "csv", "text"),
-                        default=_env("format", str, "text"), help="output format")
-    common.add_argument("--limit-ops", type=int,
-                        default=_env("limit_ops", int, charsums.DEFAULT_OPS_LIMIT),
-                        help="work limit in estimated operations (default %d)"
-                        % charsums.DEFAULT_OPS_LIMIT)
+    _flag(common, "--r", type=int, default=1, help="field exponent, q = 3^r (default 1)")
+    _flag(common, "--poly", type=_parse_poly,
+          help="modulus coefficients c0,c1,...,cr (low degree first)")
+    _flag(common, "--poly-file", help="config file mapping r to modulus coefficients")
+    _flag(common, "--format", choices=("json", "csv", "text"), default="text",
+          help="output format")
+    _flag(common, "--limit-ops", type=int, default=charsums.DEFAULT_OPS_LIMIT,
+          help="work limit in estimated operations (default %d)" % charsums.DEFAULT_OPS_LIMIT)
 
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("field", parents=[common], help="describe the field GF(3^r)")
 
     p = sub.add_parser("kloosterman", parents=[common], help="exact Kloosterman sums")
-    p.add_argument("--a", type=int, default=_env("a", int),
-                   help="argument index (default: all nonzero a)")
+    _flag(p, "--a", type=int, help="argument index (default: all nonzero a)")
 
     # the common flags go after the mode (moments direct --r 2), so the
     # mode parsers alone take them: given before the mode, a flag is an error
     p = sub.add_parser("moments", help="moments over square arguments")
     msub = p.add_subparsers(dest="mode", required=True)
     pd = msub.add_parser("direct", parents=[common], help="direct power sums")
-    pd.add_argument("--h", type=int, default=_env("h", int, 4), help="highest moment")
+    _flag(pd, "--h", type=int, default=4, help="highest moment")
     pr = msub.add_parser("recursive", parents=[common],
                          help="moments generated by the code recursion")
-    pr.add_argument("--h", type=int, default=_env("h", int, 4), help="highest moment")
-    pr.add_argument("--code", choices=sorted(_CODE_IDS), default=_env("code", str, "so2"))
+    _flag(pr, "--h", type=int, default=4, help="highest moment")
+    _flag(pr, "--code", choices=sorted(_CODE_IDS), default="so2")
 
     p = sub.add_parser("weights", parents=[common],
                        help="truncated weight distribution of a group code")
-    p.add_argument("--code", choices=sorted(_CODE_IDS), default=_env("code", str, "so2"))
-    p.add_argument("--max-j", type=int, default=_env("max_j", int, 8),
-                   help="largest weight to report")
+    _flag(p, "--code", choices=sorted(_CODE_IDS), default="so2")
+    _flag(p, "--max-j", type=int, default=8, help="largest weight to report")
 
     p = sub.add_parser("groups", help="group enumeration")
     gsub = p.add_subparsers(dest="mode", required=True)
     ge = gsub.add_parser("enumerate", parents=[common], help="order and trace histogram")
-    ge.add_argument("--group", choices=sorted(_CODE_IDS), default=_env("group", str, "so2"))
+    _flag(ge, "--group", choices=sorted(_CODE_IDS), default="so2")
     gd = gsub.add_parser("dump", parents=[common], help="emit the element matrices")
-    gd.add_argument("--group", choices=sorted(_CODE_IDS), default=_env("group", str, "so2"))
+    _flag(gd, "--group", choices=sorted(_CODE_IDS), default="so2")
 
     p = sub.add_parser("gauss", parents=[common],
                        help="character sums over the groups, closed form")
-    p.add_argument("--group", choices=sorted(_CODE_IDS) + ["gl"],
-                   default=_env("group", str, "so2"))
-    p.add_argument("--a", type=int, default=_env("a", int, 1), help="character scaling")
-    p.add_argument("--t", type=int, default=_env("t", int, 1), help="GL rank (with --group gl)")
-    p.add_argument("--n", type=int, default=_env("n", int),
-                   help="explicit half-rank 2n (overrides --group; needs --variant)")
-    p.add_argument("--variant", choices=("so", "o"), default=_env("variant", str, "so"))
+    _flag(p, "--group", choices=sorted(_CODE_IDS) + ["gl"], default="so2")
+    _flag(p, "--a", type=int, default=1, help="character scaling")
+    _flag(p, "--t", type=int, default=1, help="GL rank (with --group gl)")
+    _flag(p, "--n", type=int, help="explicit half-rank 2n (overrides --group; needs --variant)")
+    _flag(p, "--variant", choices=("so", "o"), default="so")
 
     p = sub.add_parser("verify", parents=[common],
                        help="check the recursions against direct moments")
-    p.add_argument("--h-max", type=int, default=_env("h_max", int, 10))
+    _flag(p, "--h-max", type=int, default=10)
     p.add_argument("--timing", action="store_true", help="include elapsed_ms in reports")
 
     return parser
@@ -207,23 +218,17 @@ def _cmd_groups(args):
     ctx = _make_ctx(args)
     gid = _CODE_IDS[args.group]
     enum = ogroups.enumerate_group(ctx, gid, ops_limit=args.limit_ops)
-    hist = enum.histogram.as_dict()
+    payload = {"group": args.group, "q": ctx.q, "order": len(enum.elements)}
     if args.mode == "enumerate":
-        payload = {
-            "group": args.group, "q": ctx.q, "order": len(enum.elements),
-            "histogram": {str(b): c for b, c in hist.items()},
-        }
-        rows = [("beta", "count")] + sorted(hist.items())
+        hist = sorted(enum.histogram.as_dict().items())
+        payload["histogram"] = {str(b): c for b, c in hist}
+        rows = [("beta", "count")] + hist
         text = ["|%s(%d)| = %d" % (args.group, ctx.q, len(enum.elements)),
-                "trace histogram: " + ", ".join("%d:%d" % bc for bc in sorted(hist.items()))]
-        _emit(args, payload, rows, text)
-        return 0
-    payload = {
-        "group": args.group, "q": ctx.q, "order": len(enum.elements),
-        "elements": [list(w) for w in enum.elements],
-    }
-    rows = [("element",)] + [(" ".join(map(str, w)),) for w in enum.elements]
-    text = [" ".join(map(str, w)) for w in enum.elements]
+                "trace histogram: " + ", ".join("%d:%d" % bc for bc in hist)]
+    else:
+        payload["elements"] = [list(w) for w in enum.elements]
+        rows = [("element",)] + [(" ".join(map(str, w)),) for w in enum.elements]
+        text = [" ".join(map(str, w)) for w in enum.elements]
     _emit(args, payload, rows, text)
     return 0
 
@@ -284,6 +289,9 @@ def run_command(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        for dest, value in list(vars(args).items()):
+            if isinstance(value, _EnvValue):
+                setattr(args, dest, value.parse(parser))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -3,18 +3,19 @@
 Field elements are canonical integer indices in [0, q), q = 3^r: the index
 encodes the coefficient vector of the residue polynomial in base 3, so 0 is
 the additive identity and 1 the multiplicative identity.  A FieldContext
-verifies its modulus irreducible at construction and builds, with numpy
-arrays, the log/antilog tables (for the least generator, found by testing
-g^((q-1)/p) != 1 for the primes p dividing q - 1 on the r x r matrices of
-multiplication over GF(3)), the inverse, trace and square tables, for every
-r with a modulus, shipped (r <= 8) or given; after that every operation is a
-table lookup or an O(r) digit loop.
+verifies its modulus irreducible by Rabin's test and builds each table once,
+as a numpy array and nowhere else: log/antilog for the least generator
+(g^((q-1)/p) != 1 for the primes p dividing q - 1, tested on the r x r
+matrices of multiplication), inverse, negation, trace and squares, for
+every r with a modulus, shipped (r <= 8) or given.  The scalar methods
+read those arrays and return Python ints and bools; addition is an O(r)
+digit loop.  Adding +-1 moves only digit 0 of an index, so
+chi(beta^2 - 1) = chi(beta - 1) chi(beta + 1) comes from two index shifts.
 `FieldContext.transform` is the one radix-3 Fourier transform over (Z/3)^r,
 exact in Z[omega]; the context keeps the index maps that read it (a -> s(a)
-with tr(a beta) = s(a) . beta, and digitwise negation).  A context also holds
-the derived tables that the layers above memoise on it (the Kloosterman
-table on the squares, the group enumerations), so they live and die with
-the context.
+with tr(a beta) = s(a) . beta, and negation) and the derived tables that
+the layers above memoise on it (the Kloosterman table on the squares, the
+group enumerations), so they live and die with the context.
 """
 
 import json
@@ -61,12 +62,11 @@ def _poly_trim(p):
 
 
 def _poly_mod(a, m):
+    """a mod m over GF(3), m's nonzero leading coefficient its own inverse."""
     a = _poly_trim(a)
     dm = len(m) - 1
-    inv_lead = m[-1]  # monic in all our uses, so 1
-    assert inv_lead == 1
     while len(a) - 1 >= dm:
-        c = a[-1]
+        c = a[-1] * m[-1]
         shift = len(a) - 1 - dm
         for i, mc in enumerate(m):
             a[shift + i] = (a[shift + i] - c * mc) % 3
@@ -74,18 +74,38 @@ def _poly_mod(a, m):
     return a
 
 
-def _is_irreducible(m) -> bool:
-    """Trial division by every monic polynomial of degree <= deg(m)/2."""
-    import itertools
+def _prime_factors(n):
+    """The distinct primes dividing n >= 1, by trial division up to sqrt(n)."""
+    primes, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    return primes + [n] if n > 1 else primes
 
+
+def _is_irreducible(m) -> bool:
+    """Rabin's test: a monic m of degree r >= 1 is irreducible over GF(3)
+    exactly when x^(3^r) = x mod m and gcd(x^(3^(r/p)) - x, m) = 1 for every
+    prime p dividing r.  Cubing is GF(3)-linear, (sum c_i x^i)^3 =
+    sum c_i x^(3i): each x^(3^k) mod m is the last one spread out, reduced."""
     r = len(m) - 1
-    if r < 1:
+    frob = [_poly_mod([0, 1], m)]  # x^(3^k) mod m for k = 0, 1, ..., r
+    for _ in range(r):
+        spread = [0] * (3 * len(frob[-1]))
+        spread[::3] = frob[-1]
+        frob.append(_poly_mod(spread, m))
+    if frob[r] != frob[0]:
         return False
-    for d in range(1, r // 2 + 1):
-        for tail in itertools.product(range(3), repeat=d):
-            g = list(tail) + [1]
-            if not _poly_mod(list(m), g):
-                return False
+    for p in _prime_factors(r):  # here r >= 2, so x mod m = x
+        a = list(m)
+        b = _poly_trim([(c - (i == 1)) % 3 for i, c in enumerate(frob[r // p] + [0, 0])])
+        while b:
+            a, b = b, _poly_mod(a, b)
+        if len(a) > 1:
+            return False
     return True
 
 
@@ -134,22 +154,10 @@ class FieldContext:
             digits[:, i] = (idx // 3 ** i) % 3
         self._digits = digits
         self._pow3 = (3 ** np.arange(r)).astype(np.int64)
-        # -x digit by digit, an index map for reading transforms; built first,
-        # while its (q, r) int64 temporaries are the only large arrays alive
-        self._np_neg = (-digits.astype(np.int64) % 3) @ self._pow3
 
-        # discrete log / antilog for the least generator g: g^((q-1)/p) != 1
-        # for every prime p dividing q - 1 (found by trial division up to
-        # sqrt(q - 1)), tested by square-and-multiply on matrices
-        primes, n, p = [], q - 1, 2
-        while p * p <= n:
-            if n % p == 0:
-                primes.append(p)
-                while n % p == 0:
-                    n //= p
-            p += 1
-        if n > 1:
-            primes.append(n)
+        # discrete log / antilog for the least generator g: g^((q-1)/p) != 1 for
+        # every prime p dividing q - 1, tested by square-and-multiply on matrices
+        primes = _prime_factors(q - 1)
         # y -> x y is GF(3)-linear on digit vectors: digits(x y) = digits(y) @ M_x,
         # row i of M_x the digits of x X^i, so M_x = sum_i x_i C^i with C the
         # companion matrix of the modulus
@@ -193,20 +201,16 @@ class FieldContext:
             block = digits[chain[:q - 1 - len(chain)]]
             chain = np.concatenate([chain, (block @ mat) % 3 @ self._pow3])
             mat = (mat @ mat) % 3
-        np_exp = chain
+        np_exp = self._np_exp = chain
         # q - 1 nonzero indices, so distinct exactly when each occurs once
         if np.any(np.bincount(np_exp, minlength=q)[1:] != 1):  # pragma: no cover
             raise FieldConstructionError("multiplicative structure broken")
-        np_log = np.zeros(q, dtype=np.int64)
+        np_log = self._np_log = np.zeros(q, dtype=np.int64)
         np_log[np_exp] = np.arange(q - 1)
-        np_inv = np.zeros(q, dtype=np.int64)
-        inv_at = (-np_log[1:]) % (q - 1)
-        np_inv[1:] = np_exp[inv_at]
-        # _inv and _squares index the _exp list, so all three share its ints
-        exp = np_exp.tolist()
-        self._exp = exp
-        self._log = np_log.tolist()
-        self._inv = [0, *map(exp.__getitem__, inv_at)]
+        self._np_inv = np.zeros(q, dtype=np.int64)
+        self._np_inv[1:] = np_exp[(-np_log[1:]) % (q - 1)]
+        # -x = (-1) x, an index map for reading transforms (2 is the index of -1)
+        self._np_neg = self._mul_vec(2, idx)
 
         # trace of each basis power x^i, the digitwise sum of its r
         # conjugates x^(i 3^j), then the full table by linearity
@@ -217,18 +221,11 @@ class FieldContext:
         self._trace = (digits @ basis_tr.astype(np.int8)) % 3
 
         # quadratic structure: the squares are the even powers of the generator
-        is_sq = np.zeros(q, dtype=bool)
+        is_sq = self._np_is_square = np.zeros(q, dtype=bool)
         is_sq[np_exp[::2]] = True
-        np_squares = np.flatnonzero(is_sq)
-        self._squares = tuple(map(exp.__getitem__, np_log[np_squares]))
-        self._is_square = is_sq.tolist()
+        self._np_squares = np.flatnonzero(is_sq)
         self.epsilon = int(np.flatnonzero(~is_sq[1:])[0]) + 1
 
-        # numpy views for the vectorized internals
-        self._np_exp = np_exp
-        self._np_log = np_log
-        self._np_inv = np_inv
-        self._np_squares = np_squares
         # the index map a -> s(a), s(a)_k = tr(a x^k), for reading
         # transforms: tr(a beta) = s(a) . beta
         self._functional = sum(self._trace[self._mul_vec(3 ** k, idx)].astype(np.int64) * 3 ** k
@@ -254,13 +251,7 @@ class FieldContext:
 
     def neg(self, x: int) -> int:
         self._check(x)
-        z = 0
-        p = 1
-        while x:
-            z += (-(x % 3)) % 3 * p
-            x //= 3
-            p *= 3
-        return z
+        return int(self._np_neg[x])
 
     def sub(self, x: int, y: int) -> int:
         return self.add(x, self.neg(y))
@@ -270,23 +261,21 @@ class FieldContext:
         self._check(y)
         if x == 0 or y == 0:
             return 0
-        return self._exp[(self._log[x] + self._log[y]) % (self.q - 1)]
+        return int(self._np_exp[(self._np_log[x] + self._np_log[y]) % (self.q - 1)])
 
     def inv(self, x: int) -> int:
         self._check(x)
         if x == 0:
             raise DomainError("0 has no multiplicative inverse in GF(%d)" % self.q)
-        return self._inv[x]
+        return int(self._np_inv[x])
 
     def pow(self, x: int, e: int) -> int:
         self._check(x)
         if x == 0:
-            if e == 0:
-                return 1
             if e < 0:
                 raise DomainError("negative power of 0")
-            return 0
-        return self._exp[(self._log[x] * e) % (self.q - 1)]
+            return int(e == 0)
+        return int(self._np_exp[int(self._np_log[x]) * e % (self.q - 1)])
 
     def trace(self, x: int) -> int:
         """Field trace down to GF(3), returned as an element of {0, 1, 2}."""
@@ -295,11 +284,11 @@ class FieldContext:
 
     def squares(self):
         """The (q-1)/2 nonzero squares, ascending."""
-        return self._squares
+        return tuple(self._np_squares.tolist())
 
     def is_square(self, x: int) -> bool:
         self._check(x)
-        return self._is_square[x]
+        return bool(self._np_is_square[x])
 
     # -- vectorized internals (element-index numpy arrays) ------------------
 
@@ -315,19 +304,22 @@ class FieldContext:
         d = (self._digits[xs].astype(np.int64) + self._digits[ys]) % 3
         return d @ self._pow3
 
+    def _shifted(self, c):
+        """beta + c for every beta, c = 1 or 2 (= -1): only digit 0 moves."""
+        b = np.arange(self.q)
+        return b - b % 3 + (b % 3 + c) % 3
+
     def _sq_minus_one(self):
-        """beta^2 - 1 for every beta."""
-        q = self.q
-        sq = np.zeros(q, dtype=np.int64)
-        sq[1:] = self._np_exp[2 * self._np_log[1:] % (q - 1)]
-        return self._add_vec(sq, np.full(q, 2))  # 2 is the index of -1
+        """beta^2 - 1 = (beta - 1)(beta + 1) for every beta."""
+        return self._mul_vec(self._shifted(2), self._shifted(1))
 
     def _chi_sq_minus_one(self):
-        """chi(beta^2 - 1) for every beta: 0 where beta^2 = 1, 1 where
-        beta^2 - 1 is a nonzero square (an even power of the generator) and
-        -1 where it is a nonsquare."""
-        s = self._sq_minus_one()
-        return np.where(s == 0, 0, np.where(self._np_log[s] % 2 == 0, 1, -1))
+        """chi(beta^2 - 1) = chi(beta - 1) chi(beta + 1) for every beta: 0
+        where beta = +-1, 1 where beta^2 - 1 is a nonzero square and -1 where
+        it is a nonsquare."""
+        chi = np.where(self._np_is_square, 1, -1)
+        chi[0] = 0
+        return chi[self._shifted(2)] * chi[self._shifted(1)]
 
     def transform(self, a_part, b_part):
         """F(s) = sum_beta (A + B omega)(beta) omega^{s . beta} for every s.

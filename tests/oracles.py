@@ -9,7 +9,8 @@ coordinate pairs, as `pair_scan` does on the trace vector itself.
 library's delta and K tables used before the radix-3 transform replaced them;
 neither reads a library character sum.  `field_tables_reference` is the
 Python-list construction of a field's tables that `FieldContext` used before
-it built them with numpy.  `mat_det` and `mat_trace` are the scalar,
+it built them with numpy, and `is_irreducible_trial` the trial division that
+its irreducibility check used before Rabin's test.  `mat_det` and `mat_trace` are the scalar,
 one-field-operation-at-a-time references for `ogroups._dets` and the traces
 that `enumerate_group` reads off the diagonals of its index array.
 
@@ -209,6 +210,17 @@ def _raw_pow(modulus, x: int, e: int) -> int:
     return out
 
 
+def is_irreducible_trial(m) -> bool:
+    """Whether the monic m of degree >= 1 is irreducible over GF(3), by trial
+    division by every monic polynomial of degree <= deg(m)/2."""
+    r = len(m) - 1
+    for d in range(1, r // 2 + 1):
+        for tail in itertools.product(range(3), repeat=d):
+            if not _poly_mod(list(m), list(tail) + [1]):
+                return False
+    return True
+
+
 def field_tables_reference(ctx) -> dict:
     """Every table `FieldContext` builds, by Python-list loops.
 
@@ -267,17 +279,13 @@ def field_tables_reference(ctx) -> dict:
     return {
         "_digits": digits,
         "_pow3": pow3,
-        "_exp": exp,
-        "_log": log,
-        "_inv": inv,
         "_trace": trace,
-        "_squares": tuple(squares),
-        "_is_square": is_square,
         "epsilon": next(x for x in range(1, q) if not is_square[x]),
         "_np_exp": np.array(exp, dtype=np.int64),
         "_np_log": np.array(log, dtype=np.int64),
         "_np_inv": np.array(inv, dtype=np.int64),
         "_np_squares": np.array(squares, dtype=np.int64),
+        "_np_is_square": np.array(is_square, dtype=bool),
         "_np_neg": (-digits.astype(np.int64) % 3) @ pow3,
         "_functional": sum(trace[mul_vec(3 ** k, idx)].astype(np.int64) * 3 ** k
                            for k in range(r)),

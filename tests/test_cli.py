@@ -407,6 +407,26 @@ def test_env_overrides(capsys, monkeypatch):
     assert json.loads(out)["q"] == 3
 
 
+@pytest.mark.parametrize("env, argv", [
+    ({"KLOOSTERCODES_R": "abc"}, ["field"]),
+    ({"KLOOSTERCODES_CODE": "zz"}, ["weights", "--r", "2"]),
+    ({"KLOOSTERCODES_FORMAT": "xml"}, ["field"]),
+], ids=["type", "choices", "format"])
+def test_bad_env_value_is_a_usage_error(env, argv):
+    # the value goes through the flag's own type and choices
+    code, out, err = _run_captured(argv, env)
+    assert (code, out) == (2, "")
+    var = next(iter(env))
+    assert "%s=%r" % (var, env[var]) in err and "Traceback" not in err
+
+
+def test_env_value_is_checked_only_where_its_flag_is_used():
+    # gl is a --group of gauss, not of groups; weights has no --group at all
+    code, out, _ = _run_captured(["gauss", "--r", "1", "--t", "2"], {"KLOOSTERCODES_GROUP": "gl"})
+    assert code == 0 and "K_GL(2, 3)" in out
+    assert _run_captured(["field"], {"KLOOSTERCODES_CODE": "zz"})[0] == 0
+
+
 def test_help_available_everywhere(capsys):
     for argv in (["--help"], ["verify", "--help"], ["moments", "--help"],
                  ["moments", "direct", "--help"], ["groups", "--help"]):

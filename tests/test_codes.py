@@ -14,12 +14,12 @@ from kloostercodes import (
     recursive_moments,
     weight_prefix,
 )
-from kloostercodes.gf3r import _is_irreducible
 from oracles import (
     build_code_spec,
     codeword_weight,
     dual_codeword,
     full_scan,
+    is_irreducible_trial,
     pair_counts,
     pair_scan,
     weight_prefix_dp,
@@ -196,7 +196,7 @@ def test_prefix_pads_past_code_length(f3):
 def _irreducible_moduli(r):
     from itertools import product
 
-    return [low + (1,) for low in product(range(3), repeat=r) if _is_irreducible(low + (1,))]
+    return [low + (1,) for low in product(range(3), repeat=r) if is_irreducible_trial(low + (1,))]
 
 
 @settings(max_examples=12, deadline=None)

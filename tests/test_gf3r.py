@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -13,7 +14,7 @@ from kloostercodes import (
     load_modulus_config,
 )
 from kloostercodes.gf3r import DEFAULT_MODULI, _is_irreducible, format_poly
-from oracles import field_tables_reference
+from oracles import field_tables_reference, is_irreducible_trial
 
 
 def test_default_contexts_construct():
@@ -36,6 +37,24 @@ def test_reducible_modulus_rejected():
     with pytest.raises(FieldConstructionError) as exc:
         field_create(2, (2, 0, 1))
     assert "x^2 + 2" in str(exc.value)
+
+
+def test_rabin_matches_trial_division():
+    # every monic polynomial of degree 1..7, 3,279 of them
+    for r in range(1, 8):
+        for tail in itertools.product(range(3), repeat=r):
+            modulus = tail + (1,)
+            assert _is_irreducible(modulus) == is_irreducible_trial(modulus), modulus
+
+
+def test_rabin_at_r12():
+    # x^12 + x^11 + x^8 + 1 is irreducible; x^12 + 1 = (x^4 + 1)^3 is not
+    assert _is_irreducible((1,) + (0,) * 7 + (1, 0, 0, 1, 1))
+    ctx = field_create(12, (1,) + (0,) * 7 + (1, 0, 0, 1, 1))
+    assert ctx.q == 3 ** 12
+    with pytest.raises(FieldConstructionError) as exc:
+        field_create(12, (1,) + (0,) * 11 + (1,))
+    assert "x^12 + 1 is reducible" in str(exc.value)
 
 
 def test_wrong_degree_modulus_rejected():
@@ -106,7 +125,7 @@ def _last_irreducible(r):
     """The monic irreducible of degree r that comes last in index order."""
     for idx in range(3 ** r - 1, -1, -1):
         modulus = tuple((idx // 3 ** k) % 3 for k in range(r)) + (1,)
-        if _is_irreducible(modulus):
+        if is_irreducible_trial(modulus):
             return modulus
 
 
@@ -114,11 +133,11 @@ def _last_irreducible(r):
                          + [(r, _last_irreducible(r)) for r in (2, 5, 7)])
 def test_log_tables_use_the_least_generator(r, modulus):
     ctx = field_create(r, modulus)
-    assert sorted(ctx._exp) == list(range(1, ctx.q))
-    assert all(ctx._exp[ctx._log[x]] == x for x in range(1, ctx.q))
+    assert np.array_equal(np.sort(ctx._np_exp), np.arange(1, ctx.q))
+    assert np.array_equal(ctx._np_exp[ctx._np_log[1:]], np.arange(1, ctx.q))
     # x has order (q - 1) / gcd(log x, q - 1): every candidate below g falls short
-    g = ctx._exp[1]
-    assert all(math.gcd(ctx._log[x], ctx.q - 1) > 1 for x in range(2, g))
+    g = int(ctx._np_exp[1])
+    assert all(math.gcd(int(ctx._np_log[x]), ctx.q - 1) > 1 for x in range(2, g))
 
 
 def _first_irreducibles(r, count):
@@ -126,7 +145,7 @@ def _first_irreducibles(r, count):
     out = []
     for idx in range(3 ** r):
         modulus = tuple((idx // 3 ** k) % 3 for k in range(r)) + (1,)
-        if _is_irreducible(modulus):
+        if is_irreducible_trial(modulus):
             out.append(modulus)
             if len(out) == count:
                 break
@@ -148,8 +167,28 @@ def test_tables_match_the_list_reference(r):
                 assert np.array_equal(got, want), (modulus, name)
             else:
                 assert got == want, (modulus, name)
-                if isinstance(want, (list, tuple)):
-                    assert {type(x) for x in got} == {type(x) for x in want}, (modulus, name)
+
+
+@pytest.mark.parametrize("r", [1, 2, 5])
+def test_scalar_methods_return_python_values(r):
+    ctx = field_create(r)
+    x, y = ctx.q - 1, ctx.q // 2
+    for value in (ctx.mul(x, y), ctx.inv(x), ctx.pow(x, 5), ctx.pow(x, -3),
+                  ctx.pow(0, 2), ctx.trace(x), *ctx.squares()):
+        assert type(value) is int
+    assert type(ctx.squares()) is tuple
+    assert {type(ctx.is_square(v)) for v in range(ctx.q)} == {bool}
+
+
+@pytest.mark.parametrize("r", range(1, 9))
+def test_chi_sq_minus_one_from_the_shifts(r):
+    # chi(beta - 1) chi(beta + 1) against chi of the digit sum beta^2 + (-1)
+    ctx = field_create(r)
+    beta = np.arange(ctx.q)
+    s = ctx._add_vec(ctx._mul_vec(beta, beta), 2)
+    chi = np.where(s == 0, 0, np.where(ctx._np_is_square[s], 1, -1))
+    assert np.array_equal(ctx._chi_sq_minus_one(), chi)
+    assert np.array_equal(ctx._sq_minus_one(), s)
 
 
 def _digits(x, r):
@@ -177,7 +216,7 @@ def test_transform_matches_literal_sum(r, dtype):
 def test_transform_index_maps(r):
     ctx = field_create(r)
     for x in range(ctx.q):
-        assert ctx._np_neg[x] == ctx.neg(x)
+        assert ctx.add(x, int(ctx._np_neg[x])) == 0
         s = _digits(int(ctx._functional[x]), r)
         for beta in range(ctx.q):
             dot = sum(u * v for u, v in zip(s, _digits(beta, r))) % 3
