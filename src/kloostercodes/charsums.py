@@ -7,17 +7,17 @@ Kloosterman sums, their power moments over the square arguments, and the
 solution counts delta(m, q; beta) of x_1 + 1/x_1 + ... + x_m + 1/x_m = beta
 all come out as exact (big) integers.
 
-The K table and the delta(m) tables come from the exact radix-3 transform
-over (Z/3)^r (FieldContext.transform): one transform of y -> omega^{tr(1/y)}
-gives K(a) for every a, kept on the field context, and every reader of a
+The K table and the delta(m) tables are exact character sums over the
+field (FieldContext.character_sums): one sum of y -> omega^{tr(1/y)} gives
+K(a) for every a, kept on the field context, and every reader of a
 Kloosterman sum, single values included, reads that table.  Next to it the
 context keeps the value histogram of K over the nonzero squares: K(a) is
 -1 mod 3 and at most 2 sqrt(q) in modulus, so it takes at most about
 4 sqrt(q)/3 + 1 values (81 at q = 3^8), and the direct moments
 SK^h = sum_k mult(k) k^h and the left side of the Pless check sum over those
-values instead of over the (q - 1)/2 squares.  delta(m) is the transform of
-the m-th power of the transform of delta(1).  The two tables never read
-each other.
+values instead of over the (q - 1)/2 squares.  delta(m) is the character
+sum of the m-th power of the character sum of delta(1).  The two tables
+never read each other.
 """
 
 import math
@@ -37,9 +37,9 @@ def _kloosterman_table(ctx, ops_limit: int = DEFAULT_OPS_LIMIT):
     """K(a) for every a, as an int64 array indexed by a (K(0) = -1).
 
     With y = 1/x, K(a) = sum_{y != 0} omega^{tr(1/y)} omega^{tr(a y)}, so one
-    transform of y -> omega^{tr(1/y)} (0 at y = 0) gives K(a) = F(s(a)) for
-    every a at once, in int64 since |K| <= q - 1.  The table is checked to
-    be real, with sum_{a != 0} K(a) = 1 and sum_{a != 0} K(a)^2 = q^2 - q - 1.
+    character sum of y -> omega^{tr(1/y)} (0 at y = 0) gives K(a) for every
+    a at once, in int64 since |K| <= q - 1.  The table is checked to have
+    sum_{a != 0} K(a) = 1 and sum_{a != 0} K(a)^2 = q^2 - q - 1.
     It is admitted at about q*r + q operations, then kept on ctx together
     with its value histogram over the nonzero squares; the limit is checked
     before the kept table is read.
@@ -53,10 +53,7 @@ def _kloosterman_table(ctx, ops_limit: int = DEFAULT_OPS_LIMIT):
     # omega^t = A + B omega: (1, 0), (0, 1), (-1, -1) for t = 0, 1, 2
     a_part, b_part = np.array([[1, 0, -1], [0, 1, -1]], dtype=np.int64)[:, t]
     a_part[0] = b_part[0] = 0
-    big_a, big_b = ctx.transform(a_part, b_part)
-    if np.count_nonzero(big_b):
-        raise ConsistencyError("Kloosterman table over GF(%d) is not real" % q)
-    k = big_a[ctx._functional]
+    k = ctx.character_sums(a_part, b_part)
     histogram = _value_histogram(q, k[ctx._np_squares])
     total, squares = int(k[1:].sum()), int((k[1:] ** 2).sum())
     if (total, squares) != (1, q * q - q - 1):
@@ -160,37 +157,25 @@ def _delta_one(ctx):
 def delta_count(ctx, m: int, *, ops_limit: int = DEFAULT_OPS_LIMIT) -> DeltaTable:
     """The table beta -> delta(m, q; beta).
 
-    delta(m) is the m-fold additive convolution of delta(1), so the
-    transform of delta(m) is F^m, F the transform of delta(1).  Transforming
-    F^m again gives G(t) = q delta(m; -t), which is asserted real and
-    divisible by q: about (2r + m) q operations.  Every value stays below
-    q (q-1)^m in modulus; int64 is exact while that is below 2^62 (the
-    products in Z[omega] then stay below 4 (q-1)^m), Python ints otherwise.
+    delta(m) is the m-fold additive convolution of delta(1), so with
+    f(a) = sum_beta delta(1; beta) omega^{tr(a beta)} the character sum of
+    f^m is g(t) = q delta(m; -t) = q delta(m; t) (delta(m) is even, as
+    x -> -x maps its equation to itself); g is asserted divisible by q.
+    About (2r + m) q operations for every m >= 0.  |f| <= q - 1, so f^m is
+    carried in int64 while (q - 1)^m < 2^63, in Python ints otherwise.
     """
     if m < 0:
         raise DomainError("m must be nonnegative")
     q = ctx.q
-    if m == 0:
-        return DeltaTable(0, tuple(1 if b == 0 else 0 for b in range(q)))
-    if m >= 2:
-        admit("delta(%d, %d) by two radix-3 transforms ((2r + m) q)" % (m, q),
-              (2 * ctx.r + m) * q, ops_limit)
-    values = _delta_one(ctx)
-    if m >= 2:
-        dtype = np.int64 if q * (q - 1) ** m < 2 ** 62 else object
-        f_a, f_b = ctx.transform(values.astype(dtype), np.zeros(q, dtype=dtype))
-        p_a, p_b = f_a, f_b
-        for _ in range(m - 1):
-            # (A + B omega)(C + D omega) = AC - BD + (AD + BC - BD) omega
-            p_a, p_b = p_a * f_a - p_b * f_b, p_a * f_b + p_b * f_a - p_b * f_b
-        g_a, g_b = ctx.transform(p_a, p_b)
-        g_a = g_a[ctx._np_neg]
-        if np.count_nonzero(g_b) or np.count_nonzero(g_a % q):
-            raise ConsistencyError(
-                "delta(%d, %d): the second transform is not q times an integer table" % (m, q)
-            )
-        values = g_a // q
-    table = DeltaTable(m, tuple(values.tolist()))
+    admit("delta(%d, %d) by two radix-3 transforms ((2r + m) q)" % (m, q),
+          (2 * ctx.r + m) * q, ops_limit)
+    f = ctx.character_sums(_delta_one(ctx))
+    g = ctx.character_sums((f if (q - 1) ** m < 2 ** 63 else f.astype(object)) ** m)
+    if np.count_nonzero(g % q):
+        raise ConsistencyError(
+            "delta(%d, %d): the second character sum is not q times an integer table" % (m, q)
+        )
+    table = DeltaTable(m, tuple((g // q).tolist()))
     if table.total() != (q - 1) ** m:
         raise ConsistencyError(
             "delta(%d, %d) table totals %d, expected %d"

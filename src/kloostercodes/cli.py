@@ -2,12 +2,12 @@
 
 Every subcommand prints machine-readable output (json, csv or text) that is
 byte-identical across runs for the same flags; timing is opt-in via
---timing so the default output stays reproducible.  Exit status: 0 on
-success or full verification, 1 on a verification mismatch, 2 on usage or
-capacity errors.  Flags may also be supplied through environment variables
-with the KLOOSTERCODES_ prefix (e.g. KLOOSTERCODES_H_MAX=6); such a value
-passes the flag's own type and choices, or the command exits 2 naming the
-variable.
+--timing (json only) so the default output stays reproducible.  Exit
+status: 0 on success or full verification, 1 on a verification mismatch,
+2 on usage or capacity errors.  Flags may also be supplied through
+environment variables with the KLOOSTERCODES_ prefix (e.g.
+KLOOSTERCODES_H_MAX=6); such a value passes the flag's own type and
+choices, or the command exits 2 naming the variable.
 """
 
 import argparse
@@ -104,14 +104,14 @@ def _build_parser():
                        help="character sums over the groups, closed form")
     _flag(p, "--group", choices=sorted(_CODE_IDS) + ["gl"], default="so2")
     _flag(p, "--a", type=int, default=1, help="character scaling")
-    _flag(p, "--t", type=int, default=1, help="GL rank (with --group gl)")
-    _flag(p, "--n", type=int, help="explicit half-rank 2n (overrides --group; needs --variant)")
-    _flag(p, "--variant", choices=("so", "o"), default="so")
+    _flag(p, "--t", type=int, help="GL rank, with --group gl only (default 1)")
+    _flag(p, "--n", type=int, help="explicit n of SO-/O-(2n,q) (overrides --group)")
+    _flag(p, "--variant", choices=("so", "o"), help="with --n only: SO- or O- (default so)")
 
     p = sub.add_parser("verify", parents=[common],
                        help="check the recursions against direct moments")
     _flag(p, "--h-max", type=int, default=10)
-    p.add_argument("--timing", action="store_true", help="include elapsed_ms in reports")
+    p.add_argument("--timing", action="store_true", help="add elapsed_ms to json reports")
 
     return parser
 
@@ -234,14 +234,21 @@ def _cmd_groups(args):
 
 
 def _cmd_gauss(args):
+    if args.group == "gl" and (args.n, args.variant) != (None, None):
+        raise DomainError("--n and --variant do not apply to --group gl")
+    if args.group != "gl" and args.t is not None:
+        raise DomainError("--t applies to --group gl only")
+    if args.n is None and args.variant is not None:
+        raise DomainError("--variant applies with --n only; --group o2 is O-(2,q)")
     ctx = _make_ctx(args)
     if args.group == "gl":
-        val = gauss.kloosterman_gl(ctx, args.t, args.a, ops_limit=args.limit_ops)
-        payload = {"q": ctx.q, "group": "gl", "t": args.t, "a": args.a, "value": str(val)}
-        text = ["K_GL(%d, %d)(a=%d) = %d" % (args.t, ctx.q, args.a, val)]
+        t = 1 if args.t is None else args.t
+        val = gauss.kloosterman_gl(ctx, t, args.a, ops_limit=args.limit_ops)
+        payload = {"q": ctx.q, "group": "gl", "t": t, "a": args.a, "value": str(val)}
+        text = ["K_GL(%d, %d)(a=%d) = %d" % (t, ctx.q, args.a, val)]
     else:
         if args.n is not None:
-            n, variant = args.n, args.variant
+            n, variant = args.n, args.variant or "so"
         else:
             n = 2 if args.group == "so4" else 1
             variant = "o" if args.group == "o2" else "so"
@@ -254,6 +261,8 @@ def _cmd_gauss(args):
 
 
 def _cmd_verify(args):
+    if args.timing and args.format != "json":
+        raise DomainError("--timing adds elapsed_ms under --format json only")
     ctx = _make_ctx(args)
     reports = moments.verify_report(ctx, args.h_max, ops_limit=args.limit_ops)
     payload = [rep.to_dict(include_timing=args.timing) for rep in reports]

@@ -4,7 +4,7 @@ The code of a group is the set of GF(3)-vectors orthogonal to the vector of
 matrix traces of the group elements in canonical order; its dual consists of
 the q words a -> (tr(a Tr g_1), ..., tr(a Tr g_N)) by Delsarte duality.
 Truncated weight distributions are computed exactly from the trace histogram
-alone: one radix-3 transform of the histogram gives every dual weight, and
+alone: one character sum of the histogram gives every dual weight, and
 the MacWilliams identity turns the few distinct dual weights into the low
 weight counts of the code.  They remain available when the group itself is
 far too large to enumerate, and nothing here reads a Kloosterman sum except
@@ -66,18 +66,16 @@ class WeightPrefix:
 def _zero_trace_counts(hist: TraceHistogram, ctx):
     """Z(a) = sum of n(beta) over tr(a beta) = 0, for every a at once.
 
-    tr(a beta) = s(a) . beta for the digit vectors, so Z(a) is read off the
-    transform F(s(a)) = sum_beta n(beta) omega^{tr(a beta)} of the histogram
-    (FieldContext.transform), in object arrays of Python ints since N runs
-    past 2^63; the three counts n_0 + n_1 + n_2 = N with
-    F = n_0 + n_1 omega + n_2 omega^2 give n_0 = (N + 2A - B) / 3.
+    The character sum A(a) = sum_beta n(beta) omega^{tr(a beta)} of the
+    histogram (FieldContext.character_sums) is n_0 + n_1 omega + n_2 omega^2
+    with n_0 + n_1 + n_2 = N; it is real, so n_1 = n_2 and n_0 = (N + 2A)/3,
+    formed in Python ints since N runs past 2^63.
     """
-    a_part, b_part = ctx.transform(np.array(hist.counts, dtype=object),
-                                   np.zeros(ctx.q, dtype=object))
-    num = hist.total + 2 * a_part[ctx._functional] - b_part[ctx._functional]
-    if any(num % 3):
-        raise ConsistencyError("trace-zero counts (N + 2A - B)/3 are not all integers")
-    return num // 3
+    n = hist.total
+    num = [n + 2 * x for x in ctx.character_sums(np.array(hist.counts, dtype=object)).tolist()]
+    if any(x % 3 for x in num):
+        raise ConsistencyError("trace-zero counts (N + 2A)/3 are not all integers")
+    return [x // 3 for x in num]
 
 
 def _admit_prefix(ctx, top: int, distinct: int, ops_limit: int) -> None:
@@ -91,7 +89,7 @@ def weight_prefix(hist: TraceHistogram, ctx, j_max: int, *,
 
     The dual word of a has weight w(a) = N - Z(a), Z(a) the number of
     coordinates of trace t with tr(a t) = 0; the Z(a) come from one exact
-    transform of the histogram.  The MacWilliams identity then gives
+    character sum of the histogram.  The MacWilliams identity then gives
     C_j = q^{-1} sum_w mult(w) [x^j] (1 + 2x)^{N - w} (1 - x)^w, summed over
     the distinct dual weights w (a = 0 contributes w = 0).  The work is
     about q*r + (distinct weights) * (min(j_max, N) + 1)^2 big-integer
@@ -102,9 +100,9 @@ def weight_prefix(hist: TraceHistogram, ctx, j_max: int, *,
     q, n = ctx.q, hist.total
     top = min(j_max, n)
     # a = 0 always gives w = 0, so one distinct weight is known before the
-    # transform; the full estimate is checked once the weights are grouped
+    # character sum; the full estimate is checked once the weights are grouped
     _admit_prefix(ctx, top, 1, ops_limit)
-    mult = Counter((n - _zero_trace_counts(hist, ctx)).tolist())
+    mult = Counter(n - z for z in _zero_trace_counts(hist, ctx))
     _admit_prefix(ctx, top, len(mult), ops_limit)
     sums = [0] * (top + 1)
     for w, m in mult.items():

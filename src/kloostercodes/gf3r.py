@@ -11,18 +11,18 @@ every r with a modulus, shipped (r <= 8) or given.  The scalar methods
 read those arrays and return Python ints and bools; addition is an O(r)
 digit loop.  Adding +-1 moves only digit 0 of an index, so
 chi(beta^2 - 1) = chi(beta - 1) chi(beta + 1) comes from two index shifts.
-`FieldContext.transform` is the one radix-3 Fourier transform over (Z/3)^r,
-exact in Z[omega]; the context keeps the index maps that read it (a -> s(a)
-with tr(a beta) = s(a) . beta, and negation) and the derived tables that
-the layers above memoise on it (the Kloosterman table on the squares, the
-group enumerations), so they live and die with the context.
+`FieldContext.character_sums` is the one exact additive character sum,
+a -> sum_beta f(beta) omega^{tr(a beta)} for every a, asserted real; the
+context also keeps the derived tables that the layers above memoise on it
+(the Kloosterman table on the squares, the group enumerations), so they
+live and die with the context.
 """
 
 import json
 
 import numpy as np
 
-from .errors import DomainError, FieldConstructionError
+from .errors import ConsistencyError, DomainError, FieldConstructionError
 
 # Shipped irreducible moduli, coefficient lists low degree first (monic).
 # Smallest monic irreducible of each degree in the canonical base-3 index
@@ -209,7 +209,7 @@ class FieldContext:
         np_log[np_exp] = np.arange(q - 1)
         self._np_inv = np.zeros(q, dtype=np.int64)
         self._np_inv[1:] = np_exp[(-np_log[1:]) % (q - 1)]
-        # -x = (-1) x, an index map for reading transforms (2 is the index of -1)
+        # -x = (-1) x (2 is the index of -1)
         self._np_neg = self._mul_vec(2, idx)
 
         # trace of each basis power x^i, the digitwise sum of its r
@@ -226,8 +226,8 @@ class FieldContext:
         self._np_squares = np.flatnonzero(is_sq)
         self.epsilon = int(np.flatnonzero(~is_sq[1:])[0]) + 1
 
-        # the index map a -> s(a), s(a)_k = tr(a x^k), for reading
-        # transforms: tr(a beta) = s(a) . beta
+        # the index map a -> s(a), s(a)_k = tr(a x^k), that reads the
+        # character sums: tr(a beta) = s(a) . beta
         self._functional = sum(self._trace[self._mul_vec(3 ** k, idx)].astype(np.int64) * 3 ** k
                                for k in range(r))
 
@@ -321,20 +321,26 @@ class FieldContext:
         chi[0] = 0
         return chi[self._shifted(2)] * chi[self._shifted(1)]
 
-    def transform(self, a_part, b_part):
-        """F(s) = sum_beta (A + B omega)(beta) omega^{s . beta} for every s.
+    def character_sums(self, a_part, b_part=None):
+        """R(a) = sum_beta f(beta) omega^{tr(a beta)} for every a, as one
+        integer array indexed by a, for f = A + B omega given as integer
+        arrays indexed by beta (B = 0 if omitted).  Every such sum here is
+        real; a nonzero omega part raises ConsistencyError.
 
-        The radix-3 Fourier transform over (Z/3)^r, with s . beta the dot
-        product of base-3 digit vectors of the indices; omega^2 = -1 - omega
-        keeps every value exactly in the form A + B omega.  Takes and returns
-        the pair (A, B) of arrays of length q, in their dtype.  int64 is exact
-        when every input has modulus at most M and 1.6 q M < 2^63: a sum of n
-        values of modulus M has coordinates at most 2 n M / sqrt(3), and each
-        output of a stage adds four coordinates of the stage before.  Object
-        arrays of Python ints are exact always.  F(s(a)), with
-        s(a) = _functional[a], is sum_beta f(beta) omega^{tr(a beta)}.
+        The radix-3 Fourier transform over (Z/3)^r gives
+        F(s) = sum_beta f(beta) omega^{s . beta} exactly in the form
+        A + B omega (omega^2 = -1 - omega), and R(a) = F(s(a)).  int64 is
+        exact when 1.6 q M < 2^63, M = max|A| + max|B| >= |f(beta)|: a sum of
+        n values of modulus M has coordinates at most 2 n M / sqrt(3), and
+        each stage adds four coordinates of the one before.  Python ints
+        carry it otherwise.
         """
         q = self.q
+        parts = (a_part,) if b_part is None else (a_part, b_part)
+        bound = sum(max(int(p.max()), -int(p.min())) for p in parts)
+        dtype = np.int64 if 16 * q * bound < 10 * 2 ** 63 else object
+        a_part = a_part.astype(dtype)
+        b_part = np.zeros(q, dtype) if b_part is None else b_part.astype(dtype)
         for k in range(self.r):
             shape = (q // 3 ** (k + 1), 3, 3 ** k)  # axis 1 is digit k
             a3, b3 = a_part.reshape(shape), b_part.reshape(shape)
@@ -347,7 +353,9 @@ class FieldContext:
             a_part[:, 1], b_part[:, 1] = a0 - a2 - b1 + b2, b0 + a1 - b1 - a2
             a_part[:, 2], b_part[:, 2] = a0 - a1 + b1 - b2, b0 - a1 + a2 - b2
             a_part, b_part = a_part.reshape(q), b_part.reshape(q)
-        return a_part, b_part
+        if np.count_nonzero(b_part):
+            raise ConsistencyError("a character sum over GF(%d) is not real" % q)
+        return a_part[self._functional]
 
     def __repr__(self):
         return "FieldContext(q=%d, modulus=%s)" % (self.q, format_poly(self.modulus))

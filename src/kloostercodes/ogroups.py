@@ -211,14 +211,11 @@ def histogram_closed_form(ctx, gid: GroupId, *, ops_limit: int = charsums.DEFAUL
             counts[0] = q + 1 if ctx.r % 2 == 0 else q + 3
     else:
         # q^2 (q^3 + q^2 + q - 3 - delta(2; beta)), and q^2 (q^2 + 2q - 3 -
-        # delta(2; 0)) at beta = 0: the inner term in int64 while q^3 < 2^62,
-        # then one Python-int product per entry, since the counts pass 2^63
-        # from r = 7 on
+        # delta(2; 0)) at beta = 0, in Python ints (past 2^63 from r = 7 on)
         d2 = charsums.delta_count(ctx, 2, ops_limit=ops_limit).values
-        dtype = np.int64 if q ** 3 < 2 ** 62 else object
-        inner = q ** 3 + q * q + q - 3 - np.array(d2, dtype=dtype)
-        inner[0] -= q ** 3 - q
-        counts = [q * q * x for x in inner.tolist()]
+        top = q ** 3 + q * q + q - 3
+        counts = [q * q * (top - d) for d in d2]
+        counts[0] -= q * q * (q ** 3 - q)
     hist = TraceHistogram(tuple(counts))
     expected = group_order(gid, q)
     if hist.total != expected:

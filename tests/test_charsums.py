@@ -86,14 +86,14 @@ def test_kloosterman_honours_ops_limit():
 
 def test_every_k_reader_shares_one_transform(monkeypatch):
     ctx = field_create(4)
-    real = ctx.transform
+    real = ctx.character_sums
     calls = []
 
-    def counted(a_part, b_part):
+    def counted(*parts):
         calls.append(1)
-        return real(a_part, b_part)
+        return real(*parts)
 
-    monkeypatch.setattr(ctx, "transform", counted)
+    monkeypatch.setattr(ctx, "character_sums", counted)
     values = [kloosterman(ctx, a) for a in range(1, ctx.q)]
     moments = [sk_moment(ctx, h) for h in range(1, 21)]
     assert len(calls) == 1
@@ -246,20 +246,23 @@ def test_kloosterman_table_matches_per_a_loop(r):
 
 @pytest.mark.parametrize("shift", [(1, 0), (0, 1)])
 def test_corrupted_kloosterman_table_is_detected(monkeypatch, shift):
-    # one transform value off by 1 or by omega breaks the sum or the realness
+    # one value of the sum off by 1 breaks the sum check; one input value
+    # off by omega makes the sum non-real
     ctx = field_create(2)
-    real = ctx.transform
+    real = ctx.character_sums
 
     def skewed(a_part, b_part):
-        big_a, big_b = real(a_part, b_part)
-        big_a[5] += shift[0]
-        big_b[5] += shift[1]
-        return big_a, big_b
+        b_part = b_part.copy()
+        b_part[5] += shift[1]
+        k = real(a_part, b_part)
+        k[5] += shift[0]
+        return k
 
-    monkeypatch.setattr(ctx, "transform", skewed)
-    with pytest.raises(ConsistencyError):
+    monkeypatch.setattr(ctx, "character_sums", skewed)
+    match = "not real" if shift[1] else None
+    with pytest.raises(ConsistencyError, match=match):
         kloosterman_on_squares(ctx)
-    with pytest.raises(ConsistencyError):
+    with pytest.raises(ConsistencyError, match=match):
         sk_moment(ctx, 2)
 
 
@@ -270,14 +273,14 @@ def test_corrupted_kloosterman_table_is_detected(monkeypatch, shift):
 def test_corrupted_kloosterman_values_are_detected(monkeypatch, skew, message):
     ctx = field_create(4)
     a = ctx.squares()[3]
-    real = ctx.transform
+    real = ctx.character_sums
 
     def skewed(a_part, b_part):
-        big_a, big_b = real(a_part, b_part)
-        big_a[ctx._functional[a]] += skew
-        return big_a, big_b
+        k = real(a_part, b_part)
+        k[a] += skew
+        return k
 
-    monkeypatch.setattr(ctx, "transform", skewed)
+    monkeypatch.setattr(ctx, "character_sums", skewed)
     with pytest.raises(ConsistencyError, match=message):
         sk_moment(ctx, 2)
     with pytest.raises(ConsistencyError, match=message):
@@ -304,7 +307,7 @@ def test_delta_matches_convolution_oracle(r, m):
 
 
 @pytest.mark.parametrize("r, m", [
-    (2, 19),  # 9 * 8^19 < 2^62: the largest m carried in int64 at q = 9
+    (2, 19),  # 1.6 * 9 * 8^19 < 2^63: the largest m carried in int64 at q = 9
     (2, 20),  # the smallest m carried in Python ints at q = 9
     (3, 14),  # 27 * 26^14 is about 2^70
 ])
@@ -316,11 +319,14 @@ def test_delta_at_the_int64_bound(r, m):
 
 
 @pytest.mark.parametrize("job, cost", [
-    # two transforms of r stages and m pointwise products: (2r + m) q
+    # two transforms of r stages and m pointwise products: (2r + m) q,
+    # for every m
     (lambda ctx, limit: delta_count(ctx, 3, ops_limit=limit), (2 * 3 + 3) * 27),
+    (lambda ctx, limit: delta_count(ctx, 0, ops_limit=limit), (2 * 3 + 0) * 27),
+    (lambda ctx, limit: delta_count(ctx, 1, ops_limit=limit), (2 * 3 + 1) * 27),
     # one transform for the K table: q r + q
     (lambda ctx, limit: sk_moment(ctx, 3, ops_limit=limit), 27 * 3 + 27),
-], ids=["delta_count", "sk_moment"])
+], ids=["delta_count", "delta_count_m0", "delta_count_m1", "sk_moment"])
 def test_table_cost_estimates_admit_themselves(f27, job, cost):
     assert job(f27, cost) == job(f27, 10 ** 9)
     with pytest.raises(CapacityError) as exc:

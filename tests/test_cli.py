@@ -351,6 +351,23 @@ def test_gauss_subcommands(capsys):
     assert json.loads(out)["value"] == "5"
 
 
+@pytest.mark.parametrize("env, argv, flag", [
+    ({}, ["--group", "so2", "--t", "5"], "--t"),
+    ({"KLOOSTERCODES_T": "2"}, ["--group", "so4"], "--t"),
+    ({}, ["--group", "gl", "--n", "2"], "--n"),
+    ({}, ["--group", "gl", "--t", "2", "--variant", "o"], "--variant"),
+    ({}, ["--group", "so4", "--variant", "o"], "--variant"),
+    ({"KLOOSTERCODES_VARIANT": "o"}, ["--group", "o2"], "--variant"),
+], ids=["t-without-gl", "t-from-env", "n-with-gl", "variant-with-gl",
+        "variant-without-n", "variant-from-env"])
+def test_gauss_refuses_a_flag_it_would_drop(env, argv, flag):
+    # --t serves --group gl only, --n and --variant every group but gl, and
+    # --variant only with --n; a value from the environment counts as given
+    code, out, err = _run_captured(["gauss", "--r", "2"] + argv, env)
+    assert (code, out) == (2, "")
+    assert flag in err and "Traceback" not in err
+
+
 def test_verify_exit_zero(capsys):
     code, out, _ = run(capsys, "verify", "--r", "1", "--h-max", "6")
     assert code == 0
@@ -385,6 +402,15 @@ def test_verify_timing_opt_in(capsys):
                        "--timing")
     assert code == 0
     assert all("elapsed_ms" in rep for rep in json.loads(out))
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+def test_verify_timing_needs_json(capsys, fmt):
+    # only the json reports carry elapsed_ms; elsewhere --timing would do nothing
+    code, out, err = run(capsys, "verify", "--r", "2", "--h-max", "2", "--timing",
+                         "--format", fmt)
+    assert (code, out) == (2, "")
+    assert "--timing" in err and "--format json" in err
 
 
 def test_byte_identical_outputs(capsys):

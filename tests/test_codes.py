@@ -8,6 +8,7 @@ from kloostercodes import (
     DomainError,
     GroupId,
     codeword_weight_formula,
+    delta_count,
     enumerate_group,
     field_create,
     histogram_closed_form,
@@ -228,7 +229,9 @@ def test_prefix_never_reads_kloosterman(monkeypatch, f27):
         raise AssertionError("weight_prefix read a Kloosterman sum")
 
     for target in ("kloostercodes.charsums.kloosterman", "kloostercodes.codes.kloosterman",
-                   "kloostercodes.kloosterman", "kloostercodes.charsums.kloosterman_on_squares"):
+                   "kloostercodes.kloosterman", "kloostercodes.charsums.kloosterman_on_squares",
+                   "kloostercodes.charsums._kloosterman_table",
+                   "kloostercodes.charsums.kloosterman_histogram"):
         monkeypatch.setattr(target, forbidden)
     for gid in GroupId:
         assert weight_prefix(histogram_closed_form(f27, gid), f27, 10) == expected[gid]
@@ -238,6 +241,12 @@ def test_recursion_never_reads_the_k_table_or_its_histogram(monkeypatch, f27):
     # the whole pipeline histogram -> prefix -> chain, on a fresh context,
     # reads neither the K table nor its value histogram, which the direct side reads
     expected = {gid: recursive_moments(f27, gid, 10) for gid in GroupId}
+    # unpatched, the three chains and delta(3) leave both unset on a fresh context
+    fresh = field_create(3)
+    for gid in GroupId:
+        recursive_moments(fresh, gid, 10)
+    delta_count(fresh, 3)
+    assert fresh._k_table is None and fresh._k_histogram is None
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the recursion side read the K table")

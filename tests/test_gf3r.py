@@ -195,21 +195,68 @@ def _digits(x, r):
     return [(x // 3 ** k) % 3 for k in range(r)]
 
 
+def _conjugate_symmetric(ctx, pick):
+    """Parts (A, B) of an f with f(-beta) = conj f(beta), so that every
+    character sum of f is real: pick() draws (A, B) at one beta of each pair
+    {beta, -beta}, conj(A + B omega) = (A - B) - B omega gives the other, and
+    f(0) = (A, 0) is real."""
+    a, b = [0] * ctx.q, [0] * ctx.q
+    a[0] = pick()[0]
+    for beta in range(1, ctx.q):
+        if beta < ctx.neg(beta):
+            a[beta], b[beta] = pick()
+            a[ctx.neg(beta)], b[ctx.neg(beta)] = a[beta] - b[beta], -b[beta]
+    return a, b
+
+
+def _literal_sums(ctx, a, b):
+    """sum_beta (A + B omega)(beta) omega^{tr(x beta)} for every x, term by
+    term, with the omega part asserted zero."""
+    out = []
+    for x in range(ctx.q):
+        acc = [0, 0, 0]  # coefficients of 1, omega, omega^2
+        for beta in range(ctx.q):
+            e = ctx.trace(ctx.mul(x, beta))
+            acc[e] += a[beta]
+            acc[(e + 1) % 3] += b[beta]
+        assert acc[1] == acc[2]
+        out.append(acc[0] - acc[2])
+    return out
+
+
 @pytest.mark.parametrize("r", [1, 2, 3])
 @pytest.mark.parametrize("dtype", [np.int64, object])
 def test_transform_matches_literal_sum(r, dtype):
     ctx = field_create(r)
     rng = random.Random(r)
-    a = [rng.randint(-5, 5) for _ in range(ctx.q)]
-    b = [rng.randint(-5, 5) for _ in range(ctx.q)]
-    big_a, big_b = ctx.transform(np.array(a, dtype=dtype), np.array(b, dtype=dtype))
-    for s in range(ctx.q):
-        acc = [0, 0, 0]  # coefficients of 1, omega, omega^2
-        for beta in range(ctx.q):
-            e = sum(x * y for x, y in zip(_digits(s, r), _digits(beta, r))) % 3
-            acc[e] += a[beta]
-            acc[(e + 1) % 3] += b[beta]
-        assert (big_a[s], big_b[s]) == (acc[0] - acc[2], acc[1] - acc[2])
+    a, b = _conjugate_symmetric(ctx, lambda: (rng.randint(-5, 5), rng.randint(-5, 5)))
+    sums = ctx.character_sums(np.array(a, dtype=dtype), np.array(b, dtype=dtype))
+    assert sums.tolist() == _literal_sums(ctx, a, b)
+    # B omitted is B = 0; an even real f has real sums
+    even = [a[x] + a[ctx.neg(x)] for x in range(ctx.q)]
+    sums = ctx.character_sums(np.array(even, dtype=dtype))
+    assert sums.tolist() == _literal_sums(ctx, even, [0] * ctx.q)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("over", [False, True], ids=["below", "above"])
+def test_character_sums_exact_at_the_int64_bound(r, over):
+    # int64 while 1.6 q M < 2^63, M = max|A| + max|B|: below the bound
+    # M <= (9/8) 2^62 / q; above it M >= 2^64 / q, and R(0), about q M,
+    # passes 2^63
+    ctx = field_create(r)
+    big = (2 ** 64 if over else 2 ** 62) // ctx.q
+    rng = random.Random(r)
+
+    def pick():
+        b = rng.randint(0, big // 8)
+        return big - b, b
+
+    a, b = _conjugate_symmetric(ctx, pick)
+    sums = ctx.character_sums(np.array(a, dtype=object), np.array(b, dtype=object))
+    assert sums.dtype == (object if over else np.int64)
+    assert sums.tolist() == _literal_sums(ctx, a, b)
+    assert (sums[0] > 2 ** 63) == over
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
