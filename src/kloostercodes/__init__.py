@@ -32,7 +32,6 @@ from .moments import (
     PlessCheck,
     pless_check,
     recursive_moments,
-    sk_initial,
     sk_recursive_chain,
     verify_report,
 )

@@ -108,11 +108,6 @@ def kloosterman(ctx, a: int, *, ops_limit: int = DEFAULT_OPS_LIMIT) -> int:
     return int(_kloosterman_table(ctx, ops_limit)[a])
 
 
-def kloosterman_on_squares(ctx, *, ops_limit: int = DEFAULT_OPS_LIMIT):
-    """K(a) for every nonzero square a, in ascending order of a."""
-    return tuple(_kloosterman_table(ctx, ops_limit)[ctx._np_squares].tolist())
-
-
 def sk_moment(ctx, h: int, *, ops_limit: int = DEFAULT_OPS_LIMIT) -> int:
     """Direct h-th power moment of the Kloosterman sums over the nonzero
     squares, sum_k mult(k) k^h over the value histogram of K."""

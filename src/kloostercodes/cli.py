@@ -23,7 +23,7 @@ from .ogroups import GroupId
 
 ENV_PREFIX = "KLOOSTERCODES_"
 
-_CODE_IDS = {"so2": GroupId.SO2, "o2": GroupId.O2, "so4": GroupId.SO4}
+_CODES = sorted(gid.value for gid in GroupId)
 
 
 class _EnvValue:
@@ -86,26 +86,27 @@ def _build_parser():
     pr = msub.add_parser("recursive", parents=[common],
                          help="moments generated by the code recursion")
     _flag(pr, "--h", type=int, default=4, help="highest moment")
-    _flag(pr, "--code", choices=sorted(_CODE_IDS), default="so2")
+    _flag(pr, "--code", choices=_CODES, default="so2")
 
     p = sub.add_parser("weights", parents=[common],
                        help="truncated weight distribution of a group code")
-    _flag(p, "--code", choices=sorted(_CODE_IDS), default="so2")
+    _flag(p, "--code", choices=_CODES, default="so2")
     _flag(p, "--max-j", type=int, default=8, help="largest weight to report")
 
     p = sub.add_parser("groups", help="group enumeration")
     gsub = p.add_subparsers(dest="mode", required=True)
     ge = gsub.add_parser("enumerate", parents=[common], help="order and trace histogram")
-    _flag(ge, "--group", choices=sorted(_CODE_IDS), default="so2")
+    _flag(ge, "--group", choices=_CODES, default="so2")
     gd = gsub.add_parser("dump", parents=[common], help="emit the element matrices")
-    _flag(gd, "--group", choices=sorted(_CODE_IDS), default="so2")
+    _flag(gd, "--group", choices=_CODES, default="so2")
 
     p = sub.add_parser("gauss", parents=[common],
                        help="character sums over the groups, closed form")
-    _flag(p, "--group", choices=sorted(_CODE_IDS) + ["gl"], default="so2")
+    _flag(p, "--group", choices=_CODES + ["gl"],
+          help="so2, o2, so4 or gl (default so2 unless --n is given)")
     _flag(p, "--a", type=int, default=1, help="character scaling")
     _flag(p, "--t", type=int, help="GL rank, with --group gl only (default 1)")
-    _flag(p, "--n", type=int, help="explicit n of SO-/O-(2n,q) (overrides --group)")
+    _flag(p, "--n", type=int, help="n of SO-/O-(2n,q), in place of --group")
     _flag(p, "--variant", choices=("so", "o"), help="with --n only: SO- or O- (default so)")
 
     p = sub.add_parser("verify", parents=[common],
@@ -175,16 +176,14 @@ def _cmd_moments(args):
         raise DomainError("--h must be nonnegative, got %d" % args.h)
     ctx = _make_ctx(args)
     if args.mode == "direct":
-        vals = [moments.sk_initial(ctx.q)] + [
-            charsums.sk_moment(ctx, h, ops_limit=args.limit_ops) for h in range(1, args.h + 1)
-        ]
+        vals = [charsums.sk_moment(ctx, h, ops_limit=args.limit_ops) for h in range(args.h + 1)]
         step, key, label = 1, "source", "direct"
     else:
-        gid = _CODE_IDS[args.code]
+        gid = GroupId(args.code)
         vals = moments.recursive_moments(ctx, gid, args.h, ops_limit=args.limit_ops)
-        # the rank-4 chain holds the even moments SK^0, SK^2, ..., SK^{2h}
-        step = gid.dim // 2
-        key = "code" if gid is GroupId.SO4 else "source"
+        # the SO-(2n,q) chain holds SK^0, SK^n, ..., SK^{nh}
+        step = gid.n
+        key = "source" if gid.n == 1 else "code"
         label = args.code
     hs = [step * i for i in range(len(vals))]
     payload = {
@@ -201,7 +200,7 @@ def _cmd_weights(args):
     if args.max_j < 0:
         raise DomainError("--max-j must be nonnegative, got %d" % args.max_j)
     ctx = _make_ctx(args)
-    gid = _CODE_IDS[args.code]
+    gid = GroupId(args.code)
     hist = ogroups.histogram_closed_form(ctx, gid, ops_limit=args.limit_ops)
     prefix = weight_prefix(hist, ctx, args.max_j, ops_limit=args.limit_ops)
     payload = {
@@ -216,7 +215,7 @@ def _cmd_weights(args):
 
 def _cmd_groups(args):
     ctx = _make_ctx(args)
-    gid = _CODE_IDS[args.group]
+    gid = GroupId(args.group)
     enum = ogroups.enumerate_group(ctx, gid, ops_limit=args.limit_ops)
     payload = {"group": args.group, "q": ctx.q, "order": len(enum.elements)}
     if args.mode == "enumerate":
@@ -240,6 +239,9 @@ def _cmd_gauss(args):
         raise DomainError("--t applies to --group gl only")
     if args.n is None and args.variant is not None:
         raise DomainError("--variant applies with --n only; --group o2 is O-(2,q)")
+    if args.group is not None and args.n is not None:
+        raise DomainError("--group %s and --n %d both name the group; give one"
+                          % (args.group, args.n))
     ctx = _make_ctx(args)
     if args.group == "gl":
         t = 1 if args.t is None else args.t
@@ -250,8 +252,8 @@ def _cmd_gauss(args):
         if args.n is not None:
             n, variant = args.n, args.variant or "so"
         else:
-            n = 2 if args.group == "so4" else 1
-            variant = "o" if args.group == "o2" else "so"
+            gid = GroupId(args.group or "so2")
+            n, variant = gid.n, gid.variant
         req = gauss.GaussSumRequest(n=n, variant=variant, a=args.a)
         val = gauss.gauss_sum_closed(ctx, req, ops_limit=args.limit_ops)
         payload = {"q": ctx.q, "n": n, "variant": variant, "a": args.a, "value": str(val)}

@@ -25,18 +25,18 @@ from .ogroups import GroupId, TraceHistogram
 
 def weight_form(gid: GroupId, q: int):
     """(s, b) such that the dual word of a != 0 has weight
-    (2/3) s (K(a^2)^e + b), with e = gid.dim // 2: s = 1, b = q + 1 in rank 2
-    and s = q^2, b = q^4 + q^3 - q - 1 in rank 4."""
-    if gid is GroupId.SO4:
-        return q * q, q ** 4 + q ** 3 - q - 1
-    return 1, q + 1
+    (2/3) s (K(a^2)^e + b), with e = gid.n: s = 1, b = q + 1 for n = 1 (both
+    variants) and s = q^2, b = q^4 + q^3 - q - 1 for SO-(4,q)."""
+    if gid.n == 1:
+        return 1, q + 1
+    return q * q, q ** 4 + q ** 3 - q - 1
 
 
 def weight_of_k(gid: GroupId, q: int, k: int) -> int:
     """(2/3) s (k^e + b) of weight_form, the weight of every dual word of a
     with K(a^2) = k; the division by 3 is asserted exact."""
     s, b = weight_form(gid, q)
-    num = 2 * s * (k ** (gid.dim // 2) + b)
+    num = 2 * s * (k ** gid.n + b)
     if num % 3:
         raise ConsistencyError(
             "weight expression %d for %s at K = %d is not divisible by 3" % (num, gid.value, k)

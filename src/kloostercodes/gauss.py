@@ -32,6 +32,16 @@ def _odd_power_product(q: int, upto: int):
     return out
 
 
+def _gl_chain(q: int, k: int, t_max: int) -> list:
+    """[K_GL(0), ..., K_GL(t_max)] from K = K(a) by the exact recursion
+    K_GL(s) = q^{s-1} K K_GL(s-1) + q^{2s-2} (q^{s-1} - 1) K_GL(s-2)."""
+    chain = [1, k]
+    for s in range(2, t_max + 1):
+        chain.append(q ** (s - 1) * chain[-1] * k
+                     + q ** (2 * s - 2) * (q ** (s - 1) - 1) * chain[-2])
+    return chain[:t_max + 1]
+
+
 def kloosterman_gl(ctx, t: int, a: int, *, ops_limit: int = DEFAULT_OPS_LIMIT):
     """Kloosterman sum over GL(t, q) for the canonical character, by the
     exact recursion in K = K(a); K_GL(0) = 1."""
@@ -41,15 +51,7 @@ def kloosterman_gl(ctx, t: int, a: int, *, ops_limit: int = DEFAULT_OPS_LIMIT):
         raise DomainError("argument a must be a nonzero element")
     if t == 0:
         return 1
-    q = ctx.q
-    k = kloosterman(ctx, a, ops_limit=ops_limit)
-    prev2, prev1 = 1, k  # K_GL(0), K_GL(1)
-    if t == 1:
-        return k
-    for s in range(2, t + 1):
-        cur = q ** (s - 1) * prev1 * k + q ** (2 * s - 2) * (q ** (s - 1) - 1) * prev2
-        prev2, prev1 = prev1, cur
-    return prev1
+    return _gl_chain(ctx.q, kloosterman(ctx, a, ops_limit=ops_limit), t)[t]
 
 
 @dataclass(frozen=True)
@@ -77,7 +79,7 @@ def gauss_sum_closed(ctx, req: GaussSumRequest, *, ops_limit: int = DEFAULT_OPS_
     q = ctx.q
     a_sq = ctx.mul(a, a)
     k = kloosterman(ctx, a_sq, ops_limit=ops_limit)
-    kgl = {t: kloosterman_gl(ctx, t, a_sq, ops_limit=ops_limit) for t in range(n)}
+    kgl = _gl_chain(q, k, n - 1)
 
     even_sum = 0
     odd_sum = 0

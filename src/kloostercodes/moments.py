@@ -19,11 +19,6 @@ from .errors import ConsistencyError, DomainError
 from .ogroups import GroupId, group_order, histogram_closed_form
 
 
-def sk_initial(q: int) -> int:
-    """SK^0: the number of nonzero squares."""
-    return (q - 1) // 2
-
-
 def _pless_inner(prefix, n: int, top: int) -> list:
     """D_t = sum_{j<=t} (-1)^j C_j 2^{t-j} C(n-j, t-j) for t <= top, from the
     weight counts C_j of a ternary code of length n; D_t does not depend on h."""
@@ -58,26 +53,26 @@ def _pless_sum(prefix, n: int, r: int, h: int) -> int:
 
 def sk_recursive_chain(ctx, gid: GroupId, h_max: int, prefix):
     """[SK^0, SK^e, ..., SK^{e h_max}] from the code's weight prefix alone,
-    e = 1 for the rank-2 codes and 2 for SO-(4,q).
+    e = gid.n (1 for the rank-2 codes, 2 for SO-(4,q)).
 
     With w(a) = (2/3) s (K(a^2)^e + b) and a -> a^2 covering each nonzero
     square twice, the power moment sum P_h gives
     M_h = 3^h P_h / (2^{h+1} s^h) - sum_{j<h} C(h,j) b^{h-j} M_j, M_j = SK^{ej}.
     `prefix` must hold the weight counts for j <= min(N, h_max).
     """
-    if h_max < 0:
-        raise DomainError("h_max must be nonnegative")
     q, r = ctx.q, ctx.r
     n = group_order(gid, q)
+    if h_max < 0:
+        raise DomainError("h_max must be nonnegative")
     s, b = weight_form(gid, q)
     inner = _pless_inner(prefix, n, min(n, h_max))
-    chain = [sk_initial(q)]
+    chain = [(q - 1) // 2]  # SK^0, the number of nonzero squares
     for h in range(1, h_max + 1):
         num = 3 ** h * _pless_total(inner, r, h)
         den = 2 ** (h + 1) * s ** h
         if num % den:
             raise ConsistencyError(
-                "moment SK^%d came out non-integral: %d/%d" % (gid.dim // 2 * h, num, den)
+                "moment SK^%d came out non-integral: %d/%d" % (gid.n * h, num, den)
             )
         chain.append(num // den - sum(comb(h, j) * b ** (h - j) * chain[j] for j in range(h)))
     return chain
@@ -104,7 +99,8 @@ class PlessCheck:
         return self.lhs == self.rhs
 
 
-def pless_check(ctx, gid: GroupId, h: int, prefix=None) -> PlessCheck:
+def pless_check(ctx, gid: GroupId, h: int, *,
+                ops_limit: int = charsums.DEFAULT_OPS_LIMIT) -> PlessCheck:
     """Both sides of the power moment identity for the dual of the group code.
 
     Left side: sum over all q dual codewords of weight^h (0^0 = 1, so h = 0
@@ -112,16 +108,16 @@ def pless_check(ctx, gid: GroupId, h: int, prefix=None) -> PlessCheck:
     a -> a^2 covers each nonzero square twice, so the sum runs over the value
     histogram of K: 2 sum_k mult(k) w(k)^h.  Right side: the Stirling-number
     expansion over the code's weight counts C_j, j <= min(N, h), for a
-    ternary [N, r] dual.  When no prefix is given it is built under the
-    default work limits; pass one from weight_prefix to choose another.
+    ternary [N, r] dual.  The K table and the histogram, weight prefix and
+    delta table behind the right side are all admitted under ops_limit.
     """
     if h < 0:
         raise DomainError("h must be nonnegative")
     q = ctx.q
-    if prefix is None:
-        prefix = weight_prefix(histogram_closed_form(ctx, gid), ctx, h)
+    hist = histogram_closed_form(ctx, gid, ops_limit=ops_limit)
+    prefix = weight_prefix(hist, ctx, h, ops_limit=ops_limit)
     lhs = 2 * sum(m * weight_of_k(gid, q, k) ** h
-                  for k, m in charsums.kloosterman_histogram(ctx))
+                  for k, m in charsums.kloosterman_histogram(ctx, ops_limit=ops_limit))
     if h == 0:
         lhs += 1  # the zero codeword contributes 0^0 = 1
     rhs = _pless_sum(prefix, group_order(gid, q), ctx.r, h)
@@ -180,12 +176,10 @@ def verify_report(ctx, h_max: int, *, ops_limit: int = charsums.DEFAULT_OPS_LIMI
     if h_max < 1:
         raise DomainError("h_max must be positive")
     q = ctx.q
-    direct = [sk_initial(q)] + [
-        charsums.sk_moment(ctx, h, ops_limit=ops_limit) for h in range(1, h_max + 1)
-    ]
+    direct = [charsums.sk_moment(ctx, h, ops_limit=ops_limit) for h in range(h_max + 1)]
     reports = []
-    for gid in (GroupId.SO2, GroupId.O2, GroupId.SO4):
-        e = gid.dim // 2
+    for gid in GroupId:
+        e = gid.n
         if h_max // e < 1:
             continue
         start = time.perf_counter()

@@ -20,14 +20,23 @@ import numpy as np
 from . import charsums
 from .errors import ConsistencyError, DomainError, admit
 
+
 class GroupId(enum.Enum):
+    """A group, named by variant and matrix size 2n: "so4" is SO-(4,q), with
+    variant "so" ("o" for O-(2n,q)) and n = 2.  Every per-group fact reads
+    these two properties."""
+
     SO2 = "so2"
     O2 = "o2"
     SO4 = "so4"
 
     @property
-    def dim(self) -> int:
-        return 4 if self is GroupId.SO4 else 2
+    def variant(self) -> str:
+        return self.value.rstrip("0123456789")
+
+    @property
+    def n(self) -> int:
+        return int(self.value[len(self.variant):]) // 2
 
 
 def so_minus_order(n: int, q: int) -> int:
@@ -44,11 +53,11 @@ def o_minus_order(n: int, q: int) -> int:
 
 
 def group_order(gid: GroupId, q: int) -> int:
-    if gid is GroupId.SO2:
-        return so_minus_order(1, q)
-    if gid is GroupId.O2:
-        return o_minus_order(1, q)
-    return so_minus_order(2, q)
+    """|SO-(2n,q)| or |O-(2n,q)|; every per-group entry point asks this
+    first, so it alone refuses what is not a GroupId."""
+    if not isinstance(gid, GroupId):
+        raise DomainError("unknown group %r" % (gid,))
+    return (2 if gid.variant == "o" else 1) * so_minus_order(gid.n, q)
 
 
 @dataclass(frozen=True)
@@ -165,17 +174,16 @@ def enumerate_group(ctx, gid: GroupId, *,
     The result is kept on ctx, and the limit is checked before it is looked
     up."""
     q = ctx.q
-    if gid is GroupId.SO4:
-        admit("enumerating SO-(4,%d) (a column search: the Gram table of the form "
-              "and three candidate masks, 4 q^8 + 3 |O-(4,q)| q^4; "
-              "histogram_closed_form gives the histogram for every q)" % q,
-              4 * q ** 8 + 3 * o_minus_order(2, q) * q ** 4, ops_limit)
-    elif gid in (GroupId.SO2, GroupId.O2):
+    expected = group_order(gid, q)
+    if gid.n == 1:
         admit("enumerating %s(%d) (one digitwise pass over the q values of a, q*r + q; "
               "histogram_closed_form gives the histogram for every q)" % (gid.value, q),
               q * ctx.r + q, ops_limit)
     else:
-        raise DomainError("unknown group %r" % (gid,))
+        admit("enumerating SO-(4,%d) (a column search: the Gram table of the form "
+              "and three candidate masks, 4 q^8 + 3 |O-(4,q)| q^4; "
+              "histogram_closed_form gives the histogram for every q)" % q,
+              4 * q ** 8 + 3 * o_minus_order(2, q) * q ** 4, ops_limit)
     hit = ctx._enumerations.get(gid)
     if hit is not None:
         return hit
@@ -183,13 +191,12 @@ def enumerate_group(ctx, gid: GroupId, *,
     rows = builders[gid](ctx)
     rows = rows[np.lexsort(rows.T[::-1])]
     distinct = np.count_nonzero((rows[1:] != rows[:-1]).any(axis=1)) + 1
-    expected = group_order(gid, q)
     if not len(rows) == distinct == expected:
         raise ConsistencyError(
             "enumerated %d elements (%d distinct) of %s over GF(%d), expected %d"
             % (len(rows), distinct, gid.value, q, expected)
         )
-    trace = functools.reduce(ctx._add_vec, rows[:, ::gid.dim + 1].T)
+    trace = functools.reduce(ctx._add_vec, rows[:, ::2 * gid.n + 1].T)
     counts = np.bincount(trace, minlength=q).tolist()
     result = GroupEnumeration(gid, tuple(map(tuple, rows.tolist())),
                               TraceHistogram(tuple(counts)))
@@ -201,11 +208,12 @@ def histogram_closed_form(ctx, gid: GroupId, *, ops_limit: int = charsums.DEFAUL
     """Exact trace histogram from the square-class case splits; valid for
     any q, no enumeration involved."""
     q = ctx.q
-    if gid in (GroupId.SO2, GroupId.O2):
+    expected = group_order(gid, q)
+    if gid.n == 1:
         # 1 element of SO-(2,q) where beta^2 = 1, 2 where beta^2 - 1 is a
         # nonsquare, none where it is a nonzero square
         counts = (1 - ctx._chi_sq_minus_one()).tolist()
-        if gid is GroupId.O2:
+        if gid.variant == "o":
             # beta = 0 is the only point with beta^2 - 1 = -1; the whole
             # trace-zero coset of SO-(2,q) lands here
             counts[0] = q + 1 if ctx.r % 2 == 0 else q + 3
@@ -217,7 +225,6 @@ def histogram_closed_form(ctx, gid: GroupId, *, ops_limit: int = charsums.DEFAUL
         counts = [q * q * (top - d) for d in d2]
         counts[0] -= q * q * (q ** 3 - q)
     hist = TraceHistogram(tuple(counts))
-    expected = group_order(gid, q)
     if hist.total != expected:
         raise ConsistencyError(
             "closed-form histogram for %s over GF(%d) totals %d, expected %d"

@@ -460,7 +460,7 @@ class CodeSpec:
 
 def build_code_spec(ctx, gid: GroupId, *, ops_limit: int = DEFAULT_OPS_LIMIT) -> CodeSpec:
     enum = enumerate_group(ctx, gid, ops_limit=ops_limit)
-    dim = gid.dim
+    dim = 2 * gid.n
     traces = tuple(mat_trace(ctx, w, dim) for w in enum.elements)
     return CodeSpec(gid, ctx, traces)
 

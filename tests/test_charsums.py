@@ -12,11 +12,7 @@ from kloostercodes import (
     kloosterman,
     sk_moment,
 )
-from kloostercodes.charsums import (
-    _kloosterman_table,
-    kloosterman_histogram,
-    kloosterman_on_squares,
-)
+from kloostercodes.charsums import _kloosterman_table, kloosterman_histogram
 
 from oracles import OmegaSum, delta_convolution, kloosterman_per_a
 
@@ -98,7 +94,7 @@ def test_every_k_reader_shares_one_transform(monkeypatch):
     moments = [sk_moment(ctx, h) for h in range(1, 21)]
     assert len(calls) == 1
     assert values == kloosterman_per_a(ctx)
-    assert kloosterman_on_squares(ctx) == tuple(values[a - 1] for a in ctx.squares())
+    assert [kloosterman(ctx, a) for a in ctx.squares()] == [values[a - 1] for a in ctx.squares()]
     assert moments[1] == sum(values[a - 1] ** 2 for a in ctx.squares())
 
 
@@ -241,7 +237,7 @@ def test_kloosterman_table_matches_per_a_loop(r):
     assert table[1:].tolist() == per_a
     assert sum(per_a) == 1
     assert sum(k * k for k in per_a) == ctx.q ** 2 - ctx.q - 1
-    assert kloosterman_on_squares(ctx) == tuple(per_a[a - 1] for a in ctx.squares())
+    assert [kloosterman(ctx, a) for a in ctx.squares()] == [per_a[a - 1] for a in ctx.squares()]
 
 
 @pytest.mark.parametrize("shift", [(1, 0), (0, 1)])
@@ -261,7 +257,7 @@ def test_corrupted_kloosterman_table_is_detected(monkeypatch, shift):
     monkeypatch.setattr(ctx, "character_sums", skewed)
     match = "not real" if shift[1] else None
     with pytest.raises(ConsistencyError, match=match):
-        kloosterman_on_squares(ctx)
+        [kloosterman(ctx, a) for a in ctx.squares()]
     with pytest.raises(ConsistencyError, match=match):
         sk_moment(ctx, 2)
 
@@ -290,7 +286,7 @@ def test_corrupted_kloosterman_values_are_detected(monkeypatch, skew, message):
 @pytest.mark.parametrize("r", range(1, 9))
 def test_sk_moments_match_per_square_powers(r):
     ctx = field_create(r)
-    values = kloosterman_on_squares(ctx)
+    values = [kloosterman(ctx, a) for a in ctx.squares()]
     histogram = kloosterman_histogram(ctx)
     assert sorted(set(values)) == [k for k, _ in histogram]
     # the values are -1 mod 3 and at most isqrt(4q) in modulus

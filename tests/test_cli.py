@@ -349,23 +349,33 @@ def test_gauss_subcommands(capsys):
                        "--a", "1", "--format", "json")
     assert code == 0
     assert json.loads(out)["value"] == "5"
+    # --n alone means --variant so: n = 2 is SO-(4,3)
+    code, out, _ = run(capsys, "gauss", "--r", "1", "--n", "2", "--a", "1", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["value"] == "-225"
 
 
-@pytest.mark.parametrize("env, argv, flag", [
+@pytest.mark.parametrize("env, argv, flags", [
     ({}, ["--group", "so2", "--t", "5"], "--t"),
     ({"KLOOSTERCODES_T": "2"}, ["--group", "so4"], "--t"),
     ({}, ["--group", "gl", "--n", "2"], "--n"),
     ({}, ["--group", "gl", "--t", "2", "--variant", "o"], "--variant"),
     ({}, ["--group", "so4", "--variant", "o"], "--variant"),
     ({"KLOOSTERCODES_VARIANT": "o"}, ["--group", "o2"], "--variant"),
+    ({}, ["--group", "o2", "--n", "2"], "--group --n"),
+    ({}, ["--group", "so4", "--n", "1"], "--group --n"),
+    ({}, ["--group", "so2", "--n", "1"], "--group --n"),
+    ({"KLOOSTERCODES_GROUP": "o2"}, ["--n", "2"], "--group --n"),
 ], ids=["t-without-gl", "t-from-env", "n-with-gl", "variant-with-gl",
-        "variant-without-n", "variant-from-env"])
-def test_gauss_refuses_a_flag_it_would_drop(env, argv, flag):
-    # --t serves --group gl only, --n and --variant every group but gl, and
-    # --variant only with --n; a value from the environment counts as given
+        "variant-without-n", "variant-from-env", "group-o2-with-n", "group-so4-with-n",
+        "group-so2-with-n", "group-from-env-with-n"])
+def test_gauss_refuses_a_flag_it_would_drop(env, argv, flags):
+    # --t serves --group gl only, --n and --variant every group but gl,
+    # --variant only with --n, and --group and --n each name the group alone;
+    # a value from the environment counts as given
     code, out, err = _run_captured(["gauss", "--r", "2"] + argv, env)
     assert (code, out) == (2, "")
-    assert flag in err and "Traceback" not in err
+    assert all(flag in err for flag in flags.split()) and "Traceback" not in err
 
 
 def test_verify_exit_zero(capsys):

@@ -229,7 +229,7 @@ def test_prefix_never_reads_kloosterman(monkeypatch, f27):
         raise AssertionError("weight_prefix read a Kloosterman sum")
 
     for target in ("kloostercodes.charsums.kloosterman", "kloostercodes.codes.kloosterman",
-                   "kloostercodes.kloosterman", "kloostercodes.charsums.kloosterman_on_squares",
+                   "kloostercodes.kloosterman",
                    "kloostercodes.charsums._kloosterman_table",
                    "kloostercodes.charsums.kloosterman_histogram"):
         monkeypatch.setattr(target, forbidden)
@@ -254,7 +254,7 @@ def test_recursion_never_reads_the_k_table_or_its_histogram(monkeypatch, f27):
     for target in ("kloostercodes.charsums._kloosterman_table",
                    "kloostercodes.charsums.kloosterman_histogram",
                    "kloostercodes.charsums.kloosterman", "kloostercodes.codes.kloosterman",
-                   "kloostercodes.kloosterman", "kloostercodes.charsums.kloosterman_on_squares"):
+                   "kloostercodes.kloosterman"):
         monkeypatch.setattr(target, forbidden)
     for gid in GroupId:
         assert recursive_moments(field_create(3), gid, 10) == expected[gid]

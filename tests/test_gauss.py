@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from kloostercodes import (
@@ -179,3 +181,26 @@ def test_higher_rank_values_are_integers(f3):
         for variant in ("so", "o"):
             val = gauss_sum_closed(f3, GaussSumRequest(n, variant, 1))
             assert isinstance(val, int)
+
+
+def test_gauss_sum_reads_k_once(monkeypatch, f3):
+    # K_GL(0..n-1) come from one read of K and one recurrence; the digests
+    # were recorded when every K_GL(t) re-read K and re-ran the recurrence
+    from kloostercodes import gauss
+
+    reads = []
+    real = gauss.kloosterman
+
+    def counted(*args, **kwargs):
+        reads.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(gauss, "kloosterman", counted)
+    for variant, digest in (
+        ("so", "f79eabf1ea6bea0863c3547169e54ebad4dbc2ab4e9cea8055f85a3c38545ce4"),
+        ("o", "00f3767301484517e3523badf36f1a70e92a78f539fe2842a28d6d499f05f7cc"),
+    ):
+        reads.clear()
+        value = gauss_sum_closed(f3, GaussSumRequest(90, variant, 1))
+        assert len(reads) == 1
+        assert hashlib.sha256(hex(value).encode()).hexdigest() == digest

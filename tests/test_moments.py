@@ -12,7 +12,6 @@ from kloostercodes import (
     histogram_closed_form,
     pless_check,
     recursive_moments,
-    sk_initial,
     sk_moment,
     sk_recursive_chain,
     stirling2,
@@ -135,17 +134,29 @@ def test_pless_lhs_matches_the_per_a_weight_sum(r):
 
 
 def test_pless_and_verify_honour_ops_limit(f27):
-    # the weight prefix at q = 27 costs 81 + (distinct weights) * (j+1)^2;
-    # pless_check takes a prefix built under any limit
+    # the weight prefix at q = 27 costs 81 + (distinct weights) * (j+1)^2
     hist = histogram_closed_form(f27, GroupId.O2)
     with pytest.raises(CapacityError) as exc:
         weight_prefix(hist, f27, 10, ops_limit=400)
     assert "weight prefix" in str(exc.value)
-    prefix = weight_prefix(hist, f27, 10, ops_limit=10 ** 4)
-    assert pless_check(f27, GroupId.O2, 10, prefix=prefix).match
+    with pytest.raises(CapacityError) as exc:
+        pless_check(f27, GroupId.O2, 10, ops_limit=400)
+    assert "weight prefix" in str(exc.value)
+    assert pless_check(f27, GroupId.O2, 10, ops_limit=10 ** 4).match
     with pytest.raises(CapacityError) as exc:
         verify_report(f27, 10, ops_limit=400)
     assert "weight prefix" in str(exc.value)
+
+
+def test_pless_check_admits_both_sides_under_its_limit():
+    # at r = 12 the weight prefix (q*r + (j+1)^2) and the K table (q*r + q)
+    # are both estimated above the default limit of 5e6
+    ctx = field_create(12, (2, 0, 1) + (0,) * 9 + (1,))
+    with pytest.raises(CapacityError) as exc:
+        pless_check(ctx, GroupId.SO2, 2)
+    assert "limit 5000000" in str(exc.value) and "--limit-ops" in str(exc.value)
+    chk = pless_check(ctx, GroupId.SO2, 2, ops_limit=10 ** 7)
+    assert chk.match and chk.lhs > 0
 
 
 def test_sk_recursive_q3_hand_values(f3):
@@ -165,7 +176,7 @@ def test_sk2_recursive_q9_matches_direct(f9):
     prefix = _prefix(f9, GroupId.SO4, 5)
     assert prefix.counts == C3_Q9_PREFIX
     chain = sk_recursive_chain(f9, GroupId.SO4, 5, prefix)
-    assert chain[0] == sk_initial(9)
+    assert chain[0] == sk_moment(f9, 0) == 4
     for h in range(1, 6):
         assert chain[h] == sk_moment(f9, 2 * h)
 
@@ -184,12 +195,12 @@ def test_recursion_validation(f3):
     prefix = _prefix(f3, GroupId.SO2, 4)
     with pytest.raises(DomainError):
         sk_recursive_chain(f3, GroupId.SO2, -1, prefix)
-    assert sk_recursive_chain(f3, GroupId.SO2, 0, prefix) == [sk_initial(3)]
+    assert sk_recursive_chain(f3, GroupId.SO2, 0, prefix) == [sk_moment(f3, 0)] == [1]
     short = _prefix(f3, GroupId.SO2, 2)
     with pytest.raises(DomainError):
         sk_recursive_chain(f3, GroupId.SO2, 3, short)  # needs j <= min(N, h) = 3
     with pytest.raises(DomainError):
-        pless_check(f3, GroupId.SO2, 3, prefix=short)
+        _pless_sum(short, group_order(GroupId.SO2, 3), 1, 3)  # the right side of pless_check
 
 
 def test_corrupted_prefix_is_detected(f3):
@@ -203,10 +214,10 @@ def test_corrupted_prefix_is_detected(f3):
 
 
 def test_two_path_consistency(f3):
-    # the same prefix closes both the power moment identity and the recursion
+    # the closed-form prefix closes both the power moment identity and the recursion
     prefix = _prefix(f3, GroupId.SO2, 4)
     for h in range(5):
-        assert pless_check(f3, GroupId.SO2, h, prefix=prefix).match
+        assert pless_check(f3, GroupId.SO2, h).match
     chain = sk_recursive_chain(f3, GroupId.SO2, 4, prefix)
     assert chain == [1, -1, 1, -1, 1]
 
@@ -257,7 +268,7 @@ def test_pless_sum_traps_a_non_multiple_of_3():
 @pytest.mark.parametrize("gid", [GroupId.SO2, GroupId.O2, GroupId.SO4])
 def test_recursive_moments_pipeline(r, gid):
     ctx = field_create(r)
-    e = gid.dim // 2
+    e = gid.n
     chain = recursive_moments(ctx, gid, 6)
     assert chain == [sk_moment(ctx, e * h) for h in range(7)]
 

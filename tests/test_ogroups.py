@@ -8,6 +8,7 @@ import pytest
 from kloostercodes import (
     CapacityError,
     ConsistencyError,
+    DomainError,
     GaussSumRequest,
     GroupId,
     enumerate_group,
@@ -16,6 +17,8 @@ from kloostercodes import (
     group_order,
     histogram_closed_form,
     o_minus_order,
+    pless_check,
+    recursive_moments,
     sk_moment,
     so_minus_order,
 )
@@ -36,6 +39,31 @@ def test_order_formulas():
     assert so_minus_order(2, 3) == 720
     assert so_minus_order(2, 9) == 81 * (9 ** 4 - 1)
     assert group_order(GroupId.O2, 9) == 20
+
+
+@pytest.mark.parametrize("gid, n, variant, order_q3", [
+    (GroupId.SO2, 1, "so", 4), (GroupId.O2, 1, "o", 8), (GroupId.SO4, 2, "so", 720),
+])
+def test_group_id_names_rank_and_variant(f3, gid, n, variant, order_q3):
+    # every per-group fact reads (n, variant); the order is |SO-(2n,q)|, doubled for O-
+    assert (gid.n, gid.variant) == (n, variant)
+    for q in (3, 9, 27):
+        assert group_order(gid, q) == (2 if variant == "o" else 1) * so_minus_order(n, q)
+    assert group_order(gid, 3) == order_q3 == len(enumerate_group(f3, gid).elements)
+
+
+@pytest.mark.parametrize("call", [
+    lambda ctx: group_order("so2", ctx.q),
+    lambda ctx: histogram_closed_form(ctx, "so2"),
+    lambda ctx: enumerate_group(ctx, "so2"),
+    lambda ctx: recursive_moments(ctx, "so2", 2),
+    lambda ctx: pless_check(ctx, "so2", 2),
+], ids=["group_order", "histogram_closed_form", "enumerate_group", "recursive_moments",
+        "pless_check"])
+def test_a_bare_group_name_is_refused(f3, call):
+    # the value of a GroupId is not a GroupId: no entry point may treat it as one
+    with pytest.raises(DomainError, match="unknown group 'so2'"):
+        call(f3)
 
 
 def test_so2_q3_elements(f3):
@@ -148,7 +176,6 @@ def test_so4_histogram_never_reads_kloosterman(monkeypatch, f243):
 
     with monkeypatch.context() as patch:
         for target in ("kloostercodes.charsums.kloosterman",
-                       "kloostercodes.charsums.kloosterman_on_squares",
                        "kloostercodes.charsums._kloosterman_table"):
             patch.setattr(target, forbidden)
         hist = histogram_closed_form(f243, GroupId.SO4)
