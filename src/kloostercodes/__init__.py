@@ -2,17 +2,14 @@
 the ternary codes of the minus-type orthogonal groups."""
 
 from .charsums import (
-    DeltaTable,
     delta_count,
     kloosterman,
     sk_moment,
 )
 from .codes import (
-    WeightPrefix,
     codeword_weight_formula,
     weight_prefix,
 )
-from .combinat import stirling2
 from .errors import (
     CapacityError,
     ConsistencyError,

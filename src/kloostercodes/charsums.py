@@ -16,12 +16,11 @@ context keeps the value histogram of K over the nonzero squares: K(a) is
 4 sqrt(q)/3 + 1 values (81 at q = 3^8), and the direct moments
 SK^h = sum_k mult(k) k^h and the left side of the Pless check sum over those
 values instead of over the (q - 1)/2 squares.  delta(m) is the character
-sum of the m-th power of the character sum of delta(1).  The two tables
-never read each other.
+sum of the m-th power of the character sum of delta(1), returned as a tuple
+of Python ints indexed by beta.  The two tables never read each other.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -118,20 +117,6 @@ def sk_moment(ctx, h: int, *, ops_limit: int = DEFAULT_OPS_LIMIT) -> int:
     return sum(m * k ** h for k, m in kloosterman_histogram(ctx, ops_limit=ops_limit))
 
 
-@dataclass(frozen=True)
-class DeltaTable:
-    """delta(m, q; beta) for every beta, indexed by element index."""
-
-    m: int
-    values: tuple
-
-    def __getitem__(self, beta: int) -> int:
-        return self.values[beta]
-
-    def total(self) -> int:
-        return sum(self.values)
-
-
 def _delta_one(ctx):
     """Root counts of x^2 - beta*x + 1 for every beta (x + 1/x by digit
     addition), cross-checked against 1 + chi(beta - 1) chi(beta + 1)."""
@@ -149,8 +134,9 @@ def _delta_one(ctx):
     return d1
 
 
-def delta_count(ctx, m: int, *, ops_limit: int = DEFAULT_OPS_LIMIT) -> DeltaTable:
-    """The table beta -> delta(m, q; beta).
+def delta_count(ctx, m: int, *, ops_limit: int = DEFAULT_OPS_LIMIT) -> tuple:
+    """delta(m, q; beta) for every beta, as a tuple of Python ints indexed by
+    beta.
 
     delta(m) is the m-fold additive convolution of delta(1), so with
     f(a) = sum_beta delta(1; beta) omega^{tr(a beta)} the character sum of
@@ -170,10 +156,9 @@ def delta_count(ctx, m: int, *, ops_limit: int = DEFAULT_OPS_LIMIT) -> DeltaTabl
         raise ConsistencyError(
             "delta(%d, %d): the second character sum is not q times an integer table" % (m, q)
         )
-    table = DeltaTable(m, tuple((g // q).tolist()))
-    if table.total() != (q - 1) ** m:
+    table = tuple((g // q).tolist())
+    if sum(table) != (q - 1) ** m:
         raise ConsistencyError(
-            "delta(%d, %d) table totals %d, expected %d"
-            % (m, q, table.total(), (q - 1) ** m)
+            "delta(%d, %d) table totals %d, expected %d" % (m, q, sum(table), (q - 1) ** m)
         )
     return table

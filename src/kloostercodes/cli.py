@@ -205,10 +205,10 @@ def _cmd_weights(args):
     prefix = weight_prefix(hist, ctx, args.max_j, ops_limit=args.limit_ops)
     payload = {
         "q": ctx.q, "r": ctx.r, "code": args.code, "max_j": args.max_j,
-        "counts": {str(j): str(c) for j, c in enumerate(prefix.counts)},
+        "counts": {str(j): str(c) for j, c in enumerate(prefix)},
     }
-    rows = [("j", "count")] + list(enumerate(prefix.counts))
-    text = ["C_%d = %d" % (j, c) for j, c in enumerate(prefix.counts)]
+    rows = [("j", "count")] + list(enumerate(prefix))
+    text = ["C_%d = %d" % (j, c) for j, c in enumerate(prefix)]
     _emit(args, payload, rows, text)
     return 0
 

@@ -4,23 +4,23 @@ The code of a group is the set of GF(3)-vectors orthogonal to the vector of
 matrix traces of the group elements in canonical order; its dual consists of
 the q words a -> (tr(a Tr g_1), ..., tr(a Tr g_N)) by Delsarte duality.
 Truncated weight distributions are computed exactly from the trace histogram
-alone: one character sum of the histogram gives every dual weight, and
-the MacWilliams identity turns the few distinct dual weights into the low
-weight counts of the code.  They remain available when the group itself is
-far too large to enumerate, and nothing here reads a Kloosterman sum except
-the closed weight formula.  The codes word by word (dual words, counted
-weights, full and pair scans) are test oracles in tests/oracles.py.
+alone, as the tuple (C_0, ..., C_j_max): one character sum of the histogram,
+grouped by value, gives every dual weight, and the MacWilliams identity turns
+the few distinct dual weights into the low weight counts of the code.  They
+remain available when the group itself is far too large to enumerate, and
+nothing here reads a Kloosterman sum except the closed weight formula.  The
+codes word by word (dual words, counted weights, full and pair scans) are
+test oracles in tests/oracles.py.
 """
 
 from collections import Counter
-from dataclasses import dataclass
 from math import comb
 
 import numpy as np
 
 from .charsums import DEFAULT_OPS_LIMIT, kloosterman
 from .errors import ConsistencyError, DomainError, admit
-from .ogroups import GroupId, TraceHistogram
+from .ogroups import GroupId, TraceHistogram, group_order
 
 
 def weight_form(gid: GroupId, q: int):
@@ -47,35 +47,10 @@ def weight_of_k(gid: GroupId, q: int, k: int) -> int:
 def codeword_weight_formula(ctx, gid: GroupId, a: int) -> int:
     """Hamming weight of the dual word via Kloosterman sums, by weight_form.
     Needs no enumeration."""
+    group_order(gid, ctx.q)
     if not 0 < a < ctx.q:
         raise DomainError("a must be a nonzero element")
     return weight_of_k(gid, ctx.q, kloosterman(ctx, ctx.mul(a, a)))
-
-
-@dataclass(frozen=True)
-class WeightPrefix:
-    """Exact codeword counts by weight, for weights 0..j_max."""
-
-    j_max: int
-    counts: tuple
-
-    def __getitem__(self, j: int):
-        return self.counts[j]
-
-
-def _zero_trace_counts(hist: TraceHistogram, ctx):
-    """Z(a) = sum of n(beta) over tr(a beta) = 0, for every a at once.
-
-    The character sum A(a) = sum_beta n(beta) omega^{tr(a beta)} of the
-    histogram (FieldContext.character_sums) is n_0 + n_1 omega + n_2 omega^2
-    with n_0 + n_1 + n_2 = N; it is real, so n_1 = n_2 and n_0 = (N + 2A)/3,
-    formed in Python ints since N runs past 2^63.
-    """
-    n = hist.total
-    num = [n + 2 * x for x in ctx.character_sums(np.array(hist.counts, dtype=object)).tolist()]
-    if any(x % 3 for x in num):
-        raise ConsistencyError("trace-zero counts (N + 2A)/3 are not all integers")
-    return [x // 3 for x in num]
 
 
 def _admit_prefix(ctx, top: int, distinct: int, ops_limit: int) -> None:
@@ -84,12 +59,16 @@ def _admit_prefix(ctx, top: int, distinct: int, ops_limit: int) -> None:
 
 
 def weight_prefix(hist: TraceHistogram, ctx, j_max: int, *,
-                  ops_limit: int = DEFAULT_OPS_LIMIT) -> WeightPrefix:
-    """Codeword counts of weight <= j_max from the trace histogram alone.
+                  ops_limit: int = DEFAULT_OPS_LIMIT) -> tuple:
+    """(C_0, ..., C_j_max), the codeword counts of weight <= j_max, from the
+    trace histogram alone.
 
-    The dual word of a has weight w(a) = N - Z(a), Z(a) the number of
-    coordinates of trace t with tr(a t) = 0; the Z(a) come from one exact
-    character sum of the histogram.  The MacWilliams identity then gives
+    The character sum A(a) = sum_beta n(beta) omega^{tr(a beta)} of the
+    histogram (FieldContext.character_sums) is n_0 + n_1 omega + n_2 omega^2,
+    n_e the number of coordinates t with tr(a t) = e, and n_0 + n_1 + n_2 = N.
+    It is real, so n_1 = n_2 and the dual word of a has weight
+    w(a) = n_1 + n_2 = 2 (N - A(a))/3, formed in Python ints (N runs past
+    2^63) once per distinct A.  The MacWilliams identity then gives
     C_j = q^{-1} sum_w mult(w) [x^j] (1 + 2x)^{N - w} (1 - x)^w, summed over
     the distinct dual weights w (a = 0 contributes w = 0).  The work is
     about q*r + (distinct weights) * (min(j_max, N) + 1)^2 big-integer
@@ -102,10 +81,13 @@ def weight_prefix(hist: TraceHistogram, ctx, j_max: int, *,
     # a = 0 always gives w = 0, so one distinct weight is known before the
     # character sum; the full estimate is checked once the weights are grouped
     _admit_prefix(ctx, top, 1, ops_limit)
-    mult = Counter(n - z for z in _zero_trace_counts(hist, ctx))
+    mult = Counter(ctx.character_sums(np.array(hist.counts, dtype=object)).tolist())
     _admit_prefix(ctx, top, len(mult), ops_limit)
     sums = [0] * (top + 1)
-    for w, m in mult.items():
+    for a_sum, m in mult.items():
+        if (n - a_sum) % 3:
+            raise ConsistencyError("dual weight 2(N - A)/3 at A = %d is not an integer" % a_sum)
+        w = 2 * (n - a_sum) // 3
         ones = [comb(n - w, i) * 2 ** i for i in range(top + 1)]
         signs = [comb(w, i) * (-1) ** i for i in range(top + 1)]
         for i, c in enumerate(ones):
@@ -121,4 +103,4 @@ def weight_prefix(hist: TraceHistogram, ctx, j_max: int, *,
         counts.append(s // q)
     if counts[0] != 1:
         raise ConsistencyError("weight-0 count must be 1, got %r" % (counts[0],))
-    return WeightPrefix(j_max, tuple(counts) + (0,) * (j_max - top))
+    return tuple(counts) + (0,) * (j_max - top)

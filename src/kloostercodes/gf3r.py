@@ -13,9 +13,9 @@ digit loop.  Adding +-1 moves only digit 0 of an index, so
 chi(beta^2 - 1) = chi(beta - 1) chi(beta + 1) comes from two index shifts.
 `FieldContext.character_sums` is the one exact additive character sum,
 a -> sum_beta f(beta) omega^{tr(a beta)} for every a, asserted real; the
-context also keeps the derived tables that the layers above memoise on it
-(the Kloosterman table on the squares, the group enumerations), so they
-live and die with the context.
+context also keeps the one derived table that the layers above memoise on
+it (the Kloosterman table, with its value histogram on the squares), so it
+lives and dies with the context.
 """
 
 import json
@@ -142,7 +142,6 @@ class FieldContext:
         self._build_tables()
         self._k_table = None  # charsums._kloosterman_table
         self._k_histogram = None  # its value histogram over the squares
-        self._enumerations = {}  # ogroups.enumerate_group, keyed by group
 
     # -- construction internals -------------------------------------------
 

@@ -2,7 +2,9 @@
 
 The dual word of a != 0 in each group code has weight
 w(a) = (2/3) s (K(a^2)^e + b) (codes.weight_form), and the Pless power moment
-identity gives sum_a w(a)^h from the code's low weight counts C_j alone.
+identity gives sum_a w(a)^h from the code's low weight counts C_j alone;
+one function (_pless_sums) forms those sums for every h <= h_max, building
+the coefficients t! S(h,t) one row per h.
 Expanding (K^e + b)^h turns that one integer sum into one recursion for every
 code: SK^h on the rank-2 codes (e = 1) and SK^{2h} on the rank-4 code
 (e = 2).  All arithmetic is in integers; every division is asserted exact.
@@ -10,48 +12,50 @@ code: SK^h on the rank-2 codes (e = 1) and SK^{2h} on the rank-4 code
 
 import time
 from dataclasses import dataclass, field
-from math import comb, factorial
+from math import comb
 
 from . import charsums
 from .codes import weight_form, weight_of_k, weight_prefix
-from .combinat import stirling2
 from .errors import ConsistencyError, DomainError
 from .ogroups import GroupId, group_order, histogram_closed_form
 
 
-def _pless_inner(prefix, n: int, top: int) -> list:
+def _pless_inner(prefix: tuple, n: int, top: int) -> list:
     """D_t = sum_{j<=t} (-1)^j C_j 2^{t-j} C(n-j, t-j) for t <= top, from the
     weight counts C_j of a ternary code of length n; D_t does not depend on h."""
-    if prefix.j_max < top:
-        raise DomainError("weight prefix covers j <= %d but j <= %d is needed" % (prefix.j_max, top))
-    return [sum((-1) ** j * prefix.counts[j] * 2 ** (t - j) * comb(n - j, t - j)
+    if len(prefix) <= top:
+        raise DomainError("weight prefix covers j <= %d but j <= %d is needed" % (len(prefix) - 1, top))
+    return [sum((-1) ** j * prefix[j] * 2 ** (t - j) * comb(n - j, t - j)
                 for j in range(t + 1)) for t in range(top + 1)]
 
 
-def _pless_total(inner: list, r: int, h: int) -> int:
-    """sum_a w(a)^h over the q = 3^r dual words of a ternary code of length n,
-    given inner = _pless_inner(prefix, n, top) with top >= m = min(n, h):
+def _pless_sums(prefix: tuple, n: int, r: int, h_max: int) -> list:
+    """[P_0, ..., P_h_max], P_h = sum_a w(a)^h over the q = 3^r dual words of
+    a ternary [n, r] code, from its weight counts C_j, j <= m = min(n, h_max),
+    by the Pless power moment identity
 
-        sum_{t<=m} t! S(h,t) 3^{r-t} D_t.
+        P_h = sum_{t<=min(m, h)} T(h,t) 3^{r-t} D_t,  T(h,t) = t! S(h,t),
 
-    The terms are scaled by 3^c, c = max(0, m - r), to keep them integral,
-    and the total is asserted divisible by 3^c.
+    with D_t from _pless_inner.  T(h,t) = t (T(h-1,t) + T(h-1,t-1)) builds
+    one row per h.  The terms are scaled by 3^c, c = max(0, m - r), to keep
+    them integral, and each P_h is asserted divisible by 3^c.
     """
-    m = min(len(inner) - 1, h)
-    c = max(0, m - r)
-    total = sum(factorial(t) * stirling2(h, t) * 3 ** (r - t + c) * inner[t] for t in range(m + 1))
-    if total % 3 ** c:
-        raise ConsistencyError("power-moment sum %d at h=%d is not divisible by 3^%d" % (total, h, c))
-    return total // 3 ** c
+    top = min(n, h_max)
+    c = max(0, top - r)
+    scaled = [3 ** (r - t + c) * d for t, d in enumerate(_pless_inner(prefix, n, top))]
+    row = [1] + [0] * top  # T(0, t)
+    sums = []
+    for h in range(h_max + 1):
+        if h:
+            row = [0] + [t * (row[t] + row[t - 1]) for t in range(1, top + 1)]
+        total = sum(x * y for x, y in zip(row, scaled))
+        if total % 3 ** c:
+            raise ConsistencyError("power-moment sum %d at h=%d is not divisible by 3^%d" % (total, h, c))
+        sums.append(total // 3 ** c)
+    return sums
 
 
-def _pless_sum(prefix, n: int, r: int, h: int) -> int:
-    """sum_a w(a)^h over the q dual words of a ternary [n, r] code, from its
-    weight counts C_j, j <= min(n, h) (the Pless power moment identity)."""
-    return _pless_total(_pless_inner(prefix, n, min(n, h)), r, h)
-
-
-def sk_recursive_chain(ctx, gid: GroupId, h_max: int, prefix):
+def sk_recursive_chain(ctx, gid: GroupId, h_max: int, prefix: tuple):
     """[SK^0, SK^e, ..., SK^{e h_max}] from the code's weight prefix alone,
     e = gid.n (1 for the rank-2 codes, 2 for SO-(4,q)).
 
@@ -65,10 +69,10 @@ def sk_recursive_chain(ctx, gid: GroupId, h_max: int, prefix):
     if h_max < 0:
         raise DomainError("h_max must be nonnegative")
     s, b = weight_form(gid, q)
-    inner = _pless_inner(prefix, n, min(n, h_max))
+    pless = _pless_sums(prefix, n, r, h_max)
     chain = [(q - 1) // 2]  # SK^0, the number of nonzero squares
     for h in range(1, h_max + 1):
-        num = 3 ** h * _pless_total(inner, r, h)
+        num = 3 ** h * pless[h]
         den = 2 ** (h + 1) * s ** h
         if num % den:
             raise ConsistencyError(
@@ -120,7 +124,7 @@ def pless_check(ctx, gid: GroupId, h: int, *,
                   for k, m in charsums.kloosterman_histogram(ctx, ops_limit=ops_limit))
     if h == 0:
         lhs += 1  # the zero codeword contributes 0^0 = 1
-    rhs = _pless_sum(prefix, group_order(gid, q), ctx.r, h)
+    rhs = _pless_sums(prefix, group_order(gid, q), ctx.r, h)[h]
     return PlessCheck(gid, h, lhs, rhs)
 
 

@@ -170,9 +170,7 @@ def enumerate_group(ctx, gid: GroupId, *,
     a through the log tables; SO-(4, q) is found by a column search admitted
     at 4 q^8 + 3 |O-(4,q)| q^4 operations (the Gram table and three candidate
     masks), which the default limit allows at q = 3 only.  Each builder
-    returns one (k, dim^2) array of indices, sorted, counted and traced here.
-    The result is kept on ctx, and the limit is checked before it is looked
-    up."""
+    returns one (k, dim^2) array of indices, sorted, counted and traced here."""
     q = ctx.q
     expected = group_order(gid, q)
     if gid.n == 1:
@@ -184,9 +182,6 @@ def enumerate_group(ctx, gid: GroupId, *,
               "and three candidate masks, 4 q^8 + 3 |O-(4,q)| q^4; "
               "histogram_closed_form gives the histogram for every q)" % q,
               4 * q ** 8 + 3 * o_minus_order(2, q) * q ** 4, ops_limit)
-    hit = ctx._enumerations.get(gid)
-    if hit is not None:
-        return hit
     builders = {GroupId.SO2: _so2_elements, GroupId.O2: _o2_elements, GroupId.SO4: _so4_elements}
     rows = builders[gid](ctx)
     rows = rows[np.lexsort(rows.T[::-1])]
@@ -198,10 +193,8 @@ def enumerate_group(ctx, gid: GroupId, *,
         )
     trace = functools.reduce(ctx._add_vec, rows[:, ::2 * gid.n + 1].T)
     counts = np.bincount(trace, minlength=q).tolist()
-    result = GroupEnumeration(gid, tuple(map(tuple, rows.tolist())),
-                              TraceHistogram(tuple(counts)))
-    ctx._enumerations[gid] = result
-    return result
+    return GroupEnumeration(gid, tuple(map(tuple, rows.tolist())),
+                            TraceHistogram(tuple(counts)))
 
 
 def histogram_closed_form(ctx, gid: GroupId, *, ops_limit: int = charsums.DEFAULT_OPS_LIMIT) -> TraceHistogram:
@@ -220,7 +213,7 @@ def histogram_closed_form(ctx, gid: GroupId, *, ops_limit: int = charsums.DEFAUL
     else:
         # q^2 (q^3 + q^2 + q - 3 - delta(2; beta)), and q^2 (q^2 + 2q - 3 -
         # delta(2; 0)) at beta = 0, in Python ints (past 2^63 from r = 7 on)
-        d2 = charsums.delta_count(ctx, 2, ops_limit=ops_limit).values
+        d2 = charsums.delta_count(ctx, 2, ops_limit=ops_limit)
         top = q ** 3 + q * q + q - 3
         counts = [q * q * (top - d) for d in d2]
         counts[0] -= q * q * (q ** 3 - q)

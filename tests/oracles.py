@@ -28,7 +28,6 @@ import numpy as np
 
 from kloostercodes import ConsistencyError, DomainError, GroupId, enumerate_group
 from kloostercodes.charsums import DEFAULT_OPS_LIMIT
-from kloostercodes.codes import WeightPrefix
 from kloostercodes.errors import admit
 from kloostercodes.gauss import _odd_power_product
 from kloostercodes.gf3r import _poly_mod, _poly_trim
@@ -114,8 +113,9 @@ def delta_convolution(ctx, m: int) -> list:
     return cur
 
 
-def weight_prefix_dp(hist, ctx, j_max: int) -> WeightPrefix:
-    """Codeword counts of weight <= j_max from the trace histogram alone.
+def weight_prefix_dp(hist, ctx, j_max: int) -> tuple:
+    """(C_0, ..., C_j_max), the codeword counts of weight <= j_max, from the
+    trace histogram alone.
 
     A codeword assigns nu(beta) ones and mu(beta) twos to the coordinates of
     each trace class beta, subject to sum(nu) + sum(mu) = j and
@@ -160,7 +160,7 @@ def weight_prefix_dp(hist, ctx, j_max: int) -> WeightPrefix:
     counts = tuple(dp[j][0] for j in range(j_max + 1))
     if counts and counts[0] != 1:
         raise ConsistencyError("weight-0 count must be 1, got %r" % (counts[0],))
-    return WeightPrefix(j_max, counts)
+    return counts
 
 
 def pair_counts(hist, ctx):
@@ -480,7 +480,7 @@ def codeword_weight(spec: CodeSpec, a: int) -> int:
     return sum(1 for c in dual_codeword(spec, a) if c)
 
 
-def full_scan(spec: CodeSpec, j_max: int, *, ops_limit: int = DEFAULT_OPS_LIMIT) -> WeightPrefix:
+def full_scan(spec: CodeSpec, j_max: int, *, ops_limit: int = DEFAULT_OPS_LIMIT) -> tuple:
     """Codeword counts of weight <= j_max by scanning all 3^N words u for
     u . (tr(a t_i))_i = 0 against the basis a = 3^k; admitted at 3^N."""
     admit("brute-force weights up to j=%d (a 3^%d scan; the pair scan covers j <= 2)"
@@ -501,10 +501,10 @@ def full_scan(spec: CodeSpec, j_max: int, *, ops_limit: int = DEFAULT_OPS_LIMIT)
         weights = np.count_nonzero(u[mask], axis=1)
         totals += np.bincount(weights, minlength=n + 1)
     upto = min(j_max, n)
-    return WeightPrefix(j_max, tuple(int(t) for t in totals[: upto + 1]) + (0,) * (j_max - upto))
+    return tuple(int(t) for t in totals[: upto + 1]) + (0,) * (j_max - upto)
 
 
-def pair_scan(spec: CodeSpec, j_max: int) -> WeightPrefix:
+def pair_scan(spec: CodeSpec, j_max: int) -> tuple:
     """C_0, C_1, C_2 (j_max <= 2) by comparing the trace vector's coordinates
     pairwise, for codes far too long to scan."""
     ctx = spec.ctx
@@ -517,4 +517,4 @@ def pair_scan(spec: CodeSpec, j_max: int) -> WeightPrefix:
         same = np.triu(v[None, :] == v[:, None], 1).sum()
         negated = np.triu(v[None, :] == neg[:, None], 1).sum()
         counts.append(2 * int(same) + 2 * int(negated))
-    return WeightPrefix(j_max, tuple(counts))
+    return tuple(counts)

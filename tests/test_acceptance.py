@@ -138,12 +138,12 @@ def test_criterion_6_oracle_equivalence():
             spec = build_code_spec(ctx, gid)
             scan = full_scan(spec, spec.length)
             prefix = weight_prefix(histogram_closed_form(ctx, gid), ctx, spec.length)
-            assert prefix.counts == scan.counts
+            assert prefix == scan
         spec4 = build_code_spec(f3, GroupId.SO4)
         pair = pair_scan(spec4, 2)
         prefix4 = weight_prefix(histogram_closed_form(f3, GroupId.SO4), f3, 2)
-        assert pair.counts == prefix4.counts
-        assert pair.counts[1] == 180
+        assert pair == prefix4
+        assert pair[1] == 180
 
 
 def test_criterion_7_character_sum_sanity():

@@ -138,10 +138,10 @@ def test_full_square_sum_is_twice_sk(r):
 
 
 def test_delta_tables_q3(f3):
-    assert delta_count(f3, 1).values == (0, 1, 1)
-    assert delta_count(f3, 2).values == (2, 1, 1)
+    assert delta_count(f3, 1) == (0, 1, 1)
+    assert delta_count(f3, 2) == (2, 1, 1)
     d0 = delta_count(f3, 0)
-    assert d0.values == (1, 0, 0)
+    assert d0 == (1, 0, 0)
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
@@ -150,7 +150,7 @@ def test_delta_totals(r, m):
     ctx = field_create(r)
     table = delta_count(ctx, m)
     expected = 1 if m == 0 else (ctx.q - 1) ** m
-    assert table.total() == expected
+    assert sum(table) == expected
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
@@ -191,7 +191,7 @@ def test_delta_convolution_matches_direct_tuples(r):
         for y in range(1, ctx.q):
             s = ctx.add(ctx.add(x, ctx.inv(x)), ctx.add(y, ctx.inv(y)))
             direct[s] += 1
-    assert list(delta_count(ctx, 2).values) == direct
+    assert list(delta_count(ctx, 2)) == direct
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
@@ -299,7 +299,7 @@ def test_sk_moments_match_per_square_powers(r):
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_delta_matches_convolution_oracle(r, m):
     ctx = field_create(r)
-    assert list(delta_count(ctx, m).values) == delta_convolution(ctx, m)
+    assert list(delta_count(ctx, m)) == delta_convolution(ctx, m)
 
 
 @pytest.mark.parametrize("r, m", [
@@ -309,7 +309,7 @@ def test_delta_matches_convolution_oracle(r, m):
 ])
 def test_delta_at_the_int64_bound(r, m):
     ctx = field_create(r)
-    values = delta_count(ctx, m).values
+    values = delta_count(ctx, m)
     assert list(values) == delta_convolution(ctx, m)
     assert all(type(v) is int for v in values)
 

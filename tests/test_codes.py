@@ -104,36 +104,36 @@ def test_weight_validation(f3):
 
 def test_dp_q3_rank2(f3):
     h1 = histogram_closed_form(f3, GroupId.SO2)
-    assert weight_prefix_dp(h1, f3, 4).counts == C1_Q3
+    assert weight_prefix_dp(h1, f3, 4) == C1_Q3
     h2 = histogram_closed_form(f3, GroupId.O2)
-    assert weight_prefix_dp(h2, f3, 8).counts == C2_Q3
+    assert weight_prefix_dp(h2, f3, 8) == C2_Q3
 
 
 def test_dp_against_full_scan_q3(f3):
     for gid, frozen in ((GroupId.SO2, C1_Q3), (GroupId.O2, C2_Q3)):
         spec = build_code_spec(f3, gid)
         scan = full_scan(spec, spec.length)
-        assert scan.counts == frozen
+        assert scan == frozen
         dp = weight_prefix_dp(enumerate_group(f3, gid).histogram, f3, spec.length)
-        assert dp.counts == scan.counts
+        assert dp == scan
 
 
 def test_dp_against_full_scan_q9(f9):
     spec = build_code_spec(f9, GroupId.SO2)
     scan = full_scan(spec, 10)
-    assert scan.counts == C1_Q9
+    assert scan == C1_Q9
     dp = weight_prefix_dp(histogram_closed_form(f9, GroupId.SO2), f9, 10)
-    assert dp.counts == C1_Q9
+    assert dp == C1_Q9
 
 
 def test_dp_against_pair_scan_so4(f3):
     spec = build_code_spec(f3, GroupId.SO4)
     pair = pair_scan(spec, 2)
-    assert pair.counts == (1, 180, 412290)
+    assert pair == (1, 180, 412290)
     dp = weight_prefix_dp(histogram_closed_form(f3, GroupId.SO4), f3, 2)
-    assert dp.counts == pair.counts
+    assert dp == pair
     # single nonzero entry must sit at a zero-trace coordinate
-    assert pair.counts[1] == 2 * histogram_closed_form(f3, GroupId.SO4)[0]
+    assert pair[1] == 2 * histogram_closed_form(f3, GroupId.SO4)[0]
 
 
 def test_pair_scan_matches_full_scan(f3):
@@ -141,7 +141,7 @@ def test_pair_scan_matches_full_scan(f3):
     spec = build_code_spec(f3, GroupId.O2)
     full = full_scan(spec, 2)
     pair = pair_scan(spec, 2)
-    assert full.counts[:3] == pair.counts
+    assert full[:3] == pair
 
 
 def test_bruteforce_capacity(f3):
@@ -153,17 +153,17 @@ def test_bruteforce_capacity(f3):
 def test_negation_symmetry(f9):
     # u and -u weigh the same, so every count past j=0 is even here
     dp = weight_prefix(histogram_closed_form(f9, GroupId.O2), f9, 12)
-    assert dp.counts[0] == 1
-    assert all(c % 2 == 0 for c in dp.counts[1:])
+    assert dp[0] == 1
+    assert all(c % 2 == 0 for c in dp[1:])
 
 
 def test_dp_uses_parity_correct_histogram(f9, f27):
     # q=9 (even exponent) has no weight-1 words in the rank-2 codes, while
     # q=27 (odd exponent) has plenty: the zero-trace class sizes differ
     even = weight_prefix(histogram_closed_form(f9, GroupId.SO2), f9, 1)
-    assert even.counts[1] == 0
+    assert even[1] == 0
     odd = weight_prefix(histogram_closed_form(f27, GroupId.SO2), f27, 1)
-    assert odd.counts[1] == 2 * histogram_closed_form(f27, GroupId.SO2)[0] > 0
+    assert odd[1] == 2 * histogram_closed_form(f27, GroupId.SO2)[0] > 0
 
 
 def test_dp_counts_grow_with_histogram(f27):
@@ -171,8 +171,8 @@ def test_dp_counts_grow_with_histogram(f27):
     # formulas derived from the histogram itself
     hist = histogram_closed_form(f27, GroupId.SO4)
     dp = weight_prefix_dp(hist, f27, 2)
-    assert dp.counts[1] == 2 * hist[0]
-    assert dp.counts == pair_counts(hist, f27)
+    assert dp[1] == 2 * hist[0]
+    assert dp == pair_counts(hist, f27)
 
 
 # -- the library prefix (MacWilliams transform of the histogram) ------------
@@ -188,10 +188,10 @@ def test_prefix_matches_dp(r, gid):
 def test_prefix_pads_past_code_length(f3):
     # j_max beyond N: the counts stop at N and the rest are zero
     hist = histogram_closed_form(f3, GroupId.SO2)
-    assert weight_prefix(hist, f3, 12).counts == C1_Q3 + (0,) * 8
+    assert weight_prefix(hist, f3, 12) == C1_Q3 + (0,) * 8
     # the work stops at j = N whatever j_max asks for
     far = weight_prefix(hist, f3, 10 ** 5, ops_limit=100)
-    assert far.counts[:5] == C1_Q3 and not any(far.counts[5:])
+    assert far[:5] == C1_Q3 and not any(far[5:])
 
 
 def _irreducible_moduli(r):
@@ -217,7 +217,7 @@ def test_prefix_matches_pair_counts_r7(gid):
     hist = histogram_closed_form(ctx, gid)
     if gid is GroupId.SO4:
         assert hist.total.bit_length() == 67
-    assert weight_prefix(hist, ctx, 2).counts == pair_counts(hist, ctx)
+    assert weight_prefix(hist, ctx, 2) == pair_counts(hist, ctx)
 
 
 def test_prefix_never_reads_kloosterman(monkeypatch, f27):
@@ -273,17 +273,18 @@ def test_prefix_work_limit(f27):
     assert "limit %d" % (cost - 1) in message and "--limit-ops" in message
 
 
-def test_prefix_refused_before_transform(f27, monkeypatch):
+def test_prefix_refused_before_transform(monkeypatch):
     # q*r + (j+1)^2 is known before the transform, so a limit below it
-    # refuses without running the transform
-    hist = histogram_closed_form(f27, GroupId.O2)
+    # refuses without running the transform (patched on a context of its own)
+    ctx = field_create(3)
+    hist = histogram_closed_form(ctx, GroupId.O2)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the transform ran before the limit was checked")
 
-    monkeypatch.setattr("kloostercodes.codes._zero_trace_counts", forbidden)
+    monkeypatch.setattr(ctx, "character_sums", forbidden)
     with pytest.raises(CapacityError) as exc:
-        weight_prefix(hist, f27, 10, ops_limit=27 * 3 + 11 ** 2 - 1)
+        weight_prefix(hist, ctx, 10, ops_limit=27 * 3 + 11 ** 2 - 1)
     assert "about %d operations" % (27 * 3 + 11 ** 2) in str(exc.value)
 
 
@@ -292,17 +293,18 @@ def test_prefix_validation(f3):
         weight_prefix(histogram_closed_form(f3, GroupId.SO2), f3, -1)
 
 
-def test_corrupted_dual_weight_is_detected(monkeypatch, f9):
-    # one dual weight off by one breaks the exact division by q
-    from kloostercodes import codes
+def test_corrupted_dual_weight_is_detected(monkeypatch):
+    # one character sum off by 3 moves one dual weight by 2, which breaks the
+    # exact division by q (patched on a context of its own)
+    ctx = field_create(2)
+    hist = histogram_closed_form(ctx, GroupId.O2)
+    real = ctx.character_sums
 
-    real = codes._zero_trace_counts
+    def skewed(*args):
+        sums = real(*args)
+        sums[1] += 3
+        return sums
 
-    def skewed(hist, ctx):
-        zeros = real(hist, ctx)
-        zeros[1] += 1
-        return zeros
-
-    monkeypatch.setattr(codes, "_zero_trace_counts", skewed)
+    monkeypatch.setattr(ctx, "character_sums", skewed)
     with pytest.raises(ConsistencyError):
-        weight_prefix(histogram_closed_form(f9, GroupId.O2), f9, 2)
+        weight_prefix(hist, ctx, 2)

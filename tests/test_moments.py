@@ -1,4 +1,4 @@
-from math import comb, factorial
+from math import factorial
 
 import pytest
 
@@ -14,12 +14,10 @@ from kloostercodes import (
     recursive_moments,
     sk_moment,
     sk_recursive_chain,
-    stirling2,
     verify_report,
     weight_prefix,
 )
-from kloostercodes.codes import WeightPrefix
-from kloostercodes.moments import _pless_sum
+from kloostercodes.moments import _pless_sums
 from kloostercodes.ogroups import group_order
 
 from oracles import trinomial
@@ -34,30 +32,10 @@ C3_Q9_PREFIX = (
 )
 
 
-def stirling2_by_formula(h, t):
-    total = sum((-1) ** (t - j) * comb(t, j) * j ** h for j in range(t + 1))
-    assert total % factorial(t) == 0
-    return total // factorial(t)
-
-
 def trinomial_by_factorials(c, a, b):
     if a + b > c:
         return 0
     return factorial(c) // (factorial(a) * factorial(b) * factorial(c - a - b))
-
-
-def test_stirling_examples():
-    assert stirling2(1, 1) == 1
-    assert stirling2(3, 2) == 3
-    assert stirling2(4, 2) == 7
-    assert stirling2(0, 0) == 1
-    assert stirling2(5, 7) == 0
-
-
-def test_stirling_matches_formula_up_to_30():
-    for h in range(31):
-        for t in range(h + 1):
-            assert stirling2(h, t) == stirling2_by_formula(h, t)
 
 
 def test_trinomial_examples():
@@ -174,7 +152,7 @@ def test_sk2_recursive_q3(f3):
 
 def test_sk2_recursive_q9_matches_direct(f9):
     prefix = _prefix(f9, GroupId.SO4, 5)
-    assert prefix.counts == C3_Q9_PREFIX
+    assert prefix == C3_Q9_PREFIX
     chain = sk_recursive_chain(f9, GroupId.SO4, 5, prefix)
     assert chain[0] == sk_moment(f9, 0) == 4
     for h in range(1, 6):
@@ -200,15 +178,15 @@ def test_recursion_validation(f3):
     with pytest.raises(DomainError):
         sk_recursive_chain(f3, GroupId.SO2, 3, short)  # needs j <= min(N, h) = 3
     with pytest.raises(DomainError):
-        _pless_sum(short, group_order(GroupId.SO2, 3), 1, 3)  # the right side of pless_check
+        _pless_sums(short, group_order(GroupId.SO2, 3), 1, 3)[3]  # the right side of pless_check
 
 
 def test_corrupted_prefix_is_detected(f3):
     # a wrong weight count makes the result non-integral, which is trapped
-    bad = WeightPrefix(4, (1, 5, 6, 8, 8))
+    bad = (1, 5, 6, 8, 8)
     with pytest.raises(ConsistencyError):
         sk_recursive_chain(f3, GroupId.SO2, 1, bad)
-    bad3 = WeightPrefix(2, (1, 181, 412290))
+    bad3 = (1, 181, 412290)
     with pytest.raises(ConsistencyError):
         sk_recursive_chain(f3, GroupId.SO4, 1, bad3)
 
@@ -247,21 +225,33 @@ def test_pless_sum_spot_values(f3):
     # SO-(2,3): N = 4, C = (1, 4, ...); h = 1 keeps t = 1 only:
     # 1! S(1,1) 3^0 (C_0 2 C(4,1) - C_1 C(3,0)) = 8 - 4
     prefix = _prefix(f3, GroupId.SO2, 4)
-    assert prefix.counts[:2] == (1, 4)
-    assert _pless_sum(prefix, 4, 1, 1) == 4
+    assert prefix[:2] == (1, 4)
+    assert _pless_sums(prefix, 4, 1, 1)[1] == 4
     # h = 0 counts the q dual words
-    assert _pless_sum(prefix, 4, 1, 0) == 3
+    assert _pless_sums(prefix, 4, 1, 0)[0] == 3
     # h = 3 > r needs the 3^c scaling and still lands on an integer
-    assert _pless_sum(prefix, 4, 1, 3) == pless_check(f3, GroupId.SO2, 3).lhs
+    assert _pless_sums(prefix, 4, 1, 3)[3] == pless_check(f3, GroupId.SO2, 3).lhs
 
 
 def test_pless_sum_traps_a_non_multiple_of_3():
     # r = 1, h = 2: c = 1 and the C_2 term carries no factor 3, so an
     # off-by-one C_2 leaves a total that 3 does not divide
-    good = _pless_sum(WeightPrefix(2, (1, 4, 6)), 4, 1, 2)
+    good = _pless_sums((1, 4, 6), 4, 1, 2)[2]
     with pytest.raises(ConsistencyError):
-        _pless_sum(WeightPrefix(2, (1, 4, 7)), 4, 1, 2)
+        _pless_sums((1, 4, 7), 4, 1, 2)[2]
     assert good == 8
+
+
+@pytest.mark.parametrize("r", [1, 2])
+@pytest.mark.parametrize("gid", list(GroupId))
+def test_pless_sums_match_the_direct_weight_sums(r, gid):
+    # every P_h for h <= 30, against sum_a w(a)^h over all q dual words
+    # (w(0) = 0 and 0^0 = 1): the coefficients t! S(h,t) are checked up to h = 30
+    ctx = field_create(r)
+    n = group_order(gid, ctx.q)
+    prefix = weight_prefix(histogram_closed_form(ctx, gid), ctx, min(n, 30))
+    weights = [0] + [codeword_weight_formula(ctx, gid, a) for a in range(1, ctx.q)]
+    assert _pless_sums(prefix, n, r, 30) == [sum(w ** h for w in weights) for h in range(31)]
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])

@@ -11,6 +11,7 @@ from kloostercodes import (
     DomainError,
     GaussSumRequest,
     GroupId,
+    codeword_weight_formula,
     enumerate_group,
     field_create,
     gauss_sum_closed,
@@ -58,8 +59,9 @@ def test_group_id_names_rank_and_variant(f3, gid, n, variant, order_q3):
     lambda ctx: enumerate_group(ctx, "so2"),
     lambda ctx: recursive_moments(ctx, "so2", 2),
     lambda ctx: pless_check(ctx, "so2", 2),
+    lambda ctx: codeword_weight_formula(ctx, "so2", 1),
 ], ids=["group_order", "histogram_closed_form", "enumerate_group", "recursive_moments",
-        "pless_check"])
+        "pless_check", "codeword_weight_formula"])
 def test_a_bare_group_name_is_refused(f3, call):
     # the value of a GroupId is not a GroupId: no entry point may treat it as one
     with pytest.raises(DomainError, match="unknown group 'so2'"):
@@ -238,7 +240,7 @@ def test_cached_tables_live_and_die_with_the_context():
     for _ in range(50):
         ctx = field_create(3)
         sk_moment(ctx, 2)
-        assert enumerate_group(ctx, GroupId.SO2) is enumerate_group(ctx, GroupId.SO2)
+        assert enumerate_group(ctx, GroupId.SO2) == enumerate_group(ctx, GroupId.SO2)
         refs.append(weakref.ref(ctx))
     del ctx
     gc.collect()
