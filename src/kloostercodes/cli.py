@@ -2,12 +2,21 @@
 
 Every subcommand prints machine-readable output (json, csv or text) that is
 byte-identical across runs for the same flags; timing is opt-in via
---timing (json only) so the default output stays reproducible.  Exit
-status: 0 on success or full verification, 1 on a verification mismatch,
-2 on usage or capacity errors.  Flags may also be supplied through
-environment variables with the KLOOSTERCODES_ prefix (e.g.
-KLOOSTERCODES_H_MAX=6); such a value passes the flag's own type and
-choices, or the command exits 2 naming the variable.
+--timing (json only) so the default output stays reproducible.
+
+Each run takes one path: argparse parses the flags, each integer flag's
+type checks its lower bound (--r, --n, --a and --h-max >= 1; --h, --max-j,
+--t and --limit-ops >= 0), run_command builds the field once, the handler
+computes, and run_command writes stdout once.  Flags may also be supplied
+through environment variables with the KLOOSTERCODES_ prefix (e.g.
+KLOOSTERCODES_H_MAX=6); such a value passes the flag's own type, bound and
+choices, or the command exits 2 naming the variable and the flag.
+
+Exit status: 0 on success or full verification; 1 on a verification
+mismatch or a failed internal consistency check; 2 on a usage error (a
+refusal names the flag) or a refused work limit; 141 (killed by SIGPIPE,
+with nothing on stderr) when the console script finds stdout closed, as
+under `kloostercodes kloosterman --r 8 | head -1`.
 """
 
 import argparse
@@ -18,7 +27,7 @@ import sys
 from . import charsums, gauss, moments, ogroups
 from .codes import weight_prefix
 from .errors import CapacityError, ConsistencyError, DomainError, FieldConstructionError
-from .gf3r import field_create, format_poly, load_modulus_config
+from .gf3r import DEFAULT_MODULI, field_create, format_poly, load_modulus_config
 from .ogroups import GroupId
 
 ENV_PREFIX = "KLOOSTERCODES_"
@@ -28,7 +37,8 @@ _CODES = sorted(gid.value for gid in GroupId)
 
 class _EnvValue:
     """A flag's default read from KLOOSTERCODES_<FLAG>; run_command parses it
-    by the flag's own type and choices once the flag's subcommand is known."""
+    by the flag's own type, bound included, and choices once the flag's
+    subcommand is known."""
 
     def __init__(self, flag, kind, choices):
         self.var = ENV_PREFIX + flag[2:].upper().replace("-", "_")
@@ -40,6 +50,8 @@ class _EnvValue:
             value = self.kind(raw) if self.kind else raw
             if self.choices is None or value in self.choices:
                 return value
+        except argparse.ArgumentTypeError as exc:  # below the flag's bound
+            parser.error("%s=%r is not a valid value for %s: %s" % (self.var, raw, self.flag, exc))
         except (TypeError, ValueError):
             pass
         parser.error("%s=%r is not a valid value for %s" % (self.var, raw, self.flag))
@@ -48,6 +60,18 @@ class _EnvValue:
 def _flag(parser, flag, default=None, **kw):
     env = _EnvValue(flag, kw.get("type"), kw.get("choices"))
     return parser.add_argument(flag, default=env if env.var in os.environ else default, **kw)
+
+
+def _at_least(low):
+    """The type of an integer flag whose values start at low; argparse names
+    the flag in the refusal."""
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError("must be >= %d, got %d" % (low, value))
+        return value
+    parse.__name__ = "int"  # a non-integer still reads "invalid int value"
+    return parse
 
 
 def _parse_poly(text):
@@ -61,13 +85,13 @@ def _build_parser():
         "minus-type orthogonal groups over GF(3^r).",
     )
     common = argparse.ArgumentParser(add_help=False)
-    _flag(common, "--r", type=int, default=1, help="field exponent, q = 3^r (default 1)")
+    _flag(common, "--r", type=_at_least(1), default=1, help="field exponent, q = 3^r (default 1)")
     _flag(common, "--poly", type=_parse_poly,
           help="modulus coefficients c0,c1,...,cr (low degree first)")
     _flag(common, "--poly-file", help="config file mapping r to modulus coefficients")
     _flag(common, "--format", choices=("json", "csv", "text"), default="text",
           help="output format")
-    _flag(common, "--limit-ops", type=int, default=charsums.DEFAULT_OPS_LIMIT,
+    _flag(common, "--limit-ops", type=_at_least(0), default=charsums.DEFAULT_OPS_LIMIT,
           help="work limit in estimated operations (default %d)" % charsums.DEFAULT_OPS_LIMIT)
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -75,23 +99,23 @@ def _build_parser():
     sub.add_parser("field", parents=[common], help="describe the field GF(3^r)")
 
     p = sub.add_parser("kloosterman", parents=[common], help="exact Kloosterman sums")
-    _flag(p, "--a", type=int, help="argument index (default: all nonzero a)")
+    _flag(p, "--a", type=_at_least(1), help="argument index (default: all nonzero a)")
 
     # the common flags go after the mode (moments direct --r 2), so the
     # mode parsers alone take them: given before the mode, a flag is an error
     p = sub.add_parser("moments", help="moments over square arguments")
     msub = p.add_subparsers(dest="mode", required=True)
     pd = msub.add_parser("direct", parents=[common], help="direct power sums")
-    _flag(pd, "--h", type=int, default=4, help="highest moment")
+    _flag(pd, "--h", type=_at_least(0), default=4, help="highest moment")
     pr = msub.add_parser("recursive", parents=[common],
                          help="moments generated by the code recursion")
-    _flag(pr, "--h", type=int, default=4, help="highest moment")
+    _flag(pr, "--h", type=_at_least(0), default=4, help="highest moment")
     _flag(pr, "--code", choices=_CODES, default="so2")
 
     p = sub.add_parser("weights", parents=[common],
                        help="truncated weight distribution of a group code")
     _flag(p, "--code", choices=_CODES, default="so2")
-    _flag(p, "--max-j", type=int, default=8, help="largest weight to report")
+    _flag(p, "--max-j", type=_at_least(0), default=8, help="largest weight to report")
 
     p = sub.add_parser("groups", help="group enumeration")
     gsub = p.add_subparsers(dest="mode", required=True)
@@ -104,20 +128,22 @@ def _build_parser():
                        help="character sums over the groups, closed form")
     _flag(p, "--group", choices=_CODES + ["gl"],
           help="so2, o2, so4 or gl (default so2 unless --n is given)")
-    _flag(p, "--a", type=int, default=1, help="character scaling")
-    _flag(p, "--t", type=int, help="GL rank, with --group gl only (default 1)")
-    _flag(p, "--n", type=int, help="n of SO-/O-(2n,q), in place of --group")
+    _flag(p, "--a", type=_at_least(1), default=1, help="character scaling")
+    _flag(p, "--t", type=_at_least(0), help="GL rank, with --group gl only (default 1)")
+    _flag(p, "--n", type=_at_least(1), help="n of SO-/O-(2n,q), in place of --group")
     _flag(p, "--variant", choices=("so", "o"), help="with --n only: SO- or O- (default so)")
 
     p = sub.add_parser("verify", parents=[common],
                        help="check the recursions against direct moments")
-    _flag(p, "--h-max", type=int, default=10)
+    _flag(p, "--h-max", type=_at_least(1), default=10)
     p.add_argument("--timing", action="store_true", help="add elapsed_ms to json reports")
 
     return parser
 
 
 def _make_ctx(args):
+    """The field of --r, and with it the two refusals no flag type can make:
+    an --r without a shipped modulus and an --a outside the field."""
     poly = args.poly
     if poly is None and args.poly_file:
         try:
@@ -128,22 +154,19 @@ def _make_ctx(args):
             raise DomainError("--poly-file %s has no modulus for r=%d (entries: %s)"
                               % (args.poly_file, args.r, sorted(table) or "none"))
         poly = table[args.r]
-    return field_create(args.r, poly)
+    if poly is None and args.r not in DEFAULT_MODULI:
+        raise DomainError("--r %d has no shipped modulus (r <= %d); give one with --poly "
+                          "or --poly-file" % (args.r, max(DEFAULT_MODULI)))
+    ctx = field_create(args.r, poly)
+    if getattr(args, "a", None) is not None and args.a >= ctx.q:
+        raise DomainError("--a %d is not a nonzero element of GF(%d): give 1 <= --a < %d"
+                          % (args.a, ctx.q, ctx.q))
+    return ctx
 
 
-def _emit(args, payload, csv_rows, text_lines):
-    if args.format == "json":
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    elif args.format == "csv":
-        for row in csv_rows:
-            print(",".join(str(c) for c in row))
-    else:
-        for line in text_lines:
-            print(line)
+# each handler maps (args, ctx) to (exit status, json payload, csv rows, text lines)
 
-
-def _cmd_field(args):
-    ctx = _make_ctx(args)
+def _cmd_field(args, ctx):
     payload = {
         "r": ctx.r,
         "q": ctx.q,
@@ -156,25 +179,19 @@ def _cmd_field(args):
     text = ["GF(%d), modulus %s" % (ctx.q, payload["modulus_str"]),
             "epsilon (least nonsquare) = %d" % ctx.epsilon,
             "nonzero squares: %d" % payload["num_squares"]]
-    _emit(args, payload, rows, text)
-    return 0
+    return 0, payload, rows, text
 
 
-def _cmd_kloosterman(args):
-    ctx = _make_ctx(args)
+def _cmd_kloosterman(args, ctx):
     targets = [args.a] if args.a is not None else list(range(1, ctx.q))
     values = {a: charsums.kloosterman(ctx, a, ops_limit=args.limit_ops) for a in targets}
     payload = {"q": ctx.q, "values": {str(a): str(v) for a, v in values.items()}}
     rows = [("a", "K")] + [(a, v) for a, v in sorted(values.items())]
     text = ["K(%d) = %d" % (a, v) for a, v in sorted(values.items())]
-    _emit(args, payload, rows, text)
-    return 0
+    return 0, payload, rows, text
 
 
-def _cmd_moments(args):
-    if args.h < 0:
-        raise DomainError("--h must be nonnegative, got %d" % args.h)
-    ctx = _make_ctx(args)
+def _cmd_moments(args, ctx):
     if args.mode == "direct":
         vals = [charsums.sk_moment(ctx, h, ops_limit=args.limit_ops) for h in range(args.h + 1)]
         step, key, label = 1, "source", "direct"
@@ -192,14 +209,10 @@ def _cmd_moments(args):
     }
     rows = [("h", "sk")] + list(zip(hs, vals))
     text = ["SK^%d = %d" % hv for hv in zip(hs, vals)]
-    _emit(args, payload, rows, text)
-    return 0
+    return 0, payload, rows, text
 
 
-def _cmd_weights(args):
-    if args.max_j < 0:
-        raise DomainError("--max-j must be nonnegative, got %d" % args.max_j)
-    ctx = _make_ctx(args)
+def _cmd_weights(args, ctx):
     gid = GroupId(args.code)
     hist = ogroups.histogram_closed_form(ctx, gid, ops_limit=args.limit_ops)
     prefix = weight_prefix(hist, ctx, args.max_j, ops_limit=args.limit_ops)
@@ -209,12 +222,10 @@ def _cmd_weights(args):
     }
     rows = [("j", "count")] + list(enumerate(prefix))
     text = ["C_%d = %d" % (j, c) for j, c in enumerate(prefix)]
-    _emit(args, payload, rows, text)
-    return 0
+    return 0, payload, rows, text
 
 
-def _cmd_groups(args):
-    ctx = _make_ctx(args)
+def _cmd_groups(args, ctx):
     gid = GroupId(args.group)
     enum = ogroups.enumerate_group(ctx, gid, ops_limit=args.limit_ops)
     payload = {"group": args.group, "q": ctx.q, "order": len(enum.elements)}
@@ -228,11 +239,10 @@ def _cmd_groups(args):
         payload["elements"] = [list(w) for w in enum.elements]
         rows = [("element",)] + [(" ".join(map(str, w)),) for w in enum.elements]
         text = [" ".join(map(str, w)) for w in enum.elements]
-    _emit(args, payload, rows, text)
-    return 0
+    return 0, payload, rows, text
 
 
-def _cmd_gauss(args):
+def _cmd_gauss(args, ctx):
     if args.group == "gl" and (args.n, args.variant) != (None, None):
         raise DomainError("--n and --variant do not apply to --group gl")
     if args.group != "gl" and args.t is not None:
@@ -242,7 +252,6 @@ def _cmd_gauss(args):
     if args.group is not None and args.n is not None:
         raise DomainError("--group %s and --n %d both name the group; give one"
                           % (args.group, args.n))
-    ctx = _make_ctx(args)
     if args.group == "gl":
         t = 1 if args.t is None else args.t
         val = gauss.kloosterman_gl(ctx, t, args.a, ops_limit=args.limit_ops)
@@ -258,29 +267,25 @@ def _cmd_gauss(args):
         val = gauss.gauss_sum_closed(ctx, req, ops_limit=args.limit_ops)
         payload = {"q": ctx.q, "n": n, "variant": variant, "a": args.a, "value": str(val)}
         text = ["gauss sum %s-(2*%d, %d), a=%d: %d" % (variant, n, ctx.q, args.a, val)]
-    _emit(args, payload, [("value",), (val,)], text)
-    return 0
+    return 0, payload, [("value",), (val,)], text
 
 
-def _cmd_verify(args):
+def _cmd_verify(args, ctx):
     if args.timing and args.format != "json":
         raise DomainError("--timing adds elapsed_ms under --format json only")
-    ctx = _make_ctx(args)
     reports = moments.verify_report(ctx, args.h_max, ops_limit=args.limit_ops)
     payload = [rep.to_dict(include_timing=args.timing) for rep in reports]
     rows = [("code", "h", "direct", "recursive", "match")]
     text = []
-    ok = True
     for rep in reports:
         for row in rep.rows:
             rows.append((rep.code, row.h, row.direct, row.recursive, row.match))
             text.append("%s h=%d direct=%d recursive=%d %s"
                         % (rep.code, row.h, row.direct, row.recursive,
                            "ok" if row.match else "MISMATCH"))
-            ok = ok and row.match
+    ok = all(rep.all_match for rep in reports)
     text.append("verified: all moments match" if ok else "verification FAILED")
-    _emit(args, payload, rows, text)
-    return 0 if ok else 1
+    return (0 if ok else 1), payload, rows, text
 
 
 _HANDLERS = {
@@ -295,6 +300,8 @@ _HANDLERS = {
 
 
 def run_command(argv) -> int:
+    """Parse argv, build the field, run the subcommand and print its output;
+    returns the exit status."""
     if hasattr(sys, "set_int_max_str_digits"):  # exact values pass 4300 digits
         sys.set_int_max_str_digits(0)
     parser = _build_parser()
@@ -306,16 +313,27 @@ def run_command(argv) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _HANDLERS[args.command](args)
+        status, payload, csv_rows, text_lines = _HANDLERS[args.command](args, _make_ctx(args))
     except (DomainError, FieldConstructionError, CapacityError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except ConsistencyError as exc:
         print("consistency failure: %s" % exc, file=sys.stderr)
         return 1
+    if args.format == "json":
+        text_lines = [json.dumps(payload, sort_keys=True, indent=2)]
+    elif args.format == "csv":
+        text_lines = [",".join(str(c) for c in row) for row in csv_rows]
+    for line in text_lines:
+        print(line)
+    return status
 
 
 def main():
+    import signal  # the console script alone needs it; `import kloostercodes` stays lighter
+
+    if hasattr(signal, "SIGPIPE"):  # a closed stdout ends the run quietly, status 141
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(run_command(sys.argv[1:]))
 
 

@@ -2,12 +2,16 @@ import contextlib
 import io
 import json
 import os
+import signal
+import subprocess
+import sys
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kloostercodes
 from kloostercodes import GaussSumRequest, gauss_sum_closed
 from kloostercodes.cli import ENV_PREFIX, run_command
 
@@ -69,10 +73,88 @@ def test_poly_file_refusals(capsys, tmp_path, content, needle):
                                   ["weights", "--code", "so4", "--max-j"]],
                          ids=["direct", "recursive", "weights"])
 def test_negative_h_is_a_usage_error(capsys, argv):
-    # the refusal names the flag, not the library argument behind it
+    # argparse refuses the value, naming the flag and its bound, not the
+    # library argument behind it
     code, out, err = run(capsys, *argv, "-1", "--r", "2")
     assert code == 2 and out == ""
-    assert "%s must be nonnegative" % argv[-1] in err
+    assert "argument %s: must be >= 0, got -1" % argv[-1] in err
+
+
+# each integer flag, a command that takes it, and the least value it admits
+_BOUNDED_FLAGS = [
+    ("verify --h-max", 1), ("gauss --n", 1), ("gauss --group gl --t", 0),
+    ("kloosterman --a", 1), ("gauss --a", 1), ("moments direct --r", 1),
+    ("field --limit-ops", 0), ("moments direct --h", 0), ("weights --max-j", 0),
+]
+
+
+@pytest.mark.parametrize("form", ["argv", "env"])
+@pytest.mark.parametrize("command, low", _BOUNDED_FLAGS,
+                         ids=[command for command, _ in _BOUNDED_FLAGS])
+def test_flag_below_its_bound_is_a_usage_error(command, low, form):
+    # the flag's type checks the bound, for a value from the environment too;
+    # the bound itself is admitted
+    *argv, flag = command.split()
+    var = ENV_PREFIX + flag[2:].upper().replace("-", "_")
+
+    def run_at(value):
+        if form == "argv":
+            return _run_captured(argv + [flag, str(value)], {})
+        return _run_captured(argv, {var: str(value)})
+
+    code, out, err = run_at(low - 1)
+    assert (code, out) == (2, "")
+    assert ("argument %s: must be >= %d, got %d" % (flag, low, low - 1) if form == "argv" else
+            "%s='%d' is not a valid value for %s: must be >= %d" % (var, low - 1, flag, low)) in err
+    assert "Traceback" not in err
+    assert run_at(low)[0] == 0
+
+
+def test_non_integer_reads_invalid_int_value(capsys):
+    code, out, err = run(capsys, "verify", "--h-max", "x")
+    assert (code, out) == (2, "")
+    assert "argument --h-max: invalid int value: 'x'" in err
+
+
+@pytest.mark.parametrize("argv, env, needle", [
+    (["kloosterman", "--a", "5"], {}, "--a 5 is not a nonzero element of GF(3)"),
+    (["gauss", "--a", "99"], {}, "--a 99 is not a nonzero element of GF(3)"),
+    (["kloosterman", "--r", "2"], {"KLOOSTERCODES_A": "9"},
+     "--a 9 is not a nonzero element of GF(9)"),
+    (["gauss", "--r", "2"], {"KLOOSTERCODES_A": "10"}, "--a 10 is not a nonzero element of GF(9)"),
+    (["field", "--r", "20"], {}, "--r 20 has no shipped modulus"),
+    (["verify"], {"KLOOSTERCODES_R": "9"}, "--r 9 has no shipped modulus"),
+], ids=["kloosterman-a", "gauss-a", "kloosterman-a-env", "gauss-a-env", "r", "r-env"])
+def test_refusals_that_need_the_field_name_the_flag(argv, env, needle):
+    # no flag type knows q or the shipped moduli: the field build checks them
+    code, out, err = _run_captured(argv, env)
+    assert (code, out) == (2, "")
+    assert needle in err and "Traceback" not in err
+    if "--r" in needle:
+        assert "--poly" in err and "--poly-file" in err
+
+
+def test_largest_a_is_admitted(capsys):
+    code, out, _ = run(capsys, "kloosterman", "--r", "2", "--a", "8", "--format", "csv")
+    assert code == 0 and out.splitlines()[0] == "a,K"
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
+def test_closed_stdout_ends_the_command_quietly():
+    # `kloostercodes kloosterman --r 8 | head -1`: about 90 kB of output,
+    # past a pipe's buffer, so the write after the reader has gone is killed
+    # by SIGPIPE and leaves no traceback
+    src = os.path.dirname(os.path.dirname(kloostercodes.__file__))
+    path = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.Popen([sys.executable, "-m", "kloostercodes", "kloosterman", "--r", "8"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline().startswith(b"K(1) = ")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == -signal.SIGPIPE
+    assert err == b""
 
 
 def test_values_past_the_int_string_limit_print(capsys, f3):
@@ -382,6 +464,26 @@ def test_verify_exit_zero(capsys):
     code, out, _ = run(capsys, "verify", "--r", "1", "--h-max", "6")
     assert code == 0
     assert "all moments match" in out
+
+
+def test_verify_h_max_one_leaves_out_the_rank_four_code(capsys):
+    # SO-(4,q) gives SK^{2h} for h <= h_max // 2: nothing at h_max = 1
+    code, out, _ = run(capsys, "verify", "--r", "2", "--h-max", "1", "--format", "csv")
+    assert code == 0
+    assert [line.split(",")[:2] for line in out.splitlines()[1:]] == [["so2", "1"], ["o2", "1"]]
+
+
+def test_consistency_failure_exits_one(capsys, monkeypatch):
+    from kloostercodes import charsums
+    from kloostercodes.errors import ConsistencyError
+
+    def broken(ctx, a, **kw):
+        raise ConsistencyError("K table broken")
+
+    monkeypatch.setattr(charsums, "kloosterman", broken)
+    code, out, err = run(capsys, "kloosterman", "--r", "1")
+    assert (code, out) == (1, "")
+    assert err == "consistency failure: K table broken\n"
 
 
 def test_verify_mismatch_exits_one(capsys, monkeypatch):

@@ -69,6 +69,11 @@ def test_bad_r_rejected():
         field_create(0)
 
 
+def test_no_shipped_modulus_past_r8():
+    with pytest.raises(FieldConstructionError, match="r=9"):
+        field_create(9)
+
+
 def test_custom_modulus_multiplication():
     # with modulus x^2 + 2x + 2, the class g of x satisfies g^2 = g + 1
     ctx = field_create(2, (2, 2, 1))

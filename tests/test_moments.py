@@ -70,6 +70,12 @@ def test_pless_q3_rank2(f3):
     assert (chk0.lhs, chk0.rhs) == (3, 3)
 
 
+@pytest.mark.parametrize("gid", list(GroupId))
+def test_pless_check_refuses_negative_h(f3, gid):
+    with pytest.raises(DomainError):
+        pless_check(f3, gid, -1)
+
+
 def test_pless_q3_rank4(f3):
     chk = pless_check(f3, GroupId.SO4, 1)
     assert (chk.lhs, chk.rhs) == (1260, 1260)
