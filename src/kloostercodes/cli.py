@@ -26,7 +26,7 @@ import sys
 
 from . import charsums, gauss, moments, ogroups
 from .codes import weight_prefix
-from .errors import CapacityError, ConsistencyError, DomainError, FieldConstructionError
+from .errors import CapacityError, ConsistencyError, DomainError, FieldConstructionError, admit
 from .gf3r import DEFAULT_MODULI, field_create, format_poly, load_modulus_config
 from .ogroups import GroupId
 
@@ -143,7 +143,8 @@ def _build_parser():
 
 def _make_ctx(args):
     """The field of --r, and with it the two refusals no flag type can make:
-    an --r without a shipped modulus and an --a outside the field."""
+    an --r without a shipped modulus and an --a outside the field.  Past the
+    shipped moduli the tables are admitted under --limit-ops at q*r."""
     poly = args.poly
     if poly is None and args.poly_file:
         try:
@@ -154,9 +155,16 @@ def _make_ctx(args):
             raise DomainError("--poly-file %s has no modulus for r=%d (entries: %s)"
                               % (args.poly_file, args.r, sorted(table) or "none"))
         poly = table[args.r]
-    if poly is None and args.r not in DEFAULT_MODULI:
-        raise DomainError("--r %d has no shipped modulus (r <= %d); give one with --poly "
-                          "or --poly-file" % (args.r, max(DEFAULT_MODULI)))
+    if args.r not in DEFAULT_MODULI:
+        if poly is None:
+            raise DomainError("--r %d has no shipped modulus (r <= %d); give one with --poly "
+                              "or --poly-file" % (args.r, max(DEFAULT_MODULI)))
+        # field_create refuses a modulus of another degree before any table,
+        # and q = 3^r alone would take minutes at an --r of 10^8
+        if len(poly) == args.r + 1:
+            q = 3 ** args.r
+            admit("building the field tables of GF(%d) past the shipped moduli (q*r)" % q,
+                  q * args.r, args.limit_ops)
     ctx = field_create(args.r, poly)
     if getattr(args, "a", None) is not None and args.a >= ctx.q:
         raise DomainError("--a %d is not a nonzero element of GF(%d): give 1 <= --a < %d"

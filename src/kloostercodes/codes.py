@@ -8,9 +8,12 @@ alone, as the tuple (C_0, ..., C_j_max): one character sum of the histogram,
 grouped by value, gives every dual weight, and the MacWilliams identity turns
 the few distinct dual weights into the low weight counts of the code.  They
 remain available when the group itself is far too large to enumerate, and
-nothing here reads a Kloosterman sum except the closed weight formula.  The
-codes word by word (dual words, counted weights, full and pair scans) are
-test oracles in tests/oracles.py.
+nothing here reads a Kloosterman sum except the closed weight formula: the
+dual word of a has weight w(a) = 2(N - G(a))/3, with N = |G| and G(a) the
+group character sum, which gauss.gauss_sum_of_k gives from K(a^2) alone.
+This module holds no per-group constant.  The codes word by word (dual
+words, counted weights, full and pair scans) are test oracles in
+tests/oracles.py.
 """
 
 from collections import Counter
@@ -20,23 +23,14 @@ import numpy as np
 
 from .charsums import DEFAULT_OPS_LIMIT, kloosterman
 from .errors import ConsistencyError, DomainError, admit
+from .gauss import gauss_sum_of_k
 from .ogroups import GroupId, TraceHistogram, group_order
 
 
-def weight_form(gid: GroupId, q: int):
-    """(s, b) such that the dual word of a != 0 has weight
-    (2/3) s (K(a^2)^e + b), with e = gid.n: s = 1, b = q + 1 for n = 1 (both
-    variants) and s = q^2, b = q^4 + q^3 - q - 1 for SO-(4,q)."""
-    if gid.n == 1:
-        return 1, q + 1
-    return q * q, q ** 4 + q ** 3 - q - 1
-
-
 def weight_of_k(gid: GroupId, q: int, k: int) -> int:
-    """(2/3) s (k^e + b) of weight_form, the weight of every dual word of a
-    with K(a^2) = k; the division by 3 is asserted exact."""
-    s, b = weight_form(gid, q)
-    num = 2 * s * (k ** gid.n + b)
+    """2 (N - G)/3, the weight of every dual word of a with K(a^2) = k, with
+    N = |G| and G = gauss_sum_of_k; the division by 3 is asserted exact."""
+    num = 2 * (group_order(gid, q) - gauss_sum_of_k(q, gid.n, gid.variant, k))
     if num % 3:
         raise ConsistencyError(
             "weight expression %d for %s at K = %d is not divisible by 3" % (num, gid.value, k)
@@ -45,8 +39,8 @@ def weight_of_k(gid: GroupId, q: int, k: int) -> int:
 
 
 def codeword_weight_formula(ctx, gid: GroupId, a: int) -> int:
-    """Hamming weight of the dual word via Kloosterman sums, by weight_form.
-    Needs no enumeration."""
+    """Hamming weight of the dual word via its Kloosterman sum K(a^2), by
+    weight_of_k.  Needs no enumeration."""
     group_order(gid, ctx.q)
     if not 0 < a < ctx.q:
         raise DomainError("a must be a nonzero element")

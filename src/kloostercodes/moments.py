@@ -1,13 +1,16 @@
 """Power moments of Kloosterman sums with square arguments.
 
-The dual word of a != 0 in each group code has weight
-w(a) = (2/3) s (K(a^2)^e + b) (codes.weight_form), and the Pless power moment
-identity gives sum_a w(a)^h from the code's low weight counts C_j alone;
-one function (_pless_sums) forms those sums for every h <= h_max, building
-the coefficients t! S(h,t) one row per h.
-Expanding (K^e + b)^h turns that one integer sum into one recursion for every
-code: SK^h on the rank-2 codes (e = 1) and SK^{2h} on the rank-4 code
-(e = 2).  All arithmetic is in integers; every division is asserted exact.
+The dual word of a != 0 in each group code has weight w(a) = 2(N - G(a))/3
+(codes.weight_of_k), with G(a) the group character sum as a function of
+K(a^2) (gauss.gauss_sum_of_k).  For these codes G(k) = G(0) - s k^e, e = n,
+so w(a) = (2/3) s (K(a^2)^e + b) with s = G(0) - G(1) and b = (N - G(0))/s,
+both read off G.  The Pless power moment identity gives sum_a w(a)^h from
+the code's low weight counts C_j alone; one function (_pless_sums) forms
+those sums for every h <= h_max, building the coefficients t! S(h,t) one
+row per h.  Expanding (K^e + b)^h turns that one integer sum into one
+recursion for every code: SK^h on the rank-2 codes (e = 1) and SK^{2h} on
+the rank-4 code (e = 2).  All arithmetic is in integers; every division is
+asserted exact.
 """
 
 import time
@@ -15,8 +18,9 @@ from dataclasses import dataclass, field
 from math import comb
 
 from . import charsums
-from .codes import weight_form, weight_of_k, weight_prefix
+from .codes import weight_of_k, weight_prefix
 from .errors import ConsistencyError, DomainError
+from .gauss import gauss_sum_of_k
 from .ogroups import GroupId, group_order, histogram_closed_form
 
 
@@ -59,8 +63,9 @@ def sk_recursive_chain(ctx, gid: GroupId, h_max: int, prefix: tuple):
     """[SK^0, SK^e, ..., SK^{e h_max}] from the code's weight prefix alone,
     e = gid.n (1 for the rank-2 codes, 2 for SO-(4,q)).
 
-    With w(a) = (2/3) s (K(a^2)^e + b) and a -> a^2 covering each nonzero
-    square twice, the power moment sum P_h gives
+    With w(a) = (2/3) s (K(a^2)^e + b), s = G(0) - G(1), b = (N - G(0))/s
+    (G = gauss_sum_of_k, read at k = 0 and 1 only), and a -> a^2 covering
+    each nonzero square twice, the power moment sum P_h gives
     M_h = 3^h P_h / (2^{h+1} s^h) - sum_{j<h} C(h,j) b^{h-j} M_j, M_j = SK^{ej}.
     `prefix` must hold the weight counts for j <= min(N, h_max).
     """
@@ -68,7 +73,11 @@ def sk_recursive_chain(ctx, gid: GroupId, h_max: int, prefix: tuple):
     n = group_order(gid, q)
     if h_max < 0:
         raise DomainError("h_max must be nonnegative")
-    s, b = weight_form(gid, q)
+    g0 = gauss_sum_of_k(q, gid.n, gid.variant, 0)
+    s = g0 - gauss_sum_of_k(q, gid.n, gid.variant, 1)
+    b, rem = divmod(n - g0, s)
+    if rem:
+        raise ConsistencyError("weight offset (N - G(0))/s = %d/%d is not an integer" % (n - g0, s))
     pless = _pless_sums(prefix, n, r, h_max)
     chain = [(q - 1) // 2]  # SK^0, the number of nonzero squares
     for h in range(1, h_max + 1):

@@ -5,6 +5,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 from unittest import mock
 
 import pytest
@@ -12,7 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kloostercodes
-from kloostercodes import GaussSumRequest, gauss_sum_closed
+from kloostercodes import (
+    CapacityError,
+    GaussSumRequest,
+    field_create,
+    gauss_sum_closed,
+    kloosterman_gl,
+)
 from kloostercodes.cli import ENV_PREFIX, run_command
 
 from test_golden import GOLDEN
@@ -165,6 +172,71 @@ def test_values_past_the_int_string_limit_print(capsys, f3):
     assert code == 0
     # run_command lifted the interpreter's limit, so the value formats here too
     assert out == "value\n%d\n" % value
+
+
+# each estimate is W^2 for W = exponent * bits(q) // 64 + 1 words, with the
+# exponent 2n^2 of |O-(2n,q)| < q^(2n^2) or t^2 of |K_GL(t)| < q^(t^2)
+@pytest.mark.parametrize("r, argv, call, cost", [
+    (1, "gauss --r 1 --n 800",
+     lambda ctx: gauss_sum_closed(ctx, GaussSumRequest(n=800, variant="so", a=1)),
+     (2 * 800 ** 2 * 2 // 64 + 1) ** 2),
+    (8, "gauss --r 8 --n 400 --variant o",
+     lambda ctx: gauss_sum_closed(ctx, GaussSumRequest(n=400, variant="o", a=1)),
+     (2 * 400 ** 2 * 13 // 64 + 1) ** 2),
+    (8, "gauss --r 8 --group gl --t 1000", lambda ctx: kloosterman_gl(ctx, 1000, 1),
+     (1000 ** 2 * 13 // 64 + 1) ** 2),
+], ids=["gauss-r1-n800", "gauss-r8-n400", "gl-r8-t1000"])
+def test_big_integer_jobs_are_refused_by_size(capsys, r, argv, call, cost):
+    # with no limit on them, each of these ran for over a minute
+    ctx = field_create(r)
+    start = time.perf_counter()
+    with pytest.raises(CapacityError) as exc:
+        call(ctx)
+    assert time.perf_counter() - start < 1
+    assert ctx._k_table is None  # refused before K is read
+    assert "about %d operations (limit 5000000)" % cost in str(exc.value)
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv.split())
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert "about %d operations (limit 5000000)" % cost in err and "--limit-ops" in err
+
+
+@pytest.mark.parametrize("call, cost", [
+    (lambda ctx, limit: gauss_sum_closed(ctx, GaussSumRequest(n=90, variant="so", a=1),
+                                         ops_limit=limit), (2 * 90 ** 2 * 2 // 64 + 1) ** 2),
+    (lambda ctx, limit: kloosterman_gl(ctx, 30, 2, ops_limit=limit), (30 ** 2 * 2 // 64 + 1) ** 2),
+], ids=["gauss-n90", "gl-t30"])
+def test_big_integer_jobs_are_admitted_at_their_estimate(f3, call, cost):
+    assert call(f3, cost) == call(f3, 10 ** 9)
+    with pytest.raises(CapacityError, match="about %d operations" % cost):
+        call(f3, cost - 1)
+
+
+R12_FIELD = "field --r 12 --poly 1,0,0,0,0,0,0,0,1,0,0,1,1"
+
+
+def test_field_past_the_shipped_moduli_is_admitted(capsys):
+    # the tables of GF(3^12) cost q*r = 6377292 operations, above the default
+    code, out, err = run(capsys, *R12_FIELD.split(), "--limit-ops", "0")
+    assert (code, out) == (2, "")
+    assert "about 6377292 operations" in err and "limit 0" in err and "--limit-ops" in err
+    code, out, err = run(capsys, *R12_FIELD.split())
+    assert (code, out) == (2, "")
+    assert "about 6377292 operations (limit 5000000)" in err
+    # GF(3^9) at q*r = 177147 is admitted by the default and at its estimate only
+    r9 = "field --r 9 --poly 1,0,1,2,0,0,0,0,0,1".split()
+    assert run(capsys, *r9)[0] == 0
+    assert run(capsys, *r9, "--limit-ops", "177147")[0] == 0
+    code, out, err = run(capsys, *r9, "--limit-ops", "177146")
+    assert (code, out) == (2, "")
+    assert "about 177147 operations" in err
+    # a modulus of the wrong degree is refused as before, without forming 3^r
+    start = time.perf_counter()
+    code, out, err = run(capsys, "field", "--r", "100000000", "--poly", "1,1")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert "monic of degree 100000000" in err
 
 
 def test_kloosterman_table(capsys):

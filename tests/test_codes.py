@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +17,7 @@ from kloostercodes import (
     recursive_moments,
     weight_prefix,
 )
+from kloostercodes.codes import weight_of_k
 from oracles import (
     build_code_spec,
     codeword_weight,
@@ -229,7 +232,7 @@ def test_prefix_never_reads_kloosterman(monkeypatch, f27):
         raise AssertionError("weight_prefix read a Kloosterman sum")
 
     for target in ("kloostercodes.charsums.kloosterman", "kloostercodes.codes.kloosterman",
-                   "kloostercodes.kloosterman",
+                   "kloostercodes.kloosterman", "kloostercodes.gauss.kloosterman",
                    "kloostercodes.charsums._kloosterman_table",
                    "kloostercodes.charsums.kloosterman_histogram"):
         monkeypatch.setattr(target, forbidden)
@@ -254,10 +257,27 @@ def test_recursion_never_reads_the_k_table_or_its_histogram(monkeypatch, f27):
     for target in ("kloostercodes.charsums._kloosterman_table",
                    "kloostercodes.charsums.kloosterman_histogram",
                    "kloostercodes.charsums.kloosterman", "kloostercodes.codes.kloosterman",
-                   "kloostercodes.kloosterman"):
+                   "kloostercodes.kloosterman", "kloostercodes.gauss.kloosterman"):
         monkeypatch.setattr(target, forbidden)
     for gid in GroupId:
         assert recursive_moments(field_create(3), gid, 10) == expected[gid]
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_dual_weights_keep_the_papers_constants(r):
+    # w = 2(N - G)/3 from the Gauss sum is the paper's (2/3) s (k^e + b) at
+    # every value k a Kloosterman sum K(a^2) can take: k = -1 mod 3, k^2 <= 4q
+    q = 3 ** r
+    constants = {GroupId.SO2: (1, q + 1), GroupId.O2: (1, q + 1),
+                 GroupId.SO4: (q * q, q ** 4 + q ** 3 - q - 1)}
+    bound = math.isqrt(4 * q)
+    values = [k for k in range(-bound, bound + 1) if k % 3 == 2]
+    assert values[0] < 0 < values[-1]
+    for gid, (s, b) in constants.items():
+        for k in values:
+            num = 2 * s * (k ** gid.n + b)
+            assert num % 3 == 0
+            assert weight_of_k(gid, q, k) == num // 3
 
 
 def test_prefix_work_limit(f27):

@@ -197,6 +197,19 @@ def test_corrupted_prefix_is_detected(f3):
         sk_recursive_chain(f3, GroupId.SO4, 1, bad3)
 
 
+def test_chain_asserts_the_weight_offset_exact(monkeypatch, f9):
+    # s = G(0) - G(1) and b = (N - G(0))/s: a G(0) off by one gives s = 2 and
+    # N - G(0) = q for SO-(2,q), so the division that gives b must fail
+    from kloostercodes import moments
+
+    prefix = _prefix(f9, GroupId.SO2, 4)
+    real = moments.gauss_sum_of_k
+    monkeypatch.setattr(moments, "gauss_sum_of_k",
+                        lambda q, n, variant, k: real(q, n, variant, k) + (k == 0))
+    with pytest.raises(ConsistencyError, match="9/2"):
+        sk_recursive_chain(f9, GroupId.SO2, 4, prefix)
+
+
 def test_two_path_consistency(f3):
     # the closed-form prefix closes both the power moment identity and the recursion
     prefix = _prefix(f3, GroupId.SO2, 4)
