@@ -7,10 +7,13 @@ byte-identical across runs for the same flags; timing is opt-in via
 Each run takes one path: argparse parses the flags, each integer flag's
 type checks its lower bound (--r, --n, --a and --h-max >= 1; --h, --max-j,
 --t and --limit-ops >= 0), run_command builds the field once, the handler
-computes, and run_command writes stdout once.  Flags may also be supplied
-through environment variables with the KLOOSTERCODES_ prefix (e.g.
-KLOOSTERCODES_H_MAX=6); such a value passes the flag's own type, bound and
-choices, or the command exits 2 naming the variable and the flag.
+computes, and run_command writes stdout once.  The parser is built once per
+process, at the first run_command, and serves every later call.  Flags may
+also be supplied through environment variables with the KLOOSTERCODES_
+prefix (e.g. KLOOSTERCODES_H_MAX=6, or KLOOSTERCODES_TIMING=1 for the
+--timing switch, 0 leaving it off); these are read at every call, for the
+chosen subcommand's flags only, and such a value passes the flag's own type,
+bound and choices, or the command exits 2 naming the variable and the flag.
 
 Exit status: 0 on success or full verification; 1 on a verification
 mismatch or a failed internal consistency check; 2 on a usage error (a
@@ -20,6 +23,7 @@ under `kloostercodes kloosterman --r 8 | head -1`.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -33,33 +37,6 @@ from .ogroups import GroupId
 ENV_PREFIX = "KLOOSTERCODES_"
 
 _CODES = sorted(gid.value for gid in GroupId)
-
-
-class _EnvValue:
-    """A flag's default read from KLOOSTERCODES_<FLAG>; run_command parses it
-    by the flag's own type, bound included, and choices once the flag's
-    subcommand is known."""
-
-    def __init__(self, flag, kind, choices):
-        self.var = ENV_PREFIX + flag[2:].upper().replace("-", "_")
-        self.flag, self.kind, self.choices = flag, kind, choices
-
-    def parse(self, parser):
-        raw = os.environ[self.var]
-        try:
-            value = self.kind(raw) if self.kind else raw
-            if self.choices is None or value in self.choices:
-                return value
-        except argparse.ArgumentTypeError as exc:  # below the flag's bound
-            parser.error("%s=%r is not a valid value for %s: %s" % (self.var, raw, self.flag, exc))
-        except (TypeError, ValueError):
-            pass
-        parser.error("%s=%r is not a valid value for %s" % (self.var, raw, self.flag))
-
-
-def _flag(parser, flag, default=None, **kw):
-    env = _EnvValue(flag, kw.get("type"), kw.get("choices"))
-    return parser.add_argument(flag, default=env if env.var in os.environ else default, **kw)
 
 
 def _at_least(low):
@@ -78,6 +55,7 @@ def _parse_poly(text):
     return tuple(int(c) for c in text.replace(",", " ").split())
 
 
+@functools.cache  # parse_args leaves the parser as it was, so one serves every call
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="kloostercodes",
@@ -136,7 +114,7 @@ def _build_parser():
     p = sub.add_parser("verify", parents=[common],
                        help="check the recursions against direct moments")
     _flag(p, "--h-max", type=_at_least(1), default=10)
-    p.add_argument("--timing", action="store_true", help="add elapsed_ms to json reports")
+    _flag(p, "--timing", action="store_true", default=False, help="add elapsed_ms to json reports")
 
     return parser
 
@@ -343,6 +321,43 @@ def main():
     if hasattr(signal, "SIGPIPE"):  # a closed stdout ends the run quietly, status 141
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(run_command(sys.argv[1:]))
+
+
+class _EnvValue:
+    """A flag's default: KLOOSTERCODES_<FLAG> when it is set at parse time,
+    parsed by the flag's own type, bound included, and choices once the
+    flag's subcommand is known, and otherwise the flag's plain default."""
+
+    def __init__(self, flag, default, kind, choices):
+        self.var = ENV_PREFIX + flag[2:].upper().replace("-", "_")
+        self.flag, self.default, self.kind, self.choices = flag, default, kind, choices
+
+    def parse(self, parser):
+        raw = os.environ.get(self.var)
+        if raw is None:
+            return self.default
+        try:
+            value = self.kind(raw) if self.kind else raw
+            if self.choices is None or value in self.choices:
+                return value
+        except argparse.ArgumentTypeError as exc:  # below the flag's bound
+            parser.error("%s=%r is not a valid value for %s: %s" % (self.var, raw, self.flag, exc))
+        except (TypeError, ValueError):
+            pass
+        parser.error("%s=%r is not a valid value for %s" % (self.var, raw, self.flag))
+
+
+def _switch(text):
+    """The environment value of an on/off flag: 1 turns it on, 0 leaves it off."""
+    if text not in ("0", "1"):
+        raise ValueError(text)
+    return text == "1"
+
+
+def _flag(parser, flag, default=None, **kw):
+    kind = _switch if kw.get("action") == "store_true" else kw.get("type")
+    env = _EnvValue(flag, default, kind, kw.get("choices"))
+    return parser.add_argument(flag, default=env, **kw)
 
 
 if __name__ == "__main__":

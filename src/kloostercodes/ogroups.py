@@ -69,7 +69,7 @@ class TraceHistogram:
     def __getitem__(self, beta: int) -> int:
         return self.counts[beta]
 
-    @property
+    @functools.cached_property  # not a field: == and hash still read counts alone
     def total(self) -> int:
         return sum(self.counts)
 

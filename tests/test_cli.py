@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -621,7 +622,8 @@ def test_env_overrides(capsys, monkeypatch):
     ({"KLOOSTERCODES_R": "abc"}, ["field"]),
     ({"KLOOSTERCODES_CODE": "zz"}, ["weights", "--r", "2"]),
     ({"KLOOSTERCODES_FORMAT": "xml"}, ["field"]),
-], ids=["type", "choices", "format"])
+    ({"KLOOSTERCODES_TIMING": "yes"}, ["verify", "--r", "1", "--format", "json"]),
+], ids=["type", "choices", "format", "switch"])
 def test_bad_env_value_is_a_usage_error(env, argv):
     # the value goes through the flag's own type and choices
     code, out, err = _run_captured(argv, env)
@@ -635,6 +637,64 @@ def test_env_value_is_checked_only_where_its_flag_is_used():
     code, out, _ = _run_captured(["gauss", "--r", "1", "--t", "2"], {"KLOOSTERCODES_GROUP": "gl"})
     assert code == 0 and "K_GL(2, 3)" in out
     assert _run_captured(["field"], {"KLOOSTERCODES_CODE": "zz"})[0] == 0
+
+
+def test_environment_is_read_at_every_call(monkeypatch):
+    # one parser serves the whole process; the variable is looked up per call
+    monkeypatch.delenv("KLOOSTERCODES_H_MAX", raising=False)
+    argv = ["verify", "--r", "2", "--format", "json"]
+    unset = _run_captured(argv, {})
+    set_to_2 = _run_captured(argv, {"KLOOSTERCODES_H_MAX": "2"})
+    unset_again = _run_captured(argv, {})
+    assert unset[0] == 0 and unset == unset_again
+    assert set_to_2 != unset
+    assert set_to_2 == _run_captured(argv + ["--h-max", "2"], {})
+
+
+def test_failed_calls_leave_the_next_call_unchanged():
+    good = ["verify", "--r", "1", "--h-max", "3", "--format", "csv"]
+    before = _run_captured(good, {})
+    assert _run_captured(["verify", "--h-max", "5", "--format", "json", "--frobnicate"], {})[0] == 2
+    assert _run_captured(["verify", "--h-max", "5", "--format", "json", "--help"], {})[0] == 0
+    assert _run_captured(["verify", "--h-max", "5"], {"KLOOSTERCODES_FORMAT": "xml"})[0] == 2
+    assert _run_captured(good, {}) == before
+
+
+def test_only_the_first_call_builds_the_parser(capsys, monkeypatch):
+    assert run(capsys, "field")[0] == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert run(capsys, "verify", "--r", "1", "--h-max", "2")[0] == 0
+    assert built == []
+
+
+def test_importing_the_cli_builds_no_parser():
+    # a build at import would fall outside the time of the first call
+    src = os.path.dirname(os.path.dirname(kloostercodes.__file__))
+    path = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    code = "import kloostercodes.cli as c; print(c._build_parser.cache_info().currsize)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=60).stdout
+    assert out == "0\n"
+
+
+def test_timing_from_the_environment(monkeypatch):
+    monkeypatch.delenv("KLOOSTERCODES_TIMING", raising=False)
+    argv = ["verify", "--r", "1", "--h-max", "2", "--format", "json"]
+    code, out, _ = _run_captured(argv, {"KLOOSTERCODES_TIMING": "1"})
+    assert code == 0 and all("elapsed_ms" in rep for rep in json.loads(out))
+    assert _run_captured(argv, {"KLOOSTERCODES_TIMING": "0"}) == _run_captured(argv, {})
+    code, out, err = _run_captured(argv, {"KLOOSTERCODES_TIMING": "yes"})
+    assert (code, out) == (2, "") and "--timing" in err
+    code, out, err = _run_captured(argv[:-1] + ["text"], {"KLOOSTERCODES_TIMING": "1"})
+    assert (code, out) == (2, "") and "--format json" in err
 
 
 def test_help_available_everywhere(capsys):

@@ -171,6 +171,14 @@ def test_closed_form_totals(r, gid):
     assert histogram_closed_form(ctx, gid).total == group_order(gid, ctx.q)
 
 
+def test_histogram_total_is_summed_once(f27):
+    hist = histogram_closed_form(f27, GroupId.SO4)
+    assert hist.total == sum(hist.counts)
+    assert hist.total is hist.total  # a property would sum again, to a new int
+    fresh = ogroups.TraceHistogram(hist.counts)
+    assert hist == fresh and hash(hist) == hash(fresh)
+
+
 def test_so4_histogram_never_reads_kloosterman(monkeypatch, f243):
     # the delta side stays independent of the K values it is checked against
     def forbidden(*args, **kwargs):
