@@ -15,9 +15,10 @@ context keeps the value histogram of K over the nonzero squares: K(a) is
 -1 mod 3 and at most 2 sqrt(q) in modulus, so it takes at most about
 4 sqrt(q)/3 + 1 values (81 at q = 3^8), and the direct moments
 SK^h = sum_k mult(k) k^h and the left side of the Pless check sum over those
-values instead of over the (q - 1)/2 squares.  delta(m) is the character
-sum of the m-th power of the character sum of delta(1), returned as a tuple
-of Python ints indexed by beta.  The two tables never read each other.
+values instead of over the (q - 1)/2 squares.  f, the character sum of
+delta(1), is K(a^2) at a != 0 (codes.weight_prefix groups it as K is
+grouped); delta(m) is the character sum of f^m, a tuple of Python ints
+indexed by beta.  The two tables never read each other.
 """
 
 import math
@@ -53,7 +54,7 @@ def _kloosterman_table(ctx, ops_limit: int = DEFAULT_OPS_LIMIT):
     a_part, b_part = np.array([[1, 0, -1], [0, 1, -1]], dtype=np.int64)[:, t]
     a_part[0] = b_part[0] = 0
     k = ctx.character_sums(a_part, b_part)
-    histogram = _value_histogram(q, k[ctx._np_squares])
+    histogram = _value_histogram(q, k[ctx._np_squares], (q - 1) // 2)
     total, squares = int(k[1:].sum()), int((k[1:] ** 2).sum())
     if (total, squares) != (1, q * q - q - 1):
         raise ConsistencyError(
@@ -64,31 +65,31 @@ def _kloosterman_table(ctx, ops_limit: int = DEFAULT_OPS_LIMIT):
     return k
 
 
-def _value_histogram(q: int, on_squares):
-    """The distinct values k of K on the nonzero squares with their
-    multiplicities, as a tuple of (k, mult) pairs of Python ints, ascending.
+def _value_histogram(q: int, sums, expected: int):
+    """The distinct values k of an array of Kloosterman sums with their
+    multiplicities, as a tuple of (k, mult) pairs of Python ints, ascending:
+    K on the nonzero squares, or f(a) = K(a^2) on the nonzero a.
 
     Every K(a) is n_0 - n_2 with n_0 + 2 n_2 = q - 1 (n_e the number of
     x != 0 with tr(x + a/x) = e, and n_1 = n_2 since K is real), so
     K(a) = -1 mod 3; with the Weil bound k^2 <= 4q, K takes at most about
-    4 sqrt(q)/3 + 1 values.  Both are asserted, as is the total (q - 1)/2.
+    4 sqrt(q)/3 + 1 values.  Both are asserted, as is the total, expected.
     """
     bound = math.isqrt(4 * q)
-    worst = max(int(on_squares.max()), -int(on_squares.min()))
+    worst = max(int(sums.max()), -int(sums.min()))
     if worst > bound:
         raise ConsistencyError("|K| = %d over GF(%d) breaks the Weil bound |K| <= 2 sqrt(q)"
                                % (worst, q))
-    off = on_squares[on_squares % 3 != 2]
+    off = sums[sums % 3 != 2]
     if off.size:
         raise ConsistencyError("K = %d over GF(%d) is not -1 mod 3" % (off[0], q))
     # one bin per value in [-bound, bound]: a bincount, not a sort
-    counts = np.bincount(on_squares + bound)
+    counts = np.bincount(sums + bound)
     values = np.flatnonzero(counts)
     pairs = tuple(zip((values - bound).tolist(), counts[values].tolist()))
-    covered = sum(m for _, m in pairs)
-    if covered != (q - 1) // 2:
-        raise ConsistencyError("Kloosterman values over GF(%d) cover %d squares, expected %d"
-                               % (q, covered, (q - 1) // 2))
+    if sums.size != expected:
+        raise ConsistencyError("Kloosterman values over GF(%d) cover %d arguments, expected %d"
+                               % (q, sums.size, expected))
     return pairs
 
 

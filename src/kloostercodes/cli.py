@@ -72,38 +72,38 @@ def _build_parser():
     _flag(common, "--limit-ops", type=_at_least(0), default=charsums.DEFAULT_OPS_LIMIT,
           help="work limit in estimated operations (default %d)" % charsums.DEFAULT_OPS_LIMIT)
 
+    def leaf(subparsers, name, text):  # its usage line heads the refusals of its flags
+        p = subparsers.add_parser(name, parents=[common], help=text)
+        p.set_defaults(leaf=p)
+        return p
+
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("field", parents=[common], help="describe the field GF(3^r)")
-
-    p = sub.add_parser("kloosterman", parents=[common], help="exact Kloosterman sums")
+    leaf(sub, "field", "describe the field GF(3^r)")
+    p = leaf(sub, "kloosterman", "exact Kloosterman sums")
     _flag(p, "--a", type=_at_least(1), help="argument index (default: all nonzero a)")
 
     # the common flags go after the mode (moments direct --r 2), so the
     # mode parsers alone take them: given before the mode, a flag is an error
     p = sub.add_parser("moments", help="moments over square arguments")
     msub = p.add_subparsers(dest="mode", required=True)
-    pd = msub.add_parser("direct", parents=[common], help="direct power sums")
+    pd = leaf(msub, "direct", "direct power sums")
     _flag(pd, "--h", type=_at_least(0), default=4, help="highest moment")
-    pr = msub.add_parser("recursive", parents=[common],
-                         help="moments generated by the code recursion")
+    pr = leaf(msub, "recursive", "moments generated by the code recursion")
     _flag(pr, "--h", type=_at_least(0), default=4, help="highest moment")
     _flag(pr, "--code", choices=_CODES, default="so2")
 
-    p = sub.add_parser("weights", parents=[common],
-                       help="truncated weight distribution of a group code")
+    p = leaf(sub, "weights", "truncated weight distribution of a group code")
     _flag(p, "--code", choices=_CODES, default="so2")
     _flag(p, "--max-j", type=_at_least(0), default=8, help="largest weight to report")
 
     p = sub.add_parser("groups", help="group enumeration")
     gsub = p.add_subparsers(dest="mode", required=True)
-    ge = gsub.add_parser("enumerate", parents=[common], help="order and trace histogram")
+    ge = leaf(gsub, "enumerate", "order and trace histogram")
     _flag(ge, "--group", choices=_CODES, default="so2")
-    gd = gsub.add_parser("dump", parents=[common], help="emit the element matrices")
+    gd = leaf(gsub, "dump", "emit the element matrices")
     _flag(gd, "--group", choices=_CODES, default="so2")
 
-    p = sub.add_parser("gauss", parents=[common],
-                       help="character sums over the groups, closed form")
+    p = leaf(sub, "gauss", "character sums over the groups, closed form")
     _flag(p, "--group", choices=_CODES + ["gl"],
           help="so2, o2, so4 or gl (default so2 unless --n is given)")
     _flag(p, "--a", type=_at_least(1), default=1, help="character scaling")
@@ -111,8 +111,7 @@ def _build_parser():
     _flag(p, "--n", type=_at_least(1), help="n of SO-/O-(2n,q), in place of --group")
     _flag(p, "--variant", choices=("so", "o"), help="with --n only: SO- or O- (default so)")
 
-    p = sub.add_parser("verify", parents=[common],
-                       help="check the recursions against direct moments")
+    p = leaf(sub, "verify", "check the recursions against direct moments")
     _flag(p, "--h-max", type=_at_least(1), default=10)
     _flag(p, "--timing", action="store_true", default=False, help="add elapsed_ms to json reports")
 
@@ -199,9 +198,7 @@ def _cmd_moments(args, ctx):
 
 
 def _cmd_weights(args, ctx):
-    gid = GroupId(args.code)
-    hist = ogroups.histogram_closed_form(ctx, gid, ops_limit=args.limit_ops)
-    prefix = weight_prefix(hist, ctx, args.max_j, ops_limit=args.limit_ops)
+    prefix = weight_prefix(GroupId(args.code), ctx, args.max_j, ops_limit=args.limit_ops)
     payload = {
         "q": ctx.q, "r": ctx.r, "code": args.code, "max_j": args.max_j,
         "counts": {str(j): str(c) for j, c in enumerate(prefix)},
@@ -295,7 +292,7 @@ def run_command(argv) -> int:
         args = parser.parse_args(argv)
         for dest, value in list(vars(args).items()):
             if isinstance(value, _EnvValue):
-                setattr(args, dest, value.parse(parser))
+                setattr(args, dest, value.parse(args.leaf))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -3,28 +3,25 @@
 The code of a group is the set of GF(3)-vectors orthogonal to the vector of
 matrix traces of the group elements in canonical order; its dual consists of
 the q words a -> (tr(a Tr g_1), ..., tr(a Tr g_N)) by Delsarte duality.
-Truncated weight distributions are computed exactly from the trace histogram
-alone, as the tuple (C_0, ..., C_j_max): one character sum of the histogram,
-grouped by value, gives every dual weight, and the MacWilliams identity turns
-the few distinct dual weights into the low weight counts of the code.  They
-remain available when the group itself is far too large to enumerate, and
-nothing here reads a Kloosterman sum except the closed weight formula: the
-dual word of a has weight w(a) = 2(N - G(a))/3, with N = |G| and G(a) the
+Truncated weight distributions (C_0, ..., C_j_max) are computed exactly from
+the code's delta form (ogroups.delta_form), no histogram built: one character
+sum of delta(1), grouped by value, gives every dual weight, and the
+MacWilliams identity turns the few distinct dual weights into the low weight
+counts.  They remain available when the group is far too large to enumerate,
+and nothing here reads a Kloosterman sum except the closed weight formula:
+the dual word of a has weight w(a) = 2(N - G(a))/3, with N = |G| and G(a) the
 group character sum, which gauss.gauss_sum_of_k gives from K(a^2) alone.
 This module holds no per-group constant.  The codes word by word (dual
 words, counted weights, full and pair scans) are test oracles in
 tests/oracles.py.
 """
 
-from collections import Counter
 from math import comb
 
-import numpy as np
-
-from .charsums import DEFAULT_OPS_LIMIT, kloosterman
+from .charsums import DEFAULT_OPS_LIMIT, _delta_one, _value_histogram, kloosterman
 from .errors import ConsistencyError, DomainError, admit
 from .gauss import gauss_sum_of_k
-from .ogroups import GroupId, TraceHistogram, group_order
+from .ogroups import GroupId, delta_form, group_order
 
 
 def weight_of_k(gid: GroupId, q: int, k: int) -> int:
@@ -52,17 +49,19 @@ def _admit_prefix(ctx, top: int, distinct: int, ops_limit: int) -> None:
           % (ctx.q, top, distinct), ctx.q * ctx.r + distinct * (top + 1) ** 2, ops_limit)
 
 
-def weight_prefix(hist: TraceHistogram, ctx, j_max: int, *,
+def weight_prefix(gid: GroupId, ctx, j_max: int, *,
                   ops_limit: int = DEFAULT_OPS_LIMIT) -> tuple:
     """(C_0, ..., C_j_max), the codeword counts of weight <= j_max, from the
-    trace histogram alone.
+    code's delta form alone.
 
-    The character sum A(a) = sum_beta n(beta) omega^{tr(a beta)} of the
-    histogram (FieldContext.character_sums) is n_0 + n_1 omega + n_2 omega^2,
-    n_e the number of coordinates t with tr(a t) = e, and n_0 + n_1 + n_2 = N.
-    It is real, so n_1 = n_2 and the dual word of a has weight
-    w(a) = n_1 + n_2 = 2 (N - A(a))/3, formed in Python ints (N runs past
-    2^63) once per distinct A.  The MacWilliams identity then gives
+    The dual word of a has n_e coordinates t with tr(a t) = e; the character
+    sum A(a) = n_0 + n_1 omega + n_2 omega^2 of the trace histogram is real,
+    so n_1 = n_2 and w(a) = 2 (N - A(a))/3.  By the delta form
+    c + z [beta = 0] + d delta(n; beta), A(0) = N and A(a) = z + d f(a)^n,
+    f the character sum of delta(1): one int64 transform, no K table.  Its
+    values (asserted -1 mod 3, so each gives its own A) are grouped, and each
+    w is formed in Python ints (N runs past 2^63) once per value.  The
+    MacWilliams identity then gives
     C_j = q^{-1} sum_w mult(w) [x^j] (1 + 2x)^{N - w} (1 - x)^w, summed over
     the distinct dual weights w (a = 0 contributes w = 0).  The work is
     about q*r + (distinct weights) * (min(j_max, N) + 1)^2 big-integer
@@ -70,15 +69,17 @@ def weight_prefix(hist: TraceHistogram, ctx, j_max: int, *,
     """
     if j_max < 0:
         raise DomainError("j_max must be nonnegative")
-    q, n = ctx.q, hist.total
+    q, n = ctx.q, group_order(gid, ctx.q)
+    _, z, d = delta_form(gid, q)
     top = min(j_max, n)
     # a = 0 always gives w = 0, so one distinct weight is known before the
     # character sum; the full estimate is checked once the weights are grouped
     _admit_prefix(ctx, top, 1, ops_limit)
-    mult = Counter(ctx.character_sums(np.array(hist.counts, dtype=object)).tolist())
+    f = ctx.character_sums(_delta_one(ctx))
+    mult = [(n, 1)] + [(z + d * k ** gid.n, m) for k, m in _value_histogram(q, f[1:], q - 1)]
     _admit_prefix(ctx, top, len(mult), ops_limit)
     sums = [0] * (top + 1)
-    for a_sum, m in mult.items():
+    for a_sum, m in mult:
         if (n - a_sum) % 3:
             raise ConsistencyError("dual weight 2(N - A)/3 at A = %d is not an integer" % a_sum)
         w = 2 * (n - a_sum) // 3

@@ -2,9 +2,10 @@
 
 The dual word of a != 0 in each group code has weight w(a) = 2(N - G(a))/3
 (codes.weight_of_k), with G(a) the group character sum as a function of
-K(a^2) (gauss.gauss_sum_of_k).  For these codes G(k) = G(0) - s k^e, e = n,
-so w(a) = (2/3) s (K(a^2)^e + b) with s = G(0) - G(1) and b = (N - G(0))/s,
-both read off G.  The Pless power moment identity gives sum_a w(a)^h from
+K(a^2) (gauss.gauss_sum_of_k).  Each code's trace histogram is
+c + z [beta = 0] + d delta(e; beta), e = n (ogroups.delta_form, which asserts
+G(k) = z + d k^e), so w(a) = (2/3) s (K(a^2)^e + b) with s = -d and
+b = (N - z)/s.  The Pless power moment identity gives sum_a w(a)^h from
 the code's low weight counts C_j alone; one function (_pless_sums) forms
 those sums for every h <= h_max, building the coefficients t! S(h,t) one
 row per h.  Expanding (K^e + b)^h turns that one integer sum into one
@@ -20,8 +21,7 @@ from math import comb
 from . import charsums
 from .codes import weight_of_k, weight_prefix
 from .errors import ConsistencyError, DomainError
-from .gauss import gauss_sum_of_k
-from .ogroups import GroupId, group_order, histogram_closed_form
+from .ogroups import GroupId, delta_form, group_order
 
 
 def _pless_inner(prefix: tuple, n: int, top: int) -> list:
@@ -63,9 +63,9 @@ def sk_recursive_chain(ctx, gid: GroupId, h_max: int, prefix: tuple):
     """[SK^0, SK^e, ..., SK^{e h_max}] from the code's weight prefix alone,
     e = gid.n (1 for the rank-2 codes, 2 for SO-(4,q)).
 
-    With w(a) = (2/3) s (K(a^2)^e + b), s = G(0) - G(1), b = (N - G(0))/s
-    (G = gauss_sum_of_k, read at k = 0 and 1 only), and a -> a^2 covering
-    each nonzero square twice, the power moment sum P_h gives
+    With w(a) = (2/3) s (K(a^2)^e + b), s = -d and b = (N - z)/s ((c, z, d)
+    the code's delta form, so z = G(0) and G(1) = z + d), and a -> a^2
+    covering each nonzero square twice, the power moment sum P_h gives
     M_h = 3^h P_h / (2^{h+1} s^h) - sum_{j<h} C(h,j) b^{h-j} M_j, M_j = SK^{ej}.
     `prefix` must hold the weight counts for j <= min(N, h_max).
     """
@@ -73,11 +73,11 @@ def sk_recursive_chain(ctx, gid: GroupId, h_max: int, prefix: tuple):
     n = group_order(gid, q)
     if h_max < 0:
         raise DomainError("h_max must be nonnegative")
-    g0 = gauss_sum_of_k(q, gid.n, gid.variant, 0)
-    s = g0 - gauss_sum_of_k(q, gid.n, gid.variant, 1)
-    b, rem = divmod(n - g0, s)
+    _, z, d = delta_form(gid, q)
+    s = -d
+    b, rem = divmod(n - z, s)
     if rem:
-        raise ConsistencyError("weight offset (N - G(0))/s = %d/%d is not an integer" % (n - g0, s))
+        raise ConsistencyError("weight offset (N - G(0))/s = %d/%d is not an integer" % (n - z, s))
     pless = _pless_sums(prefix, n, r, h_max)
     chain = [(q - 1) // 2]  # SK^0, the number of nonzero squares
     for h in range(1, h_max + 1):
@@ -93,11 +93,8 @@ def sk_recursive_chain(ctx, gid: GroupId, h_max: int, prefix: tuple):
 
 def recursive_moments(ctx, gid: GroupId, h_max: int, *,
                       ops_limit: int = charsums.DEFAULT_OPS_LIMIT):
-    """The recursion chain of the code from its closed-form trace histogram:
-    histogram_closed_form -> weight_prefix -> sk_recursive_chain."""
-    hist = histogram_closed_form(ctx, gid, ops_limit=ops_limit)
-    prefix = weight_prefix(hist, ctx, h_max, ops_limit=ops_limit)
-    return sk_recursive_chain(ctx, gid, h_max, prefix)
+    """The recursion chain of the code: weight_prefix -> sk_recursive_chain."""
+    return sk_recursive_chain(ctx, gid, h_max, weight_prefix(gid, ctx, h_max, ops_limit=ops_limit))
 
 
 @dataclass(frozen=True)
@@ -121,14 +118,13 @@ def pless_check(ctx, gid: GroupId, h: int, *,
     a -> a^2 covers each nonzero square twice, so the sum runs over the value
     histogram of K: 2 sum_k mult(k) w(k)^h.  Right side: the Stirling-number
     expansion over the code's weight counts C_j, j <= min(N, h), for a
-    ternary [N, r] dual.  The K table and the histogram, weight prefix and
-    delta table behind the right side are all admitted under ops_limit.
+    ternary [N, r] dual.  The K table and the weight prefix behind the right
+    side are both admitted under ops_limit.
     """
     if h < 0:
         raise DomainError("h must be nonnegative")
     q = ctx.q
-    hist = histogram_closed_form(ctx, gid, ops_limit=ops_limit)
-    prefix = weight_prefix(hist, ctx, h, ops_limit=ops_limit)
+    prefix = weight_prefix(gid, ctx, h, ops_limit=ops_limit)
     lhs = 2 * sum(m * weight_of_k(gid, q, k) ** h
                   for k, m in charsums.kloosterman_histogram(ctx, ops_limit=ops_limit))
     if h == 0:

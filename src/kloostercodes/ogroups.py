@@ -1,10 +1,11 @@
 """The minus-type orthogonal groups SO-(2,q), O-(2,q), SO-(4,q) over GF(3^r).
 
 Provides enumeration (small q) with trace histograms, and the exact
-closed-form histograms valid for every q.  Each builder returns one (k, dim^2)
-array of element indices: SO-(2,q) through the log tables, O-(2,q) as SO-(2,q)
-and its reflection coset, SO-(4,q) by a column search over the Gram table of
-the form; elements leave as flat row-major tuples.  The defining form uses the
+closed-form histograms valid for every q, each written once as three integers
+over the delta basis (delta_form).  Each builder returns one (k, dim^2) array
+of element indices: SO-(2,q) through the log tables, O-(2,q) as SO-(2,q) and
+its reflection coset, SO-(4,q) by a column search over the Gram table of the
+form; elements leave as flat row-major tuples.  The defining form uses the
 block diag(1, -eps) with eps the fixed nonsquare chosen by the field context,
 and the canonical element order is ascending row-major entry tuples, which
 pins the coordinate order of the associated codes.
@@ -19,6 +20,7 @@ import numpy as np
 
 from . import charsums
 from .errors import ConsistencyError, DomainError, admit
+from .gauss import gauss_sum_of_k
 
 
 class GroupId(enum.Enum):
@@ -197,30 +199,40 @@ def enumerate_group(ctx, gid: GroupId, *,
                             TraceHistogram(tuple(counts)))
 
 
+def delta_form(gid: GroupId, q: int) -> tuple:
+    """(c, z, d), the one place a code's trace histogram is written down:
+    n(beta) = c + z [beta = 0] + d delta(gid.n; beta).  SO-(2,q) is
+    2 - delta(1) (1 element where beta^2 = 1, 2 where beta^2 - 1 is a
+    nonsquare), O-(2,q) adds its reflection coset, q + 1 elements of trace 0,
+    and SO-(4,q) is q^2 (q^3 + q^2 + q - 3 - delta(2)) - q^2 (q^3 - q) [beta = 0].
+    At a != 0 the form sums to z + d K(a^2)^n (delta(n) to f^n, f(a) = K(a^2)
+    the character sum of delta(1)), asserted equal to gauss_sum_of_k at
+    k = 0..n, which fixes that polynomial in k."""
+    group_order(gid, q)
+    c, z, d = {GroupId.SO2: (2, 0, -1), GroupId.O2: (2, q + 1, -1),
+               GroupId.SO4: (q ** 5 + q ** 4 + q ** 3 - 3 * q * q, q ** 3 - q ** 5, -q * q)}[gid]
+    for k in range(gid.n + 1):
+        form, g = z + d * k ** gid.n, gauss_sum_of_k(q, gid.n, gid.variant, k)
+        if form != g:
+            raise ConsistencyError("delta form of %s over GF(%d) sums to %d at K = %d, "
+                                   "gauss_sum_of_k to %d" % (gid.value, q, form, k, g))
+    return c, z, d
+
+
 def histogram_closed_form(ctx, gid: GroupId, *, ops_limit: int = charsums.DEFAULT_OPS_LIMIT) -> TraceHistogram:
-    """Exact trace histogram from the square-class case splits; valid for
-    any q, no enumeration involved."""
+    """Exact trace histogram for any q, no enumeration involved: delta_form
+    materialised, with delta(1) = 1 + chi(beta^2 - 1) in int64 and delta(2)
+    from charsums.delta_count in Python ints (past 2^63 from r = 8 on)."""
     q = ctx.q
     expected = group_order(gid, q)
+    c, z, d = delta_form(gid, q)
     if gid.n == 1:
-        # 1 element of SO-(2,q) where beta^2 = 1, 2 where beta^2 - 1 is a
-        # nonsquare, none where it is a nonzero square
-        counts = (1 - ctx._chi_sq_minus_one()).tolist()
-        if gid.variant == "o":
-            # beta = 0 is the only point with beta^2 - 1 = -1; the whole
-            # trace-zero coset of SO-(2,q) lands here
-            counts[0] = q + 1 if ctx.r % 2 == 0 else q + 3
+        counts = (c + d * (1 + ctx._chi_sq_minus_one())).tolist()
     else:
-        # q^2 (q^3 + q^2 + q - 3 - delta(2; beta)), and q^2 (q^2 + 2q - 3 -
-        # delta(2; 0)) at beta = 0, in Python ints (past 2^63 from r = 7 on)
-        d2 = charsums.delta_count(ctx, 2, ops_limit=ops_limit)
-        top = q ** 3 + q * q + q - 3
-        counts = [q * q * (top - d) for d in d2]
-        counts[0] -= q * q * (q ** 3 - q)
+        counts = [c + d * x for x in charsums.delta_count(ctx, gid.n, ops_limit=ops_limit)]
+    counts[0] += z
     hist = TraceHistogram(tuple(counts))
     if hist.total != expected:
-        raise ConsistencyError(
-            "closed-form histogram for %s over GF(%d) totals %d, expected %d"
-            % (gid.value, q, hist.total, expected)
-        )
+        raise ConsistencyError("closed-form histogram for %s over GF(%d) totals %d, expected %d"
+                               % (gid.value, q, hist.total, expected))
     return hist

@@ -98,10 +98,10 @@ def test_criterion_4_moment_recursions():
             ctx = field_create(r)
             direct = [sk_moment(ctx, h) for h in range(11)]
             for gid in (GroupId.SO2, GroupId.O2):
-                prefix = weight_prefix(histogram_closed_form(ctx, gid), ctx, 10)
+                prefix = weight_prefix(gid, ctx, 10)
                 chain = sk_recursive_chain(ctx, gid, 10, prefix)
                 assert chain == direct[:11]
-            prefix3 = weight_prefix(histogram_closed_form(ctx, GroupId.SO4), ctx, 5)
+            prefix3 = weight_prefix(GroupId.SO4, ctx, 5)
             chain3 = sk_recursive_chain(ctx, GroupId.SO4, 5, prefix3)
             assert chain3 == [direct[2 * h] for h in range(6)]
             if ctx.q == 3:
@@ -137,11 +137,11 @@ def test_criterion_6_oracle_equivalence():
         for ctx, gid in ((f3, GroupId.SO2), (f3, GroupId.O2), (f9, GroupId.SO2)):
             spec = build_code_spec(ctx, gid)
             scan = full_scan(spec, spec.length)
-            prefix = weight_prefix(histogram_closed_form(ctx, gid), ctx, spec.length)
+            prefix = weight_prefix(gid, ctx, spec.length)
             assert prefix == scan
         spec4 = build_code_spec(f3, GroupId.SO4)
         pair = pair_scan(spec4, 2)
-        prefix4 = weight_prefix(histogram_closed_form(f3, GroupId.SO4), f3, 2)
+        prefix4 = weight_prefix(GroupId.SO4, f3, 2)
         assert pair == prefix4
         assert pair[1] == 180
 

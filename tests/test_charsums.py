@@ -7,10 +7,12 @@ from kloostercodes import (
     CapacityError,
     ConsistencyError,
     DomainError,
+    GroupId,
     delta_count,
     field_create,
     kloosterman,
     sk_moment,
+    weight_prefix,
 )
 from kloostercodes.charsums import _kloosterman_table, kloosterman_histogram
 
@@ -181,6 +183,9 @@ def test_delta_one_cross_check_traps_a_wrong_count(monkeypatch):
     for m in (1, 2):
         with pytest.raises(ConsistencyError):
             delta_count(ctx, m)
+    # the weight prefix reads f from the same cross-checked delta(1)
+    with pytest.raises(ConsistencyError, match="square-class"):
+        weight_prefix(GroupId.SO2, ctx, 2)
 
 
 @pytest.mark.parametrize("r", [1, 2])

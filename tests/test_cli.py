@@ -330,10 +330,12 @@ def test_limit_ops_zero_is_a_limit(capsys):
 
 
 def test_weights_honours_limit_ops(capsys):
-    # the so4 histogram needs delta(2) at about (2r + 2) q = 216 operations
+    # the so4 weight prefix at --max-j 8 costs q*r + 6 distinct weights * 9^2
+    # = 567 operations; it builds no histogram, so delta(2) costs nothing
     code, _, err = run(capsys, "weights", "--code", "so4", "--r", "3", "--limit-ops", "200")
     assert code == 2
-    assert "delta(2, 27)" in err and "limit 200" in err
+    assert "weight prefix over GF(27)" in err and "about 567 operations" in err
+    assert "limit 200" in err and "delta(2" not in err
     code, _, err = run(capsys, "weights", "--code", "so4", "--r", "3", "--max-j", "10",
                        "--limit-ops", "500")
     assert code == 2
@@ -341,13 +343,13 @@ def test_weights_honours_limit_ops(capsys):
 
 
 def test_weights_large_field_with_raised_limit(capsys):
-    # delta(2) at q = 3^8 costs about (2r + 2) q = 118098 operations; the
-    # flag must lift a limit below that
+    # the weight prefix at q = 3^8 costs about q*r + 82 distinct weights *
+    # (j+1)^2 = 53226 operations; the flag must lift a limit below that
     argv = ("weights", "--code", "so4", "--r", "8", "--max-j", "2", "--format", "csv")
-    code, _, err = run(capsys, *argv, "--limit-ops", "100000")
+    code, _, err = run(capsys, *argv, "--limit-ops", "53225")
     assert code == 2
-    assert "about 118098 operations" in err and "limit 100000" in err
-    code, out, _ = run(capsys, *argv, "--limit-ops", "200000")
+    assert "about 53226 operations" in err and "limit 53225" in err
+    code, out, _ = run(capsys, *argv, "--limit-ops", "53226")
     assert code == 0
     assert out.splitlines() == [
         "j,count", "0,1", "1,3706040463797124",
@@ -365,7 +367,7 @@ def test_moments_recursive_honours_limit_ops(capsys, code_name):
 
 @pytest.mark.parametrize("argv, cost", [
     ("moments direct --r 2 --h 2 --limit-ops 10", 9 * 2 + 9),  # q*r + q
-    ("weights --code so4 --r 3 --limit-ops 200", (2 * 3 + 2) * 27),  # (2r + m) q
+    ("weights --code so4 --r 3 --limit-ops 200", 27 * 3 + 6 * (8 + 1) ** 2),  # --max-j 8
     # the SO-(4,3) column search: the Gram table, 4 q^8, and three candidate
     # masks of at most |O-(4,q)| = 1440 frames by q^4 vectors
     ("groups enumerate --r 1 --group so4 --limit-ops 100000", 4 * 3 ** 8 + 3 * 1440 * 81),
@@ -630,6 +632,17 @@ def test_bad_env_value_is_a_usage_error(env, argv):
     assert (code, out) == (2, "")
     var = next(iter(env))
     assert "%s=%r" % (var, env[var]) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("env, argv, usage", [
+    ({"KLOOSTERCODES_FORMAT": "xml"}, ["field"], "usage: kloostercodes field "),
+    ({"KLOOSTERCODES_H": "-1"}, ["moments", "direct"], "usage: kloostercodes moments direct "),
+], ids=["command", "mode"])
+def test_bad_env_value_prints_its_commands_usage(env, argv, usage):
+    # the refusal comes from the chosen command's own parser, as a bad flag's does
+    code, _, err = _run_captured(argv, env)
+    assert code == 2
+    assert err.startswith(usage)
 
 
 def test_env_value_is_checked_only_where_its_flag_is_used():

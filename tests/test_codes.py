@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -15,8 +16,10 @@ from kloostercodes import (
     field_create,
     histogram_closed_form,
     recursive_moments,
+    verify_report,
     weight_prefix,
 )
+from kloostercodes.cli import run_command
 from kloostercodes.codes import weight_of_k
 from oracles import (
     build_code_spec,
@@ -155,7 +158,7 @@ def test_bruteforce_capacity(f3):
 
 def test_negation_symmetry(f9):
     # u and -u weigh the same, so every count past j=0 is even here
-    dp = weight_prefix(histogram_closed_form(f9, GroupId.O2), f9, 12)
+    dp = weight_prefix(GroupId.O2, f9, 12)
     assert dp[0] == 1
     assert all(c % 2 == 0 for c in dp[1:])
 
@@ -163,9 +166,9 @@ def test_negation_symmetry(f9):
 def test_dp_uses_parity_correct_histogram(f9, f27):
     # q=9 (even exponent) has no weight-1 words in the rank-2 codes, while
     # q=27 (odd exponent) has plenty: the zero-trace class sizes differ
-    even = weight_prefix(histogram_closed_form(f9, GroupId.SO2), f9, 1)
+    even = weight_prefix(GroupId.SO2, f9, 1)
     assert even[1] == 0
-    odd = weight_prefix(histogram_closed_form(f27, GroupId.SO2), f27, 1)
+    odd = weight_prefix(GroupId.SO2, f27, 1)
     assert odd[1] == 2 * histogram_closed_form(f27, GroupId.SO2)[0] > 0
 
 
@@ -185,15 +188,14 @@ def test_dp_counts_grow_with_histogram(f27):
 def test_prefix_matches_dp(r, gid):
     ctx = field_create(r)
     hist = histogram_closed_form(ctx, gid)
-    assert weight_prefix(hist, ctx, 10) == weight_prefix_dp(hist, ctx, 10)
+    assert weight_prefix(gid, ctx, 10) == weight_prefix_dp(hist, ctx, 10)
 
 
 def test_prefix_pads_past_code_length(f3):
     # j_max beyond N: the counts stop at N and the rest are zero
-    hist = histogram_closed_form(f3, GroupId.SO2)
-    assert weight_prefix(hist, f3, 12) == C1_Q3 + (0,) * 8
+    assert weight_prefix(GroupId.SO2, f3, 12) == C1_Q3 + (0,) * 8
     # the work stops at j = N whatever j_max asks for
-    far = weight_prefix(hist, f3, 10 ** 5, ops_limit=100)
+    far = weight_prefix(GroupId.SO2, f3, 10 ** 5, ops_limit=100)
     assert far[:5] == C1_Q3 and not any(far[5:])
 
 
@@ -210,7 +212,7 @@ def test_prefix_matches_dp_random_moduli(field, gid, j_max):
     r, modulus = field
     ctx = field_create(r, modulus)
     hist = histogram_closed_form(ctx, gid)
-    assert weight_prefix(hist, ctx, j_max) == weight_prefix_dp(hist, ctx, j_max)
+    assert weight_prefix(gid, ctx, j_max) == weight_prefix_dp(hist, ctx, j_max)
 
 
 @pytest.mark.parametrize("gid", [GroupId.SO2, GroupId.O2, GroupId.SO4])
@@ -220,13 +222,12 @@ def test_prefix_matches_pair_counts_r7(gid):
     hist = histogram_closed_form(ctx, gid)
     if gid is GroupId.SO4:
         assert hist.total.bit_length() == 67
-    assert weight_prefix(hist, ctx, 2) == pair_counts(hist, ctx)
+    assert weight_prefix(gid, ctx, 2) == pair_counts(hist, ctx)
 
 
 def test_prefix_never_reads_kloosterman(monkeypatch, f27):
     # the recursion side must stay independent of the K values it is checked against
-    hists = {gid: histogram_closed_form(f27, gid) for gid in GroupId}
-    expected = {gid: weight_prefix(h, f27, 10) for gid, h in hists.items()}
+    expected = {gid: weight_prefix(gid, f27, 10) for gid in GroupId}
 
     def forbidden(*args, **kwargs):
         raise AssertionError("weight_prefix read a Kloosterman sum")
@@ -237,7 +238,7 @@ def test_prefix_never_reads_kloosterman(monkeypatch, f27):
                    "kloostercodes.charsums.kloosterman_histogram"):
         monkeypatch.setattr(target, forbidden)
     for gid in GroupId:
-        assert weight_prefix(histogram_closed_form(f27, gid), f27, 10) == expected[gid]
+        assert weight_prefix(gid, f27, 10) == expected[gid]
 
 
 def test_recursion_never_reads_the_k_table_or_its_histogram(monkeypatch, f27):
@@ -263,6 +264,26 @@ def test_recursion_never_reads_the_k_table_or_its_histogram(monkeypatch, f27):
         assert recursive_moments(field_create(3), gid, 10) == expected[gid]
 
 
+def test_verify_and_weights_build_no_histogram(monkeypatch, capsys):
+    # the dual weights come from the delta form: neither verify nor weights
+    # materialises a trace histogram or a delta(m) table, and both keep their output
+    argv = ["weights", "--code", "so4", "--r", "3"]
+    expected = [rep.to_dict() for rep in verify_report(field_create(3), 10)]
+    assert run_command(argv) == 0
+    weights = capsys.readouterr().out
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a trace histogram or a delta(m) table was built")
+
+    for name, module in list(sys.modules.items()):
+        for attr in ("histogram_closed_form", "delta_count"):
+            if name.split(".")[0] == "kloostercodes" and hasattr(module, attr):
+                monkeypatch.setattr(module, attr, forbidden)
+    assert [rep.to_dict() for rep in verify_report(field_create(3), 10)] == expected
+    assert run_command(argv) == 0
+    assert capsys.readouterr().out == weights
+
+
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
 def test_dual_weights_keep_the_papers_constants(r):
     # w = 2(N - G)/3 from the Gauss sum is the paper's (2/3) s (k^e + b) at
@@ -282,12 +303,11 @@ def test_dual_weights_keep_the_papers_constants(r):
 
 def test_prefix_work_limit(f27):
     # the estimate q*r + (distinct weights) * (j+1)^2 admits itself exactly
-    hist = histogram_closed_form(f27, GroupId.O2)
     distinct = len({0} | {codeword_weight_formula(f27, GroupId.O2, a) for a in range(1, 27)})
     cost = 27 * 3 + distinct * 11 ** 2
-    assert weight_prefix(hist, f27, 10, ops_limit=cost) == weight_prefix(hist, f27, 10)
+    assert weight_prefix(GroupId.O2, f27, 10, ops_limit=cost) == weight_prefix(GroupId.O2, f27, 10)
     with pytest.raises(CapacityError) as exc:
-        weight_prefix(hist, f27, 10, ops_limit=cost - 1)
+        weight_prefix(GroupId.O2, f27, 10, ops_limit=cost - 1)
     message = str(exc.value)
     assert "about %d operations" % cost in message
     assert "limit %d" % (cost - 1) in message and "--limit-ops" in message
@@ -297,34 +317,33 @@ def test_prefix_refused_before_transform(monkeypatch):
     # q*r + (j+1)^2 is known before the transform, so a limit below it
     # refuses without running the transform (patched on a context of its own)
     ctx = field_create(3)
-    hist = histogram_closed_form(ctx, GroupId.O2)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the transform ran before the limit was checked")
 
     monkeypatch.setattr(ctx, "character_sums", forbidden)
     with pytest.raises(CapacityError) as exc:
-        weight_prefix(hist, ctx, 10, ops_limit=27 * 3 + 11 ** 2 - 1)
+        weight_prefix(GroupId.O2, ctx, 10, ops_limit=27 * 3 + 11 ** 2 - 1)
     assert "about %d operations" % (27 * 3 + 11 ** 2) in str(exc.value)
 
 
 def test_prefix_validation(f3):
     with pytest.raises(DomainError):
-        weight_prefix(histogram_closed_form(f3, GroupId.SO2), f3, -1)
+        weight_prefix(GroupId.SO2, f3, -1)
 
 
 def test_corrupted_dual_weight_is_detected(monkeypatch):
-    # one character sum off by 3 moves one dual weight by 2, which breaks the
-    # exact division by q (patched on a context of its own)
+    # f(1) = K(1) = 5 at q = 9: off by -3 it moves one dual weight by 2, which
+    # breaks the exact division by q; off by +3 it breaks the Weil bound
+    # (patched on a context of its own)
     ctx = field_create(2)
-    hist = histogram_closed_form(ctx, GroupId.O2)
     real = ctx.character_sums
+    for shift, match in ((-3, "not divisible by q=9"), (3, "Weil bound")):
+        def skewed(*args, shift=shift):
+            sums = real(*args)
+            sums[1] += shift
+            return sums
 
-    def skewed(*args):
-        sums = real(*args)
-        sums[1] += 3
-        return sums
-
-    monkeypatch.setattr(ctx, "character_sums", skewed)
-    with pytest.raises(ConsistencyError):
-        weight_prefix(hist, ctx, 2)
+        monkeypatch.setattr(ctx, "character_sums", skewed)
+        with pytest.raises(ConsistencyError, match=match):
+            weight_prefix(GroupId.O2, ctx, 2)

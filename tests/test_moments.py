@@ -9,7 +9,6 @@ from kloostercodes import (
     GroupId,
     codeword_weight_formula,
     field_create,
-    histogram_closed_form,
     pless_check,
     recursive_moments,
     sk_moment,
@@ -60,7 +59,7 @@ def test_trinomial_huge_class_sizes():
 
 
 def _prefix(ctx, gid, j_max):
-    return weight_prefix(histogram_closed_form(ctx, gid), ctx, j_max)
+    return weight_prefix(gid, ctx, j_max)
 
 
 def test_pless_q3_rank2(f3):
@@ -119,9 +118,8 @@ def test_pless_lhs_matches_the_per_a_weight_sum(r):
 
 def test_pless_and_verify_honour_ops_limit(f27):
     # the weight prefix at q = 27 costs 81 + (distinct weights) * (j+1)^2
-    hist = histogram_closed_form(f27, GroupId.O2)
     with pytest.raises(CapacityError) as exc:
-        weight_prefix(hist, f27, 10, ops_limit=400)
+        weight_prefix(GroupId.O2, f27, 10, ops_limit=400)
     assert "weight prefix" in str(exc.value)
     with pytest.raises(CapacityError) as exc:
         pless_check(f27, GroupId.O2, 10, ops_limit=400)
@@ -198,14 +196,19 @@ def test_corrupted_prefix_is_detected(f3):
 
 
 def test_chain_asserts_the_weight_offset_exact(monkeypatch, f9):
-    # s = G(0) - G(1) and b = (N - G(0))/s: a G(0) off by one gives s = 2 and
-    # N - G(0) = q for SO-(2,q), so the division that gives b must fail
+    # s = -d and b = (N - z)/s from the delta form (c, z, d): a G(0) = z off
+    # by one with G(1) = z + d kept gives s = 2 and N - z = q for SO-(2,q),
+    # so the division that gives b must fail
     from kloostercodes import moments
 
     prefix = _prefix(f9, GroupId.SO2, 4)
-    real = moments.gauss_sum_of_k
-    monkeypatch.setattr(moments, "gauss_sum_of_k",
-                        lambda q, n, variant, k: real(q, n, variant, k) + (k == 0))
+    real = moments.delta_form
+
+    def skewed(gid, q):
+        c, z, d = real(gid, q)
+        return c, z + 1, d - 1
+
+    monkeypatch.setattr(moments, "delta_form", skewed)
     with pytest.raises(ConsistencyError, match="9/2"):
         sk_recursive_chain(f9, GroupId.SO2, 4, prefix)
 
@@ -268,7 +271,7 @@ def test_pless_sums_match_the_direct_weight_sums(r, gid):
     # (w(0) = 0 and 0^0 = 1): the coefficients t! S(h,t) are checked up to h = 30
     ctx = field_create(r)
     n = group_order(gid, ctx.q)
-    prefix = weight_prefix(histogram_closed_form(ctx, gid), ctx, min(n, 30))
+    prefix = weight_prefix(gid, ctx, min(n, 30))
     weights = [0] + [codeword_weight_formula(ctx, gid, a) for a in range(1, ctx.q)]
     assert _pless_sums(prefix, n, r, 30) == [sum(w ** h for w in weights) for h in range(31)]
 

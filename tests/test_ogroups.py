@@ -199,6 +199,24 @@ def test_so4_histogram_never_reads_kloosterman(monkeypatch, f243):
         assert acc[0] - acc[2] == gauss_sum_closed(f243, GaussSumRequest(n=2, variant="so", a=a))
 
 
+@pytest.mark.parametrize("gid", list(GroupId))
+@pytest.mark.parametrize("damage", [lambda k: k == 1, lambda k: k],
+                         ids=["off_at_k1", "linear_term"])
+def test_delta_form_is_checked_against_the_gauss_sum(monkeypatch, f9, gid, damage):
+    # delta_form asserts z + d k^n = G(k) at k = 0..n: a G off at k = 1 only,
+    # or with an extra k term (the middle term of SO-(4,q)'s quadratic in k),
+    # stops every reader of the form
+    from kloostercodes import weight_prefix
+
+    real = ogroups.gauss_sum_of_k
+    monkeypatch.setattr(ogroups, "gauss_sum_of_k",
+                        lambda q, n, variant, k: real(q, n, variant, k) + damage(k))
+    for read in (lambda: weight_prefix(gid, f9, 4), lambda: histogram_closed_form(f9, gid),
+                 lambda: recursive_moments(f9, gid, 4)):
+        with pytest.raises(ConsistencyError, match="delta form of %s" % gid.value):
+            read()
+
+
 def test_so4_capacity_error(f9):
     with pytest.raises(CapacityError) as exc:
         enumerate_group(f9, GroupId.SO4)
