@@ -65,6 +65,14 @@ def _kloosterman_table(ctx, ops_limit: int = DEFAULT_OPS_LIMIT):
     return k
 
 
+def _value_count(q: int) -> int:
+    """The number of values _value_histogram admits over GF(q): the
+    k = -1 mod 3 with k^2 <= 4q, floor((B+1)/3) + floor((B+2)/3) of them,
+    B = isqrt(4q)."""
+    bound = math.isqrt(4 * q)
+    return (bound + 1) // 3 + (bound + 2) // 3
+
+
 def _value_histogram(q: int, sums, expected: int):
     """The distinct values k of an array of Kloosterman sums with their
     multiplicities, as a tuple of (k, mult) pairs of Python ints, ascending:
@@ -72,8 +80,8 @@ def _value_histogram(q: int, sums, expected: int):
 
     Every K(a) is n_0 - n_2 with n_0 + 2 n_2 = q - 1 (n_e the number of
     x != 0 with tr(x + a/x) = e, and n_1 = n_2 since K is real), so
-    K(a) = -1 mod 3; with the Weil bound k^2 <= 4q, K takes at most about
-    4 sqrt(q)/3 + 1 values.  Both are asserted, as is the total, expected.
+    K(a) = -1 mod 3; with the Weil bound k^2 <= 4q, K takes at most
+    _value_count(q) values.  Both are asserted, as is the total, expected.
     """
     bound = math.isqrt(4 * q)
     worst = max(int(sums.max()), -int(sums.min()))

@@ -119,11 +119,15 @@ def _build_parser():
 
 
 def _make_ctx(args):
-    """The field of --r, and with it the two refusals no flag type can make:
-    an --r without a shipped modulus and an --a outside the field.  Past the
-    shipped moduli the tables are admitted under --limit-ops at q*r."""
+    """The field of --r, and with it the refusals no flag type can make: two
+    modulus sources, an --r without a shipped modulus and an --a outside the
+    field.  Past the shipped moduli the tables are admitted under --limit-ops
+    at q*r."""
     poly = args.poly
-    if poly is None and args.poly_file:
+    if args.poly_file is not None:
+        if poly is not None:
+            raise DomainError("--poly %s and --poly-file %s both name the modulus; give one"
+                              % (",".join(map(str, poly)), args.poly_file))
         try:
             table = load_modulus_config(args.poly_file)
         except (OSError, DomainError) as exc:  # unreadable or malformed
@@ -257,11 +261,15 @@ def _cmd_verify(args, ctx):
     if args.timing and args.format != "json":
         raise DomainError("--timing adds elapsed_ms under --format json only")
     reports = moments.verify_report(ctx, args.h_max, ops_limit=args.limit_ops)
-    payload = [rep.to_dict(include_timing=args.timing) for rep in reports]
-    rows = [("code", "h", "direct", "recursive", "match")]
-    text = []
+    payload, rows, text = [], [("code", "h", "direct", "recursive", "match")], []
     for rep in reports:
+        report = {"q": ctx.q, "r": ctx.r, "code": rep.code, "rows": []}
+        if args.timing:
+            report["elapsed_ms"] = round(rep.elapsed_ms, 3)
+        payload.append(report)
         for row in rep.rows:
+            report["rows"].append({"h": row.h, "direct": str(row.direct),
+                                   "recursive": str(row.recursive), "match": row.match})
             rows.append((rep.code, row.h, row.direct, row.recursive, row.match))
             text.append("%s h=%d direct=%d recursive=%d %s"
                         % (rep.code, row.h, row.direct, row.recursive,

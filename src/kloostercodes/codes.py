@@ -7,7 +7,8 @@ Truncated weight distributions (C_0, ..., C_j_max) are computed exactly from
 the code's delta form (ogroups.delta_form), no histogram built: one character
 sum of delta(1), grouped by value, gives every dual weight, and the
 MacWilliams identity turns the few distinct dual weights into the low weight
-counts.  They remain available when the group is far too large to enumerate,
+counts, priced once before any work at the most dual weights the Weil bound
+allows.  They remain available when the group is far too large to enumerate,
 and nothing here reads a Kloosterman sum except the closed weight formula:
 the dual word of a has weight w(a) = 2(N - G(a))/3, with N = |G| and G(a) the
 group character sum, which gauss.gauss_sum_of_k gives from K(a^2) alone.
@@ -18,7 +19,7 @@ tests/oracles.py.
 
 from math import comb
 
-from .charsums import DEFAULT_OPS_LIMIT, _delta_one, _value_histogram, kloosterman
+from .charsums import DEFAULT_OPS_LIMIT, _delta_one, _value_count, _value_histogram, kloosterman
 from .errors import ConsistencyError, DomainError, admit
 from .gauss import gauss_sum_of_k
 from .ogroups import GroupId, delta_form, group_order
@@ -44,11 +45,6 @@ def codeword_weight_formula(ctx, gid: GroupId, a: int) -> int:
     return weight_of_k(gid, ctx.q, kloosterman(ctx, ctx.mul(a, a)))
 
 
-def _admit_prefix(ctx, top: int, distinct: int, ops_limit: int) -> None:
-    admit("weight prefix over GF(%d) up to j=%d (q*r + %d distinct weights * (j+1)^2)"
-          % (ctx.q, top, distinct), ctx.q * ctx.r + distinct * (top + 1) ** 2, ops_limit)
-
-
 def weight_prefix(gid: GroupId, ctx, j_max: int, *,
                   ops_limit: int = DEFAULT_OPS_LIMIT) -> tuple:
     """(C_0, ..., C_j_max), the codeword counts of weight <= j_max, from the
@@ -63,21 +59,20 @@ def weight_prefix(gid: GroupId, ctx, j_max: int, *,
     w is formed in Python ints (N runs past 2^63) once per value.  The
     MacWilliams identity then gives
     C_j = q^{-1} sum_w mult(w) [x^j] (1 + 2x)^{N - w} (1 - x)^w, summed over
-    the distinct dual weights w (a = 0 contributes w = 0).  The work is
-    about q*r + (distinct weights) * (min(j_max, N) + 1)^2 big-integer
-    operations, admitted only within ops_limit.
+    the distinct dual weights w (a = 0 contributes w = 0).  There are at
+    most D(q) = 1 + charsums._value_count(q) of them, so the work is at most
+    q*r + D(q) (min(j_max, N) + 1)^2 big-integer operations, admitted within
+    ops_limit before the character sum.
     """
     if j_max < 0:
         raise DomainError("j_max must be nonnegative")
     q, n = ctx.q, group_order(gid, ctx.q)
     _, z, d = delta_form(gid, q)
-    top = min(j_max, n)
-    # a = 0 always gives w = 0, so one distinct weight is known before the
-    # character sum; the full estimate is checked once the weights are grouped
-    _admit_prefix(ctx, top, 1, ops_limit)
+    top, weights = min(j_max, n), 1 + _value_count(q)
+    admit("weight prefix over GF(%d) up to j=%d (q*r + %d possible dual weights * (j+1)^2)"
+          % (q, top, weights), q * ctx.r + weights * (top + 1) ** 2, ops_limit)
     f = ctx.character_sums(_delta_one(ctx))
     mult = [(n, 1)] + [(z + d * k ** gid.n, m) for k, m in _value_histogram(q, f[1:], q - 1)]
-    _admit_prefix(ctx, top, len(mult), ops_limit)
     sums = [0] * (top + 1)
     for a_sum, m in mult:
         if (n - a_sum) % 3:

@@ -211,12 +211,9 @@ class FieldContext:
         # -x = (-1) x (2 is the index of -1)
         self._np_neg = self._mul_vec(2, idx)
 
-        # trace of each basis power x^i, the digitwise sum of its r
-        # conjugates x^(i 3^j), then the full table by linearity
-        conj = np_exp[(np_log[3 ** np.arange(r)][:, None] * 3 ** np.arange(r)[None, :]) % (q - 1)]
-        basis_tr = (digits[conj].sum(axis=1, dtype=np.int64) % 3) @ self._pow3
-        if np.any(basis_tr >= 3):  # pragma: no cover - impossible for a field
-            raise FieldConstructionError("a trace fell outside GF(3)")
+        # tr(x) is the trace of y -> x y: for each basis power x^i that of
+        # its matrix C^i, then the full table by linearity
+        basis_tr = np.trace(powers, axis1=1, axis2=2) % 3
         self._trace = (digits @ basis_tr.astype(np.int8)) % 3
 
         # quadratic structure: the squares are the even powers of the generator
@@ -370,18 +367,19 @@ def load_modulus_config(path) -> dict:
 
     Accepts JSON ({"2": [1, 0, 1], ...}) or plain text lines of the form
     "r: c0 c1 ... cr" (colon optional, "#" starts a comment).  An entry that
-    is not an integer r with integer coefficients raises DomainError naming
-    the file and the entry; undecodable bytes read as U+FFFD and so fail
-    there too.  FieldContext then checks the degree and irreducibility.
+    is not an integer r with integer coefficients, or that names an r a second
+    time, raises DomainError naming the file and the entry; undecodable bytes
+    read as U+FFFD and so fail there too.  FieldContext then checks the degree
+    and irreducibility.
     """
     with open(path, errors="replace") as fh:
         text = fh.read()
-    try:
-        data = json.loads(text)
+    try:  # a JSON object as its (key, value) pairs, a repeated key kept
+        data = json.loads(text, object_pairs_hook=tuple)
     except ValueError:
         data = None
-    if isinstance(data, dict):
-        entries = [("entry %r" % (k,), k, v) for k, v in data.items()]
+    if isinstance(data, tuple):
+        entries = [("entry %r" % (k,), k, v) for k, v in data]
     else:
         entries = []
         for num, line in enumerate(text.splitlines(), 1):
@@ -392,8 +390,11 @@ def load_modulus_config(path) -> dict:
     for label, r, coeffs in entries:
         try:
             # through str, so a JSON 1.5 or true is refused, not truncated
-            out[int(str(r))] = tuple(int(str(c)) for c in coeffs)
+            r, coeffs = int(str(r)), tuple(int(str(c)) for c in coeffs)
         except (TypeError, ValueError):
             raise DomainError("%s, %s: expected r followed by integer coefficients"
                               % (path, label)) from None
+        if r in out:
+            raise DomainError("%s, %s: a second modulus for r=%d" % (path, label, r))
+        out[r] = coeffs
     return out

@@ -11,7 +11,8 @@ those sums for every h <= h_max, building the coefficients t! S(h,t) one
 row per h.  Expanding (K^e + b)^h turns that one integer sum into one
 recursion for every code: SK^h on the rank-2 codes (e = 1) and SK^{2h} on
 the rank-4 code (e = 2).  All arithmetic is in integers; every division is
-asserted exact.
+asserted exact.  Every function returns values (verify_report returns
+MomentReports); cli shapes every output format.
 """
 
 import time
@@ -148,8 +149,6 @@ class MomentRow:
 class MomentReport:
     """Per-code comparison of direct moments against the recursion output."""
 
-    q: int
-    r: int
     code: str
     rows: list = field(default_factory=list)
     elapsed_ms: float = 0.0
@@ -158,25 +157,6 @@ class MomentReport:
     def all_match(self) -> bool:
         return all(row.match for row in self.rows)
 
-    def to_dict(self, include_timing: bool = False) -> dict:
-        out = {
-            "q": self.q,
-            "r": self.r,
-            "code": self.code,
-            "rows": [
-                {
-                    "h": row.h,
-                    "direct": str(row.direct),
-                    "recursive": str(row.recursive),
-                    "match": row.match,
-                }
-                for row in self.rows
-            ],
-        }
-        if include_timing:
-            out["elapsed_ms"] = round(self.elapsed_ms, 3)
-        return out
-
 
 def verify_report(ctx, h_max: int, *, ops_limit: int = charsums.DEFAULT_OPS_LIMIT):
     """Run the recursion of every code against direct moments: SK^h for
@@ -184,7 +164,6 @@ def verify_report(ctx, h_max: int, *, ops_limit: int = charsums.DEFAULT_OPS_LIMI
     code.  Returns one MomentReport per code."""
     if h_max < 1:
         raise DomainError("h_max must be positive")
-    q = ctx.q
     direct = [charsums.sk_moment(ctx, h, ops_limit=ops_limit) for h in range(h_max + 1)]
     reports = []
     for gid in GroupId:
@@ -194,7 +173,5 @@ def verify_report(ctx, h_max: int, *, ops_limit: int = charsums.DEFAULT_OPS_LIMI
         start = time.perf_counter()
         chain = recursive_moments(ctx, gid, h_max // e, ops_limit=ops_limit)
         rows = [MomentRow(e * h, direct[e * h], chain[h]) for h in range(1, len(chain))]
-        reports.append(
-            MomentReport(q, ctx.r, gid.value, rows, (time.perf_counter() - start) * 1e3)
-        )
+        reports.append(MomentReport(gid.value, rows, (time.perf_counter() - start) * 1e3))
     return reports

@@ -64,7 +64,10 @@ def test_poly_file(capsys, tmp_path):
     ('{"2": 5}', "entry '2'"),
     ('{"2": [1.5, 0, 1]}', "entry '2'"),
     ("3: 1 2 0 1\n", "no modulus for r=2"),
-], ids=["missing", "garbage-line", "json-int", "json-float", "no-entry-for-r"])
+    ("2: 1 0 1\n2: 2 2 1\n", "line 2 '2: 2 2 1': a second modulus for r=2"),
+    ('{"2": [1, 0, 1], "2": [2, 2, 1]}', "entry '2': a second modulus for r=2"),
+], ids=["missing", "garbage-line", "json-int", "json-float", "no-entry-for-r",
+        "repeated-r", "json-repeated-r"])
 def test_poly_file_refusals(capsys, tmp_path, content, needle):
     # an unreadable or malformed file, or one without the requested r, is a
     # usage error naming the flag: never a traceback, never the shipped modulus
@@ -74,6 +77,22 @@ def test_poly_file_refusals(capsys, tmp_path, content, needle):
     code, out, err = run(capsys, "field", "--r", "2", "--poly-file", str(cfg))
     assert code == 2 and out == ""
     assert "--poly-file" in err and str(cfg) in err and needle in err
+
+
+@pytest.mark.parametrize("argv, env", [
+    (["--poly", "1,0,1", "--poly-file", "FILE"], {}),
+    (["--poly", "1,0,1"], {"KLOOSTERCODES_POLY_FILE": "FILE"}),
+    (["--poly-file", "FILE"], {"KLOOSTERCODES_POLY": "1,0,1"}),
+], ids=["flags", "env-poly-file", "env-poly"])
+def test_two_modulus_sources_are_a_usage_error(tmp_path, argv, env):
+    # neither source is dropped for the other, even where both agree
+    cfg = tmp_path / "moduli.txt"
+    cfg.write_text("2: 1 0 1\n")
+    sub = {"FILE": str(cfg)}.get
+    code, out, err = _run_captured(["field", "--r", "2"] + [sub(a, a) for a in argv],
+                                   {k: sub(v, v) for k, v in env.items()})
+    assert (code, out) == (2, "")
+    assert "--poly 1,0,1 and --poly-file %s both name the modulus" % cfg in err
 
 
 @pytest.mark.parametrize("argv", [["moments", "direct", "--h"],
@@ -330,11 +349,12 @@ def test_limit_ops_zero_is_a_limit(capsys):
 
 
 def test_weights_honours_limit_ops(capsys):
-    # the so4 weight prefix at --max-j 8 costs q*r + 6 distinct weights * 9^2
-    # = 567 operations; it builds no histogram, so delta(2) costs nothing
+    # the so4 weight prefix at --max-j 8 is priced at q*r + D(27) * 9^2 = 729
+    # operations, D(27) = 8 possible dual weights (6 occur); it builds no
+    # histogram, so delta(2) costs nothing
     code, _, err = run(capsys, "weights", "--code", "so4", "--r", "3", "--limit-ops", "200")
     assert code == 2
-    assert "weight prefix over GF(27)" in err and "about 567 operations" in err
+    assert "weight prefix over GF(27)" in err and "about 729 operations" in err
     assert "limit 200" in err and "delta(2" not in err
     code, _, err = run(capsys, "weights", "--code", "so4", "--r", "3", "--max-j", "10",
                        "--limit-ops", "500")
@@ -343,13 +363,14 @@ def test_weights_honours_limit_ops(capsys):
 
 
 def test_weights_large_field_with_raised_limit(capsys):
-    # the weight prefix at q = 3^8 costs about q*r + 82 distinct weights *
-    # (j+1)^2 = 53226 operations; the flag must lift a limit below that
+    # the weight prefix at q = 3^8 is priced at q*r + D(q) * (j+1)^2 = 53469
+    # operations, D(q) = 109 possible dual weights (82 occur); the flag must
+    # lift a limit below that
     argv = ("weights", "--code", "so4", "--r", "8", "--max-j", "2", "--format", "csv")
-    code, _, err = run(capsys, *argv, "--limit-ops", "53225")
+    code, _, err = run(capsys, *argv, "--limit-ops", "53468")
     assert code == 2
-    assert "about 53226 operations" in err and "limit 53225" in err
-    code, out, _ = run(capsys, *argv, "--limit-ops", "53226")
+    assert "about 53469 operations" in err and "limit 53468" in err
+    code, out, _ = run(capsys, *argv, "--limit-ops", "53469")
     assert code == 0
     assert out.splitlines() == [
         "j,count", "0,1", "1,3706040463797124",
@@ -367,13 +388,14 @@ def test_moments_recursive_honours_limit_ops(capsys, code_name):
 
 @pytest.mark.parametrize("argv, cost", [
     ("moments direct --r 2 --h 2 --limit-ops 10", 9 * 2 + 9),  # q*r + q
-    ("weights --code so4 --r 3 --limit-ops 200", 27 * 3 + 6 * (8 + 1) ** 2),  # --max-j 8
+    # --max-j 8, D(27) = 8 possible dual weights
+    ("weights --code so4 --r 3 --limit-ops 200", 27 * 3 + 8 * (8 + 1) ** 2),
     # the SO-(4,3) column search: the Gram table, 4 q^8, and three candidate
     # masks of at most |O-(4,q)| = 1440 frames by q^4 vectors
     ("groups enumerate --r 1 --group so4 --limit-ops 100000", 4 * 3 ** 8 + 3 * 1440 * 81),
     ("kloosterman --r 2 --limit-ops 10", 9 * 2 + 9),  # the K table, q*r + q
     ("gauss --r 2 --group so4 --a 1 --limit-ops 10", 9 * 2 + 9),
-    ("weights --code so2 --r 3 --limit-ops 10", 27 * 3 + (8 + 1) ** 2),  # --max-j 8
+    ("weights --code so2 --r 3 --limit-ops 10", 27 * 3 + 8 * (8 + 1) ** 2),  # a final price
 ])
 def test_every_refusal_names_the_flag(capsys, argv, cost):
     code, out, err = run(capsys, *argv.split())
@@ -390,8 +412,14 @@ def test_every_refusal_names_the_flag(capsys, argv, cost):
     ("kloosterman --r 2 --a 4 --format csv", 27),
     ("gauss --r 2 --group so4 --a 1 --format csv", 27),
     ("gauss --r 2 --group gl --t 2 --a 1 --format csv", 27),
+    # the weight prefix, q*r + D(q) (j+1)^2: named once, before any work
+    ("weights --code so2 --r 3 --format csv", 27 * 3 + 8 * 9 ** 2),
+    ("weights --code so4 --r 3 --format csv", 27 * 3 + 8 * 9 ** 2),
+    ("weights --code so4 --r 8 --max-j 2 --format csv", 6561 * 8 + 109 * 3 ** 2),
+    ("moments recursive --code o2 --r 3 --h 10 --format csv", 27 * 3 + 8 * 11 ** 2),
 ])
 def test_limit_ops_is_honoured_at_its_estimate(capsys, argv, limit):
+    # a refusal's price is final: the job runs at the price it names
     default = run(capsys, *argv.split())
     assert default[0] == 0
     assert run(capsys, *argv.split(), "--limit-ops", str(limit)) == default
@@ -436,12 +464,12 @@ _PARITY_JOBS = [
     ("field --r 2", 0),
     ("kloosterman --r 2", 27),
     ("moments direct --r 2 --h 3", 27),
-    ("moments recursive --r 2 --code so4 --h 2", 54),
-    ("weights --code o2 --r 2 --max-j 3", 18 + 4 * 16),  # 4 distinct weights
+    ("moments recursive --r 2 --code so4 --h 2", 18 + 5 * 9),  # D(9) = 5
+    ("weights --code o2 --r 2 --max-j 3", 18 + 5 * 16),
     ("groups enumerate --r 2 --group so2", 27),
     ("groups dump --r 1 --group o2", 6),
     ("gauss --r 2 --group o2 --a 3", 27),
-    ("verify --r 1 --h-max 2", 3 + 2 * 9),  # the so4 prefix, 2 distinct weights
+    ("verify --r 1 --h-max 2", 3 + 3 * 9),  # the so2 and o2 prefixes, D(3) = 3
 ]
 
 

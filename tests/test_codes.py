@@ -268,7 +268,7 @@ def test_verify_and_weights_build_no_histogram(monkeypatch, capsys):
     # the dual weights come from the delta form: neither verify nor weights
     # materialises a trace histogram or a delta(m) table, and both keep their output
     argv = ["weights", "--code", "so4", "--r", "3"]
-    expected = [rep.to_dict() for rep in verify_report(field_create(3), 10)]
+    expected = [(rep.code, rep.rows) for rep in verify_report(field_create(3), 10)]
     assert run_command(argv) == 0
     weights = capsys.readouterr().out
 
@@ -279,7 +279,7 @@ def test_verify_and_weights_build_no_histogram(monkeypatch, capsys):
         for attr in ("histogram_closed_form", "delta_count"):
             if name.split(".")[0] == "kloostercodes" and hasattr(module, attr):
                 monkeypatch.setattr(module, attr, forbidden)
-    assert [rep.to_dict() for rep in verify_report(field_create(3), 10)] == expected
+    assert [(rep.code, rep.rows) for rep in verify_report(field_create(3), 10)] == expected
     assert run_command(argv) == 0
     assert capsys.readouterr().out == weights
 
@@ -302,9 +302,13 @@ def test_dual_weights_keep_the_papers_constants(r):
 
 
 def test_prefix_work_limit(f27):
-    # the estimate q*r + (distinct weights) * (j+1)^2 admits itself exactly
+    # the price q*r + D(q) (j+1)^2 admits itself exactly; D(q) counts w = 0
+    # and one weight per k = -1 mod 3 with k^2 <= 4q, an upper bound on the
+    # distinct dual weights
+    possible = 1 + len([k for k in range(-10, 11) if k % 3 == 2 and k * k <= 4 * 27])
     distinct = len({0} | {codeword_weight_formula(f27, GroupId.O2, a) for a in range(1, 27)})
-    cost = 27 * 3 + distinct * 11 ** 2
+    assert distinct <= possible == 8
+    cost = 27 * 3 + possible * 11 ** 2
     assert weight_prefix(GroupId.O2, f27, 10, ops_limit=cost) == weight_prefix(GroupId.O2, f27, 10)
     with pytest.raises(CapacityError) as exc:
         weight_prefix(GroupId.O2, f27, 10, ops_limit=cost - 1)
@@ -314,8 +318,9 @@ def test_prefix_work_limit(f27):
 
 
 def test_prefix_refused_before_transform(monkeypatch):
-    # q*r + (j+1)^2 is known before the transform, so a limit below it
-    # refuses without running the transform (patched on a context of its own)
+    # the whole price q*r + D(q) (j+1)^2 is known before the transform, so a
+    # limit one below it refuses without running the transform (patched on a
+    # context of its own)
     ctx = field_create(3)
 
     def forbidden(*args, **kwargs):
@@ -323,8 +328,8 @@ def test_prefix_refused_before_transform(monkeypatch):
 
     monkeypatch.setattr(ctx, "character_sums", forbidden)
     with pytest.raises(CapacityError) as exc:
-        weight_prefix(GroupId.O2, ctx, 10, ops_limit=27 * 3 + 11 ** 2 - 1)
-    assert "about %d operations" % (27 * 3 + 11 ** 2) in str(exc.value)
+        weight_prefix(GroupId.O2, ctx, 10, ops_limit=27 * 3 + 8 * 11 ** 2 - 1)
+    assert "about %d operations" % (27 * 3 + 8 * 11 ** 2) in str(exc.value)
 
 
 def test_prefix_validation(f3):

@@ -1,3 +1,4 @@
+import json
 from math import factorial
 
 import pytest
@@ -16,6 +17,7 @@ from kloostercodes import (
     verify_report,
     weight_prefix,
 )
+from kloostercodes.cli import run_command
 from kloostercodes.moments import _pless_sums
 from kloostercodes.ogroups import group_order
 
@@ -234,13 +236,14 @@ def test_verify_report_q3(f3):
     assert all(row.recursive == 1 for row in so4.rows)
 
 
-def test_verify_report_shape(f9):
-    reports = verify_report(f9, 4)
-    d = reports[0].to_dict()
-    assert set(d) == {"q", "r", "code", "rows"}
-    assert d["rows"][0] == {"h": 1, "direct": "5", "recursive": "5", "match": True}
-    timed = reports[0].to_dict(include_timing=True)
-    assert "elapsed_ms" in timed
+def test_verify_report_shape(capsys):
+    # the CLI alone shapes a report; elapsed_ms only under --timing
+    for timing, extra in (([], set()), (["--timing"], {"elapsed_ms"})):
+        assert run_command(["verify", "--r", "2", "--h-max", "4", "--format", "json"] + timing) == 0
+        report = json.loads(capsys.readouterr().out)[0]
+        assert set(report) == {"q", "r", "code", "rows"} | extra
+        assert (report["q"], report["r"], report["code"]) == (9, 2, "so2")
+        assert report["rows"][0] == {"h": 1, "direct": "5", "recursive": "5", "match": True}
 
 
 def test_pless_sum_spot_values(f3):
