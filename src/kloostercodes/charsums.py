@@ -17,8 +17,9 @@ context keeps the value histogram of K over the nonzero squares: K(a) is
 SK^h = sum_k mult(k) k^h and the left side of the Pless check sum over those
 values instead of over the (q - 1)/2 squares.  f, the character sum of
 delta(1), is K(a^2) at a != 0 (codes.weight_prefix groups it as K is
-grouped); delta(m) is the character sum of f^m, a tuple of Python ints
-indexed by beta.  The two tables never read each other.
+grouped, and keeps that histogram on the context once checked); delta(m) is
+the character sum of f^m, a tuple of Python ints indexed by beta.  The two
+tables never read each other.
 """
 
 import math
@@ -165,9 +166,9 @@ def delta_count(ctx, m: int, *, ops_limit: int = DEFAULT_OPS_LIMIT) -> tuple:
         raise ConsistencyError(
             "delta(%d, %d): the second character sum is not q times an integer table" % (m, q)
         )
-    table = tuple((g // q).tolist())
-    if sum(table) != (q - 1) ** m:
+    table = g // q
+    if int(table.sum()) != (q - 1) ** m:
         raise ConsistencyError(
-            "delta(%d, %d) table totals %d, expected %d" % (m, q, sum(table), (q - 1) ** m)
+            "delta(%d, %d) table totals %d, expected %d" % (m, q, table.sum(), (q - 1) ** m)
         )
-    return table
+    return tuple(table.tolist())

@@ -5,7 +5,8 @@ matrix traces of the group elements in canonical order; its dual consists of
 the q words a -> (tr(a Tr g_1), ..., tr(a Tr g_N)) by Delsarte duality.
 Truncated weight distributions (C_0, ..., C_j_max) are computed exactly from
 the code's delta form (ogroups.delta_form), no histogram built: one character
-sum of delta(1), grouped by value, gives every dual weight, and the
+sum of delta(1), grouped by value and kept on the field context, gives every
+dual weight of every code, and the
 MacWilliams identity turns the few distinct dual weights into the low weight
 counts, priced once before any work at the most dual weights the Weil bound
 allows.  They remain available when the group is far too large to enumerate,
@@ -54,8 +55,9 @@ def weight_prefix(gid: GroupId, ctx, j_max: int, *,
     sum A(a) = n_0 + n_1 omega + n_2 omega^2 of the trace histogram is real,
     so n_1 = n_2 and w(a) = 2 (N - A(a))/3.  By the delta form
     c + z [beta = 0] + d delta(n; beta), A(0) = N and A(a) = z + d f(a)^n,
-    f the character sum of delta(1): one int64 transform, no K table.  Its
-    values (asserted -1 mod 3, so each gives its own A) are grouped, and each
+    f the character sum of delta(1): one int64 transform per context, no K
+    table.  Its values (asserted -1 mod 3, so each gives its own A) are
+    grouped, kept on ctx once checked, and each
     w is formed in Python ints (N runs past 2^63) once per value.  The
     MacWilliams identity then gives
     C_j = q^{-1} sum_w mult(w) [x^j] (1 + 2x)^{N - w} (1 - x)^w, summed over
@@ -71,8 +73,10 @@ def weight_prefix(gid: GroupId, ctx, j_max: int, *,
     top, weights = min(j_max, n), 1 + _value_count(q)
     admit("weight prefix over GF(%d) up to j=%d (q*r + %d possible dual weights * (j+1)^2)"
           % (q, top, weights), q * ctx.r + weights * (top + 1) ** 2, ops_limit)
-    f = ctx.character_sums(_delta_one(ctx))
-    mult = [(n, 1)] + [(z + d * k ** gid.n, m) for k, m in _value_histogram(q, f[1:], q - 1)]
+    if ctx._f_histogram is None:  # kept once _value_histogram has checked it
+        f = ctx.character_sums(_delta_one(ctx))
+        ctx._f_histogram = _value_histogram(q, f[1:], q - 1)
+    mult = [(n, 1)] + [(z + d * k ** gid.n, m) for k, m in ctx._f_histogram]
     sums = [0] * (top + 1)
     for a_sum, m in mult:
         if (n - a_sum) % 3:

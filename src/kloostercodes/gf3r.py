@@ -4,18 +4,22 @@ Field elements are canonical integer indices in [0, q), q = 3^r: the index
 encodes the coefficient vector of the residue polynomial in base 3, so 0 is
 the additive identity and 1 the multiplicative identity.  A FieldContext
 verifies its modulus irreducible by Rabin's test and builds each table once,
-as a numpy array and nowhere else: log/antilog for the least generator
-(g^((q-1)/p) != 1 for the primes p dividing q - 1, tested on the r x r
-matrices of multiplication), inverse, negation, trace and squares, for
-every r with a modulus, shipped (r <= 8) or given.  The scalar methods
-read those arrays and return Python ints and bools; addition is an O(r)
-digit loop.  Adding +-1 moves only digit 0 of an index, so
-chi(beta^2 - 1) = chi(beta - 1) chi(beta + 1) comes from two index shifts.
-`FieldContext.character_sums` is the one exact additive character sum,
-a -> sum_beta f(beta) omega^{tr(a beta)} for every a, asserted real; the
-context also keeps the one derived table that the layers above memoise on
-it (the Kloosterman table, with its value histogram on the squares), so it
-lives and dies with the context.
+as a numpy array and nowhere else, for every r with a modulus, shipped
+(r <= 8) or given, by gathers and adds on index arrays, no integer matmul
+or % over q: log/antilog for the least generator g (g^((q-1)/p) != 1 for
+the primes p dividing q - 1, tested on the matrices of multiplication, 16
+candidates at a time, one set of squarings for every p; the chain 1, g,
+g^2, ... by composing the index map beta -> g beta with itself), inverse,
+negation, squares, and the trace with the map a -> s(a) that reads the
+character sums, both from one image of the Hankel matrix tr(x^(i+k)).
+The scalar methods read those arrays and return Python ints and bools;
+addition is an O(r) digit loop.  Adding +-1 moves only digit 0 of an
+index, so chi(beta^2 - 1) = chi(beta - 1) chi(beta + 1) comes from two
+index shifts.  `FieldContext.character_sums` is the one exact additive
+character sum, a -> sum_beta f(beta) omega^{tr(a beta)} for every a,
+asserted real; the context also keeps what the layers above memoise on it
+(the Kloosterman table with its value histogram on the squares, and that
+of f = K(a^2) for codes.weight_prefix), so it lives and dies with it.
 """
 
 import json
@@ -37,6 +41,10 @@ DEFAULT_MODULI = {
     7: (2, 0, 1, 0, 0, 0, 0, 1),    # x^7 + x^2 + 2
     8: (2, 0, 1, 0, 0, 0, 0, 0, 1), # x^8 + x^2 + 2
 }
+
+# (a + b) mod 3 for digits a, b: a gather, not a %, read flat at 3a + b by
+# indexing with int8 (take would first widen the whole index array to intp)
+_DIGIT_SUM = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]], dtype=np.int8)
 
 
 def format_poly(coeffs) -> str:
@@ -142,21 +150,16 @@ class FieldContext:
         self._build_tables()
         self._k_table = None  # charsums._kloosterman_table
         self._k_histogram = None  # its value histogram over the squares
+        self._f_histogram = None  # codes.weight_prefix: that of f = K(a^2), a != 0
 
     # -- construction internals -------------------------------------------
 
     def _build_tables(self):
         q, r = self.q, self.r
-        digits = np.zeros((q, r), dtype=np.int8)
-        idx = np.arange(q)
-        for i in range(r):
-            digits[:, i] = (idx // 3 ** i) % 3
-        self._digits = digits
+        # digit i of every index, the coefficient of x^i (np.indices starts at the top)
+        self._digits = np.indices((3,) * r, dtype=np.int8).reshape(r, q)[::-1].T.copy()
         self._pow3 = (3 ** np.arange(r)).astype(np.int64)
 
-        # discrete log / antilog for the least generator g: g^((q-1)/p) != 1 for
-        # every prime p dividing q - 1, tested by square-and-multiply on matrices
-        primes = _prime_factors(q - 1)
         # y -> x y is GF(3)-linear on digit vectors: digits(x y) = digits(y) @ M_x,
         # row i of M_x the digits of x X^i, so M_x = sum_i x_i C^i with C the
         # companion matrix of the modulus
@@ -165,41 +168,36 @@ class FieldContext:
         companion[r - 1] = (-np.array(self.modulus[:r])) % 3
         eye = np.eye(r, dtype=np.int64)
         powers = [eye]
-        for _ in range(r - 1):
+        for _ in range(2 * r - 2):  # C^j for j < 2r - 1; M_x reads j < r
             powers.append((powers[-1] @ companion) % 3)
         powers = np.array(powers)
 
         def mul_matrix(x):  # M_x, or a stack of them for an array x
-            return np.tensordot(digits[x], powers, 1) % 3
+            return np.tensordot(self._digits[x], powers[:r], 1) % 3
 
-        def is_one_at(mats, e):  # whether x^e = 1, for a stack of M_x; e >= 1
-            out = eye
-            while e:
-                if e & 1:
-                    out = (out @ mats) % 3
-                mats = (mats @ mats) % 3
-                e >>= 1
-            return (out == eye).all(axis=(1, 2))
-
+        # the least generator g: g^((q-1)/p) != 1 for every prime p dividing
+        # q - 1, tested by square-and-multiply on a block of 16 candidates'
+        # matrices, one set of squarings shared by every exponent
+        exps = [(q - 1) // p for p in _prime_factors(q - 1)]
         g = None
         for start in range(2, q, 16):  # candidates in blocks, least first
             cands = np.arange(start, min(start + 16, q))
-            mats = mul_matrix(cands)
-            ok = ~np.any([is_one_at(mats, (q - 1) // p) for p in primes], axis=0)
+            mats, outs = mul_matrix(cands), [eye] * len(exps)
+            for bit in range(max(exps).bit_length()):
+                outs = [(out @ mats) % 3 if e >> bit & 1 else out for out, e in zip(outs, exps)]
+                mats = (mats @ mats) % 3
+            ok = ~np.any([(out == eye).all(axis=(1, 2)) for out in outs], axis=0)
             if ok.any():
                 g = int(cands[ok][0])
                 break
         if g is None:  # pragma: no cover
             raise FieldConstructionError("no multiplicative generator found")
-        # the chain 1, g, g^2, ... in doubling blocks, the matrix of g^2k the
-        # square of that of g^k; entries of a product of two such matrices,
-        # or of a digit vector and one, stay below 4r, so int8 holds them (r < 32)
-        chain = np.ones(1, dtype=np.int64)
-        mat = mul_matrix(g).astype(np.int8)
+        # the chain 1, g, g^2, ... in doubling blocks: step maps beta to
+        # g^len(chain) beta, the index map of M_g composed with itself
+        chain, step = np.ones(1, dtype=np.int64), self._index(self._image(mul_matrix(g)))
         while len(chain) < q - 1:
-            block = digits[chain[:q - 1 - len(chain)]]
-            chain = np.concatenate([chain, (block @ mat) % 3 @ self._pow3])
-            mat = (mat @ mat) % 3
+            chain = np.concatenate([chain, step[chain[:q - 1 - len(chain)]]])
+            step = step[step]
         np_exp = self._np_exp = chain
         # q - 1 nonzero indices, so distinct exactly when each occurs once
         if np.any(np.bincount(np_exp, minlength=q)[1:] != 1):  # pragma: no cover
@@ -209,12 +207,7 @@ class FieldContext:
         self._np_inv = np.zeros(q, dtype=np.int64)
         self._np_inv[1:] = np_exp[(-np_log[1:]) % (q - 1)]
         # -x = (-1) x (2 is the index of -1)
-        self._np_neg = self._mul_vec(2, idx)
-
-        # tr(x) is the trace of y -> x y: for each basis power x^i that of
-        # its matrix C^i, then the full table by linearity
-        basis_tr = np.trace(powers, axis1=1, axis2=2) % 3
-        self._trace = (digits @ basis_tr.astype(np.int8)) % 3
+        self._np_neg = self._mul_vec(2, np.arange(q))
 
         # quadratic structure: the squares are the even powers of the generator
         is_sq = self._np_is_square = np.zeros(q, dtype=bool)
@@ -222,10 +215,13 @@ class FieldContext:
         self._np_squares = np.flatnonzero(is_sq)
         self.epsilon = int(np.flatnonzero(~is_sq[1:])[0]) + 1
 
-        # the index map a -> s(a), s(a)_k = tr(a x^k), that reads the
-        # character sums: tr(a beta) = s(a) . beta
-        self._functional = sum(self._trace[self._mul_vec(3 ** k, idx)].astype(np.int64) * 3 ** k
-                               for k in range(r))
+        # the index map a -> s(a), s(a)_k = tr(a x^k), that reads the character
+        # sums (tr(a beta) = s(a) . beta) is a -> a @ H, H_ik = tr(x^(i+k)) the
+        # trace of C^(i+k); its digit 0, tr(a), is the trace table
+        tr = np.trace(powers, axis1=1, axis2=2) % 3
+        image = self._image(tr[np.add.outer(np.arange(r), np.arange(r))])
+        self._trace = image[:, 0].copy()
+        self._functional = self._index(image)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -296,14 +292,26 @@ class FieldContext:
         out[xs * ys == 0] = 0
         return out
 
+    def _index(self, digits):
+        """The int64 index of each int8 digit vector along the last axis."""
+        return sum(digits[..., k] * p for k, p in enumerate(self._pow3))
+
+    def _image(self, mat):
+        """The digits of v @ mat for every index v, a (q, r) int8 array: those
+        below 3^(k+1) are those below 3^k plus 0, 1 and 2 times row k."""
+        out = np.zeros((self.r, 1), dtype=np.int8)
+        for row in 3 * mat.astype(np.int8)[:, :, None]:
+            once = _DIGIT_SUM.ravel()[out + row]
+            out = np.concatenate([out, once, _DIGIT_SUM.ravel()[once + row]], axis=1)
+        return out.T
+
     def _add_vec(self, xs, ys):
-        d = (self._digits[xs].astype(np.int64) + self._digits[ys]) % 3
-        return d @ self._pow3
+        return self._index(_DIGIT_SUM.ravel()[3 * self._digits[xs] + self._digits[ys]])
 
     def _shifted(self, c):
-        """beta + c for every beta, c = 1 or 2 (= -1): only digit 0 moves."""
-        b = np.arange(self.q)
-        return b - b % 3 + (b % 3 + c) % 3
+        """beta + c for every beta, c = 1 or 2 (= -1): only digit 0 moves, so
+        beta = 3t + d goes to column _DIGIT_SUM[c, d] of its row t."""
+        return np.arange(self.q).reshape(-1, 3)[:, _DIGIT_SUM[c]].ravel()
 
     def _sq_minus_one(self):
         """beta^2 - 1 = (beta - 1)(beta + 1) for every beta."""
@@ -337,12 +345,12 @@ class FieldContext:
         dtype = np.int64 if 16 * q * bound < 10 * 2 ** 63 else object
         a_part = a_part.astype(dtype)
         b_part = np.zeros(q, dtype) if b_part is None else b_part.astype(dtype)
-        for k in range(self.r):
-            shape = (q // 3 ** (k + 1), 3, 3 ** k)  # axis 1 is digit k
-            a3, b3 = a_part.reshape(shape), b_part.reshape(shape)
-            a0, a1, a2 = a3[:, 0], a3[:, 1], a3[:, 2]
-            b0, b1, b2 = b3[:, 0], b3[:, 1], b3[:, 2]
-            a_part, b_part = np.empty_like(a3), np.empty_like(b3)
+        for _ in range(self.r):
+            # the top digit's three thirds in, that digit out last: after r
+            # stages every digit is back in place
+            a0, a1, a2 = a_part.reshape(3, q // 3)
+            b0, b1, b2 = b_part.reshape(3, q // 3)
+            a_part, b_part = np.empty((q // 3, 3), dtype), np.empty((q // 3, 3), dtype)
             # y_s = x_0 + omega^s x_1 + omega^{2s} x_2, with
             # omega (A + B omega) = -B + (A - B) omega
             a_part[:, 0], b_part[:, 0] = a0 + a1 + a2, b0 + b1 + b2

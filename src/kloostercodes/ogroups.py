@@ -221,18 +221,20 @@ def delta_form(gid: GroupId, q: int) -> tuple:
 
 def histogram_closed_form(ctx, gid: GroupId, *, ops_limit: int = charsums.DEFAULT_OPS_LIMIT) -> TraceHistogram:
     """Exact trace histogram for any q, no enumeration involved: delta_form
-    materialised, with delta(1) = 1 + chi(beta^2 - 1) in int64 and delta(2)
-    from charsums.delta_count in Python ints (past 2^63 from r = 8 on)."""
+    materialised in one pass, delta(1) = 1 + chi(beta^2 - 1) in int64, delta(2) from
+    charsums.delta_count in Python ints (past 2^63 from r = 8 on), total c q + z + d sum(delta)."""
     q = ctx.q
     expected = group_order(gid, q)
     c, z, d = delta_form(gid, q)
     if gid.n == 1:
-        counts = (c + d * (1 + ctx._chi_sq_minus_one())).tolist()
-    else:
+        delta = 1 + ctx._chi_sq_minus_one()
+        size, counts = int(delta.sum()), (c + d * delta).tolist()
+    else:  # delta_count asserts its total, (q - 1)^n
+        size = (q - 1) ** gid.n
         counts = [c + d * x for x in charsums.delta_count(ctx, gid.n, ops_limit=ops_limit)]
     counts[0] += z
-    hist = TraceHistogram(tuple(counts))
-    if hist.total != expected:
+    total = c * q + z + d * size
+    if total != expected:
         raise ConsistencyError("closed-form histogram for %s over GF(%d) totals %d, expected %d"
-                               % (gid.value, q, hist.total, expected))
-    return hist
+                               % (gid.value, q, total, expected))
+    return TraceHistogram(tuple(counts))

@@ -340,10 +340,11 @@ def test_prefix_validation(f3):
 def test_corrupted_dual_weight_is_detected(monkeypatch):
     # f(1) = K(1) = 5 at q = 9: off by -3 it moves one dual weight by 2, which
     # breaks the exact division by q; off by +3 it breaks the Weil bound
-    # (patched on a context of its own)
-    ctx = field_create(2)
-    real = ctx.character_sums
+    # (each patched on a context of its own, as f's histogram is kept on it)
     for shift, match in ((-3, "not divisible by q=9"), (3, "Weil bound")):
+        ctx = field_create(2)
+        real = ctx.character_sums
+
         def skewed(*args, shift=shift):
             sums = real(*args)
             sums[1] += shift

@@ -229,10 +229,12 @@ def _literal_sums(ctx, a, b):
     return out
 
 
-@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("r, modulus", [(1, None), (2, None), (3, None), (4, None),
+                                        (4, _last_irreducible(4))],
+                         ids=["1", "2", "3", "4", "4-last"])
 @pytest.mark.parametrize("dtype", [np.int64, object])
-def test_transform_matches_literal_sum(r, dtype):
-    ctx = field_create(r)
+def test_transform_matches_literal_sum(r, modulus, dtype):
+    ctx = field_create(r, modulus)
     rng = random.Random(r)
     a, b = _conjugate_symmetric(ctx, lambda: (rng.randint(-5, 5), rng.randint(-5, 5)))
     sums = ctx.character_sums(np.array(a, dtype=dtype), np.array(b, dtype=dtype))

@@ -17,6 +17,7 @@ from kloostercodes import (
     verify_report,
     weight_prefix,
 )
+from kloostercodes import charsums
 from kloostercodes.cli import run_command
 from kloostercodes.moments import _pless_sums
 from kloostercodes.ogroups import group_order
@@ -234,6 +235,31 @@ def test_verify_report_q3(f3):
     so4 = reports[2]
     assert [row.h for row in so4.rows] == [2, 4, 6, 8, 10]
     assert all(row.recursive == 1 for row in so4.rows)
+
+
+@pytest.mark.parametrize("r, modulus", [(9, (1, 0, 1, 2, 0, 0, 0, 0, 0, 1)),
+                                        (10, (1, 0, 2, 0, 0, 0, 0, 0, 0, 0, 1))])
+def test_verify_report_past_the_shipped_moduli(r, modulus):
+    # the least monic irreducibles of degree 9 and 10, passed explicitly
+    reports = verify_report(field_create(r, modulus), 10)
+    assert [rep.code for rep in reports] == ["so2", "o2", "so4"]
+    assert all(row.match for rep in reports for row in rep.rows)
+
+
+def test_verify_report_runs_one_delta_one_transform_per_field(monkeypatch):
+    # the three codes share f's value histogram, kept on the context
+    expected = [(rep.code, rep.rows) for rep in verify_report(field_create(3), 10)]
+    real, calls = charsums._delta_one, []
+
+    def counted(ctx):
+        calls.append(ctx.q)
+        return real(ctx)
+
+    monkeypatch.setattr("kloostercodes.codes._delta_one", counted)
+    ctx = field_create(3)
+    for _ in range(2):
+        assert [(rep.code, rep.rows) for rep in verify_report(ctx, 10)] == expected
+    assert calls == [27]
 
 
 def test_verify_report_shape(capsys):
