@@ -18,8 +18,6 @@ words, counted weights, full and pair scans) are test oracles in
 tests/oracles.py.
 """
 
-from math import comb
-
 from .charsums import DEFAULT_OPS_LIMIT, _delta_one, _value_count, _value_histogram, kloosterman
 from .errors import ConsistencyError, DomainError, admit
 from .gauss import gauss_sum_of_k
@@ -46,6 +44,19 @@ def codeword_weight_formula(ctx, gid: GroupId, a: int) -> int:
     return weight_of_k(gid, ctx.q, kloosterman(ctx, ctx.mul(a, a)))
 
 
+def _binomial_row(m: int, x: int, top: int, lead: int) -> list:
+    """[lead C(m, i) x^i for i <= top], the coefficients of lead (1 + x y)^m,
+    by the running product C(m, i) = C(m, i - 1) (m - i + 1)/i, each
+    division asserted exact."""
+    row = [lead]
+    for i in range(1, top + 1):
+        c, rem = divmod(row[-1] * x * (m - i + 1), i)
+        if rem:
+            raise ConsistencyError("binomial row of (1 + %d y)^%d is non-integral at i=%d" % (x, m, i))
+        row.append(c)
+    return row
+
+
 def weight_prefix(gid: GroupId, ctx, j_max: int, *,
                   ops_limit: int = DEFAULT_OPS_LIMIT) -> tuple:
     """(C_0, ..., C_j_max), the codeword counts of weight <= j_max, from the
@@ -61,10 +72,11 @@ def weight_prefix(gid: GroupId, ctx, j_max: int, *,
     w is formed in Python ints (N runs past 2^63) once per value.  The
     MacWilliams identity then gives
     C_j = q^{-1} sum_w mult(w) [x^j] (1 + 2x)^{N - w} (1 - x)^w, summed over
-    the distinct dual weights w (a = 0 contributes w = 0).  There are at
-    most D(q) = 1 + charsums._value_count(q) of them, so the work is at most
-    q*r + D(q) (min(j_max, N) + 1)^2 big-integer operations, admitted within
-    ops_limit before the character sum.
+    the distinct dual weights w (a = 0 contributes w = 0), the coefficients
+    of mult(w) (1 + 2x)^{N - w} and of (1 - x)^w by _binomial_row.  There
+    are at most D(q) = 1 + charsums._value_count(q) of them, so the work is
+    at most q*r + D(q) (min(j_max, N) + 1)^2 big-integer operations, admitted
+    within ops_limit before the character sum.
     """
     if j_max < 0:
         raise DomainError("j_max must be nonnegative")
@@ -82,12 +94,11 @@ def weight_prefix(gid: GroupId, ctx, j_max: int, *,
         if (n - a_sum) % 3:
             raise ConsistencyError("dual weight 2(N - A)/3 at A = %d is not an integer" % a_sum)
         w = 2 * (n - a_sum) // 3
-        ones = [comb(n - w, i) * 2 ** i for i in range(top + 1)]
-        signs = [comb(w, i) * (-1) ** i for i in range(top + 1)]
-        for i, c in enumerate(ones):
+        signs = _binomial_row(w, -1, top, 1)
+        for i, c in enumerate(_binomial_row(n - w, 2, top, m)):
             if c:
                 for k in range(top + 1 - i):
-                    sums[i + k] += m * c * signs[k]
+                    sums[i + k] += c * signs[k]
     counts = []
     for j, s in enumerate(sums):
         if s % q:

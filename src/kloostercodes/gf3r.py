@@ -193,11 +193,13 @@ class FieldContext:
         if g is None:  # pragma: no cover
             raise FieldConstructionError("no multiplicative generator found")
         # the chain 1, g, g^2, ... in doubling blocks: step maps beta to
-        # g^len(chain) beta, the index map of M_g composed with itself
+        # g^len(chain) beta, the index map of M_g composed with itself while
+        # another block is still to come
         chain, step = np.ones(1, dtype=np.int64), self._index(self._image(mul_matrix(g)))
         while len(chain) < q - 1:
+            if len(chain) > 1:
+                step = step[step]
             chain = np.concatenate([chain, step[chain[:q - 1 - len(chain)]]])
-            step = step[step]
         np_exp = self._np_exp = chain
         # q - 1 nonzero indices, so distinct exactly when each occurs once
         if np.any(np.bincount(np_exp, minlength=q)[1:] != 1):  # pragma: no cover

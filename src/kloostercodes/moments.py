@@ -7,56 +7,74 @@ c + z [beta = 0] + d delta(e; beta), e = n (ogroups.delta_form, which asserts
 G(k) = z + d k^e), so w(a) = (2/3) s (K(a^2)^e + b) with s = -d and
 b = (N - z)/s.  The Pless power moment identity gives sum_a w(a)^h from
 the code's low weight counts C_j alone; one function (_pless_sums) forms
-those sums for every h <= h_max, building the coefficients t! S(h,t) one
-row per h.  Expanding (K^e + b)^h turns that one integer sum into one
-recursion for every code: SK^h on the rank-2 codes (e = 1) and SK^{2h} on
-the rank-4 code (e = 2).  All arithmetic is in integers; every division is
-asserted exact.  Every function returns values (verify_report returns
-MomentReports); cli shapes every output format.
+those sums for every h <= h_max from the factorial moments
+u_t = sum_a (w(a))_t, which Horner's rule and one binomial row give from the
+C_j (_pless_inner), by the step u_t <- u_{t+1} + t u_t per h.  Expanding
+(K^e + b)^h turns that one integer sum into one recursion for every code:
+SK^h on the rank-2 codes (e = 1) and SK^{2h} on the rank-4 code (e = 2),
+whose binomial inverse is an in-place difference table in the small
+integer b.  The per-h steps of both multiply big integers only by small
+ones, and no quadratic loop forms a binomial coefficient or a power.  All
+arithmetic is in integers; every division is asserted exact.  Every
+function returns values (verify_report returns MomentReports); cli shapes
+every output format.
 """
 
 import time
 from dataclasses import dataclass, field
-from math import comb
 
 from . import charsums
-from .codes import weight_of_k, weight_prefix
+from .codes import _binomial_row, weight_of_k, weight_prefix
 from .errors import ConsistencyError, DomainError
 from .ogroups import GroupId, delta_form, group_order
 
 
 def _pless_inner(prefix: tuple, n: int, top: int) -> list:
-    """D_t = sum_{j<=t} (-1)^j C_j 2^{t-j} C(n-j, t-j) for t <= top, from the
-    weight counts C_j of a ternary code of length n; D_t does not depend on h."""
+    """[D_0, ..., D_top], D_t = sum_{j<=t} (-1)^j C_j 2^{t-j} C(n-j, t-j), from
+    the weight counts C_j of a ternary code of length n >= top; D_t does not
+    depend on h.  D_t = [x^t] (1 + 2x)^(n - top) S(x), where
+    S = sum_j C_j (-x)^j (1 + 2x)^(top - j) comes by Horner's rule (each step
+    multiplies by 1 + 2x: add twice the coefficient below) and the
+    coefficients C(n - top, i) 2^i by _binomial_row."""
     if len(prefix) <= top:
         raise DomainError("weight prefix covers j <= %d but j <= %d is needed" % (len(prefix) - 1, top))
-    return [sum((-1) ** j * prefix[j] * 2 ** (t - j) * comb(n - j, t - j)
-                for j in range(t + 1)) for t in range(top + 1)]
+    poly = []  # S <- S (1 + 2x) + (-1)^j C_j x^j for j = 0..top
+    for j in range(top + 1):
+        poly.append(0)
+        for i in range(j, 0, -1):
+            poly[i] += 2 * poly[i - 1]
+        poly[j] += -prefix[j] if j & 1 else prefix[j]
+    row = _binomial_row(n - top, 2, top, 1)
+    return [sum(row[t - i] * poly[i] for i in range(t + 1)) for t in range(top + 1)]
 
 
 def _pless_sums(prefix: tuple, n: int, r: int, h_max: int) -> list:
     """[P_0, ..., P_h_max], P_h = sum_a w(a)^h over the q = 3^r dual words of
     a ternary [n, r] code, from its weight counts C_j, j <= m = min(n, h_max),
-    by the Pless power moment identity
+    by the Pless power moment identity.  The factorial moments
 
-        P_h = sum_{t<=min(m, h)} T(h,t) 3^{r-t} D_t,  T(h,t) = t! S(h,t),
+        u_t = t! 3^{r-t} D_t = sum_a (w(a))_t,  (x)_t = x (x - 1) ... (x - t + 1),
 
-    with D_t from _pless_inner.  T(h,t) = t (T(h-1,t) + T(h-1,t-1)) builds
-    one row per h.  The terms are scaled by 3^c, c = max(0, m - r), to keep
-    them integral, and each P_h is asserted divisible by 3^c.
+    with D_t from _pless_inner (for t > m, u_t is 0 when m = n, as no word is
+    longer than n, and never read when m = h_max), turn into
+    sum_a w(a)^h (w(a))_t by h steps u_t <- u_{t+1} + t u_t, since
+    x (x)_t = (x)_{t+1} + t (x)_t; P_h is u_0 after h steps.  The u_t are
+    scaled by 3^c, c = max(0, m - r), to keep them integral, and each P_h is
+    asserted divisible by 3^c.
     """
     top = min(n, h_max)
     c = max(0, top - r)
-    scaled = [3 ** (r - t + c) * d for t, d in enumerate(_pless_inner(prefix, n, top))]
-    row = [1] + [0] * top  # T(0, t)
-    sums = []
+    u, fact = [0] * (top + 2), 1  # fact = t!; u_{top+1} stays 0
+    for t, d in enumerate(_pless_inner(prefix, n, top)):
+        u[t], fact = fact * 3 ** (r - t + c) * d, fact * (t + 1)
+    sums, scale = [], 3 ** c
     for h in range(h_max + 1):
-        if h:
-            row = [0] + [t * (row[t] + row[t - 1]) for t in range(1, top + 1)]
-        total = sum(x * y for x, y in zip(row, scaled))
-        if total % 3 ** c:
-            raise ConsistencyError("power-moment sum %d at h=%d is not divisible by 3^%d" % (total, h, c))
-        sums.append(total // 3 ** c)
+        total, rem = divmod(u[0], scale)
+        if rem:
+            raise ConsistencyError("power-moment sum %d at h=%d is not divisible by 3^%d" % (u[0], h, c))
+        sums.append(total)
+        for t in range(min(top + 1, h_max - h)):  # only u_t, t < h_max - h, reaches a later u_0
+            u[t] = u[t + 1] + t * u[t]
     return sums
 
 
@@ -67,7 +85,10 @@ def sk_recursive_chain(ctx, gid: GroupId, h_max: int, prefix: tuple):
     With w(a) = (2/3) s (K(a^2)^e + b), s = -d and b = (N - z)/s ((c, z, d)
     the code's delta form, so z = G(0) and G(1) = z + d), and a -> a^2
     covering each nonzero square twice, the power moment sum P_h gives
-    M_h = 3^h P_h / (2^{h+1} s^h) - sum_{j<h} C(h,j) b^{h-j} M_j, M_j = SK^{ej}.
+    X_h = 3^h P_h / (2^{h+1} s^h) = sum_{j<=h} C(h,j) b^{h-j} M_j, M_j = SK^{ej}
+    (X_0 = M_0 = (q - 1)/2).  Its inverse M_h = sum_j C(h,j) (-b)^{h-j} X_j
+    is the difference table X_i -= b X_{i-1}, for i from h_max down to k, at
+    k = 1..h_max, so the big X_i meet only the small integer b.
     `prefix` must hold the weight counts for j <= min(N, h_max).
     """
     q, r = ctx.q, ctx.r
@@ -80,15 +101,17 @@ def sk_recursive_chain(ctx, gid: GroupId, h_max: int, prefix: tuple):
     if rem:
         raise ConsistencyError("weight offset (N - G(0))/s = %d/%d is not an integer" % (n - z, s))
     pless = _pless_sums(prefix, n, r, h_max)
-    chain = [(q - 1) // 2]  # SK^0, the number of nonzero squares
+    chain, pow3, den = [(q - 1) // 2], 1, 2  # X_0 = SK^0, the number of nonzero squares
     for h in range(1, h_max + 1):
-        num = 3 ** h * pless[h]
-        den = 2 ** (h + 1) * s ** h
-        if num % den:
-            raise ConsistencyError(
-                "moment SK^%d came out non-integral: %d/%d" % (gid.n * h, num, den)
-            )
-        chain.append(num // den - sum(comb(h, j) * b ** (h - j) * chain[j] for j in range(h)))
+        pow3, den = 3 * pow3, 2 * s * den  # 3^h and 2^{h+1} s^h
+        num = pow3 * pless[h]
+        x, rem = divmod(num, den)
+        if rem:
+            raise ConsistencyError("moment SK^%d came out non-integral: %d/%d" % (gid.n * h, num, den))
+        chain.append(x)
+    for k in range(1, h_max + 1):
+        for i in range(h_max, k - 1, -1):
+            chain[i] -= b * chain[i - 1]
     return chain
 
 
@@ -117,10 +140,10 @@ def pless_check(ctx, gid: GroupId, h: int, *,
     Left side: sum over all q dual codewords of weight^h (0^0 = 1, so h = 0
     counts every codeword).  The word of a != 0 has weight w(K(a^2)), and
     a -> a^2 covers each nonzero square twice, so the sum runs over the value
-    histogram of K: 2 sum_k mult(k) w(k)^h.  Right side: the Stirling-number
-    expansion over the code's weight counts C_j, j <= min(N, h), for a
-    ternary [N, r] dual.  The K table and the weight prefix behind the right
-    side are both admitted under ops_limit.
+    histogram of K: 2 sum_k mult(k) w(k)^h.  Right side: _pless_sums, the
+    factorial moments of the code's weight counts C_j, j <= min(N, h), for
+    a ternary [N, r] dual, stepped up to w^h.  The K table and the weight
+    prefix behind the right side are both admitted under ops_limit.
     """
     if h < 0:
         raise DomainError("h must be nonnegative")

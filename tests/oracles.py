@@ -13,6 +13,8 @@ it built them with numpy, and `is_irreducible_trial` the trial division that
 its irreducibility check used before Rabin's test.  `mat_det` and `mat_trace` are the scalar,
 one-field-operation-at-a-time references for `ogroups._dets` and the traces
 that `enumerate_group` reads off the diagonals of its index array.
+`pless_inner_literal` is the double sum of binomial coefficients that
+`moments._pless_inner` formed before Horner's rule replaced it.
 
 The rest are brute-force counterparts of the pipeline that the library never
 calls: character sums counted in `OmegaSum`, the literal sums b_r, K_GL and
@@ -71,6 +73,13 @@ def trinomial(c: int, a: int, b: int) -> int:
     if a + b > c:
         return 0
     return math.comb(c, a) * math.comb(c - a, b)
+
+
+def pless_inner_literal(prefix: tuple, n: int, top: int) -> list:
+    """[D_0, ..., D_top], D_t = sum_{j<=t} (-1)^j C_j 2^{t-j} C(n-j, t-j),
+    summed term by term for a code of length n >= top."""
+    return [sum((-1) ** j * prefix[j] * 2 ** (t - j) * math.comb(n - j, t - j)
+                for j in range(t + 1)) for t in range(top + 1)]
 
 
 def kloosterman_per_a(ctx) -> list:

@@ -19,10 +19,10 @@ from kloostercodes import (
 )
 from kloostercodes import charsums
 from kloostercodes.cli import run_command
-from kloostercodes.moments import _pless_sums
+from kloostercodes.moments import _pless_inner, _pless_sums
 from kloostercodes.ogroups import group_order
 
-from oracles import trinomial
+from oracles import pless_inner_literal, trinomial
 
 C3_Q9_PREFIX = (
     1,
@@ -318,6 +318,25 @@ def test_recursive_moments_reaches_high_h(f9):
     # h = 40 runs far past N = 10 and 20 for the rank-2 codes
     for gid in (GroupId.SO2, GroupId.O2):
         assert recursive_moments(f9, gid, 40) == [sk_moment(f9, h) for h in range(41)]
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_recursive_moments_reach_the_high_moment_bounds(r):
+    # SK^{2h} up to h = 40 from SO-(4,q), SK^h up to h = 80 from the rank-2 codes
+    ctx = field_create(r)
+    assert recursive_moments(ctx, GroupId.SO4, 40) == [sk_moment(ctx, 2 * h) for h in range(41)]
+    direct = [sk_moment(ctx, h) for h in range(81)]
+    for gid in (GroupId.SO2, GroupId.O2):
+        assert recursive_moments(ctx, gid, 80) == direct
+
+
+@pytest.mark.parametrize("r, gid, top", [(1, GroupId.SO2, 4), (2, GroupId.SO4, 30), (3, GroupId.SO4, 20)])
+def test_pless_inner_matches_the_literal_double_sum(r, gid, top):
+    # top = N for SO-(2,3), whose N = 4 caps t; top far below N for SO-(4,q)
+    ctx = field_create(r)
+    n = group_order(gid, ctx.q)
+    prefix = weight_prefix(gid, ctx, top)
+    assert _pless_inner(prefix, n, top) == pless_inner_literal(prefix, n, top)
 
 
 def test_chain_builds_the_inner_sums_once(monkeypatch, f9):
