@@ -7,13 +7,16 @@ byte-identical across runs for the same flags; timing is opt-in via
 Each run takes one path: argparse parses the flags, each integer flag's
 type checks its lower bound (--r, --n, --a and --h-max >= 1; --h, --max-j,
 --t and --limit-ops >= 0), run_command builds the field once, the handler
-computes, and run_command writes stdout once.  The parser is built once per
-process, at the first run_command, and serves every later call.  Flags may
-also be supplied through environment variables with the KLOOSTERCODES_
-prefix (e.g. KLOOSTERCODES_H_MAX=6, or KLOOSTERCODES_TIMING=1 for the
---timing switch, 0 leaving it off); these are read at every call, for the
-chosen subcommand's flags only, and such a value passes the flag's own type,
-bound and choices, or the command exits 2 naming the variable and the flag.
+computes, and run_command writes stdout once, JSON through _dumps, which
+writes the json module's sorted, 2-space layout directly.  Each subcommand's
+parser is built at its first run_command and serves every later call; only
+-h and a missing or unknown command build the parser of every subcommand.
+Flags may also be supplied through environment variables with the
+KLOOSTERCODES_ prefix (e.g. KLOOSTERCODES_H_MAX=6, or KLOOSTERCODES_TIMING=1
+for the --timing switch, 0 leaving it off); these are read at every call,
+for the chosen subcommand's flags only, and such a value passes the flag's
+own type, bound and choices, or the command exits 2 naming the variable and
+the flag.
 
 Exit status: 0 on success or full verification; 1 on a verification
 mismatch or a failed internal consistency check; 2 on a usage error (a
@@ -27,6 +30,7 @@ import functools
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import charsums, gauss, moments, ogroups
 from .codes import weight_prefix
@@ -55,8 +59,11 @@ def _parse_poly(text):
     return tuple(int(c) for c in text.replace(",", " ").split())
 
 
-@functools.cache  # parse_args leaves the parser as it was, so one serves every call
-def _build_parser():
+@functools.cache  # parse_args leaves a parser as it was, so one serves every call
+def _build_parser(command=None):
+    """The parser of one subcommand, or of all of them when command is None
+    (for -h and a missing or unknown command).  A one-command parser shows
+    every command in its usage line, so its refusals read as the full one's."""
     parser = argparse.ArgumentParser(
         prog="kloostercodes",
         description="Exact Kloosterman-sum moments via ternary codes of the "
@@ -77,43 +84,55 @@ def _build_parser():
         p.set_defaults(leaf=p)
         return p
 
-    sub = parser.add_subparsers(dest="command", required=True)
-    leaf(sub, "field", "describe the field GF(3^r)")
-    p = leaf(sub, "kloosterman", "exact Kloosterman sums")
-    _flag(p, "--a", type=_at_least(1), help="argument index (default: all nonzero a)")
+    def wanted(name):
+        return command in (None, name)
+
+    # a metavar would also name the argument in the full parser's refusals
+    metavar = None if command is None else "{%s}" % ",".join(_HANDLERS)
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    if wanted("field"):
+        leaf(sub, "field", "describe the field GF(3^r)")
+    if wanted("kloosterman"):
+        p = leaf(sub, "kloosterman", "exact Kloosterman sums")
+        _flag(p, "--a", type=_at_least(1), help="argument index (default: all nonzero a)")
 
     # the common flags go after the mode (moments direct --r 2), so the
     # mode parsers alone take them: given before the mode, a flag is an error
-    p = sub.add_parser("moments", help="moments over square arguments")
-    msub = p.add_subparsers(dest="mode", required=True)
-    pd = leaf(msub, "direct", "direct power sums")
-    _flag(pd, "--h", type=_at_least(0), default=4, help="highest moment")
-    pr = leaf(msub, "recursive", "moments generated by the code recursion")
-    _flag(pr, "--h", type=_at_least(0), default=4, help="highest moment")
-    _flag(pr, "--code", choices=_CODES, default="so2")
+    if wanted("moments"):
+        p = sub.add_parser("moments", help="moments over square arguments")
+        msub = p.add_subparsers(dest="mode", required=True)
+        pd = leaf(msub, "direct", "direct power sums")
+        _flag(pd, "--h", type=_at_least(0), default=4, help="highest moment")
+        pr = leaf(msub, "recursive", "moments generated by the code recursion")
+        _flag(pr, "--h", type=_at_least(0), default=4, help="highest moment")
+        _flag(pr, "--code", choices=_CODES, default="so2")
 
-    p = leaf(sub, "weights", "truncated weight distribution of a group code")
-    _flag(p, "--code", choices=_CODES, default="so2")
-    _flag(p, "--max-j", type=_at_least(0), default=8, help="largest weight to report")
+    if wanted("weights"):
+        p = leaf(sub, "weights", "truncated weight distribution of a group code")
+        _flag(p, "--code", choices=_CODES, default="so2")
+        _flag(p, "--max-j", type=_at_least(0), default=8, help="largest weight to report")
 
-    p = sub.add_parser("groups", help="group enumeration")
-    gsub = p.add_subparsers(dest="mode", required=True)
-    ge = leaf(gsub, "enumerate", "order and trace histogram")
-    _flag(ge, "--group", choices=_CODES, default="so2")
-    gd = leaf(gsub, "dump", "emit the element matrices")
-    _flag(gd, "--group", choices=_CODES, default="so2")
+    if wanted("groups"):
+        p = sub.add_parser("groups", help="group enumeration")
+        gsub = p.add_subparsers(dest="mode", required=True)
+        ge = leaf(gsub, "enumerate", "order and trace histogram")
+        _flag(ge, "--group", choices=_CODES, default="so2")
+        gd = leaf(gsub, "dump", "emit the element matrices")
+        _flag(gd, "--group", choices=_CODES, default="so2")
 
-    p = leaf(sub, "gauss", "character sums over the groups, closed form")
-    _flag(p, "--group", choices=_CODES + ["gl"],
-          help="so2, o2, so4 or gl (default so2 unless --n is given)")
-    _flag(p, "--a", type=_at_least(1), default=1, help="character scaling")
-    _flag(p, "--t", type=_at_least(0), help="GL rank, with --group gl only (default 1)")
-    _flag(p, "--n", type=_at_least(1), help="n of SO-/O-(2n,q), in place of --group")
-    _flag(p, "--variant", choices=("so", "o"), help="with --n only: SO- or O- (default so)")
+    if wanted("gauss"):
+        p = leaf(sub, "gauss", "character sums over the groups, closed form")
+        _flag(p, "--group", choices=_CODES + ["gl"],
+              help="so2, o2, so4 or gl (default so2 unless --n is given)")
+        _flag(p, "--a", type=_at_least(1), default=1, help="character scaling")
+        _flag(p, "--t", type=_at_least(0), help="GL rank, with --group gl only (default 1)")
+        _flag(p, "--n", type=_at_least(1), help="n of SO-/O-(2n,q), in place of --group")
+        _flag(p, "--variant", choices=("so", "o"), help="with --n only: SO- or O- (default so)")
 
-    p = leaf(sub, "verify", "check the recursions against direct moments")
-    _flag(p, "--h-max", type=_at_least(1), default=10)
-    _flag(p, "--timing", action="store_true", default=False, help="add elapsed_ms to json reports")
+    if wanted("verify"):
+        p = leaf(sub, "verify", "check the recursions against direct moments")
+        _flag(p, "--h-max", type=_at_least(1), default=10)
+        _flag(p, "--timing", action="store_true", default=False, help="add elapsed_ms to json reports")
 
     return parser
 
@@ -295,7 +314,7 @@ def run_command(argv) -> int:
     returns the exit status."""
     if hasattr(sys, "set_int_max_str_digits"):  # exact values pass 4300 digits
         sys.set_int_max_str_digits(0)
-    parser = _build_parser()
+    parser = _build_parser(argv[0] if argv and argv[0] in _HANDLERS else None)
     try:
         args = parser.parse_args(argv)
         for dest, value in list(vars(args).items()):
@@ -312,12 +331,34 @@ def run_command(argv) -> int:
         print("consistency failure: %s" % exc, file=sys.stderr)
         return 1
     if args.format == "json":
-        text_lines = [json.dumps(payload, sort_keys=True, indent=2)]
+        text_lines = [_dumps(payload)]
     elif args.format == "csv":
         text_lines = [",".join(str(c) for c in row) for row in csv_rows]
     for line in text_lines:
         print(line)
     return status
+
+
+def _dumps(value, indent="\n"):
+    """json.dumps(value, sort_keys=True, indent=2), written directly: with
+    indent set, the json module encodes in pure Python, value by value."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if type(value) is bool:
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = (encode_basestring_ascii(k) + ": " + _dumps(v, inner) for k, v in sorted(value.items()))
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join(_dumps(v, inner) for v in value) + indent + "]"
+    return json.dumps(value)  # None and floats
 
 
 def main():

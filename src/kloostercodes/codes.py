@@ -6,13 +6,14 @@ the q words a -> (tr(a Tr g_1), ..., tr(a Tr g_N)) by Delsarte duality.
 Truncated weight distributions (C_0, ..., C_j_max) are computed exactly from
 the code's delta form (ogroups.delta_form), no histogram built: one character
 sum of delta(1), grouped by value and kept on the field context, gives every
-dual weight of every code, and the
-MacWilliams identity turns the few distinct dual weights into the low weight
-counts, priced once before any work at the most dual weights the Weil bound
-allows.  They remain available when the group is far too large to enumerate,
-and nothing here reads a Kloosterman sum except the closed weight formula:
-the dual word of a has weight w(a) = 2(N - G(a))/3, with N = |G| and G(a) the
-group character sum, which gauss.gauss_sum_of_k gives from K(a^2) alone.
+dual weight of every code, and the MacWilliams identity turns the few
+distinct dual weights into the low weight counts, one three-term recurrence
+row per dual weight, priced once before any work at the most dual weights
+the Weil bound allows.  They remain available when the group is far too
+large to enumerate, and nothing here reads a Kloosterman sum except the
+closed weight formula: the dual word of a has weight w(a) = 2(N - G(a))/3,
+with N = |G| and G(a) the group character sum, which gauss.gauss_sum_of_k
+gives from K(a^2) alone.
 This module holds no per-group constant.  The codes word by word (dual
 words, counted weights, full and pair scans) are test oracles in
 tests/oracles.py.
@@ -44,19 +45,6 @@ def codeword_weight_formula(ctx, gid: GroupId, a: int) -> int:
     return weight_of_k(gid, ctx.q, kloosterman(ctx, ctx.mul(a, a)))
 
 
-def _binomial_row(m: int, x: int, top: int, lead: int) -> list:
-    """[lead C(m, i) x^i for i <= top], the coefficients of lead (1 + x y)^m,
-    by the running product C(m, i) = C(m, i - 1) (m - i + 1)/i, each
-    division asserted exact."""
-    row = [lead]
-    for i in range(1, top + 1):
-        c, rem = divmod(row[-1] * x * (m - i + 1), i)
-        if rem:
-            raise ConsistencyError("binomial row of (1 + %d y)^%d is non-integral at i=%d" % (x, m, i))
-        row.append(c)
-    return row
-
-
 def weight_prefix(gid: GroupId, ctx, j_max: int, *,
                   ops_limit: int = DEFAULT_OPS_LIMIT) -> tuple:
     """(C_0, ..., C_j_max), the codeword counts of weight <= j_max, from the
@@ -71,12 +59,15 @@ def weight_prefix(gid: GroupId, ctx, j_max: int, *,
     grouped, kept on ctx once checked, and each
     w is formed in Python ints (N runs past 2^63) once per value.  The
     MacWilliams identity then gives
-    C_j = q^{-1} sum_w mult(w) [x^j] (1 + 2x)^{N - w} (1 - x)^w, summed over
-    the distinct dual weights w (a = 0 contributes w = 0), the coefficients
-    of mult(w) (1 + 2x)^{N - w} and of (1 - x)^w by _binomial_row.  There
-    are at most D(q) = 1 + charsums._value_count(q) of them, so the work is
-    at most q*r + D(q) (min(j_max, N) + 1)^2 big-integer operations, admitted
-    within ops_limit before the character sum.
+    C_j = q^{-1} sum_w [x^j] P_w, P_w = mult(w) (1 + 2x)^{N - w} (1 - x)^w,
+    summed over the distinct dual weights w (a = 0 contributes w = 0).  As
+    (1 + x - 2x^2) P_w' = ((2N - 3w) - 2N x) P_w and 2N - 3w = 2A, the
+    coefficients of P_w are p_0 = mult(w) and
+    p_{i+1} = ((2A - i) p_i - 2 (N - i + 1) p_{i-1}) / (i + 1), each division
+    asserted exact.  There are at most D(q) = 1 + charsums._value_count(q)
+    dual weights, each row costs O(min(j_max, N)), and the work is admitted
+    within ops_limit before the character sum at the upper bound
+    q*r + D(q) (min(j_max, N) + 1)^2 big-integer operations.
     """
     if j_max < 0:
         raise DomainError("j_max must be nonnegative")
@@ -93,12 +84,15 @@ def weight_prefix(gid: GroupId, ctx, j_max: int, *,
     for a_sum, m in mult:
         if (n - a_sum) % 3:
             raise ConsistencyError("dual weight 2(N - A)/3 at A = %d is not an integer" % a_sum)
-        w = 2 * (n - a_sum) // 3
-        signs = _binomial_row(w, -1, top, 1)
-        for i, c in enumerate(_binomial_row(n - w, 2, top, m)):
-            if c:
-                for k in range(top + 1 - i):
-                    sums[i + k] += c * signs[k]
+        prev, p = 0, m
+        sums[0] += m
+        for i in range(top):
+            nxt, rem = divmod((2 * a_sum - i) * p - 2 * (n - i + 1) * prev, i + 1)
+            if rem:
+                raise ConsistencyError("MacWilliams row at A = %d is non-integral at i=%d"
+                                       % (a_sum, i + 1))
+            prev, p = p, nxt
+            sums[i + 1] += p
     counts = []
     for j, s in enumerate(sums):
         if s % q:

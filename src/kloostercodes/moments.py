@@ -5,28 +5,41 @@ The dual word of a != 0 in each group code has weight w(a) = 2(N - G(a))/3
 K(a^2) (gauss.gauss_sum_of_k).  Each code's trace histogram is
 c + z [beta = 0] + d delta(e; beta), e = n (ogroups.delta_form, which asserts
 G(k) = z + d k^e), so w(a) = (2/3) s (K(a^2)^e + b) with s = -d and
-b = (N - z)/s.  The Pless power moment identity gives sum_a w(a)^h from
-the code's low weight counts C_j alone; one function (_pless_sums) forms
-those sums for every h <= h_max from the factorial moments
-u_t = sum_a (w(a))_t, which Horner's rule and one binomial row give from the
-C_j (_pless_inner), by the step u_t <- u_{t+1} + t u_t per h.  Expanding
-(K^e + b)^h turns that one integer sum into one recursion for every code:
-SK^h on the rank-2 codes (e = 1) and SK^{2h} on the rank-4 code (e = 2),
-whose binomial inverse is an in-place difference table in the small
-integer b.  The per-h steps of both multiply big integers only by small
-ones, and no quadratic loop forms a binomial coefficient or a power.  All
-arithmetic is in integers; every division is asserted exact.  Every
-function returns values (verify_report returns MomentReports); cli shapes
-every output format.
+b = (N - z)/s.  The Pless power moment identity gives sums over the dual
+words from the code's low weight counts C_j alone; one function
+(_pless_sums) forms S_h = sum_a (alpha w(a) + beta)^h for every h <= h_max
+from the factorial moments u_t = sum_a (w(a))_t, which Horner's rule and one
+binomial row give from the C_j (_pless_inner), by the affine step
+u_t <- alpha u_{t+1} + (alpha t + beta) u_t per h.  With (alpha, beta) =
+(1, 0) it gives the power moments of the Pless check; with (3, -2sb),
+3 w(a) - 2sb = 2s K(a^2)^e, so one recursion serves every code:
+SK^{eh} = (S_h - (-2sb)^h) / (2 (2s)^h), SK^h on the rank-2 codes (e = 1)
+and SK^{2h} on the rank-4 code (e = 2), with no inverse table.  The per-h
+steps multiply big integers only by small ones.  All arithmetic is in
+integers; every division is asserted exact.  Every function returns values
+(verify_report returns MomentReports); cli shapes every output format.
 """
 
 import time
 from dataclasses import dataclass, field
 
 from . import charsums
-from .codes import _binomial_row, weight_of_k, weight_prefix
+from .codes import weight_of_k, weight_prefix
 from .errors import ConsistencyError, DomainError
 from .ogroups import GroupId, delta_form, group_order
+
+
+def _binomial_row(m: int, x: int, top: int, lead: int) -> list:
+    """[lead C(m, i) x^i for i <= top], the coefficients of lead (1 + x y)^m,
+    by the running product C(m, i) = C(m, i - 1) (m - i + 1)/i, each
+    division asserted exact."""
+    row = [lead]
+    for i in range(1, top + 1):
+        c, rem = divmod(row[-1] * x * (m - i + 1), i)
+        if rem:
+            raise ConsistencyError("binomial row of (1 + %d y)^%d is non-integral at i=%d" % (x, m, i))
+        row.append(c)
+    return row
 
 
 def _pless_inner(prefix: tuple, n: int, top: int) -> list:
@@ -48,19 +61,21 @@ def _pless_inner(prefix: tuple, n: int, top: int) -> list:
     return [sum(row[t - i] * poly[i] for i in range(t + 1)) for t in range(top + 1)]
 
 
-def _pless_sums(prefix: tuple, n: int, r: int, h_max: int) -> list:
-    """[P_0, ..., P_h_max], P_h = sum_a w(a)^h over the q = 3^r dual words of
-    a ternary [n, r] code, from its weight counts C_j, j <= m = min(n, h_max),
-    by the Pless power moment identity.  The factorial moments
+def _pless_sums(prefix: tuple, n: int, r: int, h_max: int, alpha: int = 1, beta: int = 0) -> list:
+    """[S_0, ..., S_h_max], S_h = sum_a (alpha w(a) + beta)^h over the
+    q = 3^r dual words of a ternary [n, r] code, from its weight counts C_j,
+    j <= m = min(n, h_max), by the Pless power moment identity; (1, 0) gives
+    the power moments P_h = sum_a w(a)^h.  The factorial moments
 
         u_t = t! 3^{r-t} D_t = sum_a (w(a))_t,  (x)_t = x (x - 1) ... (x - t + 1),
 
     with D_t from _pless_inner (for t > m, u_t is 0 when m = n, as no word is
     longer than n, and never read when m = h_max), turn into
-    sum_a w(a)^h (w(a))_t by h steps u_t <- u_{t+1} + t u_t, since
-    x (x)_t = (x)_{t+1} + t (x)_t; P_h is u_0 after h steps.  The u_t are
-    scaled by 3^c, c = max(0, m - r), to keep them integral, and each P_h is
-    asserted divisible by 3^c.
+    sum_a (alpha w(a) + beta)^h (w(a))_t by h affine steps
+    u_t <- alpha u_{t+1} + (alpha t + beta) u_t, since
+    (alpha x + beta) (x)_t = alpha (x)_{t+1} + (alpha t + beta) (x)_t; S_h is
+    u_0 after h steps.  The u_t are scaled by 3^c, c = max(0, m - r), to keep
+    them integral, and each S_h is asserted divisible by 3^c.
     """
     top = min(n, h_max)
     c = max(0, top - r)
@@ -74,7 +89,7 @@ def _pless_sums(prefix: tuple, n: int, r: int, h_max: int) -> list:
             raise ConsistencyError("power-moment sum %d at h=%d is not divisible by 3^%d" % (u[0], h, c))
         sums.append(total)
         for t in range(min(top + 1, h_max - h)):  # only u_t, t < h_max - h, reaches a later u_0
-            u[t] = u[t + 1] + t * u[t]
+            u[t] = alpha * u[t + 1] + (alpha * t + beta) * u[t]
     return sums
 
 
@@ -83,12 +98,12 @@ def sk_recursive_chain(ctx, gid: GroupId, h_max: int, prefix: tuple):
     e = gid.n (1 for the rank-2 codes, 2 for SO-(4,q)).
 
     With w(a) = (2/3) s (K(a^2)^e + b), s = -d and b = (N - z)/s ((c, z, d)
-    the code's delta form, so z = G(0) and G(1) = z + d), and a -> a^2
-    covering each nonzero square twice, the power moment sum P_h gives
-    X_h = 3^h P_h / (2^{h+1} s^h) = sum_{j<=h} C(h,j) b^{h-j} M_j, M_j = SK^{ej}
-    (X_0 = M_0 = (q - 1)/2).  Its inverse M_h = sum_j C(h,j) (-b)^{h-j} X_j
-    is the difference table X_i -= b X_{i-1}, for i from h_max down to k, at
-    k = 1..h_max, so the big X_i meet only the small integer b.
+    the code's delta form, so z = G(0) and G(1) = z + d), the dual word of
+    a != 0 has 3 w(a) - 2sb = 2s K(a^2)^e, and a = 0 (weight 0) gives -2sb.
+    As a -> a^2 covers each nonzero square twice, the affine Pless sums
+    S_h = sum_a (3 w(a) - 2sb)^h (_pless_sums with (3, -2sb)) give
+    SK^{eh} = (S_h - (-2sb)^h) / (2 (2s)^h), each division asserted exact:
+    one O(h_max min(N, h_max)) loop, with no inverse table.
     `prefix` must hold the weight counts for j <= min(N, h_max).
     """
     q, r = ctx.q, ctx.r
@@ -100,18 +115,14 @@ def sk_recursive_chain(ctx, gid: GroupId, h_max: int, prefix: tuple):
     b, rem = divmod(n - z, s)
     if rem:
         raise ConsistencyError("weight offset (N - G(0))/s = %d/%d is not an integer" % (n - z, s))
-    pless = _pless_sums(prefix, n, r, h_max)
-    chain, pow3, den = [(q - 1) // 2], 1, 2  # X_0 = SK^0, the number of nonzero squares
-    for h in range(1, h_max + 1):
-        pow3, den = 3 * pow3, 2 * s * den  # 3^h and 2^{h+1} s^h
-        num = pow3 * pless[h]
-        x, rem = divmod(num, den)
+    chain, zero_word, den = [], 1, 2  # (-2sb)^h and 2 (2s)^h
+    for h, total in enumerate(_pless_sums(prefix, n, r, h_max, 3, -2 * s * b)):
+        num = total - zero_word
+        moment, rem = divmod(num, den)
         if rem:
             raise ConsistencyError("moment SK^%d came out non-integral: %d/%d" % (gid.n * h, num, den))
-        chain.append(x)
-    for k in range(1, h_max + 1):
-        for i in range(h_max, k - 1, -1):
-            chain[i] -= b * chain[i - 1]
+        chain.append(moment)
+        zero_word, den = -2 * s * b * zero_word, 2 * s * den
     return chain
 
 

@@ -15,6 +15,11 @@ one-field-operation-at-a-time references for `ogroups._dets` and the traces
 that `enumerate_group` reads off the diagonals of its index array.
 `pless_inner_literal` is the double sum of binomial coefficients that
 `moments._pless_inner` formed before Horner's rule replaced it.
+`macwilliams_product_prefix` is the O(j^2)-per-weight MacWilliams product
+that `codes.weight_prefix` formed before its three-term rows, on dual weights
+read off the K table, and `sk_chain_difference_table` the recursion chain as
+`moments.sk_recursive_chain` formed it before the affine Pless step: the
+power moments scaled per h, then the inverse binomial transform in b.
 
 The rest are brute-force counterparts of the pipeline that the library never
 calls: character sums counted in `OmegaSum`, the literal sums b_r, K_GL and
@@ -29,11 +34,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from kloostercodes import ConsistencyError, DomainError, GroupId, enumerate_group
-from kloostercodes.charsums import DEFAULT_OPS_LIMIT
+from kloostercodes.charsums import DEFAULT_OPS_LIMIT, kloosterman_histogram
+from kloostercodes.codes import weight_of_k
 from kloostercodes.errors import admit
 from kloostercodes.gauss import _odd_power_product
 from kloostercodes.gf3r import _poly_mod, _poly_trim
-from kloostercodes.ogroups import j_form
+from kloostercodes.moments import _pless_sums
+from kloostercodes.ogroups import delta_form, group_order, j_form
 
 
 @dataclass(frozen=True)
@@ -80,6 +87,52 @@ def pless_inner_literal(prefix: tuple, n: int, top: int) -> list:
     summed term by term for a code of length n >= top."""
     return [sum((-1) ** j * prefix[j] * 2 ** (t - j) * math.comb(n - j, t - j)
                 for j in range(t + 1)) for t in range(top + 1)]
+
+
+def macwilliams_product_prefix(gid: GroupId, ctx, j_max: int) -> tuple:
+    """(C_0, ..., C_j_max) by the MacWilliams identity
+    C_j = q^{-1} sum_w mult(w) [x^j] (1 + 2x)^{N - w} (1 - x)^w, each
+    product of the two binomial rows formed term by term in O(top^2),
+    top = min(j_max, N).  The dual weights are w(a) = weight_of_k(K(a^2)),
+    read off the K table (a -> a^2 is two to one), not off delta(1)."""
+    q, n = ctx.q, group_order(gid, ctx.q)
+    top = min(j_max, n)
+    mult = [(0, 1)] + [(weight_of_k(gid, q, k), 2 * m) for k, m in kloosterman_histogram(ctx)]
+    sums = [0] * (top + 1)
+    for w, m in mult:
+        signs = [(-1) ** k * math.comb(w, k) for k in range(top + 1)]
+        for i in range(top + 1):
+            c = m * 2 ** i * math.comb(n - w, i)
+            for k in range(top + 1 - i):
+                sums[i + k] += c * signs[k]
+    if any(s % q for s in sums) or sums[0] != q:
+        raise ConsistencyError("MacWilliams sums %r are not q=%d times counts with C_0 = 1" % (sums, q))
+    return tuple(s // q for s in sums) + (0,) * (j_max - top)
+
+
+def sk_chain_difference_table(ctx, gid: GroupId, h_max: int, prefix: tuple) -> list:
+    """[SK^0, SK^e, ..., SK^{e h_max}], e = gid.n, from the power moments
+    P_h = sum_a w(a)^h of the weight prefix: X_h = 3^h P_h / (2^{h+1} s^h)
+    (X_0 = (q - 1)/2), each division asserted exact, then
+    SK^{eh} = sum_j C(h, j) (-b)^{h-j} X_j as the difference table
+    X_i -= b X_{i-1}, with s = -d and b = (N - z)/s from the delta form."""
+    q, n = ctx.q, group_order(gid, ctx.q)
+    _, z, d = delta_form(gid, q)
+    s = -d
+    b, rem = divmod(n - z, s)
+    if rem:
+        raise ConsistencyError("weight offset %d/%d is not an integer" % (n - z, s))
+    pless = _pless_sums(prefix, n, ctx.r, h_max)
+    chain = [(q - 1) // 2]
+    for h in range(1, h_max + 1):
+        x, rem = divmod(3 ** h * pless[h], 2 ** (h + 1) * s ** h)
+        if rem:
+            raise ConsistencyError("X_%d = 3^h P_h / (2^(h+1) s^h) is not an integer" % h)
+        chain.append(x)
+    for k in range(1, h_max + 1):
+        for i in range(h_max, k - 1, -1):
+            chain[i] -= b * chain[i - 1]
+    return chain
 
 
 def kloosterman_per_a(ctx) -> list:

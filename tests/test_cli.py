@@ -10,7 +10,7 @@ import time
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kloostercodes
@@ -21,6 +21,7 @@ from kloostercodes import (
     gauss_sum_closed,
     kloosterman_gl,
 )
+from kloostercodes import cli
 from kloostercodes.cli import ENV_PREFIX, run_command
 
 from test_golden import GOLDEN
@@ -702,7 +703,9 @@ def test_failed_calls_leave_the_next_call_unchanged():
 
 
 def test_only_the_first_call_builds_the_parser(capsys, monkeypatch):
-    assert run(capsys, "field")[0] == 0
+    # each subcommand builds its own parser once: the top level, the common
+    # flags and the subcommand itself
+    cli._build_parser.cache_clear()
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -712,7 +715,59 @@ def test_only_the_first_call_builds_the_parser(capsys, monkeypatch):
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     assert run(capsys, "verify", "--r", "1", "--h-max", "2")[0] == 0
+    assert built == ["kloostercodes", None, "kloostercodes verify"]
+    del built[:]
+    assert run(capsys, "verify", "--r", "2", "--h-max", "3")[0] == 0
     assert built == []
+
+
+USAGE = ("usage: kloostercodes [-h]\n"
+         "                     {field,kloosterman,moments,weights,groups,gauss,verify}\n"
+         "                     ...\n")
+CHOICES = "(choose from 'field', 'kloosterman', 'moments', 'weights', 'groups', 'gauss', 'verify')"
+
+
+@pytest.mark.parametrize("argv, err", [
+    ([], "the following arguments are required: command"),
+    (["verfy"], "argument command: invalid choice: 'verfy' " + CHOICES),
+    (["--r", "2", "verify"], "argument command: invalid choice: '2' " + CHOICES),
+    (["verify", "--bogus"], "unrecognized arguments: --bogus"),
+    (["verify", "extra"], "unrecognized arguments: extra"),
+])
+def test_top_level_refusals_keep_their_usage_and_wording(capsys, monkeypatch, argv, err):
+    # a one-subcommand parser still lists every command, and a refusal names
+    # the argument `command`, not the list of choices
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(capsys, *argv) == (2, "", USAGE + "kloostercodes: error: " + err + "\n")
+
+
+def test_top_level_help_lists_every_command(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run(capsys, "-h")
+    assert (code, err) == (0, "") and out.startswith(USAGE + "\nExact Kloosterman-sum moments")
+    assert "positional arguments:\n  {field,kloosterman,moments,weights,groups,gauss,verify}\n" in out
+    for name in cli._HANDLERS:
+        assert "\n    %s " % name in out
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2 ** 100, 2 ** 100) | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=30)
+
+
+@given(json_values)
+@settings(max_examples=300, deadline=None)
+@example(-0.0)
+@example({"": [], "\x00\u00e9\U0001f600": {}, "b": [True, 2 ** 64, None, -0.0, "\n"]})
+def test_dumps_matches_the_json_module(value):
+    assert cli._dumps(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+def test_timed_verify_json_is_the_json_modules_layout(capsys):
+    code, out, _ = run(capsys, "verify", "--r", "2", "--h-max", "12", "--timing", "--format", "json")
+    assert code == 0 and "elapsed_ms" in out
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
 
 
 def test_importing_the_cli_builds_no_parser():

@@ -27,6 +27,7 @@ from oracles import (
     dual_codeword,
     full_scan,
     is_irreducible_trial,
+    macwilliams_product_prefix,
     pair_counts,
     pair_scan,
     weight_prefix_dp,
@@ -189,6 +190,16 @@ def test_prefix_matches_dp(r, gid):
     ctx = field_create(r)
     hist = histogram_closed_form(ctx, gid)
     assert weight_prefix(gid, ctx, 10) == weight_prefix_dp(hist, ctx, 10)
+
+
+@pytest.mark.parametrize("r", [1, 2])
+@pytest.mark.parametrize("gid", [GroupId.SO2, GroupId.O2, GroupId.SO4])
+@pytest.mark.parametrize("j_max", [0, 1, 40, 80])
+def test_prefix_matches_the_macwilliams_product(r, gid, j_max):
+    # the three-term rows against the O(j^2) product of two binomial rows,
+    # whose dual weights come from the K table instead of delta(1)
+    ctx = field_create(r)
+    assert weight_prefix(gid, ctx, j_max) == macwilliams_product_prefix(gid, ctx, j_max)
 
 
 def test_prefix_pads_past_code_length(f3):

@@ -1,4 +1,5 @@
 import json
+import random
 from math import factorial
 
 import pytest
@@ -22,7 +23,7 @@ from kloostercodes.cli import run_command
 from kloostercodes.moments import _pless_inner, _pless_sums
 from kloostercodes.ogroups import group_order
 
-from oracles import pless_inner_literal, trinomial
+from oracles import pless_inner_literal, sk_chain_difference_table, trinomial
 
 C3_Q9_PREFIX = (
     1,
@@ -356,3 +357,36 @@ def test_chain_builds_the_inner_sums_once(monkeypatch, f9):
     assert sk_recursive_chain(f9, GroupId.SO2, 40, prefix) == expected
     assert calls == [(10, 10)]  # N = q + 1 = 10 caps t
     assert expected == [sk_moment(f9, h) for h in range(41)]
+
+
+@pytest.mark.parametrize("r", [1, 2])
+@pytest.mark.parametrize("gid", [GroupId.SO2, GroupId.O2, GroupId.SO4])
+def test_chain_matches_the_difference_table(r, gid):
+    # the affine Pless step against X_h and its inverse binomial transform,
+    # at the high-moment bounds: h = 80 on the rank-2 codes, 40 on SO-(4,q)
+    ctx = field_create(r)
+    h_max = 80 // gid.n
+    prefix = weight_prefix(gid, ctx, h_max)
+    chain = sk_recursive_chain(ctx, gid, h_max, prefix)
+    assert chain == sk_chain_difference_table(ctx, gid, h_max, prefix)
+
+
+def test_corrupted_prefixes_fail_both_chains():
+    # C_j off by delta first moves S_j (and 3^j P_j) by j! 3^r (-1)^j delta,
+    # and with delta in {+-1, +-2, +-3} that is not divisible by the 2^(j+1)
+    # of 2 (2s)^j (s is odd), so SK^{ej} is non-integral on both sides
+    rng = random.Random(20)
+    prefixes = {}
+    for _ in range(500):
+        r, gid = rng.choice((1, 2)), rng.choice(list(GroupId))
+        ctx = field_create(r)
+        h_max = 80 // gid.n
+        if (r, gid) not in prefixes:
+            prefixes[r, gid] = weight_prefix(gid, ctx, h_max)
+        bad = list(prefixes[r, gid])
+        j = rng.randint(1, min(group_order(gid, ctx.q), h_max))
+        bad[j] += rng.choice((-3, -2, -1, 1, 2, 3))
+        with pytest.raises(ConsistencyError):
+            sk_recursive_chain(ctx, gid, h_max, tuple(bad))
+        with pytest.raises(ConsistencyError):
+            sk_chain_difference_table(ctx, gid, h_max, tuple(bad))
