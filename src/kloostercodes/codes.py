@@ -4,7 +4,8 @@ The code of a group is the set of GF(3)-vectors orthogonal to the vector of
 matrix traces of the group elements in canonical order; its dual consists of
 the q words a -> (tr(a Tr g_1), ..., tr(a Tr g_N)) by Delsarte duality.
 Truncated weight distributions (C_0, ..., C_j_max) are computed exactly from
-the code's delta form (ogroups.delta_form), no histogram built: one character
+the code's delta form, which ogroups.delta_form reads off the group character
+sum G (z = G(0), d = G(1) - G(0)), no histogram built: one character
 sum of delta(1), grouped by value and kept on the field context, gives every
 dual weight of every code, and the MacWilliams identity turns the few
 distinct dual weights into the low weight counts, one three-term recurrence

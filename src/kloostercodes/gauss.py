@@ -16,7 +16,7 @@ bound: one schoolbook product at the final size.
 from dataclasses import dataclass
 
 from .charsums import DEFAULT_OPS_LIMIT, kloosterman
-from .errors import DomainError, admit
+from .errors import ConsistencyError, DomainError, admit
 
 
 def q_binomial(n: int, r: int, q: int):
@@ -28,7 +28,8 @@ def q_binomial(n: int, r: int, q: int):
         num = out * (q ** (n - r + i) - 1)
         den = q ** i - 1
         out, rem = divmod(num, den)
-        assert rem == 0
+        if rem:
+            raise ConsistencyError("q_binomial(%d, %d, %d) is non-integral at i=%d" % (n, r, q, i))
     return out
 
 

@@ -2,14 +2,14 @@
 
 The dual word of a != 0 in each group code has weight w(a) = 2(N - G(a))/3
 (codes.weight_of_k), with G(a) the group character sum as a function of
-K(a^2) (gauss.gauss_sum_of_k).  Each code's trace histogram is
-c + z [beta = 0] + d delta(e; beta), e = n (ogroups.delta_form, which asserts
-G(k) = z + d k^e), so w(a) = (2/3) s (K(a^2)^e + b) with s = -d and
-b = (N - z)/s.  The Pless power moment identity gives sums over the dual
-words from the code's low weight counts C_j alone; one function
-(_pless_sums) forms S_h = sum_a (alpha w(a) + beta)^h for every h <= h_max
-from the factorial moments u_t = sum_a (w(a))_t, which Horner's rule and one
-binomial row give from the C_j (_pless_inner), by the affine step
+K(a^2) (gauss.gauss_sum_of_k).  ogroups.delta_form reads z = G(0) and
+d = G(1) - G(0) off G and refuses a G that is not z + d k^e, e = n, so
+w(a) = (2/3) s (K(a^2)^e + b) with s = -d and b = (N - z)/s.  The Pless
+power moment identity gives sums over the dual words from the code's low
+weight counts C_j alone; one function (_pless_sums) forms
+S_h = sum_a (alpha w(a) + beta)^h for every h <= h_max from the factorial
+moments u_t = sum_a (w(a))_t, which Horner's rule and one binomial row give
+from the C_j (_pless_inner), by the affine step
 u_t <- alpha u_{t+1} + (alpha t + beta) u_t per h.  With (alpha, beta) =
 (1, 0) it gives the power moments of the Pless check; with (3, -2sb),
 3 w(a) - 2sb = 2s K(a^2)^e, so one recursion serves every code:
@@ -29,26 +29,14 @@ from .errors import ConsistencyError, DomainError
 from .ogroups import GroupId, delta_form, group_order
 
 
-def _binomial_row(m: int, x: int, top: int, lead: int) -> list:
-    """[lead C(m, i) x^i for i <= top], the coefficients of lead (1 + x y)^m,
-    by the running product C(m, i) = C(m, i - 1) (m - i + 1)/i, each
-    division asserted exact."""
-    row = [lead]
-    for i in range(1, top + 1):
-        c, rem = divmod(row[-1] * x * (m - i + 1), i)
-        if rem:
-            raise ConsistencyError("binomial row of (1 + %d y)^%d is non-integral at i=%d" % (x, m, i))
-        row.append(c)
-    return row
-
-
 def _pless_inner(prefix: tuple, n: int, top: int) -> list:
     """[D_0, ..., D_top], D_t = sum_{j<=t} (-1)^j C_j 2^{t-j} C(n-j, t-j), from
     the weight counts C_j of a ternary code of length n >= top; D_t does not
     depend on h.  D_t = [x^t] (1 + 2x)^(n - top) S(x), where
     S = sum_j C_j (-x)^j (1 + 2x)^(top - j) comes by Horner's rule (each step
     multiplies by 1 + 2x: add twice the coefficient below) and the
-    coefficients C(n - top, i) 2^i by _binomial_row."""
+    coefficients C(n - top, i) 2^i by the running product
+    C(m, i) = C(m, i - 1) (m - i + 1)/i, each division checked exact."""
     if len(prefix) <= top:
         raise DomainError("weight prefix covers j <= %d but j <= %d is needed" % (len(prefix) - 1, top))
     poly = []  # S <- S (1 + 2x) + (-1)^j C_j x^j for j = 0..top
@@ -57,7 +45,12 @@ def _pless_inner(prefix: tuple, n: int, top: int) -> list:
         for i in range(j, 0, -1):
             poly[i] += 2 * poly[i - 1]
         poly[j] += -prefix[j] if j & 1 else prefix[j]
-    row = _binomial_row(n - top, 2, top, 1)
+    row = [1]
+    for i in range(1, top + 1):
+        c, rem = divmod(row[-1] * 2 * (n - top - i + 1), i)
+        if rem:
+            raise ConsistencyError("binomial row of (1 + 2y)^%d is non-integral at i=%d" % (n - top, i))
+        row.append(c)
     return [sum(row[t - i] * poly[i] for i in range(t + 1)) for t in range(top + 1)]
 
 

@@ -1,14 +1,15 @@
 """The minus-type orthogonal groups SO-(2,q), O-(2,q), SO-(4,q) over GF(3^r).
 
 Provides enumeration (small q) with trace histograms, and the exact
-closed-form histograms valid for every q, each written once as three integers
-over the delta basis (delta_form).  Each builder returns one (k, dim^2) array
-of element indices: SO-(2,q) through the log tables, O-(2,q) as SO-(2,q) and
-its reflection coset, SO-(4,q) by a column search over the Gram table of the
-form; elements leave as flat row-major tuples.  The defining form uses the
-block diag(1, -eps) with eps the fixed nonsquare chosen by the field context,
-and the canonical element order is ascending row-major entry tuples, which
-pins the coordinate order of the associated codes.
+closed-form histograms valid for every q, each three integers over the delta
+basis read off the group character sum (delta_form).  Each builder returns
+one (k, dim^2) array of element indices: SO-(2,q) through the log tables,
+O-(2,q) as SO-(2,q) and its reflection coset, SO-(4,q) by a column search
+over the Gram table of the form; elements leave as flat row-major tuples.
+The defining form uses the block diag(1, -eps) with eps the fixed nonsquare
+chosen by the field context, and the canonical element order is ascending
+row-major entry tuples, which pins the coordinate order of the associated
+codes.
 """
 
 import enum
@@ -200,22 +201,25 @@ def enumerate_group(ctx, gid: GroupId, *,
 
 
 def delta_form(gid: GroupId, q: int) -> tuple:
-    """(c, z, d), the one place a code's trace histogram is written down:
-    n(beta) = c + z [beta = 0] + d delta(gid.n; beta).  SO-(2,q) is
-    2 - delta(1) (1 element where beta^2 = 1, 2 where beta^2 - 1 is a
-    nonsquare), O-(2,q) adds its reflection coset, q + 1 elements of trace 0,
-    and SO-(4,q) is q^2 (q^3 + q^2 + q - 3 - delta(2)) - q^2 (q^3 - q) [beta = 0].
+    """(c, z, d) with n(beta) = c + z [beta = 0] + d delta(gid.n; beta), the
+    code's trace histogram, read off its only source, G = gauss_sum_of_k.
     At a != 0 the form sums to z + d K(a^2)^n (delta(n) to f^n, f(a) = K(a^2)
-    the character sum of delta(1)), asserted equal to gauss_sum_of_k at
-    k = 0..n, which fixes that polynomial in k."""
-    group_order(gid, q)
-    c, z, d = {GroupId.SO2: (2, 0, -1), GroupId.O2: (2, q + 1, -1),
-               GroupId.SO4: (q ** 5 + q ** 4 + q ** 3 - 3 * q * q, q ** 3 - q ** 5, -q * q)}[gid]
-    for k in range(gid.n + 1):
-        form, g = z + d * k ** gid.n, gauss_sum_of_k(q, gid.n, gid.variant, k)
-        if form != g:
+    the character sum of delta(1)), so z = G(0), d = G(1) - G(0), and G must
+    equal z + d k^n at k = 0..n (a G with other terms is refused); the total
+    c q + z + d (q - 1)^n = |G| gives c, asserted exact.  Three things check
+    G: the triples pinned in tests/oracles.py, the enumerations at n <= 2,
+    and verify's direct side, which reads the K table and never G."""
+    order = group_order(gid, q)
+    g = [gauss_sum_of_k(q, gid.n, gid.variant, k) for k in range(gid.n + 1)]
+    z, d = g[0], g[1] - g[0]
+    for k, gk in enumerate(g):
+        if z + d * k ** gid.n != gk:
             raise ConsistencyError("delta form of %s over GF(%d) sums to %d at K = %d, "
-                                   "gauss_sum_of_k to %d" % (gid.value, q, form, k, g))
+                                   "gauss_sum_of_k to %d" % (gid.value, q, z + d * k ** gid.n, k, gk))
+    c, rem = divmod(order - z - d * (q - 1) ** gid.n, q)
+    if rem:
+        raise ConsistencyError("delta form of %s over GF(%d): |G| - z - d (q - 1)^%d is not a "
+                               "multiple of q" % (gid.value, q, gid.n))
     return c, z, d
 
 

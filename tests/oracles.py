@@ -13,6 +13,9 @@ it built them with numpy, and `is_irreducible_trial` the trial division that
 its irreducibility check used before Rabin's test.  `mat_det` and `mat_trace` are the scalar,
 one-field-operation-at-a-time references for `ogroups._dets` and the traces
 that `enumerate_group` reads off the diagonals of its index array.
+`delta_form_pinned` holds the three (c, z, d) triples that
+`ogroups.delta_form` kept as a table before it read them off the group
+character sum, each with its derivation.
 `pless_inner_literal` is the double sum of binomial coefficients that
 `moments._pless_inner` formed before Horner's rule replaced it.
 `macwilliams_product_prefix` is the O(j^2)-per-weight MacWilliams product
@@ -444,6 +447,28 @@ def gauss_sum_enumerated(ctx, gid: GroupId, a: int, *, ops_limit: int = DEFAULT_
         if count:
             acc[ctx.trace(ctx.mul(a, beta))] += count
     return OmegaSum(*acc).value()
+
+
+def delta_form_pinned(gid: GroupId, q: int) -> tuple:
+    """(c, z, d) of each code's trace histogram
+    n(beta) = c + z [beta = 0] + d delta(n; beta), written down by hand from
+    the structure of each group, not read off the group character sum:
+
+    - SO-(2,q) = 2 - delta(1).  Its elements (a, eps b; b, a) with
+      a^2 - eps b^2 = 1 have trace beta = 2a, so a^2 = beta^2, and
+      eps b^2 = beta^2 - 1 has 1 - chi(beta^2 - 1) = 2 - delta(1; beta) roots
+      b, as chi(eps) = -1: 1 element where beta^2 = 1, 2 where beta^2 - 1 is
+      a nonsquare, none where it is a nonzero square.
+    - O-(2,q) adds the reflection coset diag(1, -1) SO-(2,q), whose q + 1
+      elements (a, eps b; -b, -a) all have trace 0.
+    - SO-(4,q) = q^2 (q^3 + q^2 + q - 3 - delta(2)) - q^2 (q^3 - q) [beta = 0].
+      Its character sum at a != 0 is q^3 - q^5 - q^2 K(a^2)^2, the explicit
+      Gauss sum for SO-(4,q) (D. S. Kim, Gauss sums for O-(2n,q), Acta Arith.
+      78 (1997)), which fixes z and d, and the total
+      c q + z + d (q - 1)^2 = |SO-(4,q)| = q^6 - q^2 fixes c.
+    """
+    return {GroupId.SO2: (2, 0, -1), GroupId.O2: (2, q + 1, -1),
+            GroupId.SO4: (q ** 5 + q ** 4 + q ** 3 - 3 * q * q, q ** 3 - q ** 5, -q * q)}[gid]
 
 
 # -- ogroups: traces, determinants and the defining relation, scalar -------

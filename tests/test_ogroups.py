@@ -26,7 +26,7 @@ from kloostercodes import (
 from kloostercodes import ogroups
 from kloostercodes.ogroups import _dets, j_form
 
-from oracles import delta_eps, mat_det, mat_mul, mat_trace, satisfies_relation
+from oracles import delta_eps, delta_form_pinned, mat_det, mat_mul, mat_trace, satisfies_relation
 
 G2_HIST_Q9 = {0: 10, 1: 1, 2: 1, 4: 2, 5: 2, 7: 2, 8: 2}
 # the SO-(4,3) column search: the Gram table, 4 q^8, and three candidate
@@ -215,6 +215,27 @@ def test_delta_form_is_checked_against_the_gauss_sum(monkeypatch, f9, gid, damag
                  lambda: recursive_moments(f9, gid, 4)):
         with pytest.raises(ConsistencyError, match="delta form of %s" % gid.value):
             read()
+
+
+@pytest.mark.parametrize("gid", list(GroupId))
+@pytest.mark.parametrize("r", range(1, 15))
+def test_delta_form_matches_the_pinned_triples(gid, r):
+    # delta_form reads (c, z, d) off the group character sum; the triples
+    # written down from each group's structure check it in integers alone,
+    # so no field is built and r runs past the shipped moduli
+    q = 3 ** r
+    assert ogroups.delta_form(gid, q) == delta_form_pinned(gid, q)
+
+
+def test_delta_form_refuses_a_gauss_sum_with_other_terms(monkeypatch):
+    # O-(4,3) has G = -9k^2 + 90k - 216: a k term that z + d k^2 cannot
+    # carry, so read in place of SO-(4,3)'s G it is refused, not handed on
+    # as z = -216, d = 81
+    real = ogroups.gauss_sum_of_k
+    assert [real(3, 2, "o", k) for k in range(3)] == [-216, -135, -72]
+    monkeypatch.setattr(ogroups, "gauss_sum_of_k", lambda q, n, variant, k: real(q, n, "o", k))
+    with pytest.raises(ConsistencyError, match="delta form of so4 over GF\\(3\\) sums to 108 at K = 2"):
+        ogroups.delta_form(GroupId.SO4, 3)
 
 
 def test_so4_capacity_error(f9):
