@@ -5,6 +5,7 @@ from .charsums import (
     delta_count,
     kloosterman,
     sk_moment,
+    sk_moments,
 )
 from .codes import (
     codeword_weight_formula,

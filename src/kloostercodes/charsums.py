@@ -15,11 +15,14 @@ context keeps the value histogram of K over the nonzero squares: K(a) is
 -1 mod 3 and at most 2 sqrt(q) in modulus, so it takes at most about
 4 sqrt(q)/3 + 1 values (81 at q = 3^8), and the direct moments
 SK^h = sum_k mult(k) k^h and the left side of the Pless check sum over those
-values instead of over the (q - 1)/2 squares.  f, the character sum of
-delta(1), is K(a^2) at a != 0 (codes.weight_prefix groups it as K is
-grouped, and keeps that histogram on the context once checked); delta(m) is
-the character sum of f^m, a tuple of Python ints indexed by beta.  The two
-tables never read each other.
+values instead of over the (q - 1)/2 squares; sk_moments gives SK^0..SK^h
+by one running product per value.  f, the character sum of delta(1), is
+K(a^2) at a != 0 (codes.weight_prefix groups it as K is grouped, and keeps
+that histogram on the context once checked); delta(m) is the character sum
+of f^m.  Inside the package the delta(m) table stays the integer array that
+sum gives (int64 while it fits, ogroups groups it by value); delta_count, the
+public boundary, turns it into a tuple of Python ints indexed by beta.  The
+two tables never read each other.
 """
 
 import math
@@ -127,6 +130,22 @@ def sk_moment(ctx, h: int, *, ops_limit: int = DEFAULT_OPS_LIMIT) -> int:
     return sum(m * k ** h for k, m in kloosterman_histogram(ctx, ops_limit=ops_limit))
 
 
+def sk_moments(ctx, h_max: int, *, ops_limit: int = DEFAULT_OPS_LIMIT) -> list:
+    """[SK^0, ..., SK^h_max], each sk_moment(ctx, h): one running product
+    mult(k) k^h per value k of the histogram of K, so the list costs h_max
+    multiplications per value.  SK^0 alone reads no K table."""
+    if h_max < 0:
+        raise DomainError("moment order must be nonnegative")
+    moments = [(ctx.q - 1) // 2]
+    if h_max:
+        histogram = kloosterman_histogram(ctx, ops_limit=ops_limit)
+        terms = [m for _, m in histogram]
+        for _ in range(h_max):
+            terms = [t * k for t, (k, _) in zip(terms, histogram)]
+            moments.append(sum(terms))
+    return moments
+
+
 def _delta_one(ctx):
     """Root counts of x^2 - beta*x + 1 for every beta (x + 1/x by digit
     addition), cross-checked against 1 + chi(beta - 1) chi(beta + 1)."""
@@ -144,16 +163,18 @@ def _delta_one(ctx):
     return d1
 
 
-def delta_count(ctx, m: int, *, ops_limit: int = DEFAULT_OPS_LIMIT) -> tuple:
-    """delta(m, q; beta) for every beta, as a tuple of Python ints indexed by
-    beta.
+def _delta_table(ctx, m: int, ops_limit: int):
+    """delta(m, q; beta) for every beta, as the integer array indexed by beta
+    that the second character sum gives: int64 while (q - 1)^m < 2^63, an
+    object array of Python ints past that.
 
     delta(m) is the m-fold additive convolution of delta(1), so with
     f(a) = sum_beta delta(1; beta) omega^{tr(a beta)} the character sum of
     f^m is g(t) = q delta(m; -t) = q delta(m; t) (delta(m) is even, as
-    x -> -x maps its equation to itself); g is asserted divisible by q.
-    About (2r + m) q operations for every m >= 0.  |f| <= q - 1, so f^m is
-    carried in int64 while (q - 1)^m < 2^63, in Python ints otherwise.
+    x -> -x maps its equation to itself); g is asserted divisible by q and
+    the table to total (q - 1)^m.  About (2r + m) q operations for every
+    m >= 0.  |f| <= q - 1, so f^m is carried in int64 while
+    (q - 1)^m < 2^63, in Python ints otherwise.
     """
     if m < 0:
         raise DomainError("m must be nonnegative")
@@ -161,7 +182,11 @@ def delta_count(ctx, m: int, *, ops_limit: int = DEFAULT_OPS_LIMIT) -> tuple:
     admit("delta(%d, %d) by two radix-3 transforms ((2r + m) q)" % (m, q),
           (2 * ctx.r + m) * q, ops_limit)
     f = ctx.character_sums(_delta_one(ctx))
-    g = ctx.character_sums((f if (q - 1) ** m < 2 ** 63 else f.astype(object)) ** m)
+    if (q - 1) ** m < 2 ** 63:
+        f **= m  # in place: f itself is not read again
+    else:
+        f = f.astype(object) ** m
+    g = ctx.character_sums(f)
     if np.count_nonzero(g % q):
         raise ConsistencyError(
             "delta(%d, %d): the second character sum is not q times an integer table" % (m, q)
@@ -171,4 +196,11 @@ def delta_count(ctx, m: int, *, ops_limit: int = DEFAULT_OPS_LIMIT) -> tuple:
         raise ConsistencyError(
             "delta(%d, %d) table totals %d, expected %d" % (m, q, table.sum(), (q - 1) ** m)
         )
-    return tuple(table.tolist())
+    return table
+
+
+def delta_count(ctx, m: int, *, ops_limit: int = DEFAULT_OPS_LIMIT) -> tuple:
+    """delta(m, q; beta) for every beta, as a tuple of Python ints indexed by
+    beta: the public boundary of the table, which stays an array (_delta_table)
+    for the readers inside the package."""
+    return tuple(_delta_table(ctx, m, ops_limit).tolist())

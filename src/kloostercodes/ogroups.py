@@ -2,7 +2,10 @@
 
 Provides enumeration (small q) with trace histograms, and the exact
 closed-form histograms valid for every q, each three integers over the delta
-basis read off the group character sum (delta_form).  Each builder returns
+basis read off the group character sum (delta_form).  The closed form keeps
+the delta table an int64 array until the counts are formed, and forms one
+Python int per distinct delta value: equal counts share one int, so SO-(4,q)'s
+histogram holds 30 count objects at r = 8, not q = 6561.  Each builder returns
 one (k, dim^2) array of element indices: SO-(2,q) through the log tables,
 O-(2,q) as SO-(2,q) and its reflection coset, SO-(4,q) by a column search
 over the Gram table of the form; elements leave as flat row-major tuples.
@@ -65,7 +68,9 @@ def group_order(gid: GroupId, q: int) -> int:
 
 @dataclass(frozen=True)
 class TraceHistogram:
-    """beta -> number of group elements of matrix trace beta."""
+    """beta -> number of group elements of matrix trace beta.  counts is a
+    tuple indexed by beta; from histogram_closed_form, equal counts are one
+    shared int."""
 
     counts: tuple
 
@@ -225,20 +230,36 @@ def delta_form(gid: GroupId, q: int) -> tuple:
 
 def histogram_closed_form(ctx, gid: GroupId, *, ops_limit: int = charsums.DEFAULT_OPS_LIMIT) -> TraceHistogram:
     """Exact trace histogram for any q, no enumeration involved: delta_form
-    materialised in one pass, delta(1) = 1 + chi(beta^2 - 1) in int64, delta(2) from
-    charsums.delta_count in Python ints (past 2^63 from r = 8 on), total c q + z + d sum(delta)."""
+    over the delta(n) table, delta(1) = 1 + chi(beta^2 - 1) or delta(2) from
+    charsums._delta_table, both int64 arrays.  The table is grouped by value,
+    and each distinct value v gives one Python int c + d v (past 2^63 from
+    r = 8 on), placed by reference through a gather, so equal counts share
+    one int.  The grouped pairs are checked: their multiplicities sum to q,
+    sum mult v = (q - 1)^n and sum mult (c + d v) + z = |G|."""
     q = ctx.q
     expected = group_order(gid, q)
     c, z, d = delta_form(gid, q)
-    if gid.n == 1:
-        delta = 1 + ctx._chi_sq_minus_one()
-        size, counts = int(delta.sum()), (c + d * delta).tolist()
-    else:  # delta_count asserts its total, (q - 1)^n
-        size = (q - 1) ** gid.n
-        counts = [c + d * x for x in charsums.delta_count(ctx, gid.n, ops_limit=ops_limit)]
-    counts[0] += z
-    total = c * q + z + d * size
-    if total != expected:
-        raise ConsistencyError("closed-form histogram for %s over GF(%d) totals %d, expected %d"
-                               % (gid.value, q, total, expected))
+    table = 1 + ctx._chi_sq_minus_one() if gid.n == 1 else charsums._delta_table(ctx, gid.n, ops_limit)
+    # beta = 0 carries z and stands apart (delta(2; 0) is about 2q); the other
+    # values lie within about 2 sqrt(q) of q, so their bins span that, not q
+    head, rest = int(table[0]), table[1:]
+    low = int(rest.min())
+    rest -= low
+    mult = np.bincount(rest)
+    offsets = np.flatnonzero(mult)
+    values = [head] + (offsets + low).tolist()
+    mults = [1] + mult[offsets].tolist()
+    distinct = [c + d * v for v in values]
+    size = sum(mults)
+    delta_total = sum(m * v for m, v in zip(mults, values))
+    total = sum(m * n for m, n in zip(mults, distinct)) + z
+    if (size, delta_total, total) != (q, (q - 1) ** gid.n, expected):
+        raise ConsistencyError("closed-form histogram for %s over GF(%d) covers %d traces, its "
+                               "delta(%d) table totals %d and its counts %d, expected %d, %d and %d"
+                               % (gid.value, q, size, gid.n, delta_total, total,
+                                  q, (q - 1) ** gid.n, expected))
+    count_of = np.empty(mult.size, dtype=object)
+    count_of[offsets] = distinct[1:]
+    counts = count_of[rest].tolist()
+    counts.insert(0, distinct[0] + z)
     return TraceHistogram(tuple(counts))

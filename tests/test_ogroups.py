@@ -12,6 +12,7 @@ from kloostercodes import (
     GaussSumRequest,
     GroupId,
     codeword_weight_formula,
+    delta_count,
     enumerate_group,
     field_create,
     gauss_sum_closed,
@@ -197,6 +198,61 @@ def test_so4_histogram_never_reads_kloosterman(monkeypatch, f243):
             acc[f243.trace(f243.mul(a, beta))] += n
         assert acc[1] == acc[2]
         assert acc[0] - acc[2] == gauss_sum_closed(f243, GaussSumRequest(n=2, variant="so", a=a))
+
+
+@pytest.mark.parametrize("gid", list(GroupId))
+def test_closed_form_grouping_is_checked(monkeypatch, f9, gid):
+    # one delta(n) entry off by one breaks sum mult v = (q - 1)^n, and the
+    # grouped check names the code
+    from kloostercodes import charsums
+
+    if gid.n == 1:
+        real = type(f9)._chi_sq_minus_one
+        target = (type(f9), "_chi_sq_minus_one")
+    else:
+        real = charsums._delta_table
+        target = (charsums, "_delta_table")
+
+    def damaged(*args, **kwargs):
+        table = real(*args, **kwargs).copy()
+        table[1] += 1
+        return table
+
+    monkeypatch.setattr(*target, damaged)
+    with pytest.raises(ConsistencyError, match="closed-form histogram for %s" % gid.value):
+        histogram_closed_form(f9, gid)
+
+
+@pytest.mark.parametrize("r", [6, 7, 8])
+def test_closed_form_counts_share_one_int_per_value(r):
+    # each distinct delta(2) value gives one Python int, placed by reference
+    # (beta = 0 carries z on top of its own)
+    ctx = field_create(r)
+    counts = histogram_closed_form(ctx, GroupId.SO4).counts
+    assert len({id(c) for c in counts[1:]}) == len(set(counts[1:]))
+    assert len(set(counts[1:])) == len(set(delta_count(ctx, 2)[1:]))
+
+
+def test_so4_histogram_past_the_shipped_moduli(monkeypatch):
+    # r = 9 through the least monic irreducible of degree 9, passed explicitly
+    ctx = field_create(9, (1, 0, 1, 2, 0, 0, 0, 0, 0, 1))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the SO-(4,q) histogram read a Kloosterman sum")
+
+    with monkeypatch.context() as patch:
+        for target in ("kloostercodes.charsums.kloosterman",
+                       "kloostercodes.charsums._kloosterman_table"):
+            patch.setattr(target, forbidden)
+        hist = histogram_closed_form(ctx, GroupId.SO4)
+    assert hist.total == group_order(GroupId.SO4, ctx.q)
+    for a in (1, 2, 5):
+        traces = ctx._trace[ctx._mul_vec(a, np.arange(ctx.q))].tolist()
+        acc = [0, 0, 0]
+        for t, n in zip(traces, hist.counts):
+            acc[t] += n
+        assert acc[1] == acc[2]
+        assert acc[0] - acc[2] == gauss_sum_closed(ctx, GaussSumRequest(n=2, variant="so", a=a))
 
 
 @pytest.mark.parametrize("gid", list(GroupId))
