@@ -5,7 +5,6 @@ from .charsums import (
     delta_count,
     kloosterman,
     sk_moment,
-    sk_moments,
 )
 from .codes import (
     codeword_weight_formula,

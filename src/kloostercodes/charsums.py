@@ -15,14 +15,13 @@ context keeps the value histogram of K over the nonzero squares: K(a) is
 -1 mod 3 and at most 2 sqrt(q) in modulus, so it takes at most about
 4 sqrt(q)/3 + 1 values (81 at q = 3^8), and the direct moments
 SK^h = sum_k mult(k) k^h and the left side of the Pless check sum over those
-values instead of over the (q - 1)/2 squares; sk_moments gives SK^0..SK^h
-by one running product per value.  f, the character sum of delta(1), is
-K(a^2) at a != 0 (codes.weight_prefix groups it as K is grouped, and keeps
-that histogram on the context once checked); delta(m) is the character sum
-of f^m.  Inside the package the delta(m) table stays the integer array that
-sum gives (int64 while it fits, ogroups groups it by value); delta_count, the
-public boundary, turns it into a tuple of Python ints indexed by beta.  The
-two tables never read each other.
+values instead of over the (q - 1)/2 squares.  f, the character sum of
+delta(1), is K(a^2) at a != 0 (codes.weight_prefix groups it as K is
+grouped, and keeps that histogram on the context once checked); delta(m) is
+the character sum of f^m.  Inside the package the delta(m) table stays an
+integer array (int64 while it fits, ogroups groups it by value);
+delta_count, the public boundary, turns it into a tuple of Python ints
+indexed by beta.  The two tables never read each other.
 """
 
 import math
@@ -130,22 +129,6 @@ def sk_moment(ctx, h: int, *, ops_limit: int = DEFAULT_OPS_LIMIT) -> int:
     return sum(m * k ** h for k, m in kloosterman_histogram(ctx, ops_limit=ops_limit))
 
 
-def sk_moments(ctx, h_max: int, *, ops_limit: int = DEFAULT_OPS_LIMIT) -> list:
-    """[SK^0, ..., SK^h_max], each sk_moment(ctx, h): one running product
-    mult(k) k^h per value k of the histogram of K, so the list costs h_max
-    multiplications per value.  SK^0 alone reads no K table."""
-    if h_max < 0:
-        raise DomainError("moment order must be nonnegative")
-    moments = [(ctx.q - 1) // 2]
-    if h_max:
-        histogram = kloosterman_histogram(ctx, ops_limit=ops_limit)
-        terms = [m for _, m in histogram]
-        for _ in range(h_max):
-            terms = [t * k for t, (k, _) in zip(terms, histogram)]
-            moments.append(sum(terms))
-    return moments
-
-
 def _delta_one(ctx):
     """Root counts of x^2 - beta*x + 1 for every beta (x + 1/x by digit
     addition), cross-checked against 1 + chi(beta - 1) chi(beta + 1)."""
@@ -164,9 +147,8 @@ def _delta_one(ctx):
 
 
 def _delta_table(ctx, m: int, ops_limit: int):
-    """delta(m, q; beta) for every beta, as the integer array indexed by beta
-    that the second character sum gives: int64 while (q - 1)^m < 2^63, an
-    object array of Python ints past that.
+    """delta(m, q; beta) for every beta, as an integer array indexed by beta:
+    int64 while (q - 1)^m < 2^63, an object array of Python ints past that.
 
     delta(m) is the m-fold additive convolution of delta(1), so with
     f(a) = sum_beta delta(1; beta) omega^{tr(a beta)} the character sum of
@@ -174,15 +156,19 @@ def _delta_table(ctx, m: int, ops_limit: int):
     x -> -x maps its equation to itself); g is asserted divisible by q and
     the table to total (q - 1)^m.  About (2r + m) q operations for every
     m >= 0.  |f| <= q - 1, so f^m is carried in int64 while
-    (q - 1)^m < 2^63, in Python ints otherwise.
+    (q - 1)^m < 2^63, in Python ints otherwise.  The second sum picks its
+    own type from q (q - 1)^m and may carry Python ints where the table fits
+    int64 (m = 2 from r = 14 on); each entry is at most the checked total,
+    so the table is then cast back exactly.
     """
     if m < 0:
         raise DomainError("m must be nonnegative")
     q = ctx.q
     admit("delta(%d, %d) by two radix-3 transforms ((2r + m) q)" % (m, q),
           (2 * ctx.r + m) * q, ops_limit)
+    fits = (q - 1) ** m < 2 ** 63
     f = ctx.character_sums(_delta_one(ctx))
-    if (q - 1) ** m < 2 ** 63:
+    if fits:
         f **= m  # in place: f itself is not read again
     else:
         f = f.astype(object) ** m
@@ -196,6 +182,8 @@ def _delta_table(ctx, m: int, ops_limit: int):
         raise ConsistencyError(
             "delta(%d, %d) table totals %d, expected %d" % (m, q, table.sum(), (q - 1) ** m)
         )
+    if fits:
+        table = table.astype(np.int64, copy=False)
     return table
 
 

@@ -201,7 +201,7 @@ def _cmd_kloosterman(args, ctx):
 
 def _cmd_moments(args, ctx):
     if args.mode == "direct":
-        vals = charsums.sk_moments(ctx, args.h, ops_limit=args.limit_ops)
+        vals = [charsums.sk_moment(ctx, h, ops_limit=args.limit_ops) for h in range(args.h + 1)]
         step, key, label = 1, "source", "direct"
     else:
         gid = GroupId(args.code)

@@ -234,8 +234,9 @@ def histogram_closed_form(ctx, gid: GroupId, *, ops_limit: int = charsums.DEFAUL
     charsums._delta_table, both int64 arrays.  The table is grouped by value,
     and each distinct value v gives one Python int c + d v (past 2^63 from
     r = 8 on), placed by reference through a gather, so equal counts share
-    one int.  The grouped pairs are checked: their multiplicities sum to q,
-    sum mult v = (q - 1)^n and sum mult (c + d v) + z = |G|."""
+    one int.  The gathered counts are checked to total |G|: at n = 1 that
+    tests the delta(1) table's total, at n = 2 (whose table total
+    _delta_table asserts) the grouping and the gather."""
     q = ctx.q
     expected = group_order(gid, q)
     c, z, d = delta_form(gid, q)
@@ -247,19 +248,12 @@ def histogram_closed_form(ctx, gid: GroupId, *, ops_limit: int = charsums.DEFAUL
     rest -= low
     mult = np.bincount(rest)
     offsets = np.flatnonzero(mult)
-    values = [head] + (offsets + low).tolist()
-    mults = [1] + mult[offsets].tolist()
-    distinct = [c + d * v for v in values]
-    size = sum(mults)
-    delta_total = sum(m * v for m, v in zip(mults, values))
-    total = sum(m * n for m, n in zip(mults, distinct)) + z
-    if (size, delta_total, total) != (q, (q - 1) ** gid.n, expected):
-        raise ConsistencyError("closed-form histogram for %s over GF(%d) covers %d traces, its "
-                               "delta(%d) table totals %d and its counts %d, expected %d, %d and %d"
-                               % (gid.value, q, size, gid.n, delta_total, total,
-                                  q, (q - 1) ** gid.n, expected))
     count_of = np.empty(mult.size, dtype=object)
-    count_of[offsets] = distinct[1:]
+    count_of[offsets] = [c + d * v for v in (offsets + low).tolist()]
     counts = count_of[rest].tolist()
-    counts.insert(0, distinct[0] + z)
+    counts.insert(0, c + d * head + z)
+    total = sum(counts)
+    if total != expected:
+        raise ConsistencyError("closed-form histogram for %s over GF(%d) totals %d, expected %d"
+                               % (gid.value, q, total, expected))
     return TraceHistogram(tuple(counts))

@@ -320,31 +320,17 @@ def test_delta_at_the_int64_bound(r, m):
     assert all(type(v) is int for v in values)
 
 
-@pytest.mark.parametrize("r, m, dtype", [(2, 19, "int64"), (2, 20, "object")])
+@pytest.mark.parametrize("r, m, dtype", [
+    (2, 19, "int64"),
+    (2, 20, "int64"),  # 8^20 = 2^60: the second sum carries Python ints, the table fits
+    (2, 21, "object"),  # 8^21 = 2^63
+])
 def test_delta_table_stays_int64_while_it_fits(r, m, dtype):
-    # the array behind delta_count: int64 up to the bound, Python ints past it
+    # the array behind delta_count: int64 while (q - 1)^m < 2^63, Python ints past it
     ctx = field_create(r)
     table = charsums._delta_table(ctx, m, charsums.DEFAULT_OPS_LIMIT)
     assert table.dtype == dtype
     assert tuple(table.tolist()) == delta_count(ctx, m)
-
-
-@pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
-def test_sk_moments_match_sk_moment(r):
-    ctx = field_create(r)
-    assert charsums.sk_moments(ctx, 20) == [sk_moment(ctx, h) for h in range(21)]
-
-
-def test_sk_moments_admission_and_domain(monkeypatch, f27):
-    cost = 27 * 3 + 27  # the K table, as for sk_moment
-    with pytest.raises(CapacityError, match="about %d operations" % cost):
-        charsums.sk_moments(f27, 3, ops_limit=cost - 1)
-    assert charsums.sk_moments(f27, 3, ops_limit=cost) == [sk_moment(f27, h) for h in range(4)]
-    with pytest.raises(DomainError):
-        charsums.sk_moments(f27, -1)
-    # SK^0 = (q - 1)/2 alone reads no K table
-    monkeypatch.setattr(charsums, "kloosterman_histogram", None)
-    assert charsums.sk_moments(field_create(2), 0) == [4]
 
 
 @pytest.mark.parametrize("job, cost", [

@@ -27,7 +27,7 @@ from kloostercodes import (
 from kloostercodes import ogroups
 from kloostercodes.ogroups import _dets, j_form
 
-from oracles import delta_eps, delta_form_pinned, mat_det, mat_mul, mat_trace, satisfies_relation
+from oracles import delta_convolution, delta_eps, delta_form_pinned, mat_det, mat_mul, mat_trace, satisfies_relation
 
 G2_HIST_Q9 = {0: 10, 1: 1, 2: 1, 4: 2, 5: 2, 7: 2, 8: 2}
 # the SO-(4,3) column search: the Gram table, 4 q^8, and three candidate
@@ -202,8 +202,8 @@ def test_so4_histogram_never_reads_kloosterman(monkeypatch, f243):
 
 @pytest.mark.parametrize("gid", list(GroupId))
 def test_closed_form_grouping_is_checked(monkeypatch, f9, gid):
-    # one delta(n) entry off by one breaks sum mult v = (q - 1)^n, and the
-    # grouped check names the code
+    # one delta(n) entry off by one moves the gathered counts off |G|, and
+    # the check names the code
     from kloostercodes import charsums
 
     if gid.n == 1:
@@ -253,6 +253,20 @@ def test_so4_histogram_past_the_shipped_moduli(monkeypatch):
             acc[t] += n
         assert acc[1] == acc[2]
         assert acc[0] - acc[2] == gauss_sum_closed(ctx, GaussSumRequest(n=2, variant="so", a=a))
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_so4_histogram_when_the_sums_carry_python_ints(monkeypatch, r):
+    # from r = 14 on the second character sum of delta(2) carries Python
+    # ints while the table still fits int64; here every sum is forced to them
+    ctx = field_create(r)
+    real = type(ctx).character_sums
+    monkeypatch.setattr(type(ctx), "character_sums",
+                        lambda self, *parts: real(self, *parts).astype(object))
+    hist = histogram_closed_form(ctx, GroupId.SO4)
+    c, z, d = delta_form_pinned(GroupId.SO4, ctx.q)
+    assert hist.counts == tuple(c + d * x + (z if beta == 0 else 0)
+                                for beta, x in enumerate(delta_convolution(ctx, 2)))
 
 
 @pytest.mark.parametrize("gid", list(GroupId))
