@@ -16,12 +16,14 @@ context keeps the value histogram of K over the nonzero squares: K(a) is
 4 sqrt(q)/3 + 1 values (81 at q = 3^8), and the direct moments
 SK^h = sum_k mult(k) k^h and the left side of the Pless check sum over those
 values instead of over the (q - 1)/2 squares.  f, the character sum of
-delta(1), is K(a^2) at a != 0 (codes.weight_prefix groups it as K is
-grouped, and keeps that histogram on the context once checked); delta(m) is
-the character sum of f^m.  Inside the package the delta(m) table stays an
-integer array (int64 while it fits, ogroups groups it by value);
-delta_count, the public boundary, turns it into a tuple of Python ints
-indexed by beta.  The two tables never read each other.
+delta(1), is K(a^2) at a != 0: one routine (_delta_one_sums) computes it,
+checks its values at a != 0 as K's are checked and keeps their histogram on
+the context, which codes.weight_prefix reads for every dual weight;
+delta(m) is the character sum of f^m.  Inside the package the delta(m)
+table stays an integer array (int64 while it fits, ogroups groups it by
+value); delta_count, the public boundary, turns it into a tuple of Python
+ints indexed by beta.  The two tables never read each other, and no other
+module runs a character sum or writes a kept table.
 """
 
 import math
@@ -85,19 +87,23 @@ def _value_histogram(q: int, sums, expected: int):
     x != 0 with tr(x + a/x) = e, and n_1 = n_2 since K is real), so
     K(a) = -1 mod 3; with the Weil bound k^2 <= 4q, K takes at most
     _value_count(q) values.  Both are asserted, as is the total, expected.
+    Past the Weil check the sums are cast to int64, which holds them
+    whatever integer type the character sum carried, and binned.
     """
     bound = math.isqrt(4 * q)
     worst = max(int(sums.max()), -int(sums.min()))
     if worst > bound:
         raise ConsistencyError("|K| = %d over GF(%d) breaks the Weil bound |K| <= 2 sqrt(q)"
                                % (worst, q))
-    off = sums[sums % 3 != 2]
+    # one bin per value in [-bound, bound]: a bincount, not a sort, and the
+    # residue checked on the distinct values alone
+    counts = np.bincount(sums.astype(np.int64, copy=False) + bound)
+    bins = np.flatnonzero(counts)
+    values = bins - bound
+    off = values[values % 3 != 2]
     if off.size:
         raise ConsistencyError("K = %d over GF(%d) is not -1 mod 3" % (off[0], q))
-    # one bin per value in [-bound, bound]: a bincount, not a sort
-    counts = np.bincount(sums + bound)
-    values = np.flatnonzero(counts)
-    pairs = tuple(zip((values - bound).tolist(), counts[values].tolist()))
+    pairs = tuple(zip(values.tolist(), counts[bins].tolist()))
     if sums.size != expected:
         raise ConsistencyError("Kloosterman values over GF(%d) cover %d arguments, expected %d"
                                % (q, sums.size, expected))
@@ -146,13 +152,31 @@ def _delta_one(ctx):
     return d1
 
 
+def _delta_one_sums(ctx):
+    """f(a) = sum_beta delta(1; beta) omega^{tr(a beta)} for every a, an
+    array indexed by a: f(0) = q - 1 and f(a) = K(a^2) at a != 0.  Every call
+    runs the transform and checks f on the nonzero a with _value_histogram
+    (total q - 1, Weil bound, -1 mod 3), then keeps that histogram on ctx."""
+    f = ctx.character_sums(_delta_one(ctx))
+    ctx._f_histogram = _value_histogram(ctx.q, f[1:], ctx.q - 1)
+    return f
+
+
+def _delta_one_histogram(ctx):
+    """The value histogram of f on the nonzero a, ascending (k, mult) pairs:
+    the kept one, or that of a first _delta_one_sums on ctx."""
+    if ctx._f_histogram is None:
+        _delta_one_sums(ctx)
+    return ctx._f_histogram
+
+
 def _delta_table(ctx, m: int, ops_limit: int):
     """delta(m, q; beta) for every beta, as an integer array indexed by beta:
     int64 while (q - 1)^m < 2^63, an object array of Python ints past that.
 
-    delta(m) is the m-fold additive convolution of delta(1), so with
-    f(a) = sum_beta delta(1; beta) omega^{tr(a beta)} the character sum of
-    f^m is g(t) = q delta(m; -t) = q delta(m; t) (delta(m) is even, as
+    delta(m) is the m-fold additive convolution of delta(1), so with f from
+    _delta_one_sums (checked there) the character sum of f^m is
+    g(t) = q delta(m; -t) = q delta(m; t) (delta(m) is even, as
     x -> -x maps its equation to itself); g is asserted divisible by q and
     the table to total (q - 1)^m.  About (2r + m) q operations for every
     m >= 0.  |f| <= q - 1, so f^m is carried in int64 while
@@ -167,7 +191,7 @@ def _delta_table(ctx, m: int, ops_limit: int):
     admit("delta(%d, %d) by two radix-3 transforms ((2r + m) q)" % (m, q),
           (2 * ctx.r + m) * q, ops_limit)
     fits = (q - 1) ** m < 2 ** 63
-    f = ctx.character_sums(_delta_one(ctx))
+    f = _delta_one_sums(ctx)
     if fits:
         f **= m  # in place: f itself is not read again
     else:

@@ -5,22 +5,22 @@ matrix traces of the group elements in canonical order; its dual consists of
 the q words a -> (tr(a Tr g_1), ..., tr(a Tr g_N)) by Delsarte duality.
 Truncated weight distributions (C_0, ..., C_j_max) are computed exactly from
 the code's delta form, which ogroups.delta_form reads off the group character
-sum G (z = G(0), d = G(1) - G(0)), no histogram built: one character
-sum of delta(1), grouped by value and kept on the field context, gives every
-dual weight of every code, and the MacWilliams identity turns the few
-distinct dual weights into the low weight counts, one three-term recurrence
-row per dual weight, priced once before any work at the most dual weights
-the Weil bound allows.  They remain available when the group is far too
-large to enumerate, and nothing here reads a Kloosterman sum except the
-closed weight formula: the dual word of a has weight w(a) = 2(N - G(a))/3,
-with N = |G| and G(a) the group character sum, which gauss.gauss_sum_of_k
-gives from K(a^2) alone.
+sum G (z = G(0), d = G(1) - G(0)), no histogram built: the value histogram
+of f, the character sum of delta(1), which charsums computes, checks and
+keeps on the field context, gives every dual weight of every code, and the
+MacWilliams identity turns the few distinct dual weights into the low weight
+counts, one three-term recurrence row per dual weight, priced once before
+any work at the most dual weights the Weil bound allows.  They remain
+available when the group is far too large to enumerate, and nothing here
+reads a Kloosterman sum except the closed weight formula: the dual word of a
+has weight w(a) = 2(N - G(a))/3, with N = |G| and G(a) the group character
+sum, which gauss.gauss_sum_of_k gives from K(a^2) alone.
 This module holds no per-group constant.  The codes word by word (dual
 words, counted weights, full and pair scans) are test oracles in
 tests/oracles.py.
 """
 
-from .charsums import DEFAULT_OPS_LIMIT, _delta_one, _value_count, _value_histogram, kloosterman
+from .charsums import DEFAULT_OPS_LIMIT, _delta_one_histogram, _value_count, kloosterman
 from .errors import ConsistencyError, DomainError, admit
 from .gauss import gauss_sum_of_k
 from .ogroups import GroupId, delta_form, group_order
@@ -56,8 +56,8 @@ def weight_prefix(gid: GroupId, ctx, j_max: int, *,
     so n_1 = n_2 and w(a) = 2 (N - A(a))/3.  By the delta form
     c + z [beta = 0] + d delta(n; beta), A(0) = N and A(a) = z + d f(a)^n,
     f the character sum of delta(1): one int64 transform per context, no K
-    table.  Its values (asserted -1 mod 3, so each gives its own A) are
-    grouped, kept on ctx once checked, and each
+    table.  charsums._delta_one_histogram gives its values (checked -1 mod 3,
+    so each gives its own A) with their multiplicities, kept on ctx, and each
     w is formed in Python ints (N runs past 2^63) once per value.  The
     MacWilliams identity then gives
     C_j = q^{-1} sum_w [x^j] P_w, P_w = mult(w) (1 + 2x)^{N - w} (1 - x)^w,
@@ -77,10 +77,7 @@ def weight_prefix(gid: GroupId, ctx, j_max: int, *,
     top, weights = min(j_max, n), 1 + _value_count(q)
     admit("weight prefix over GF(%d) up to j=%d (q*r + %d possible dual weights * (j+1)^2)"
           % (q, top, weights), q * ctx.r + weights * (top + 1) ** 2, ops_limit)
-    if ctx._f_histogram is None:  # kept once _value_histogram has checked it
-        f = ctx.character_sums(_delta_one(ctx))
-        ctx._f_histogram = _value_histogram(q, f[1:], q - 1)
-    mult = [(n, 1)] + [(z + d * k ** gid.n, m) for k, m in ctx._f_histogram]
+    mult = [(n, 1)] + [(z + d * k ** gid.n, m) for k, m in _delta_one_histogram(ctx)]
     sums = [0] * (top + 1)
     for a_sum, m in mult:
         if (n - a_sum) % 3:

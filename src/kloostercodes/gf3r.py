@@ -17,9 +17,10 @@ addition is an O(r) digit loop.  Adding +-1 moves only digit 0 of an
 index, so chi(beta^2 - 1) = chi(beta - 1) chi(beta + 1) comes from two
 index shifts.  `FieldContext.character_sums` is the one exact additive
 character sum, a -> sum_beta f(beta) omega^{tr(a beta)} for every a,
-asserted real; the context also keeps what the layers above memoise on it
-(the Kloosterman table with its value histogram on the squares, and that
-of f = K(a^2) for codes.weight_prefix), so it lives and dies with it.
+asserted real, run by charsums alone; the context also keeps what charsums
+memoises on it (the Kloosterman table with its value histogram on the
+squares, and that of f = K(a^2), which codes.weight_prefix reads), so it
+lives and dies with it.
 """
 
 import json
@@ -150,7 +151,7 @@ class FieldContext:
         self._build_tables()
         self._k_table = None  # charsums._kloosterman_table
         self._k_histogram = None  # its value histogram over the squares
-        self._f_histogram = None  # codes.weight_prefix: that of f = K(a^2), a != 0
+        self._f_histogram = None  # charsums._delta_one_sums: that of f = K(a^2), a != 0
 
     # -- construction internals -------------------------------------------
 
@@ -345,8 +346,9 @@ class FieldContext:
         parts = (a_part,) if b_part is None else (a_part, b_part)
         bound = sum(max(int(p.max()), -int(p.min())) for p in parts)
         dtype = np.int64 if 16 * q * bound < 10 * 2 ** 63 else object
-        a_part = a_part.astype(dtype)
-        b_part = np.zeros(q, dtype) if b_part is None else b_part.astype(dtype)
+        # no copy: each stage writes new arrays, so the caller's stay as they are
+        a_part = a_part.astype(dtype, copy=False)
+        b_part = np.zeros(q, dtype) if b_part is None else b_part.astype(dtype, copy=False)
         for _ in range(self.r):
             # the top digit's three thirds in, that digit out last: after r
             # stages every digit is back in place

@@ -333,6 +333,44 @@ def test_delta_table_stays_int64_while_it_fits(r, m, dtype):
     assert tuple(table.tolist()) == delta_count(ctx, m)
 
 
+def _skew_call(monkeypatch, ctx, call, index, skew):
+    """Patch ctx's character sum so that its call-th result (1 = the first)
+    is off by skew at index."""
+    real, calls = ctx.character_sums, []
+
+    def skewed(*parts):
+        sums = real(*parts)
+        calls.append(None)
+        if len(calls) == call:
+            sums[index] += skew
+        return sums
+
+    monkeypatch.setattr(ctx, "character_sums", skewed)
+
+
+@pytest.mark.parametrize("skew, message", [
+    (1, "not q times an integer table"),
+    (9, "table totals 65, expected 64"),
+], ids=["off_by_one", "off_by_q"])
+def test_delta_table_refuses_a_skewed_second_sum(monkeypatch, skew, message):
+    # the second sum q delta(2; t) off by 1 is not divisible by q; off by q
+    # it moves one entry by 1, and the table no longer totals (q - 1)^2
+    ctx = field_create(2)
+    _skew_call(monkeypatch, ctx, 2, 1, skew)
+    with pytest.raises(ConsistencyError, match=message):
+        delta_count(ctx, 2)
+
+
+def test_delta_table_checks_f(monkeypatch):
+    # f(1) = K(1) = 5 at q = 9; off by +1 it is inside the Weil bound but not
+    # -1 mod 3, and f's own check stops delta(2) before the second sum
+    ctx = field_create(2)
+    _skew_call(monkeypatch, ctx, 1, 1, 1)
+    with pytest.raises(ConsistencyError, match="K = 6 over GF\\(9\\) is not -1 mod 3"):
+        delta_count(ctx, 2)
+    assert ctx._f_histogram is None
+
+
 @pytest.mark.parametrize("job, cost", [
     # two transforms of r stages and m pointwise products: (2r + m) q,
     # for every m

@@ -591,14 +591,16 @@ def test_consistency_failure_exits_one(capsys, monkeypatch):
 
 
 def test_verify_mismatch_exits_one(capsys, monkeypatch):
-    from kloostercodes import charsums
+    # one recursive value skewed at the report level, the direct side untouched
+    from kloostercodes import moments
 
-    real = charsums.sk_moment
+    real = moments.recursive_moments
 
-    def skewed(ctx, h, **kw):
-        return real(ctx, h, **kw) + (1 if h == 3 else 0)
+    def skewed(ctx, gid, h_max, **kw):
+        chain = real(ctx, gid, h_max, **kw)
+        return chain[:-1] + [chain[-1] + 1]
 
-    monkeypatch.setattr("kloostercodes.moments.charsums.sk_moment", skewed)
+    monkeypatch.setattr(moments, "recursive_moments", skewed)
     code, out, _ = run(capsys, "verify", "--r", "1", "--h-max", "4")
     assert code == 1
     assert "MISMATCH" in out

@@ -275,6 +275,28 @@ def test_recursion_never_reads_the_k_table_or_its_histogram(monkeypatch, f27):
         assert recursive_moments(field_create(3), gid, 10) == expected[gid]
 
 
+def test_prefix_after_so4_histogram_runs_no_second_delta_one(monkeypatch):
+    # delta(2)'s transform of delta(1) keeps f's checked histogram on the
+    # context, and the weight prefix reads it from there (every module's
+    # name for delta(1) is counted)
+    from kloostercodes import charsums
+
+    expected = weight_prefix(GroupId.SO4, field_create(3), 10)
+    real, calls = charsums._delta_one, []
+
+    def counted(ctx):
+        calls.append(ctx.q)
+        return real(ctx)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "kloostercodes" and hasattr(module, "_delta_one"):
+            monkeypatch.setattr(module, "_delta_one", counted)
+    ctx = field_create(3)
+    histogram_closed_form(ctx, GroupId.SO4)
+    assert weight_prefix(GroupId.SO4, ctx, 10) == expected
+    assert calls == [27]
+
+
 def test_verify_and_weights_build_no_histogram(monkeypatch, capsys):
     # the dual weights come from the delta form: neither verify nor weights
     # materialises a trace histogram or a delta(m) table, and both keep their output

@@ -266,6 +266,22 @@ def test_character_sums_exact_at_the_int64_bound(r, over):
     assert (sums[0] > 2 ** 63) == over
 
 
+@pytest.mark.parametrize("dtype", [np.int64, object])
+def test_transform_reads_read_only_inputs(dtype):
+    # parts that already have the chosen dtype are read as they are, never
+    # written: read-only parts give the same sums and come back unchanged
+    ctx = field_create(3)
+    rng = random.Random(7)
+    a, b = _conjugate_symmetric(ctx, lambda: (rng.randint(-5, 5), rng.randint(-5, 5)))
+    even = [a[x] + a[ctx.neg(x)] for x in range(ctx.q)]
+    parts = [np.array(v, dtype=dtype) for v in (a, b, even)]
+    for part in parts:
+        part.flags.writeable = False
+    assert ctx.character_sums(*parts[:2]).tolist() == _literal_sums(ctx, a, b)
+    assert ctx.character_sums(parts[2]).tolist() == _literal_sums(ctx, even, [0] * ctx.q)
+    assert [part.tolist() for part in parts] == [a, b, even]
+
+
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_transform_index_maps(r):
     ctx = field_create(r)

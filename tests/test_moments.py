@@ -189,6 +189,11 @@ def test_recursion_validation(f3):
         _pless_sums(short, group_order(GroupId.SO2, 3), 1, 3)[3]  # the right side of pless_check
 
 
+def test_verify_report_refuses_h_max_zero(f3):
+    with pytest.raises(DomainError, match="h_max must be positive"):
+        verify_report(f3, 0)
+
+
 def test_corrupted_prefix_is_detected(f3):
     # a wrong weight count makes the result non-integral, which is trapped
     bad = (1, 5, 6, 8, 8)
@@ -256,7 +261,7 @@ def test_verify_report_runs_one_delta_one_transform_per_field(monkeypatch):
         calls.append(ctx.q)
         return real(ctx)
 
-    monkeypatch.setattr("kloostercodes.codes._delta_one", counted)
+    monkeypatch.setattr("kloostercodes.charsums._delta_one", counted)
     ctx = field_create(3)
     for _ in range(2):
         assert [(rep.code, rep.rows) for rep in verify_report(ctx, 10)] == expected
