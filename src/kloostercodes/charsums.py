@@ -8,8 +8,9 @@ solution counts delta(m, q; beta) of x_1 + 1/x_1 + ... + x_m + 1/x_m = beta
 all come out as exact (big) integers.
 
 The K table and the delta(m) tables are exact character sums over the
-field (FieldContext.character_sums): one sum of y -> omega^{tr(1/y)} gives
-K(a) for every a, kept on the field context, and every reader of a
+field (FieldContext.character_sums), each in the narrowest machine word its
+bound allows: one sum of y -> omega^{tr(1/y)} gives K(a) for every a, kept
+on the field context (int32 through r = 18), and every reader of a
 Kloosterman sum, single values included, reads that table.  Next to it the
 context keeps the value histogram of K over the nonzero squares: K(a) is
 -1 mod 3 and at most 2 sqrt(q) in modulus, so it takes at most about
@@ -39,12 +40,14 @@ DEFAULT_OPS_LIMIT = 5_000_000
 
 
 def _kloosterman_table(ctx, ops_limit: int = DEFAULT_OPS_LIMIT):
-    """K(a) for every a, as an int64 array indexed by a (K(0) = -1).
+    """K(a) for every a, as an integer array indexed by a (K(0) = -1).
 
     With y = 1/x, K(a) = sum_{y != 0} omega^{tr(1/y)} omega^{tr(a y)}, so one
     character sum of y -> omega^{tr(1/y)} (0 at y = 0) gives K(a) for every
-    a at once, in int64 since |K| <= q - 1.  The table is checked to have
-    sum_{a != 0} K(a) = 1 and sum_{a != 0} K(a)^2 = q^2 - q - 1.
+    a at once; its parts are built in the field's index dtype, and the sum
+    runs in int32 while 3.2 q < 2^31 (r <= 18).  The table is checked to have
+    sum_{a != 0} K(a) = 1 and sum_{a != 0} K(a)^2 = q^2 - q - 1, the squares
+    formed in int64.
     It is admitted at about q*r + q operations, then kept on ctx together
     with its value histogram over the nonzero squares; the limit is checked
     before the kept table is read.
@@ -56,11 +59,11 @@ def _kloosterman_table(ctx, ops_limit: int = DEFAULT_OPS_LIMIT):
         return ctx._k_table
     t = ctx._trace[ctx._np_inv]
     # omega^t = A + B omega: (1, 0), (0, 1), (-1, -1) for t = 0, 1, 2
-    a_part, b_part = np.array([[1, 0, -1], [0, 1, -1]], dtype=np.int64)[:, t]
+    a_part, b_part = np.array([[1, 0, -1], [0, 1, -1]], dtype=ctx._dtype)[:, t]
     a_part[0] = b_part[0] = 0
     k = ctx.character_sums(a_part, b_part)
     histogram = _value_histogram(q, k[ctx._np_squares], (q - 1) // 2)
-    total, squares = int(k[1:].sum()), int((k[1:] ** 2).sum())
+    total, squares = int(k[1:].sum()), int(np.square(k[1:], dtype=np.int64).sum())
     if (total, squares) != (1, q * q - q - 1):
         raise ConsistencyError(
             "Kloosterman table over GF(%d) has sum %d and square sum %d over a != 0, "
@@ -137,10 +140,11 @@ def sk_moment(ctx, h: int, *, ops_limit: int = DEFAULT_OPS_LIMIT) -> int:
 
 def _delta_one(ctx):
     """Root counts of x^2 - beta*x + 1 for every beta (x + 1/x by digit
-    addition), cross-checked against 1 + chi(beta - 1) chi(beta + 1)."""
+    addition), cross-checked against 1 + chi(beta - 1) chi(beta + 1), which
+    is returned: the same counts in the field's index dtype, not int64."""
     q = ctx.q
-    nz = np.arange(1, q)
-    d1 = np.bincount(ctx._add_vec(nz, ctx._np_inv[nz]), minlength=q)
+    nz = np.arange(1, q, dtype=ctx._dtype)
+    d1 = np.bincount(ctx._add_vec(nz, ctx._np_inv[1:]), minlength=q)
     expect = 1 + ctx._chi_sq_minus_one()
     bad = np.flatnonzero(d1 != expect)
     if bad.size:
@@ -149,7 +153,7 @@ def _delta_one(ctx):
             "delta(1, %d; %d) root count %d disagrees with the square-class "
             "value %d" % (q, beta, d1[beta], expect[beta])
         )
-    return d1
+    return expect
 
 
 def _delta_one_sums(ctx):
@@ -179,23 +183,23 @@ def _delta_table(ctx, m: int, ops_limit: int):
     g(t) = q delta(m; -t) = q delta(m; t) (delta(m) is even, as
     x -> -x maps its equation to itself); g is asserted divisible by q and
     the table to total (q - 1)^m.  About (2r + m) q operations for every
-    m >= 0.  |f| <= q - 1, so f^m is carried in int64 while
-    (q - 1)^m < 2^63, in Python ints otherwise.  The second sum picks its
-    own type from q (q - 1)^m and may carry Python ints where the table fits
-    int64 (m = 2 from r = 14 on); each entry is at most the checked total,
-    so the table is then cast back exactly.
+    m >= 0.  |f| <= q - 1, so f^m is carried in int32 while
+    (q - 1)^m < 2^31, in int64 while (q - 1)^m < 2^63, in Python ints
+    otherwise.  The second sum picks its own type from q (q - 1)^m and may
+    carry Python ints where the table fits int64 (m = 2 from r = 14 on);
+    each entry is at most the checked total, so the table is then cast back
+    exactly.
     """
     if m < 0:
         raise DomainError("m must be nonnegative")
     q = ctx.q
     admit("delta(%d, %d) by two radix-3 transforms ((2r + m) q)" % (m, q),
           (2 * ctx.r + m) * q, ops_limit)
-    fits = (q - 1) ** m < 2 ** 63
-    f = _delta_one_sums(ctx)
-    if fits:
-        f **= m  # in place: f itself is not read again
-    else:
-        f = f.astype(object) ** m
+    top = (q - 1) ** m
+    fits = top < 2 ** 63
+    f = _delta_one_sums(ctx).astype(np.int32 if top < 2 ** 31 else np.int64 if fits else object,
+                                    copy=False)
+    f **= m  # in place: f itself is not read again
     g = ctx.character_sums(f)
     if np.count_nonzero(g % q):
         raise ConsistencyError(

@@ -55,7 +55,7 @@ def weight_prefix(gid: GroupId, ctx, j_max: int, *,
     sum A(a) = n_0 + n_1 omega + n_2 omega^2 of the trace histogram is real,
     so n_1 = n_2 and w(a) = 2 (N - A(a))/3.  By the delta form
     c + z [beta = 0] + d delta(n; beta), A(0) = N and A(a) = z + d f(a)^n,
-    f the character sum of delta(1): one int64 transform per context, no K
+    f the character sum of delta(1): one int32 transform per context, no K
     table.  charsums._delta_one_histogram gives its values (checked -1 mod 3,
     so each gives its own A) with their multiplicities, kept on ctx, and each
     w is formed in Python ints (N runs past 2^63) once per value.  The

@@ -5,22 +5,30 @@ encodes the coefficient vector of the residue polynomial in base 3, so 0 is
 the additive identity and 1 the multiplicative identity.  A FieldContext
 verifies its modulus irreducible by Rabin's test and builds each table once,
 as a numpy array and nowhere else, for every r with a modulus, shipped
-(r <= 8) or given, by gathers and adds on index arrays, no integer matmul
-or % over q: log/antilog for the least generator g (g^((q-1)/p) != 1 for
+(r <= 8) or given.  Every q-sized table holds indices in one machine word
+chosen from q alone, int32 while 2(q - 1) < 2^31 (r <= 18) and int64 past
+that, and is built in it; no array holds the digits of every index.
+Indices add digit by digit through one table of the sums of half-width
+indices (below 3^h, h = ceil(r/2)): a + b is two gathers, one for the high
+halves and one for the low.  A GF(3)-linear index map, v -> v @ M for an
+r x r digit matrix M, is the sum of the images of the low half and of the
+high half, 3^h values each, in one broadcast addition.  Two such maps build
+the tables: beta -> g beta for the least generator g (g^((q-1)/p) != 1 for
 the primes p dividing q - 1, tested on the matrices of multiplication, 16
-candidates at a time, one set of squarings for every p; the chain 1, g,
-g^2, ... by composing the index map beta -> g beta with itself), inverse,
-negation, squares, and the trace with the map a -> s(a) that reads the
-character sums, both from one image of the Hankel matrix tr(x^(i+k)).
-The scalar methods read those arrays and return Python ints and bools;
-addition is an O(r) digit loop.  Adding +-1 moves only digit 0 of an
-index, so chi(beta^2 - 1) = chi(beta - 1) chi(beta + 1) comes from two
-index shifts.  `FieldContext.character_sums` is the one exact additive
+candidates at a time, one set of squarings for every p), whose powers by
+composition give the chain 1, g, g^2, ... and so log/antilog and the
+inverse, and a -> s(a), the map through the Hankel matrix tr(x^(i+k)) that
+reads the character sums, whose digit 0 is the trace.  Negation is
+x + x, the diagonal of the half-width table; the squares are the even
+powers of g.  The scalar methods read those arrays and return Python ints
+and bools; addition is an O(r) digit loop.  Adding +-1 moves only digit 0
+of an index, so chi(beta^2 - 1) = chi(beta - 1) chi(beta + 1) comes from
+two index shifts.  `FieldContext.character_sums` is the one exact additive
 character sum, a -> sum_beta f(beta) omega^{tr(a beta)} for every a,
-asserted real, run by charsums alone; the context also keeps what charsums
-memoises on it (the Kloosterman table with its value histogram on the
-squares, and that of f = K(a^2), which codes.weight_prefix reads), so it
-lives and dies with it.
+asserted real, run by charsums alone, in int32, int64 or Python ints as its
+bound allows; the context also keeps what charsums memoises on it (the
+Kloosterman table with its value histogram on the squares, and that of
+f = K(a^2), which codes.weight_prefix reads), so it lives and dies with it.
 """
 
 import json
@@ -43,8 +51,8 @@ DEFAULT_MODULI = {
     8: (2, 0, 1, 0, 0, 0, 0, 0, 1), # x^8 + x^2 + 2
 }
 
-# (a + b) mod 3 for digits a, b: a gather, not a %, read flat at 3a + b by
-# indexing with int8 (take would first widen the whole index array to intp)
+# (a + b) mod 3 for digits a, b: the seed of the half-width addition table,
+# the shift of digit 0 by +-1, and the trace as a sum of two digits 0
 _DIGIT_SUM = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]], dtype=np.int8)
 
 
@@ -157,9 +165,23 @@ class FieldContext:
 
     def _build_tables(self):
         q, r = self.q, self.r
-        # digit i of every index, the coefficient of x^i (np.indices starts at the top)
-        self._digits = np.indices((3,) * r, dtype=np.int8).reshape(r, q)[::-1].T.copy()
-        self._pow3 = (3 ** np.arange(r)).astype(np.int64)
+        # the word of every index table: int32 while a sum of two logs, below
+        # 2(q - 1), fits it (r <= 18), int64 past that
+        dt = self._dtype = np.int32 if 2 * (q - 1) < 2 ** 31 else np.int64
+        pow3 = 3 ** np.arange(r)
+        # a + b digit by digit: an index is hi 3^h + lo with lo < 3^h, h = ceil(r/2),
+        # and the halves add through one (3^h, 3^h) table, built a digit at a
+        # time (row 3a + d, column 3b + e holds 3 T[a, b] + (d + e) mod 3)
+        h = (r + 1) // 2
+        half = self._half = 3 ** h
+        table = np.zeros((1, 1), dtype=np.min_scalar_type(half - 1))
+        while table.shape[0] < half:
+            n = 3 * table.shape[0]
+            table = (3 * table[:, None, :, None] + _DIGIT_SUM[:, None, :]).astype(table.dtype).reshape(n, n)
+        self._add_half = table.ravel()
+        # -x = x + x digit by digit, the diagonal of the table on either half
+        twice = table.diagonal()
+        self._np_neg = np.add.outer(twice[:q // half] * dt(half), twice.astype(dt)).ravel()
 
         # y -> x y is GF(3)-linear on digit vectors: digits(x y) = digits(y) @ M_x,
         # row i of M_x the digits of x X^i, so M_x = sum_i x_i C^i with C the
@@ -174,7 +196,16 @@ class FieldContext:
         powers = np.array(powers)
 
         def mul_matrix(x):  # M_x, or a stack of them for an array x
-            return np.tensordot(self._digits[x], powers[:r], 1) % 3
+            return np.tensordot(np.asarray(x)[..., None] // pow3 % 3, powers[:r], 1) % 3
+
+        # the digits of every v below 3^h, low digit first (np.indices starts at the top)
+        low = np.indices((3,) * h).reshape(h, -1)[::-1].T
+
+        def spans(mat):
+            """The indices of v @ mat for every v below 3^h (the low half of
+            an index), and of v 3^h @ mat for every v below 3^(r-h)."""
+            return (low @ mat[:h] % 3 @ pow3,
+                    low[:q // half, :r - h] @ mat[h:] % 3 @ pow3)
 
         # the least generator g: g^((q-1)/p) != 1 for every prime p dividing
         # q - 1, tested by square-and-multiply on a block of 16 candidates'
@@ -194,37 +225,44 @@ class FieldContext:
         if g is None:  # pragma: no cover
             raise FieldConstructionError("no multiplicative generator found")
         # the chain 1, g, g^2, ... in doubling blocks: step maps beta to
-        # g^len(chain) beta, the index map of M_g composed with itself while
-        # another block is still to come
-        chain, step = np.ones(1, dtype=np.int64), self._index(self._image(mul_matrix(g)))
-        while len(chain) < q - 1:
-            if len(chain) > 1:
+        # g^n beta, the index map of M_g composed with itself while another
+        # block is still to come
+        np_exp = self._np_exp = np.empty(q - 1, dtype=dt)
+        lo, hi = spans(mul_matrix(g))
+        np_exp[0], n, step = 1, 1, self._add_vec(hi[:, None], lo).ravel()
+        while n < q - 1:
+            if n > 1:
                 step = step[step]
-            chain = np.concatenate([chain, step[chain[:q - 1 - len(chain)]]])
-        np_exp = self._np_exp = chain
-        # q - 1 nonzero indices, so distinct exactly when each occurs once
-        if np.any(np.bincount(np_exp, minlength=q)[1:] != 1):  # pragma: no cover
+            k = min(n, q - 1 - n)
+            np_exp[n:n + k] = step[np_exp[:k]]
+            n += k
+        del step
+        logs = np.arange(q - 1, dtype=dt)
+        np_log = self._np_log = np.zeros(q, dtype=dt)
+        np_log[np_exp] = logs
+        # q - 1 nonzero indices, distinct exactly when each reads back its own log
+        if not np_exp.all() or np.any(np_log[np_exp] != logs):  # pragma: no cover
             raise FieldConstructionError("multiplicative structure broken")
-        np_log = self._np_log = np.zeros(q, dtype=np.int64)
-        np_log[np_exp] = np.arange(q - 1)
-        self._np_inv = np.zeros(q, dtype=np.int64)
-        self._np_inv[1:] = np_exp[(-np_log[1:]) % (q - 1)]
-        # -x = (-1) x (2 is the index of -1)
-        self._np_neg = self._mul_vec(2, np.arange(q))
+        del logs
+        # 1/g^k = g^(q-1-k)
+        np_inv = self._np_inv = np.zeros(q, dtype=dt)
+        np_inv[np_exp[1:]] = np_exp[:0:-1]
+        np_inv[1] = 1
 
         # quadratic structure: the squares are the even powers of the generator
         is_sq = self._np_is_square = np.zeros(q, dtype=bool)
         is_sq[np_exp[::2]] = True
-        self._np_squares = np.flatnonzero(is_sq)
-        self.epsilon = int(np.flatnonzero(~is_sq[1:])[0]) + 1
+        self._np_squares = np.arange(q, dtype=dt)[is_sq]
+        self.epsilon = int(np.argmin(is_sq[1:])) + 1
 
         # the index map a -> s(a), s(a)_k = tr(a x^k), that reads the character
         # sums (tr(a beta) = s(a) . beta) is a -> a @ H, H_ik = tr(x^(i+k)) the
         # trace of C^(i+k); its digit 0, tr(a), is the trace table
         tr = np.trace(powers, axis1=1, axis2=2) % 3
-        image = self._image(tr[np.add.outer(np.arange(r), np.arange(r))])
-        self._trace = image[:, 0].copy()
-        self._functional = self._index(image)
+        hankel = tr[np.add.outer(np.arange(r), np.arange(r))]
+        lo, hi = spans(hankel)
+        self._trace = _DIGIT_SUM[hi[:, None] % 3, lo % 3].ravel()
+        self._functional = self._add_vec(hi[:, None], lo).ravel()
 
     # -- arithmetic --------------------------------------------------------
 
@@ -288,33 +326,26 @@ class FieldContext:
     # -- vectorized internals (element-index numpy arrays) ------------------
 
     def _mul_vec(self, xs, ys):
-        """xs * ys elementwise, broadcasting (either may be a scalar); the
-        index product xs * ys is 0 exactly where a factor is, and the log
-        table's entry at 0 is overwritten there."""
+        """xs * ys elementwise, broadcasting (either may be a scalar); the log
+        table's entry at 0 is overwritten where a factor is 0 (the index
+        product could wrap to 0 in a machine word)."""
         out = self._np_exp[(self._np_log[xs] + self._np_log[ys]) % (self.q - 1)]
-        out[xs * ys == 0] = 0
+        out[(xs == 0) | (ys == 0)] = 0
         return out
 
-    def _index(self, digits):
-        """The int64 index of each int8 digit vector along the last axis."""
-        return sum(digits[..., k] * p for k, p in enumerate(self._pow3))
-
-    def _image(self, mat):
-        """The digits of v @ mat for every index v, a (q, r) int8 array: those
-        below 3^(k+1) are those below 3^k plus 0, 1 and 2 times row k."""
-        out = np.zeros((self.r, 1), dtype=np.int8)
-        for row in 3 * mat.astype(np.int8)[:, :, None]:
-            once = _DIGIT_SUM.ravel()[out + row]
-            out = np.concatenate([out, once, _DIGIT_SUM.ravel()[once + row]], axis=1)
-        return out.T
-
     def _add_vec(self, xs, ys):
-        return self._index(_DIGIT_SUM.ravel()[3 * self._digits[xs] + self._digits[ys]])
+        """xs + ys elementwise, broadcasting: the high halves and the low
+        halves of the indices (below 3^h) through the addition table."""
+        half = self._half
+        xh, yh = xs // half, ys // half
+        out = np.multiply(self._add_half[xh * half + yh], half, dtype=self._dtype)
+        out += self._add_half[(xs - xh * half) * half + (ys - yh * half)]
+        return out
 
     def _shifted(self, c):
         """beta + c for every beta, c = 1 or 2 (= -1): only digit 0 moves, so
         beta = 3t + d goes to column _DIGIT_SUM[c, d] of its row t."""
-        return np.arange(self.q).reshape(-1, 3)[:, _DIGIT_SUM[c]].ravel()
+        return np.arange(self.q, dtype=self._dtype).reshape(-1, 3)[:, _DIGIT_SUM[c]].ravel()
 
     def _sq_minus_one(self):
         """beta^2 - 1 = (beta - 1)(beta + 1) for every beta."""
@@ -324,7 +355,7 @@ class FieldContext:
         """chi(beta^2 - 1) = chi(beta - 1) chi(beta + 1) for every beta: 0
         where beta = +-1, 1 where beta^2 - 1 is a nonzero square and -1 where
         it is a nonsquare."""
-        chi = np.where(self._np_is_square, 1, -1)
+        chi = np.where(self._np_is_square, self._dtype(1), self._dtype(-1))
         chi[0] = 0
         return chi[self._shifted(2)] * chi[self._shifted(1)]
 
@@ -336,34 +367,52 @@ class FieldContext:
 
         The radix-3 Fourier transform over (Z/3)^r gives
         F(s) = sum_beta f(beta) omega^{s . beta} exactly in the form
-        A + B omega (omega^2 = -1 - omega), and R(a) = F(s(a)).  int64 is
-        exact when 1.6 q M < 2^63, M = max|A| + max|B| >= |f(beta)|: a sum of
-        n values of modulus M has coordinates at most 2 n M / sqrt(3), and
-        each stage adds four coordinates of the one before.  Python ints
-        carry it otherwise.
+        A + B omega (omega^2 = -1 - omega), and R(a) = F(s(a)).  A sum of n
+        values of modulus at most M = max|A| + max|B| has coordinates at most
+        2 n M / sqrt(3), and each stage adds four coordinates of the one
+        before, so every value stays below 1.6 q M: the transform runs in
+        int32 while 1.6 q M < 2^31, in int64 while 1.6 q M < 2^63, and in
+        Python ints past that.  The stages write by turns into two
+        preallocated (A, B) pairs, never into the caller's arrays.
         """
         q = self.q
         parts = (a_part,) if b_part is None else (a_part, b_part)
-        bound = sum(max(int(p.max()), -int(p.min())) for p in parts)
-        dtype = np.int64 if 16 * q * bound < 10 * 2 ** 63 else object
-        # no copy: each stage writes new arrays, so the caller's stay as they are
-        a_part = a_part.astype(dtype, copy=False)
-        b_part = np.zeros(q, dtype) if b_part is None else b_part.astype(dtype, copy=False)
-        for _ in range(self.r):
+        reach = 16 * q * sum(max(int(p.max()), -int(p.min())) for p in parts)
+        dtype = np.int32 if reach < 10 * 2 ** 31 else np.int64 if reach < 10 * 2 ** 63 else object
+        pairs = np.empty((2, 2, q), dtype)
+        if b_part is None:  # B = 0 in the pair the second stage writes
+            pairs[1, 1] = 0
+            b_part = pairs[1, 1]
+        # no copy where the dtype matches: the caller's arrays are only read
+        src = a_part.astype(dtype, copy=False), b_part.astype(dtype, copy=False)
+        for stage in range(self.r):
             # the top digit's three thirds in, that digit out last: after r
             # stages every digit is back in place
-            a0, a1, a2 = a_part.reshape(3, q // 3)
-            b0, b1, b2 = b_part.reshape(3, q // 3)
-            a_part, b_part = np.empty((q // 3, 3), dtype), np.empty((q // 3, 3), dtype)
-            # y_s = x_0 + omega^s x_1 + omega^{2s} x_2, with
+            a0, a1, a2 = src[0].reshape(3, q // 3)
+            b0, b1, b2 = src[1].reshape(3, q // 3)
+            src = pairs[stage % 2]
+            (y0, y1, y2), (z0, z1, z2) = src.reshape(2, q // 3, 3).transpose(0, 2, 1)
+            # y_s + z_s omega = x_0 + omega^s x_1 + omega^{2s} x_2, with
             # omega (A + B omega) = -B + (A - B) omega
-            a_part[:, 0], b_part[:, 0] = a0 + a1 + a2, b0 + b1 + b2
-            a_part[:, 1], b_part[:, 1] = a0 - a2 - b1 + b2, b0 + a1 - b1 - a2
-            a_part[:, 2], b_part[:, 2] = a0 - a1 + b1 - b2, b0 - a1 + a2 - b2
-            a_part, b_part = a_part.reshape(q), b_part.reshape(q)
-        if np.count_nonzero(b_part):
+            np.add(a0, a1, out=y0)
+            y0 += a2
+            np.add(b0, b1, out=z0)
+            z0 += b2
+            np.subtract(a0, a2, out=y1)
+            y1 -= b1
+            y1 += b2
+            np.add(b0, a1, out=z1)
+            z1 -= b1
+            z1 -= a2
+            np.subtract(a0, a1, out=y2)
+            y2 += b1
+            y2 -= b2
+            np.subtract(b0, a1, out=z2)
+            z2 += a2
+            z2 -= b2
+        if np.count_nonzero(src[1]):
             raise ConsistencyError("a character sum over GF(%d) is not real" % q)
-        return a_part[self._functional]
+        return src[0][self._functional]
 
     def __repr__(self):
         return "FieldContext(q=%d, modulus=%s)" % (self.q, format_poly(self.modulus))

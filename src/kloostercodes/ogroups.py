@@ -3,7 +3,7 @@
 Provides enumeration (small q) with trace histograms, and the exact
 closed-form histograms valid for every q, each three integers over the delta
 basis read off the group character sum (delta_form).  The closed form keeps
-the delta table an int64 array until the counts are formed, and forms one
+the delta table a machine-word array until the counts are formed, and forms one
 Python int per distinct delta value: equal counts share one int, so SO-(4,q)'s
 histogram holds 30 count objects at r = 8, not q = 6561.  Each builder returns
 one (k, dim^2) array of element indices: SO-(2,q) through the log tables,
@@ -230,11 +230,11 @@ def delta_form(gid: GroupId, q: int) -> tuple:
 
 def histogram_closed_form(ctx, gid: GroupId, *, ops_limit: int = charsums.DEFAULT_OPS_LIMIT) -> TraceHistogram:
     """Exact trace histogram for any q, no enumeration involved: delta_form
-    over the delta(n) table, delta(1) = 1 + chi(beta^2 - 1) or delta(2) from
-    charsums._delta_table, both int64 arrays.  The table is grouped by value,
-    and each distinct value v gives one Python int c + d v (past 2^63 from
-    r = 8 on), placed by reference through a gather, so equal counts share
-    one int.  The gathered counts are checked to total |G|: at n = 1 that
+    over the delta(n) table, delta(1) = 1 + chi(beta^2 - 1) in the field's
+    index dtype or delta(2) from charsums._delta_table in int64.  The table
+    is grouped by value, and each distinct value v gives one Python int
+    c + d v (past 2^63 from r = 8 on), placed by reference through a gather,
+    so equal counts share one int.  The gathered counts are checked to total |G|: at n = 1 that
     tests the delta(1) table's total, at n = 2 (whose table total
     _delta_table asserts) the grouping and the gather."""
     q = ctx.q

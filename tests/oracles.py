@@ -342,8 +342,6 @@ def field_tables_reference(ctx) -> dict:
         return out
 
     return {
-        "_digits": digits,
-        "_pow3": pow3,
         "_trace": trace,
         "epsilon": next(x for x in range(1, q) if not is_square[x]),
         "_np_exp": np.array(exp, dtype=np.int64),
@@ -574,7 +572,7 @@ def full_scan(spec: CodeSpec, j_max: int, *, ops_limit: int = DEFAULT_OPS_LIMIT)
           % (j_max, spec.length), 3 ** spec.length, ops_limit)
     ctx = spec.ctx
     n = spec.length
-    vd = ctx._digits[np.array(spec.trace_vector)].astype(np.int64)  # (n, r)
+    vd = (np.array(spec.trace_vector)[:, None] // 3 ** np.arange(ctx.r)) % 3  # (n, r) digits
     totals = np.zeros(n + 1, dtype=np.int64)
     chunk_digits = min(n, 9)
     tail = 3 ** chunk_digits

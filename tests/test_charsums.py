@@ -320,6 +320,15 @@ def test_delta_at_the_int64_bound(r, m):
     assert all(type(v) is int for v in values)
 
 
+@pytest.mark.parametrize("m", [
+    10,  # 8^10 = 2^30: f^m in int32 at q = 9
+    11,  # 8^11 = 2^33: f^m in int64
+])
+def test_delta_at_the_int32_power_bound(m):
+    ctx = field_create(2)
+    assert list(delta_count(ctx, m)) == delta_convolution(ctx, m)
+
+
 @pytest.mark.parametrize("r, m, dtype", [
     (2, 19, "int64"),
     (2, 20, "int64"),  # 8^20 = 2^60: the second sum carries Python ints, the table fits

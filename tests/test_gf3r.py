@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -168,7 +169,11 @@ def test_tables_match_the_list_reference(r):
             got = getattr(ctx, name)
             assert type(got) is type(want), (modulus, name)
             if isinstance(want, np.ndarray):
-                assert got.dtype == want.dtype, (modulus, name)
+                # the reference's index tables are int64; the field keeps its
+                # indices in int32 while 2(q - 1) < 2^31
+                index_dtype = np.int32 if 2 * (ctx.q - 1) < 2 ** 31 else np.int64
+                assert got.dtype == (index_dtype if want.dtype == np.int64 else want.dtype), \
+                    (modulus, name)
                 assert np.array_equal(got, want), (modulus, name)
             else:
                 assert got == want, (modulus, name)
@@ -232,7 +237,7 @@ def _literal_sums(ctx, a, b):
 @pytest.mark.parametrize("r, modulus", [(1, None), (2, None), (3, None), (4, None),
                                         (4, _last_irreducible(4))],
                          ids=["1", "2", "3", "4", "4-last"])
-@pytest.mark.parametrize("dtype", [np.int64, object])
+@pytest.mark.parametrize("dtype", [np.int32, np.int64, object])
 def test_transform_matches_literal_sum(r, modulus, dtype):
     ctx = field_create(r, modulus)
     rng = random.Random(r)
@@ -266,7 +271,7 @@ def test_character_sums_exact_at_the_int64_bound(r, over):
     assert (sums[0] > 2 ** 63) == over
 
 
-@pytest.mark.parametrize("dtype", [np.int64, object])
+@pytest.mark.parametrize("dtype", [np.int32, np.int64, object])
 def test_transform_reads_read_only_inputs(dtype):
     # parts that already have the chosen dtype are read as they are, never
     # written: read-only parts give the same sums and come back unchanged
@@ -280,6 +285,98 @@ def test_transform_reads_read_only_inputs(dtype):
     assert ctx.character_sums(*parts[:2]).tolist() == _literal_sums(ctx, a, b)
     assert ctx.character_sums(parts[2]).tolist() == _literal_sums(ctx, even, [0] * ctx.q)
     assert [part.tolist() for part in parts] == [a, b, even]
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("over", [False, True], ids=["below", "above"])
+def test_character_sums_exact_at_the_int32_bound(r, over):
+    # int32 while 1.6 q M < 2^31: below the bound M <= (9/8) 2^30 / q; above
+    # it M >= 2^32 / q, and R(0), at least (3/4) q M, passes 2^31
+    ctx = field_create(r)
+    big = (2 ** 32 if over else 2 ** 30) // ctx.q
+    rng = random.Random(r)
+
+    def pick():
+        b = rng.randint(0, big // 8)
+        return big - b, b
+
+    a, b = _conjugate_symmetric(ctx, pick)
+    sums = ctx.character_sums(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64))
+    assert sums.dtype == (np.int64 if over else np.int32)
+    assert sums.tolist() == _literal_sums(ctx, a, b)
+    assert (sums[0] > 2 ** 31) == over
+
+
+# the least monic irreducibles of degree 10 and 11
+_R10 = (1, 0, 2, 0, 0, 0, 0, 0, 0, 0, 1)
+_R11 = (2, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1)
+
+
+def test_field_build_memory_per_element():
+    # no (q, r) digit array and no int64 index table: at r = 10 the build
+    # peaks at <= 48 bytes per element and keeps <= 28
+    field_create(2)  # numpy's allocations on first use stay out of the count
+    tracemalloc.start()
+    try:
+        ctx = field_create(10, _R10)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ctx._np_exp.dtype == np.int32
+    assert peak <= 48 * ctx.q, peak / ctx.q
+    assert kept <= 28 * ctx.q, kept / ctx.q
+
+
+@pytest.mark.parametrize("bound, dtype", [(2, np.int32), (2 ** 20, np.int64)])
+@pytest.mark.parametrize("with_b", [False, True], ids=["a", "a_b"])
+def test_transform_memory(bound, dtype, with_b):
+    # at r = 10 one transform holds its inputs (read in place here, as they
+    # have the chosen dtype), four working arrays and the output, in that
+    # dtype; 2^17 bytes cover numpy's buffer for the int32 index of the gather
+    ctx = field_create(10, _R10)
+    rng = np.random.default_rng(10)
+    a = rng.integers(-bound, bound, ctx.q).astype(dtype)
+    a += a[ctx._np_neg]  # even and real, so every sum is real
+    parts = (a, np.zeros(ctx.q, dtype)) if with_b else (a,)
+    tracemalloc.start()
+    try:
+        sums = ctx.character_sums(*parts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sums.dtype == dtype
+    assert peak <= 5 * np.dtype(dtype).itemsize * ctx.q + 2 ** 17, peak
+    # the sum at a = 0 is the total, and a and -a give the same sum
+    assert sums[0] == a.sum() and np.array_equal(sums, sums[ctx._np_neg])
+
+
+@pytest.mark.parametrize("r, modulus", [(10, _R10), (11, _R11)])
+def test_half_table_addition_matches_the_digit_loop(r, modulus):
+    # a + b through the table of half-width sums, at an even r and at an odd
+    # one (whose high half is a digit shorter), against the scalar digit loop
+    ctx = field_create(r, modulus)
+    rng = np.random.default_rng(r)
+    xs, ys = rng.integers(0, ctx.q, (2, 500)).astype(ctx._np_exp.dtype)
+    got = ctx._add_vec(xs, ys)
+    assert got.dtype == ctx._np_exp.dtype
+    assert got.tolist() == [ctx.add(int(x), int(y)) for x, y in zip(xs, ys)]
+    # broadcasting, as the build's sum of the images of the two halves
+    assert np.array_equal(ctx._add_vec(xs[:20, None], ys[None, :30]),
+                          [[ctx.add(int(x), int(y)) for y in ys[:30]] for x in xs[:20]])
+
+
+def test_mul_vec_where_the_index_product_wraps():
+    # x y is a multiple of 2^32 for each pair, so an int32 product of the
+    # indices would wrap to 0: zeros are found factor by factor
+    ctx = field_create(11, _R11)
+    pairs = [(2 ** 16, 2 ** 16), (2 ** 16, 2 ** 17), (2 ** 17, 2 ** 17),
+             (2 ** 15, 2 ** 17), (3 * 2 ** 15, 2 ** 17), (2 ** 17, 3 * 2 ** 15)]
+    assert all(x < ctx.q and y < ctx.q and x * y % 2 ** 32 == 0 for x, y in pairs)
+    xs, ys = np.array(pairs, dtype=ctx._np_exp.dtype).T
+    assert xs.dtype == np.int32
+    got = ctx._mul_vec(xs, ys).tolist()
+    assert got == [ctx.mul(x, y) for x, y in pairs]
+    assert 0 not in got
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
