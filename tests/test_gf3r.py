@@ -291,7 +291,8 @@ def test_transform_reads_read_only_inputs(dtype):
 @pytest.mark.parametrize("over", [False, True], ids=["below", "above"])
 def test_character_sums_exact_at_the_int32_bound(r, over):
     # int32 while 1.6 q M < 2^31: below the bound M <= (9/8) 2^30 / q; above
-    # it M >= 2^32 / q, and R(0), at least (3/4) q M, passes 2^31
+    # it M >= 2^32 / q, and R(0), the sum of the A parts, at least
+    # (3/4) 2^32, passes 2^31
     ctx = field_create(r)
     big = (2 ** 32 if over else 2 ** 30) // ctx.q
     rng = random.Random(r)
