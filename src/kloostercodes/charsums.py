@@ -57,12 +57,12 @@ def _kloosterman_table(ctx, ops_limit: int = DEFAULT_OPS_LIMIT):
           q * ctx.r + q, ops_limit)
     if ctx._k_table is not None:
         return ctx._k_table
-    t = ctx._trace[ctx._np_inv]
+    t = ctx._trace[ctx._np_exp[-ctx._np_log]]  # tr(1/y), 1/g^k = g^-k
     # omega^t = A + B omega: (1, 0), (0, 1), (-1, -1) for t = 0, 1, 2
     a_part, b_part = np.array([[1, 0, -1], [0, 1, -1]], dtype=ctx._dtype)[:, t]
     a_part[0] = b_part[0] = 0
     k = ctx.character_sums(a_part, b_part)
-    histogram = _value_histogram(q, k[ctx._np_squares], (q - 1) // 2)
+    histogram = _value_histogram(q, k[ctx._np_exp[::2]], (q - 1) // 2)
     total, squares = int(k[1:].sum()), int(np.square(k[1:], dtype=np.int64).sum())
     if (total, squares) != (1, q * q - q - 1):
         raise ConsistencyError(
@@ -143,8 +143,8 @@ def _delta_one(ctx):
     addition), cross-checked against 1 + chi(beta - 1) chi(beta + 1), which
     is returned: the same counts in the field's index dtype, not int64."""
     q = ctx.q
-    nz = np.arange(1, q, dtype=ctx._dtype)
-    d1 = np.bincount(ctx._add_vec(nz, ctx._np_inv[1:]), minlength=q)
+    x = ctx._np_exp  # x = g^k, 1/x = g^-k
+    d1 = np.bincount(ctx._add_vec(x, x[-np.arange(q - 1, dtype=ctx._dtype)]), minlength=q)
     expect = 1 + ctx._chi_sq_minus_one()
     bad = np.flatnonzero(d1 != expect)
     if bad.size:

@@ -16,14 +16,18 @@ high half, 3^h values each, in one broadcast addition.  Two such maps build
 the tables: beta -> g beta for the least generator g (g^((q-1)/p) != 1 for
 the primes p dividing q - 1, tested on the matrices of multiplication, 16
 candidates at a time, one set of squarings for every p), whose powers by
-composition give the chain 1, g, g^2, ... and so log/antilog and the
-inverse, and a -> s(a), the map through the Hankel matrix tr(x^(i+k)) that
-reads the character sums, whose digit 0 is the trace.  Negation is
-x + x, the diagonal of the half-width table; the squares are the even
-powers of g.  The scalar methods read those arrays and return Python ints
-and bools; addition is an O(r) digit loop.  Adding +-1 moves only digit 0
-of an index, so chi(beta^2 - 1) = chi(beta - 1) chi(beta + 1) comes from
-two index shifts.  `FieldContext.character_sums` is the one exact additive
+composition give the chain 1, g, g^2, ... and so log/antilog, and
+a -> s(a), the map through the Hankel matrix tr(x^(i+k)) that reads the
+character sums, whose digit 0 is the trace.  The field keeps those five
+tables (exp, log, the half-width sums, trace and s) and reads everything
+else off them where it is used: negation is x + x (characteristic 3), the
+diagonal of the half-width table; 1/g^k = g^-k is one gather through exp
+and log; the squares are the even powers of g, so chi is the parity of the
+log, and the least nonsquare the least odd power.  The scalar methods read
+those arrays and return Python ints and bools; addition is an O(r) digit
+loop.  Adding +-1 moves only digit 0 of an index, so
+chi(beta^2 - 1) = chi(beta - 1) chi(beta + 1) comes from two index
+shifts.  `FieldContext.character_sums` is the one exact additive
 character sum, a -> sum_beta f(beta) omega^{tr(a beta)} for every a,
 asserted real, run by charsums alone, in int32, int64 or Python ints as its
 bound allows; the context also keeps what charsums memoises on it (the
@@ -179,9 +183,6 @@ class FieldContext:
             n = 3 * table.shape[0]
             table = (3 * table[:, None, :, None] + _DIGIT_SUM[:, None, :]).astype(table.dtype).reshape(n, n)
         self._add_half = table.ravel()
-        # -x = x + x digit by digit, the diagonal of the table on either half
-        twice = table.diagonal()
-        self._np_neg = np.add.outer(twice[:q // half] * dt(half), twice.astype(dt)).ravel()
 
         # y -> x y is GF(3)-linear on digit vectors: digits(x y) = digits(y) @ M_x,
         # row i of M_x the digits of x X^i, so M_x = sum_i x_i C^i with C the
@@ -244,16 +245,8 @@ class FieldContext:
         if not np_exp.all() or np.any(np_log[np_exp] != logs):  # pragma: no cover
             raise FieldConstructionError("multiplicative structure broken")
         del logs
-        # 1/g^k = g^(q-1-k)
-        np_inv = self._np_inv = np.zeros(q, dtype=dt)
-        np_inv[np_exp[1:]] = np_exp[:0:-1]
-        np_inv[1] = 1
-
-        # quadratic structure: the squares are the even powers of the generator
-        is_sq = self._np_is_square = np.zeros(q, dtype=bool)
-        is_sq[np_exp[::2]] = True
-        self._np_squares = np.arange(q, dtype=dt)[is_sq]
-        self.epsilon = int(np.argmin(is_sq[1:])) + 1
+        # the nonsquares are the odd powers of the generator
+        self.epsilon = int(np_exp[1::2].min())
 
         # the index map a -> s(a), s(a)_k = tr(a x^k), that reads the character
         # sums (tr(a beta) = s(a) . beta) is a -> a @ H, H_ik = tr(x^(i+k)) the
@@ -273,7 +266,7 @@ class FieldContext:
     def add(self, x: int, y: int) -> int:
         self._check(x)
         self._check(y)
-        z = 0
+        x, y, z = int(x), int(y), 0
         p = 1
         while x or y:
             z += ((x % 3) + (y % 3)) % 3 * p
@@ -283,8 +276,7 @@ class FieldContext:
         return z
 
     def neg(self, x: int) -> int:
-        self._check(x)
-        return int(self._np_neg[x])
+        return self.add(x, x)
 
     def sub(self, x: int, y: int) -> int:
         return self.add(x, self.neg(y))
@@ -300,7 +292,7 @@ class FieldContext:
         self._check(x)
         if x == 0:
             raise DomainError("0 has no multiplicative inverse in GF(%d)" % self.q)
-        return int(self._np_inv[x])
+        return int(self._np_exp[-self._np_log[x]])
 
     def pow(self, x: int, e: int) -> int:
         self._check(x)
@@ -316,12 +308,13 @@ class FieldContext:
         return int(self._trace[x])
 
     def squares(self):
-        """The (q-1)/2 nonzero squares, ascending."""
-        return tuple(self._np_squares.tolist())
+        """The (q-1)/2 nonzero squares, the even powers of g, ascending."""
+        return tuple(np.sort(self._np_exp[::2]).tolist())
 
     def is_square(self, x: int) -> bool:
+        """True for a nonzero x of even log."""
         self._check(x)
-        return bool(self._np_is_square[x])
+        return bool(x) and not self._np_log[x] % 2
 
     # -- vectorized internals (element-index numpy arrays) ------------------
 
@@ -355,7 +348,7 @@ class FieldContext:
         """chi(beta^2 - 1) = chi(beta - 1) chi(beta + 1) for every beta: 0
         where beta = +-1, 1 where beta^2 - 1 is a nonzero square and -1 where
         it is a nonsquare."""
-        chi = np.where(self._np_is_square, self._dtype(1), self._dtype(-1))
+        chi = np.where(self._np_log % 2, self._dtype(-1), self._dtype(1))
         chi[0] = 0
         return chi[self._shifted(2)] * chi[self._shifted(1)]
 

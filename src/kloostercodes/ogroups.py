@@ -113,7 +113,7 @@ def _so2_elements(ctx):
     root = ctx._np_exp[ctx._np_log[rhs[rooted]] // 2]
     a_col = np.concatenate([a[zero], a[rooted], a[rooted]])
     b_col = np.concatenate([np.zeros(np.count_nonzero(zero), dtype=np.int64),
-                            root, ctx._np_neg[root]])
+                            root, ctx._add_vec(root, root)])
     return np.stack([a_col, ctx._mul_vec(eps, b_col), b_col, a_col], axis=1)
 
 
@@ -121,7 +121,7 @@ def _o2_elements(ctx):
     """SO-(2,q) and its left coset by diag(1, -1), which negates the bottom row."""
     so2 = _so2_elements(ctx)
     coset = so2.copy()
-    coset[:, 2:] = ctx._np_neg[so2[:, 2:]]
+    coset[:, 2:] = ctx._add_vec(so2[:, 2:], so2[:, 2:])
     return np.concatenate([so2, coset])
 
 
@@ -135,7 +135,7 @@ def _dets(ctx, mats):
         for i in range(1, n):
             term = ctx._mul_vec(term, mats[:, i, perm[i]])
         odd = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n)) % 2
-        total = ctx._add_vec(total, ctx._np_neg[term] if odd else term)
+        total = ctx._add_vec(total, ctx._add_vec(term, term) if odd else term)
     return total
 
 

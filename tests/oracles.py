@@ -150,7 +150,7 @@ def kloosterman_per_a(ctx) -> list:
     tr_x = ctx._trace[nz]
     out = []
     for a in range(1, q):
-        e = (tr_x + ctx._trace[ctx._mul_vec(a, ctx._np_inv[nz])]) % 3
+        e = (tr_x + ctx._trace[ctx._mul_vec(a, ctx._np_exp[-ctx._np_log[nz]])]) % 3
         c0, c1, c2 = np.bincount(e, minlength=3).tolist()
         if c1 != c2:
             raise ConsistencyError("K(%d) over GF(%d) is not real: %d != %d" % (a, q, c1, c2))
@@ -287,7 +287,9 @@ def is_irreducible_trial(m) -> bool:
 
 
 def field_tables_reference(ctx) -> dict:
-    """Every table `FieldContext` builds, by Python-list loops.
+    """Every table `FieldContext` keeps, as arrays under their attribute
+    names, and the lists its scalar methods inv, neg, squares and is_square
+    read off them, under the method names (inv[0] = 0), by Python-list loops.
 
     Reads only the modulus of ctx and its digit-loop `add`, and multiplies
     by polynomial arithmetic: the generator is the least g with
@@ -346,12 +348,12 @@ def field_tables_reference(ctx) -> dict:
         "epsilon": next(x for x in range(1, q) if not is_square[x]),
         "_np_exp": np.array(exp, dtype=np.int64),
         "_np_log": np.array(log, dtype=np.int64),
-        "_np_inv": np.array(inv, dtype=np.int64),
-        "_np_squares": np.array(squares, dtype=np.int64),
-        "_np_is_square": np.array(is_square, dtype=bool),
-        "_np_neg": (-digits.astype(np.int64) % 3) @ pow3,
         "_functional": sum(trace[mul_vec(3 ** k, idx)].astype(np.int64) * 3 ** k
                            for k in range(r)),
+        "inv": inv,
+        "neg": ((-digits.astype(np.int64) % 3) @ pow3).tolist(),
+        "squares": squares,
+        "is_square": is_square,
     }
 
 

@@ -165,7 +165,14 @@ def test_tables_match_the_list_reference(r):
     assert moduli[0] == DEFAULT_MODULI[r]
     for modulus in moduli:
         ctx = field_create(r, modulus)
-        for name, want in field_tables_reference(ctx).items():
+        ref = field_tables_reference(ctx)
+        # what the scalar methods read off exp, log and the addition table
+        elems = range(ctx.q)
+        assert [ctx.inv(x) for x in elems[1:]] == ref.pop("inv")[1:], modulus
+        assert [ctx.neg(x) for x in elems] == ref.pop("neg"), modulus
+        assert ctx.squares() == tuple(ref.pop("squares")), modulus
+        assert [ctx.is_square(x) for x in elems] == ref.pop("is_square"), modulus
+        for name, want in ref.items():
             got = getattr(ctx, name)
             assert type(got) is type(want), (modulus, name)
             if isinstance(want, np.ndarray):
@@ -181,13 +188,26 @@ def test_tables_match_the_list_reference(r):
 
 @pytest.mark.parametrize("r", [1, 2, 5])
 def test_scalar_methods_return_python_values(r):
+    # for Python ints and for indices read out of an int32 table alike
     ctx = field_create(r)
-    x, y = ctx.q - 1, ctx.q // 2
-    for value in (ctx.mul(x, y), ctx.inv(x), ctx.pow(x, 5), ctx.pow(x, -3),
-                  ctx.pow(0, 2), ctx.trace(x), *ctx.squares()):
-        assert type(value) is int
     assert type(ctx.squares()) is tuple
-    assert {type(ctx.is_square(v)) for v in range(ctx.q)} == {bool}
+    for index in (int, np.int32):
+        x, y = index(ctx.q - 1), index(ctx.q // 2)
+        for value in (ctx.add(x, y), ctx.neg(x), ctx.sub(x, y), ctx.mul(x, y), ctx.inv(x),
+                      ctx.pow(x, 5), ctx.pow(x, -3), ctx.pow(index(0), 2), ctx.trace(x),
+                      *ctx.squares()):
+            assert type(value) is int, index
+        assert {type(ctx.is_square(index(v))) for v in range(ctx.q)} == {bool}, index
+
+
+@pytest.mark.parametrize("r", [1, 5, 8])
+def test_field_keeps_only_its_five_tables(r):
+    # exp, log, the half-width sums, trace and the functional: negation,
+    # inverses and squares are read off them, not kept
+    ctx = field_create(r)
+    tables = {name for name, value in vars(ctx).items() if isinstance(value, np.ndarray)}
+    assert tables == {"_np_exp", "_np_log", "_add_half", "_trace", "_functional"}
+    assert all(getattr(ctx, name).size >= ctx.q - 1 for name in tables)
 
 
 @pytest.mark.parametrize("r", range(1, 9))
@@ -195,8 +215,10 @@ def test_chi_sq_minus_one_from_the_shifts(r):
     # chi(beta - 1) chi(beta + 1) against chi of the digit sum beta^2 + (-1)
     ctx = field_create(r)
     beta = np.arange(ctx.q)
+    is_square = np.zeros(ctx.q, dtype=bool)
+    is_square[ctx._mul_vec(beta[1:], beta[1:])] = True
     s = ctx._add_vec(ctx._mul_vec(beta, beta), 2)
-    chi = np.where(s == 0, 0, np.where(ctx._np_is_square[s], 1, -1))
+    chi = np.where(s == 0, 0, np.where(is_square[s], 1, -1))
     assert np.array_equal(ctx._chi_sq_minus_one(), chi)
     assert np.array_equal(ctx._sq_minus_one(), s)
 
@@ -314,8 +336,9 @@ _R11 = (2, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1)
 
 
 def test_field_build_memory_per_element():
-    # no (q, r) digit array and no int64 index table: at r = 10 the build
-    # peaks at <= 48 bytes per element and keeps <= 28
+    # no (q, r) digit array, no int64 index table and no table that the
+    # five kept ones restate: at r = 10 the build peaks at <= 30 bytes per
+    # element and keeps <= 16
     field_create(2)  # numpy's allocations on first use stay out of the count
     tracemalloc.start()
     try:
@@ -324,8 +347,8 @@ def test_field_build_memory_per_element():
     finally:
         tracemalloc.stop()
     assert ctx._np_exp.dtype == np.int32
-    assert peak <= 48 * ctx.q, peak / ctx.q
-    assert kept <= 28 * ctx.q, kept / ctx.q
+    assert peak <= 30 * ctx.q, peak / ctx.q
+    assert kept <= 16 * ctx.q, kept / ctx.q
 
 
 @pytest.mark.parametrize("bound, dtype", [(2, np.int32), (2 ** 20, np.int64)])
@@ -337,7 +360,9 @@ def test_transform_memory(bound, dtype, with_b):
     ctx = field_create(10, _R10)
     rng = np.random.default_rng(10)
     a = rng.integers(-bound, bound, ctx.q).astype(dtype)
-    a += a[ctx._np_neg]  # even and real, so every sum is real
+    beta = np.arange(ctx.q)
+    neg = ctx._add_vec(beta, beta)  # -beta = beta + beta
+    a += a[neg]  # even and real, so every sum is real
     parts = (a, np.zeros(ctx.q, dtype)) if with_b else (a,)
     tracemalloc.start()
     try:
@@ -348,7 +373,7 @@ def test_transform_memory(bound, dtype, with_b):
     assert sums.dtype == dtype
     assert peak <= 5 * np.dtype(dtype).itemsize * ctx.q + 2 ** 17, peak
     # the sum at a = 0 is the total, and a and -a give the same sum
-    assert sums[0] == a.sum() and np.array_equal(sums, sums[ctx._np_neg])
+    assert sums[0] == a.sum() and np.array_equal(sums, sums[neg])
 
 
 @pytest.mark.parametrize("r, modulus", [(10, _R10), (11, _R11)])
@@ -383,8 +408,10 @@ def test_mul_vec_where_the_index_product_wraps():
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_transform_index_maps(r):
     ctx = field_create(r)
+    elems = np.arange(ctx.q)
+    neg = ctx._add_vec(elems, elems)  # -x = x + x through the addition table
     for x in range(ctx.q):
-        assert ctx.add(x, int(ctx._np_neg[x])) == 0
+        assert ctx.add(x, int(neg[x])) == 0
         s = _digits(int(ctx._functional[x]), r)
         for beta in range(ctx.q):
             dot = sum(u * v for u, v in zip(s, _digits(beta, r))) % 3
