@@ -45,9 +45,10 @@ def _kloosterman_table(ctx, ops_limit: int = DEFAULT_OPS_LIMIT):
     With y = 1/x, K(a) = sum_{y != 0} omega^{tr(1/y)} omega^{tr(a y)}, so one
     character sum of y -> omega^{tr(1/y)} (0 at y = 0) gives K(a) for every
     a at once; its parts are built in the field's index dtype, and the sum
-    runs in int32 while 3.2 q < 2^31 (r <= 18).  The table is checked to have
-    sum_{a != 0} K(a) = 1 and sum_{a != 0} K(a)^2 = q^2 - q - 1, the squares
-    formed in int64.
+    runs in int32 while 4 q < 2^31 (r <= 18): twice q max|A| + q max|B|,
+    the bound on the L1 norm of parts with negative entries.  The table is
+    checked to have sum_{a != 0} K(a) = 1 and
+    sum_{a != 0} K(a)^2 = q^2 - q - 1, the squares formed in int64.
     It is admitted at about q*r + q operations, then kept on ctx together
     with its value histogram over the nonzero squares; the limit is checked
     before the kept table is read.
@@ -57,9 +58,11 @@ def _kloosterman_table(ctx, ops_limit: int = DEFAULT_OPS_LIMIT):
           q * ctx.r + q, ops_limit)
     if ctx._k_table is not None:
         return ctx._k_table
-    t = ctx._trace[ctx._np_exp[-ctx._np_log]]  # tr(1/y), 1/g^k = g^-k
+    # t = tr(1/y), digit 0 of s(1/y) (1/g^k = g^-k), and
     # omega^t = A + B omega: (1, 0), (0, 1), (-1, -1) for t = 0, 1, 2
+    t = ctx._functional[ctx._np_exp[-ctx._np_log]] % 3
     a_part, b_part = np.array([[1, 0, -1], [0, 1, -1]], dtype=ctx._dtype)[:, t]
+    del t
     a_part[0] = b_part[0] = 0
     k = ctx.character_sums(a_part, b_part)
     histogram = _value_histogram(q, k[ctx._np_exp[::2]], (q - 1) // 2)
@@ -185,10 +188,12 @@ def _delta_table(ctx, m: int, ops_limit: int):
     the table to total (q - 1)^m.  About (2r + m) q operations for every
     m >= 0.  |f| <= q - 1, so f^m is carried in int32 while
     (q - 1)^m < 2^31, in int64 while (q - 1)^m < 2^63, in Python ints
-    otherwise.  The second sum picks its own type from q (q - 1)^m and may
-    carry Python ints where the table fits int64 (m = 2 from r = 14 on);
-    each entry is at most the checked total, so the table is then cast back
-    exactly.
+    otherwise.  The second sum picks its own type from twice the L1 norm of
+    f^m (its exact sum for an even m, q (q - 1)^m for an odd one, whose f^m
+    has negative entries), so delta(2) runs in int32 through r = 9 and in
+    int64 through r = 19.  It may carry Python ints where the table fits
+    int64 (q = 3 at m = 61 and 62, q = 27 at m = 13); each entry is at most
+    the checked total, so the table is then cast back exactly.
     """
     if m < 0:
         raise DomainError("m must be nonnegative")

@@ -18,21 +18,22 @@ the primes p dividing q - 1, tested on the matrices of multiplication, 16
 candidates at a time, one set of squarings for every p), whose powers by
 composition give the chain 1, g, g^2, ... and so log/antilog, and
 a -> s(a), the map through the Hankel matrix tr(x^(i+k)) that reads the
-character sums, whose digit 0 is the trace.  The field keeps those five
-tables (exp, log, the half-width sums, trace and s) and reads everything
-else off them where it is used: negation is x + x (characteristic 3), the
-diagonal of the half-width table; 1/g^k = g^-k is one gather through exp
-and log; the squares are the even powers of g, so chi is the parity of the
-log, and the least nonsquare the least odd power.  The scalar methods read
+character sums, whose digit 0 is the trace.  The field keeps four tables
+(exp, log, the half-width sums and s) and reads everything else off them
+where it is used: the trace is s mod 3; negation is x + x (characteristic
+3), the diagonal of the half-width table; 1/g^k = g^-k is one gather
+through exp and log; the squares are the even powers of g, so chi is the
+parity of the log, and the least nonsquare the least odd power.  The scalar methods read
 those arrays and return Python ints and bools; addition is an O(r) digit
 loop.  Adding +-1 moves only digit 0 of an index, so
 chi(beta^2 - 1) = chi(beta - 1) chi(beta + 1) comes from two index
 shifts.  `FieldContext.character_sums` is the one exact additive
 character sum, a -> sum_beta f(beta) omega^{tr(a beta)} for every a,
-asserted real, run by charsums alone, in int32, int64 or Python ints as its
-bound allows; the context also keeps what charsums memoises on it (the
-Kloosterman table with its value histogram on the squares, and that of
-f = K(a^2), which codes.weight_prefix reads), so it lives and dies with it.
+asserted real, run by charsums alone, in int32, int64 or Python ints as
+twice the L1 norm of its input allows; the context also keeps what
+charsums memoises on it (the Kloosterman table with its value histogram on
+the squares, and that of f = K(a^2), which codes.weight_prefix reads), so
+it lives and dies with it.
 """
 
 import json
@@ -55,8 +56,8 @@ DEFAULT_MODULI = {
     8: (2, 0, 1, 0, 0, 0, 0, 0, 1), # x^8 + x^2 + 2
 }
 
-# (a + b) mod 3 for digits a, b: the seed of the half-width addition table,
-# the shift of digit 0 by +-1, and the trace as a sum of two digits 0
+# (a + b) mod 3 for digits a, b: the seed of the half-width addition table
+# and the shift of digit 0 by +-1
 _DIGIT_SUM = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]], dtype=np.int8)
 
 
@@ -128,6 +129,19 @@ def _is_irreducible(m) -> bool:
         if len(a) > 1:
             return False
     return True
+
+
+def _l1_bound(part) -> int:
+    """A bound on sum|x| over an integer array: the sum itself for a part
+    with no negative entry, summed in chunks whose int64 sums cannot wrap
+    (an object part sums in Python ints), and size * max|x| otherwise."""
+    top, low = int(part.max()), int(part.min())
+    if low < 0:
+        return part.size * max(top, -low)
+    if part.dtype == object or top * part.size < 2 ** 63:
+        return int(part.sum())
+    step = (2 ** 63 - 1) // top
+    return sum(int(part[i:i + step].sum()) for i in range(0, part.size, step))
 
 
 class FieldContext:
@@ -250,11 +264,10 @@ class FieldContext:
 
         # the index map a -> s(a), s(a)_k = tr(a x^k), that reads the character
         # sums (tr(a beta) = s(a) . beta) is a -> a @ H, H_ik = tr(x^(i+k)) the
-        # trace of C^(i+k); its digit 0, tr(a), is the trace table
+        # trace of C^(i+k); its digit 0, s(a) mod 3, is tr(a)
         tr = np.trace(powers, axis1=1, axis2=2) % 3
         hankel = tr[np.add.outer(np.arange(r), np.arange(r))]
         lo, hi = spans(hankel)
-        self._trace = _DIGIT_SUM[hi[:, None] % 3, lo % 3].ravel()
         self._functional = self._add_vec(hi[:, None], lo).ravel()
 
     # -- arithmetic --------------------------------------------------------
@@ -303,9 +316,10 @@ class FieldContext:
         return int(self._np_exp[int(self._np_log[x]) * e % (self.q - 1)])
 
     def trace(self, x: int) -> int:
-        """Field trace down to GF(3), returned as an element of {0, 1, 2}."""
+        """Field trace down to GF(3), returned as an element of {0, 1, 2}:
+        digit 0 of s(x)."""
         self._check(x)
-        return int(self._trace[x])
+        return int(self._functional[x] % 3)
 
     def squares(self):
         """The (q-1)/2 nonzero squares, the even powers of g, ascending."""
@@ -360,18 +374,26 @@ class FieldContext:
 
         The radix-3 Fourier transform over (Z/3)^r gives
         F(s) = sum_beta f(beta) omega^{s . beta} exactly in the form
-        A + B omega (omega^2 = -1 - omega), and R(a) = F(s(a)).  A sum of n
-        values of modulus at most M = max|A| + max|B| has coordinates at most
-        2 n M / sqrt(3), and each stage adds four coordinates of the one
-        before, so every value stays below 1.6 q M: the transform runs in
-        int32 while 1.6 q M < 2^31, in int64 while 1.6 q M < 2^63, and in
-        Python ints past that.  The stages write by turns into two
-        preallocated (A, B) pairs, never into the caller's arrays.
+        A + B omega (omega^2 = -1 - omega), and R(a) = F(s(a)).  After k
+        stages each entry is a character sum of f over a coset of 3^k betas,
+        so its modulus is at most sum |f| over that coset, and
+        |f| <= |A| + |B|.  A stage forms every value, stored or passing, as
+        a signed sum of at most four coordinates of three entries
+        x_0, x_1, x_2 of the stage before, which lie over disjoint cosets.
+        Since |a + b omega|^2 = a^2 - ab + b^2 is at least (a + b)^2 / 4 and
+        at least 3 (a - b)^2 / 4, |a| + |b| <= 2 |a + b omega|, and each
+        value is at most 2 (|x_0| + |x_1| + |x_2|) <= 2 L in modulus, with
+        L = sum|A| + sum|B| the L1 norm (at most L in the first stage, which
+        reads A and B themselves).  The transform therefore runs in int32
+        while 2 L < 2^31, in int64 while 2 L < 2^63, and in Python ints past
+        that, with L bounded part by part by _l1_bound.  The stages write by
+        turns into two preallocated (A, B) pairs, never into the caller's
+        arrays.
         """
         q = self.q
         parts = (a_part,) if b_part is None else (a_part, b_part)
-        reach = 16 * q * sum(max(int(p.max()), -int(p.min())) for p in parts)
-        dtype = np.int32 if reach < 10 * 2 ** 31 else np.int64 if reach < 10 * 2 ** 63 else object
+        reach = 2 * sum(_l1_bound(p) for p in parts)
+        dtype = np.int32 if reach < 2 ** 31 else np.int64 if reach < 2 ** 63 else object
         pairs = np.empty((2, 2, q), dtype)
         if b_part is None:  # B = 0 in the pair the second stage writes
             pairs[1, 1] = 0

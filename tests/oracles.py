@@ -147,10 +147,11 @@ def kloosterman_per_a(ctx) -> list:
     """
     q = ctx.q
     nz = np.arange(1, q)
-    tr_x = ctx._trace[nz]
+    trace = np.array([ctx.trace(x) for x in range(q)])
+    tr_x = trace[nz]
     out = []
     for a in range(1, q):
-        e = (tr_x + ctx._trace[ctx._mul_vec(a, ctx._np_exp[-ctx._np_log[nz]])]) % 3
+        e = (tr_x + trace[ctx._mul_vec(a, ctx._np_exp[-ctx._np_log[nz]])]) % 3
         c0, c1, c2 = np.bincount(e, minlength=3).tolist()
         if c1 != c2:
             raise ConsistencyError("K(%d) over GF(%d) is not real: %d != %d" % (a, q, c1, c2))
@@ -288,8 +289,9 @@ def is_irreducible_trial(m) -> bool:
 
 def field_tables_reference(ctx) -> dict:
     """Every table `FieldContext` keeps, as arrays under their attribute
-    names, and the lists its scalar methods inv, neg, squares and is_square
-    read off them, under the method names (inv[0] = 0), by Python-list loops.
+    names, and the lists its scalar methods inv, neg, squares, is_square and
+    trace read off them, under the method names (inv[0] = 0), by Python-list
+    loops.
 
     Reads only the modulus of ctx and its digit-loop `add`, and multiplies
     by polynomial arithmetic: the generator is the least g with
@@ -344,7 +346,7 @@ def field_tables_reference(ctx) -> dict:
         return out
 
     return {
-        "_trace": trace,
+        "trace": trace.tolist(),
         "epsilon": next(x for x in range(1, q) if not is_square[x]),
         "_np_exp": np.array(exp, dtype=np.int64),
         "_np_log": np.array(log, dtype=np.int64),

@@ -309,9 +309,9 @@ def test_delta_matches_convolution_oracle(r, m):
 
 
 @pytest.mark.parametrize("r, m", [
-    (2, 19),  # 1.6 * 9 * 8^19 < 2^63: the largest m carried in int64 at q = 9
-    (2, 20),  # the smallest m carried in Python ints at q = 9
-    (3, 14),  # 27 * 26^14 is about 2^70
+    (2, 19),  # 2 * 9 * 8^19 < 2^63: f^19 has negative entries, so its L1 bound is q max
+    (2, 20),  # 2 sum f^20, about 2^61: the largest m carried in int64 at q = 9
+    (3, 14),  # 2 sum f^14, about 2^67: Python ints
 ])
 def test_delta_at_the_int64_bound(r, m):
     ctx = field_create(r)
@@ -329,17 +329,72 @@ def test_delta_at_the_int32_power_bound(m):
     assert list(delta_count(ctx, m)) == delta_convolution(ctx, m)
 
 
+def _sum_words(monkeypatch, ctx):
+    """Patch ctx's character sum to record the word of each of its results,
+    in call order."""
+    real, words = ctx.character_sums, []
+
+    def recorded(*parts):
+        sums = real(*parts)
+        words.append(str(sums.dtype))
+        return sums
+
+    monkeypatch.setattr(ctx, "character_sums", recorded)
+    return words
+
+
 @pytest.mark.parametrize("r, m, dtype", [
     (2, 19, "int64"),
-    (2, 20, "int64"),  # 8^20 = 2^60: the second sum carries Python ints, the table fits
+    (2, 20, "int64"),  # 8^20 = 2^60, and 2 sum f^20 is about 2^61: int64 throughout
     (2, 21, "object"),  # 8^21 = 2^63
+    (1, 61, "int64"),  # 2^61; the second sum's bound 2 * 3 * 2^61 is past 2^63
+    (1, 62, "int64"),  # 2^62; 2 sum f^62 = 2 (2^62 + 2) is past 2^63
+    (1, 63, "object"),  # 2^63
+    (3, 13, "int64"),  # 26^13 < 2^62; 2 * 27 * 26^13 is past 2^63
 ])
-def test_delta_table_stays_int64_while_it_fits(r, m, dtype):
-    # the array behind delta_count: int64 while (q - 1)^m < 2^63, Python ints past it
+def test_delta_table_stays_int64_while_it_fits(monkeypatch, r, m, dtype):
+    # the array behind delta_count: int64 while (q - 1)^m < 2^63, Python ints
+    # past it; the second sum carries Python ints while the table fits
+    # int64 at (q, m) = (3, 61), (3, 62) and (27, 13), and is cast back
     ctx = field_create(r)
+    words = _sum_words(monkeypatch, ctx)
     table = charsums._delta_table(ctx, m, charsums.DEFAULT_OPS_LIMIT)
     assert table.dtype == dtype
-    assert tuple(table.tolist()) == delta_count(ctx, m)
+    cast_back = (ctx.q, m) in {(3, 61), (3, 62), (27, 13)}
+    assert (words[1] == "object" and dtype == "int64") == cast_back
+    assert table.tolist() == delta_convolution(ctx, m)
+
+
+# the least monic irreducibles of degree 9 and 10
+_LEAST = {9: (1, 0, 1, 2, 0, 0, 0, 0, 0, 1), 10: (1, 0, 2, 0, 0, 0, 0, 0, 0, 0, 1)}
+
+
+@pytest.mark.parametrize("r", range(1, 11))
+def test_pipeline_sums_run_in_their_words(monkeypatch, r):
+    # the K table and delta(1) sum in int32 (through r = 18); delta(2)'s
+    # second sum, bounded by 2 sum f^2 = 4 q (q - 2), in int32 through r = 9
+    # (the large fields r = 7, 8 included) and in int64 from r = 10
+    ctx = field_create(r, _LEAST.get(r))
+    words = _sum_words(monkeypatch, ctx)
+    _kloosterman_table(ctx, 10 ** 9)
+    charsums._delta_table(ctx, 2, 10 ** 9)
+    assert words == ["int32", "int32", "int32" if r <= 9 else "int64"]
+
+
+@pytest.mark.parametrize("r, m, word, before", [
+    (1, 0, "int32", None), (1, 29, "int64", "int32"), (1, 61, "object", "int64"),
+    (2, 0, "int32", None), (2, 9, "int64", "int32"), (2, 21, "object", "int64"),
+    (3, 0, "int32", None), (3, 7, "int64", "int32"), (3, 13, "object", "int64"),
+])
+def test_delta_at_the_first_m_of_each_word(monkeypatch, r, m, word, before):
+    # delta(m)'s second sum runs in word from this m on (in before at m - 1),
+    # and the table matches the convolution oracle there
+    ctx = field_create(r)
+    words = _sum_words(monkeypatch, ctx)
+    assert list(delta_count(ctx, m)) == delta_convolution(ctx, m)
+    if before is not None:
+        delta_count(ctx, m - 1)
+    assert words[1::2] == [word] + ([before] if before else [])
 
 
 def _skew_call(monkeypatch, ctx, call, index, skew):

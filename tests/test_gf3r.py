@@ -14,7 +14,7 @@ from kloostercodes import (
     field_create,
     load_modulus_config,
 )
-from kloostercodes.gf3r import DEFAULT_MODULI, _is_irreducible, format_poly
+from kloostercodes.gf3r import DEFAULT_MODULI, _is_irreducible, _l1_bound, format_poly
 from oracles import field_tables_reference, is_irreducible_trial
 
 
@@ -172,6 +172,7 @@ def test_tables_match_the_list_reference(r):
         assert [ctx.neg(x) for x in elems] == ref.pop("neg"), modulus
         assert ctx.squares() == tuple(ref.pop("squares")), modulus
         assert [ctx.is_square(x) for x in elems] == ref.pop("is_square"), modulus
+        assert [ctx.trace(x) for x in elems] == ref.pop("trace"), modulus
         for name, want in ref.items():
             got = getattr(ctx, name)
             assert type(got) is type(want), (modulus, name)
@@ -201,12 +202,12 @@ def test_scalar_methods_return_python_values(r):
 
 
 @pytest.mark.parametrize("r", [1, 5, 8])
-def test_field_keeps_only_its_five_tables(r):
-    # exp, log, the half-width sums, trace and the functional: negation,
-    # inverses and squares are read off them, not kept
+def test_field_keeps_only_its_four_tables(r):
+    # exp, log, the half-width sums and the functional s: negation, inverses,
+    # squares and the trace (digit 0 of s) are read off them, not kept
     ctx = field_create(r)
     tables = {name for name, value in vars(ctx).items() if isinstance(value, np.ndarray)}
-    assert tables == {"_np_exp", "_np_log", "_add_half", "_trace", "_functional"}
+    assert tables == {"_np_exp", "_np_log", "_add_half", "_functional"}
     assert all(getattr(ctx, name).size >= ctx.q - 1 for name in tables)
 
 
@@ -272,25 +273,65 @@ def test_transform_matches_literal_sum(r, modulus, dtype):
     assert sums.tolist() == _literal_sums(ctx, even, [0] * ctx.q)
 
 
+def _parts_at_the_bound(ctx, half, over, shape, rng):
+    """Parts with every character sum real whose L1 bound L, as the
+    transform takes it, is half - 1 (below) or half (over).  "flat" and
+    "peaked": one real even part f >= 0 (f(-beta) = f(beta)) with
+    sum f = L exactly, every entry about L / q, or f(0) about L and the rest
+    at most 8, as f^2 has.  "signed": conjugate-symmetric A, B, both with
+    negative entries, so L = q max|A| + q max|B|, scaled to the last
+    multiple of it below half or the first at or past half."""
+    q = ctx.q
+    if shape == "signed":
+        while True:
+            a, b = _conjugate_symmetric(ctx, lambda: (rng.randint(-5, 5), rng.randint(-5, 5)))
+            if min(a) < 0 and min(b) < 0:
+                break
+        unit = q * (max(map(abs, a)) + max(map(abs, b)))
+        c = -(-half // unit) if over else (half - 1) // unit
+        return [c * x for x in a], [c * x for x in b]
+    norm = half if over else half - 1
+    f = [0] * q
+    c = 8 if shape == "peaked" else norm // q
+    for beta in range(1, q):
+        if beta < ctx.neg(beta):
+            f[beta] = f[ctx.neg(beta)] = rng.randint(c // 2, c)
+    f[0] = norm - sum(f)
+    return f, [0] * q
+
+
+def _check_word_at_the_bound(r, over, top, word, wider):
+    """The sums against the literal ones for int64 parts of each shape whose
+    bound 2 L sits just below top (in word) or at top (in wider)."""
+    ctx = field_create(r)
+    rng = random.Random(r)
+    for shape in ("flat", "peaked", "signed"):
+        a, b = _parts_at_the_bound(ctx, top // 2, over, shape, rng)
+        parts = (a,) if shape != "signed" else (a, b)  # B omitted is B = 0
+        sums = ctx.character_sums(*(np.array(p, dtype=np.int64) for p in parts))
+        assert sums.dtype == (wider if over else word), shape
+        assert sums.tolist() == _literal_sums(ctx, a, b), shape
+
+
 @pytest.mark.parametrize("r", [1, 2, 3])
 @pytest.mark.parametrize("over", [False, True], ids=["below", "above"])
 def test_character_sums_exact_at_the_int64_bound(r, over):
-    # int64 while 1.6 q M < 2^63, M = max|A| + max|B|: below the bound
-    # M <= (9/8) 2^62 / q; above it M >= 2^64 / q, and R(0), about q M,
-    # passes 2^63
-    ctx = field_create(r)
-    big = (2 ** 64 if over else 2 ** 62) // ctx.q
-    rng = random.Random(r)
+    # int64 while 2 L < 2^63, L the bound on the L1 norm sum|A| + sum|B|:
+    # the exact sum of a nonnegative part (the peaked one, f(0) near 2^62,
+    # summed in chunks), q max|x| of a signed one
+    _check_word_at_the_bound(r, over, 2 ** 63, np.int64, object)
 
-    def pick():
-        b = rng.randint(0, big // 8)
-        return big - b, b
 
-    a, b = _conjugate_symmetric(ctx, pick)
-    sums = ctx.character_sums(np.array(a, dtype=object), np.array(b, dtype=object))
-    assert sums.dtype == (object if over else np.int64)
-    assert sums.tolist() == _literal_sums(ctx, a, b)
-    assert (sums[0] > 2 ** 63) == over
+@pytest.mark.parametrize("dtype", [np.int32, np.int64, object])
+def test_l1_bound_is_exact_for_a_nonnegative_part(dtype):
+    # the int64 and object parts total past 2^63, where one int64 sum would
+    # wrap and the chunks of (2^63 - 1) // max entries cannot; an int32 part
+    # sums in int64; a part with a negative entry is bounded by size max|x|
+    top = 2 ** 31 - 1 if dtype is np.int32 else 2 ** 62 + 1
+    part = np.array([top, 0, top - 5, 1, top, 7] * 3, dtype=dtype)
+    assert _l1_bound(part) == sum(part.tolist())
+    part[1] = -2
+    assert _l1_bound(part) == part.size * top
 
 
 @pytest.mark.parametrize("dtype", [np.int32, np.int64, object])
@@ -312,22 +353,8 @@ def test_transform_reads_read_only_inputs(dtype):
 @pytest.mark.parametrize("r", [1, 2, 3])
 @pytest.mark.parametrize("over", [False, True], ids=["below", "above"])
 def test_character_sums_exact_at_the_int32_bound(r, over):
-    # int32 while 1.6 q M < 2^31: below the bound M <= (9/8) 2^30 / q; above
-    # it M >= 2^32 / q, and R(0), the sum of the A parts, at least
-    # (3/4) 2^32, passes 2^31
-    ctx = field_create(r)
-    big = (2 ** 32 if over else 2 ** 30) // ctx.q
-    rng = random.Random(r)
-
-    def pick():
-        b = rng.randint(0, big // 8)
-        return big - b, b
-
-    a, b = _conjugate_symmetric(ctx, pick)
-    sums = ctx.character_sums(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64))
-    assert sums.dtype == (np.int64 if over else np.int32)
-    assert sums.tolist() == _literal_sums(ctx, a, b)
-    assert (sums[0] > 2 ** 31) == over
+    # int32 while 2 L < 2^31, from int64 parts
+    _check_word_at_the_bound(r, over, 2 ** 31, np.int32, np.int64)
 
 
 # the least monic irreducibles of degree 10 and 11
@@ -337,8 +364,8 @@ _R11 = (2, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1)
 
 def test_field_build_memory_per_element():
     # no (q, r) digit array, no int64 index table and no table that the
-    # five kept ones restate: at r = 10 the build peaks at <= 30 bytes per
-    # element and keeps <= 16
+    # four kept ones restate: at r = 10 the build peaks at <= 30 bytes per
+    # element and keeps <= 15
     field_create(2)  # numpy's allocations on first use stay out of the count
     tracemalloc.start()
     try:
@@ -348,7 +375,7 @@ def test_field_build_memory_per_element():
         tracemalloc.stop()
     assert ctx._np_exp.dtype == np.int32
     assert peak <= 30 * ctx.q, peak / ctx.q
-    assert kept <= 16 * ctx.q, kept / ctx.q
+    assert kept <= 15 * ctx.q, kept / ctx.q
 
 
 @pytest.mark.parametrize("bound, dtype", [(2, np.int32), (2 ** 20, np.int64)])

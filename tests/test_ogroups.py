@@ -247,7 +247,7 @@ def test_so4_histogram_past_the_shipped_moduli(monkeypatch):
         hist = histogram_closed_form(ctx, GroupId.SO4)
     assert hist.total == group_order(GroupId.SO4, ctx.q)
     for a in (1, 2, 5):
-        traces = ctx._trace[ctx._mul_vec(a, np.arange(ctx.q))].tolist()
+        traces = (ctx._functional[ctx._mul_vec(a, np.arange(ctx.q))] % 3).tolist()
         acc = [0, 0, 0]
         for t, n in zip(traces, hist.counts):
             acc[t] += n
@@ -257,8 +257,9 @@ def test_so4_histogram_past_the_shipped_moduli(monkeypatch):
 
 @pytest.mark.parametrize("r", [2, 3, 4])
 def test_so4_histogram_when_the_sums_carry_python_ints(monkeypatch, r):
-    # from r = 14 on the second character sum of delta(2) carries Python
-    # ints while the table still fits int64; here every sum is forced to them
+    # the second character sum of delta(m) can carry Python ints while the
+    # table still fits int64 (q = 3 at m = 61 and 62, q = 27 at m = 13); here
+    # every sum is forced to them
     ctx = field_create(r)
     real = type(ctx).character_sums
     monkeypatch.setattr(type(ctx), "character_sums",
