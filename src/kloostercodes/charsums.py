@@ -8,23 +8,23 @@ solution counts delta(m, q; beta) of x_1 + 1/x_1 + ... + x_m + 1/x_m = beta
 all come out as exact (big) integers.
 
 The K table and the delta(m) tables are exact character sums over the
-field (FieldContext.character_sums), each in the narrowest machine word its
-bound allows: one sum of y -> omega^{tr(1/y)} gives K(a) for every a, kept
-on the field context (int32 through r = 18), and every reader of a
-Kloosterman sum, single values included, reads that table.  Next to it the
-context keeps the value histogram of K over the nonzero squares: K(a) is
--1 mod 3 and at most 2 sqrt(q) in modulus, so it takes at most about
-4 sqrt(q)/3 + 1 values (81 at q = 3^8), and the direct moments
-SK^h = sum_k mult(k) k^h and the left side of the Pless check sum over those
-values instead of over the (q - 1)/2 squares.  f, the character sum of
+field (FieldContext.character_sums), each in the word gf3r._word picks for
+it (the rule is derived in character_sums): one sum of
+y -> omega^{tr(1/y)} gives K(a) for every a, kept on the field context,
+and every reader of a Kloosterman sum, single values included, reads that
+table.  Next to it the context keeps the value histogram of K over the
+nonzero squares: K(a) is -1 mod 3 and at most 2 sqrt(q) in modulus, so it
+takes at most about 4 sqrt(q)/3 + 1 values (81 at q = 3^8), and the direct
+moments SK^h = sum_k mult(k) k^h and the left side of the Pless check sum
+over those values instead of over the (q - 1)/2 squares.  f, the character sum of
 delta(1), is K(a^2) at a != 0: one routine (_delta_one_sums) computes it,
 checks its values at a != 0 as K's are checked and keeps their histogram on
 the context, which codes.weight_prefix reads for every dual weight;
 delta(m) is the character sum of f^m.  Inside the package the delta(m)
-table stays an integer array (int64 while it fits, ogroups groups it by
-value); delta_count, the public boundary, turns it into a tuple of Python
-ints indexed by beta.  The two tables never read each other, and no other
-module runs a character sum or writes a kept table.
+table stays an integer array in the word its second sum ran in (ogroups
+groups it by value); delta_count, the public boundary, turns it into a
+tuple of Python ints indexed by beta.  The two tables never read each
+other, and no other module runs a character sum or writes a kept table.
 """
 
 import math
@@ -32,6 +32,7 @@ import math
 import numpy as np
 
 from .errors import ConsistencyError, DomainError, admit
+from .gf3r import _word
 
 # The K table costs about q*r + q operations and delta(m) about (2r + m) q,
 # one or two radix-3 transforms; this default admits them, and the weight
@@ -45,10 +46,10 @@ def _kloosterman_table(ctx, ops_limit: int = DEFAULT_OPS_LIMIT):
     With y = 1/x, K(a) = sum_{y != 0} omega^{tr(1/y)} omega^{tr(a y)}, so one
     character sum of y -> omega^{tr(1/y)} (0 at y = 0) gives K(a) for every
     a at once; its parts are built in the field's index dtype, and the sum
-    runs in int32 while 4 q < 2^31 (r <= 18): twice q max|A| + q max|B|,
-    the bound on the L1 norm of parts with negative entries.  The table is
-    checked to have sum_{a != 0} K(a) = 1 and
-    sum_{a != 0} K(a)^2 = q^2 - q - 1, the squares formed in int64.
+    runs in the word character_sums picks from their L1 bound, at most
+    q max|A| + q max|B| = 2 q.  The table is checked to have
+    sum_{a != 0} K(a) = 1 and sum_{a != 0} K(a)^2 = q^2 - q - 1, the
+    squares formed in int64.
     It is admitted at about q*r + q operations, then kept on ctx together
     with its value histogram over the nonzero squares; the limit is checked
     before the kept table is read.
@@ -178,32 +179,25 @@ def _delta_one_histogram(ctx):
 
 
 def _delta_table(ctx, m: int, ops_limit: int):
-    """delta(m, q; beta) for every beta, as an integer array indexed by beta:
-    int64 while (q - 1)^m < 2^63, an object array of Python ints past that.
+    """delta(m, q; beta) for every beta, as an integer array indexed by beta,
+    in the word its second character sum ran in.
 
     delta(m) is the m-fold additive convolution of delta(1), so with f from
     _delta_one_sums (checked there) the character sum of f^m is
     g(t) = q delta(m; -t) = q delta(m; t) (delta(m) is even, as
     x -> -x maps its equation to itself); g is asserted divisible by q and
     the table to total (q - 1)^m.  About (2r + m) q operations for every
-    m >= 0.  |f| <= q - 1, so f^m is carried in int32 while
-    (q - 1)^m < 2^31, in int64 while (q - 1)^m < 2^63, in Python ints
-    otherwise.  The second sum picks its own type from twice the L1 norm of
-    f^m (its exact sum for an even m, q (q - 1)^m for an odd one, whose f^m
-    has negative entries), so delta(2) runs in int32 through r = 9 and in
-    int64 through r = 19.  It may carry Python ints where the table fits
-    int64 (q = 3 at m = 61 and 62, q = 27 at m = 13); each entry is at most
-    the checked total, so the table is then cast back exactly.
+    m >= 0.  |f| <= q - 1, so f^m is carried in gf3r._word((q - 1)^m);
+    the second sum picks its word from twice the L1 norm of f^m (its exact
+    sum for an even m, q (q - 1)^m for an odd one, whose f^m has negative
+    entries), by the rule derived in character_sums, and g // q keeps it.
     """
     if m < 0:
         raise DomainError("m must be nonnegative")
     q = ctx.q
     admit("delta(%d, %d) by two radix-3 transforms ((2r + m) q)" % (m, q),
           (2 * ctx.r + m) * q, ops_limit)
-    top = (q - 1) ** m
-    fits = top < 2 ** 63
-    f = _delta_one_sums(ctx).astype(np.int32 if top < 2 ** 31 else np.int64 if fits else object,
-                                    copy=False)
+    f = _delta_one_sums(ctx).astype(_word((q - 1) ** m), copy=False)
     f **= m  # in place: f itself is not read again
     g = ctx.character_sums(f)
     if np.count_nonzero(g % q):
@@ -215,8 +209,6 @@ def _delta_table(ctx, m: int, ops_limit: int):
         raise ConsistencyError(
             "delta(%d, %d) table totals %d, expected %d" % (m, q, table.sum(), (q - 1) ** m)
         )
-    if fits:
-        table = table.astype(np.int64, copy=False)
     return table
 
 

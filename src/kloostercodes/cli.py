@@ -181,7 +181,7 @@ def _cmd_field(args, ctx):
         "modulus": list(ctx.modulus),
         "modulus_str": format_poly(ctx.modulus),
         "epsilon": ctx.epsilon,
-        "num_squares": len(ctx.squares()),
+        "num_squares": (ctx.q - 1) // 2,
     }
     rows = [("key", "value")] + [(k, payload[k]) for k in sorted(payload)]
     text = ["GF(%d), modulus %s" % (ctx.q, payload["modulus_str"]),

@@ -55,11 +55,11 @@ def weight_prefix(gid: GroupId, ctx, j_max: int, *,
     sum A(a) = n_0 + n_1 omega + n_2 omega^2 of the trace histogram is real,
     so n_1 = n_2 and w(a) = 2 (N - A(a))/3.  By the delta form
     c + z [beta = 0] + d delta(n; beta), A(0) = N and A(a) = z + d f(a)^n,
-    f the character sum of delta(1): one int32 transform per context, no K
-    table.  charsums._delta_one_histogram gives its values (checked -1 mod 3,
-    so each gives its own A) with their multiplicities, kept on ctx, and each
-    w is formed in Python ints (N runs past 2^63) once per value.  The
-    MacWilliams identity then gives
+    f the character sum of delta(1): one transform per context, in the word
+    gf3r._word picks for it, no K table.  charsums._delta_one_histogram
+    gives its values (checked -1 mod 3, so each gives its own A) with their
+    multiplicities, kept on ctx, and each w is formed in Python ints (N runs
+    past 2^63) once per value.  The MacWilliams identity then gives
     C_j = q^{-1} sum_w [x^j] P_w, P_w = mult(w) (1 + 2x)^{N - w} (1 - x)^w,
     summed over the distinct dual weights w (a = 0 contributes w = 0).  As
     (1 + x - 2x^2) P_w' = ((2N - 3w) - 2N x) P_w and 2N - 3w = 2A, the

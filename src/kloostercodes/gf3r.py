@@ -5,9 +5,9 @@ encodes the coefficient vector of the residue polynomial in base 3, so 0 is
 the additive identity and 1 the multiplicative identity.  A FieldContext
 verifies its modulus irreducible by Rabin's test and builds each table once,
 as a numpy array and nowhere else, for every r with a modulus, shipped
-(r <= 8) or given.  Every q-sized table holds indices in one machine word
-chosen from q alone, int32 while 2(q - 1) < 2^31 (r <= 18) and int64 past
-that, and is built in it; no array holds the digits of every index.
+(r <= 8) or given.  Every q-sized table holds indices in one machine word,
+_word(2(q - 1)), and is built in it; no array holds the digits of every
+index.  _word is the one rule that picks an integer word in the package.
 Indices add digit by digit through one table of the sums of half-width
 indices (below 3^h, h = ceil(r/2)): a + b is two gathers, one for the high
 halves and one for the low.  A GF(3)-linear index map, v -> v @ M for an
@@ -29,11 +29,11 @@ loop.  Adding +-1 moves only digit 0 of an index, so
 chi(beta^2 - 1) = chi(beta - 1) chi(beta + 1) comes from two index
 shifts.  `FieldContext.character_sums` is the one exact additive
 character sum, a -> sum_beta f(beta) omega^{tr(a beta)} for every a,
-asserted real, run by charsums alone, in int32, int64 or Python ints as
-twice the L1 norm of its input allows; the context also keeps what
-charsums memoises on it (the Kloosterman table with its value histogram on
-the squares, and that of f = K(a^2), which codes.weight_prefix reads), so
-it lives and dies with it.
+asserted real, run by charsums alone, in the word _word picks from twice
+the L1 norm of its input (derived in its docstring); the context also
+keeps what charsums memoises on it (the Kloosterman table with its value
+histogram on the squares, and that of f = K(a^2), which
+codes.weight_prefix reads), so it lives and dies with it.
 """
 
 import json
@@ -131,6 +131,14 @@ def _is_irreducible(m) -> bool:
     return True
 
 
+def _word(bound):
+    """The integer word of an array whose entries stay below bound in
+    modulus: int32 below 2^31, int64 below 2^63, Python ints (object) past
+    that.  Every word in the package is chosen here, from a bound derived
+    where it is called."""
+    return np.int32 if bound < 2 ** 31 else np.int64 if bound < 2 ** 63 else object
+
+
 def _l1_bound(part) -> int:
     """A bound on sum|x| over an integer array: the sum itself for a part
     with no negative entry, summed in chunks whose int64 sums cannot wrap
@@ -148,7 +156,8 @@ class FieldContext:
     """The field GF(3^r) with a fixed irreducible modulus.
 
     Elements are plain ints in [0, q); all methods take and return such
-    indices.  Use :func:`field_create` for the checked constructor wrapper.
+    indices.  The constructor checks the modulus monic, of degree r and
+    irreducible; :func:`field_create` is the same constructor by name.
     """
 
     def __init__(self, r: int, modulus=None):
@@ -183,9 +192,8 @@ class FieldContext:
 
     def _build_tables(self):
         q, r = self.q, self.r
-        # the word of every index table: int32 while a sum of two logs, below
-        # 2(q - 1), fits it (r <= 18), int64 past that
-        dt = self._dtype = np.int32 if 2 * (q - 1) < 2 ** 31 else np.int64
+        # the word of every index table holds a sum of two logs, below 2(q - 1)
+        dt = self._dtype = _word(2 * (q - 1))
         pow3 = 3 ** np.arange(r)
         # a + b digit by digit: an index is hi 3^h + lo with lo < 3^h, h = ceil(r/2),
         # and the halves add through one (3^h, 3^h) table, built a digit at a
@@ -384,16 +392,15 @@ class FieldContext:
         at least 3 (a - b)^2 / 4, |a| + |b| <= 2 |a + b omega|, and each
         value is at most 2 (|x_0| + |x_1| + |x_2|) <= 2 L in modulus, with
         L = sum|A| + sum|B| the L1 norm (at most L in the first stage, which
-        reads A and B themselves).  The transform therefore runs in int32
-        while 2 L < 2^31, in int64 while 2 L < 2^63, and in Python ints past
-        that, with L bounded part by part by _l1_bound.  The stages write by
-        turns into two preallocated (A, B) pairs, never into the caller's
-        arrays.
+        reads A and B themselves).  The transform therefore runs in
+        _word(2 L): int32 while 2 L < 2^31, int64 while 2 L < 2^63, and
+        Python ints past that, with L bounded part by part by _l1_bound.
+        The stages write by turns into two preallocated (A, B) pairs, never
+        into the caller's arrays.
         """
         q = self.q
         parts = (a_part,) if b_part is None else (a_part, b_part)
-        reach = 2 * sum(_l1_bound(p) for p in parts)
-        dtype = np.int32 if reach < 2 ** 31 else np.int64 if reach < 2 ** 63 else object
+        dtype = _word(2 * sum(_l1_bound(p) for p in parts))
         pairs = np.empty((2, 2, q), dtype)
         if b_part is None:  # B = 0 in the pair the second stage writes
             pairs[1, 1] = 0

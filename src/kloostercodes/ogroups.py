@@ -231,16 +231,22 @@ def delta_form(gid: GroupId, q: int) -> tuple:
 def histogram_closed_form(ctx, gid: GroupId, *, ops_limit: int = charsums.DEFAULT_OPS_LIMIT) -> TraceHistogram:
     """Exact trace histogram for any q, no enumeration involved: delta_form
     over the delta(n) table, delta(1) = 1 + chi(beta^2 - 1) in the field's
-    index dtype or delta(2) from charsums._delta_table in int64.  The table
-    is grouped by value, and each distinct value v gives one Python int
-    c + d v (past 2^63 from r = 8 on), placed by reference through a gather,
-    so equal counts share one int.  The gathered counts are checked to total |G|: at n = 1 that
-    tests the delta(1) table's total, at n = 2 (whose table total
-    _delta_table asserts) the grouping and the gather."""
+    index dtype or delta(2) from charsums._delta_table in the word its sum
+    ran in (gf3r._word).  This is the one reader that bins the table: it
+    bins a machine-word table as it is and casts one of Python ints to
+    int64 first, which holds every entry (each is at most the checked total
+    (q - 1)^2).  The table is grouped by value, and each distinct value v
+    gives one Python int c + d v (past 2^63 from r = 8 on), placed by
+    reference through a gather, so equal counts share one int.  The gathered
+    counts are checked to total |G|: at n = 1 that tests the delta(1)
+    table's total, at n = 2 (whose table total _delta_table asserts) the
+    grouping and the gather."""
     q = ctx.q
     expected = group_order(gid, q)
     c, z, d = delta_form(gid, q)
     table = 1 + ctx._chi_sq_minus_one() if gid.n == 1 else charsums._delta_table(ctx, gid.n, ops_limit)
+    if table.dtype == object:  # np.bincount reads machine words only
+        table = table.astype(np.int64)
     # beta = 0 carries z and stands apart (delta(2; 0) is about 2q); the other
     # values lie within about 2 sqrt(q) of q, so their bins span that, not q
     head, rest = int(table[0]), table[1:]

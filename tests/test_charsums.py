@@ -347,22 +347,23 @@ def _sum_words(monkeypatch, ctx):
     (2, 19, "int64"),
     (2, 20, "int64"),  # 8^20 = 2^60, and 2 sum f^20 is about 2^61: int64 throughout
     (2, 21, "object"),  # 8^21 = 2^63
-    (1, 61, "int64"),  # 2^61; the second sum's bound 2 * 3 * 2^61 is past 2^63
-    (1, 62, "int64"),  # 2^62; 2 sum f^62 = 2 (2^62 + 2) is past 2^63
+    (1, 61, "object"),  # 2^61; the second sum's bound 2 * 3 * 2^61 is past 2^63
+    (1, 62, "object"),  # 2^62; 2 sum f^62 = 2 (2^62 + 2) is past 2^63
     (1, 63, "object"),  # 2^63
-    (3, 13, "int64"),  # 26^13 < 2^62; 2 * 27 * 26^13 is past 2^63
+    (3, 13, "object"),  # 26^13 < 2^62; 2 * 27 * 26^13 is past 2^63
+    (3, 14, "object"),  # 26^14 is past 2^63, each of its 27 entries is not
 ])
-def test_delta_table_stays_int64_while_it_fits(monkeypatch, r, m, dtype):
-    # the array behind delta_count: int64 while (q - 1)^m < 2^63, Python ints
-    # past it; the second sum carries Python ints while the table fits
-    # int64 at (q, m) = (3, 61), (3, 62) and (27, 13), and is cast back
+def test_delta_table_keeps_its_sums_word(monkeypatch, r, m, dtype):
+    # the array behind delta_count is g // q in the word of the second sum g:
+    # Python ints at (q, m) = (3, 61), (3, 62), (27, 13) and (27, 14) too,
+    # though every entry there fits int64 (ogroups casts before it bins)
     ctx = field_create(r)
     words = _sum_words(monkeypatch, ctx)
     table = charsums._delta_table(ctx, m, charsums.DEFAULT_OPS_LIMIT)
-    assert table.dtype == dtype
-    cast_back = (ctx.q, m) in {(3, 61), (3, 62), (27, 13)}
-    assert (words[1] == "object" and dtype == "int64") == cast_back
+    assert table.dtype == words[1] == dtype
     assert table.tolist() == delta_convolution(ctx, m)
+    if (ctx.q, m) == (27, 14):
+        assert max(table.tolist()) < 2 ** 63
 
 
 # the least monic irreducibles of degree 9 and 10
@@ -373,12 +374,26 @@ _LEAST = {9: (1, 0, 1, 2, 0, 0, 0, 0, 0, 1), 10: (1, 0, 2, 0, 0, 0, 0, 0, 0, 0, 
 def test_pipeline_sums_run_in_their_words(monkeypatch, r):
     # the K table and delta(1) sum in int32 (through r = 18); delta(2)'s
     # second sum, bounded by 2 sum f^2 = 4 q (q - 2), in int32 through r = 9
-    # (the large fields r = 7, 8 included) and in int64 from r = 10
+    # (the large fields r = 7, 8 included) and in int64 from r = 10, and the
+    # delta(2) table keeps that word
     ctx = field_create(r, _LEAST.get(r))
     words = _sum_words(monkeypatch, ctx)
     _kloosterman_table(ctx, 10 ** 9)
-    charsums._delta_table(ctx, 2, 10 ** 9)
-    assert words == ["int32", "int32", "int32" if r <= 9 else "int64"]
+    table = charsums._delta_table(ctx, 2, 10 ** 9)
+    word = "int32" if r <= 9 else "int64"
+    assert words == ["int32", "int32", word]
+    assert table.dtype == word
+
+
+@pytest.mark.parametrize("r", range(1, 10))
+def test_k_and_f_are_frobenius_invariant(r):
+    # a -> a^3 permutes the nonzero a and fixes every trace, so
+    # K(a^3) = K(a) and f(a^3) = f(a), read through exp[3 log a mod (q - 1)]
+    ctx = field_create(r, _LEAST.get(r))
+    cube = ctx._np_exp[3 * ctx._np_log[1:] % (ctx.q - 1)]
+    k, f = _kloosterman_table(ctx), charsums._delta_one_sums(ctx)
+    assert k[cube].tolist() == k[1:].tolist()
+    assert f[cube].tolist() == f[1:].tolist()
 
 
 @pytest.mark.parametrize("r, m, word, before", [

@@ -39,6 +39,20 @@ def test_field_text(capsys):
     assert "GF(9)" in out and "x^2 + 1" in out
 
 
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_field_counts_the_squares_without_listing_them(capsys, monkeypatch, fmt):
+    # there are (q - 1)/2 nonzero squares in every field: `field` reports the
+    # count without building the sorted tuple of them
+    expected = run(capsys, "field", "--r", "5", "--format", fmt)
+
+    def refused(self):
+        raise AssertionError("field listed the squares")
+
+    monkeypatch.setattr(kloostercodes.FieldContext, "squares", refused)
+    assert run(capsys, "field", "--r", "5", "--format", fmt) == expected
+    assert expected[0] == 0 and "121" in expected[1]
+
+
 def test_field_custom_poly(capsys):
     code, out, _ = run(capsys, "field", "--r", "2", "--poly", "2,2,1", "--format", "json")
     assert code == 0

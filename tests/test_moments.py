@@ -252,6 +252,23 @@ def test_verify_report_past_the_shipped_moduli(r, modulus):
     assert all(row.match for rep in reports for row in rep.rows)
 
 
+@pytest.mark.parametrize("r", range(1, 10))
+def test_verify_report_meets_the_closed_low_moments(r):
+    # both columns at h = 1, 2 against closed forms that read no table:
+    # SK^1 = (1 + (-1)^r q)/2, half of sum_{a != 0} K(a) = 1 plus
+    # sum_{a != 0} chi(a) K(a) = G(chi)^2 = chi(-1) q, chi(-1) = (-1)^r;
+    # SK^2 = (q^2 - 2q - 1)/2 is pinned as measured at r = 1..9 (half of
+    # sum K(a)^2 = q^2 - q - 1 plus sum chi(a) K(a)^2, measured as -q)
+    ctx = field_create(r, (1, 0, 1, 2, 0, 0, 0, 0, 0, 1) if r == 9 else None)
+    q = ctx.q
+    closed = {1: (1 + (-1) ** r * q) // 2, 2: (q * q - 2 * q - 1) // 2}
+    reports = verify_report(ctx, 2)
+    rows = [row for rep in reports for row in rep.rows]
+    assert [(rep.code, [row.h for row in rep.rows]) for rep in reports] == [
+        ("so2", [1, 2]), ("o2", [1, 2]), ("so4", [2])]
+    assert [(row.direct, row.recursive) for row in rows] == [(closed[row.h],) * 2 for row in rows]
+
+
 def test_verify_report_runs_one_delta_one_transform_per_field(monkeypatch):
     # the three codes share f's value histogram, kept on the context
     expected = [(rep.code, rep.rows) for rep in verify_report(field_create(3), 10)]

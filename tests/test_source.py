@@ -50,3 +50,21 @@ def test_character_sums_and_kept_tables_stay_in_charsums(path):
         assert not calls, "%s reads character_sums at lines %s" % (path.name, calls)
         assert not f_reads, "%s reads delta(1) or f's check at lines %s" % (path.name, f_reads)
         assert not writes, "%s writes a kept table at %s" % (path.name, writes)
+
+
+WORD_BOUNDS = {31, 63}
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: p.name)
+def test_word_bounds_stay_in_gf3r(path):
+    # gf3r._word is the one rule that picks an integer word: 2 ** 31 and
+    # 2 ** 63 are written in gf3r alone (_word, and _l1_bound's int64 chunks)
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+             and isinstance(node.left, ast.Constant) and node.left.value == 2
+             and isinstance(node.right, ast.Constant) and node.right.value in WORD_BOUNDS]
+    if path.name == "gf3r.py":
+        assert lines, "gf3r.py writes no word bound: the search finds nothing"
+    else:
+        assert not lines, "%s writes a word bound at lines %s" % (path.name, lines)
