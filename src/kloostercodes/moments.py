@@ -15,14 +15,14 @@ u_t <- alpha u_{t+1} + (alpha t + beta) u_t per h.  With (alpha, beta) =
 (3, -2(N - z)) one recursion serves every code:
 SK^{eh} = (S_h - beta^h) / (2 (-2d)^h), SK^h on the rank-2 codes (e = 1)
 and SK^{2h} on the rank-4 code (e = 2), with no inverse table.  The per-h
-steps multiply big integers only by small ones; after the weight prefix,
-they are admitted at their own price (_admit_pless_steps).  All arithmetic
+steps multiply big integers only by small ones, and _pless_sums admits them
+at their own price before it runs them, for every caller.  All arithmetic
 is in integers; every division is asserted exact.  Every function returns
 values (verify_report returns MomentReports); cli shapes every output format.
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import charsums
 from .codes import dual_weights, weight_prefix
@@ -55,7 +55,8 @@ def _pless_inner(prefix: tuple, n: int, top: int) -> list:
     return [sum(row[t - i] * poly[i] for i in range(t + 1)) for t in range(top + 1)]
 
 
-def _pless_sums(prefix: tuple, n: int, r: int, h_max: int, alpha: int = 1, beta: int = 0) -> list:
+def _pless_sums(prefix: tuple, n: int, r: int, h_max: int, alpha: int = 1, beta: int = 0, *,
+                ops_limit: int = charsums.DEFAULT_OPS_LIMIT) -> list:
     """[S_0, ..., S_h_max], S_h = sum_a (alpha w(a) + beta)^h over the
     q = 3^r dual words of a ternary [n, r] code, from its weight counts C_j,
     j <= m = min(n, h_max), by the Pless power moment identity; (1, 0) gives
@@ -70,8 +71,22 @@ def _pless_sums(prefix: tuple, n: int, r: int, h_max: int, alpha: int = 1, beta:
     (alpha x + beta) (x)_t = alpha (x)_{t+1} + (alpha t + beta) (x)_t; S_h is
     u_0 after h steps.  The u_t are scaled by 3^c, c = max(0, m - r), to keep
     them integral, and each S_h is asserted divisible by 3^c.
+
+    The steps are admitted within ops_limit before any work, at
+    h_max (m + 1) W operations: h_max rounds of at most m + 1 affine steps,
+    each two products of an integer of at most W 64-bit words by a small
+    one.  The step that forms u_t after h rounds runs only for
+    t + h <= h_max, and u_t = 3^c sum_a (alpha w(a) + beta)^h (w(a))_t with
+    0 <= w(a) <= n and so (w(a))_t <= n^t.  |alpha w + beta| is largest at
+    an end of 0 <= w <= n, so with B = max(n, |beta|, |alpha n + beta|),
+    |u_t| <= 3^(r + c) B^(h + t) <= 3^max(r, m) B^h_max.  As 3 < 2^2, u_t
+    has at most L = 2 max(r, m) + h_max bits(B) bits, and W = L // 64 + 1.
     """
     top = min(n, h_max)
+    bits = 2 * max(r, top) + h_max * max(n, abs(beta), abs(alpha * n + beta)).bit_length()
+    words = bits // 64 + 1
+    admit("Pless sums up to h=%d over weights j <= %d (h * (j+1) affine steps on integers of "
+          "W = %d words)" % (h_max, top, words), h_max * (top + 1) * words, ops_limit)
     c = max(0, top - r)
     u, fact = [0] * (top + 2), 1  # fact = t!; u_{top+1} stays 0
     for t, d in enumerate(_pless_inner(prefix, n, top)):
@@ -87,27 +102,8 @@ def _pless_sums(prefix: tuple, n: int, r: int, h_max: int, alpha: int = 1, beta:
     return sums
 
 
-def _admit_pless_steps(n: int, r: int, h_max: int, alpha: int, beta: int, ops_limit: int) -> None:
-    """Admit _pless_sums(prefix, n, r, h_max, alpha, beta) within ops_limit
-    at h_max (top + 1) W operations, top = min(n, h_max): h_max rounds of at
-    most top + 1 affine steps, each two products of an integer of at most W
-    64-bit words by a small one.
-
-    The step that forms u_t after h rounds runs only for t + h <= h_max, and
-    u_t = 3^c sum_a (alpha w(a) + beta)^h (w(a))_t over the q = 3^r dual
-    words, c = max(0, top - r), with 0 <= w(a) <= n and so (w(a))_t <= n^t.
-    |alpha w + beta| is largest at an end of 0 <= w <= n, so with
-    B = max(n, |beta|, |alpha n + beta|), |u_t| <= 3^(r + c) B^(h + t)
-    <= 3^max(r, top) B^h_max.  As 3 < 2^2, u_t has at most
-    L = 2 max(r, top) + h_max bits(B) bits, and W = L // 64 + 1."""
-    top = min(n, h_max)
-    bits = 2 * max(r, top) + h_max * max(n, abs(beta), abs(alpha * n + beta)).bit_length()
-    words = bits // 64 + 1
-    admit("Pless sums up to h=%d over weights j <= %d (h * (j+1) affine steps on integers of "
-          "W = %d words)" % (h_max, top, words), h_max * (top + 1) * words, ops_limit)
-
-
-def sk_recursive_chain(ctx, gid: GroupId, h_max: int, prefix: tuple):
+def sk_recursive_chain(ctx, gid: GroupId, h_max: int, prefix: tuple, *,
+                       ops_limit: int = charsums.DEFAULT_OPS_LIMIT):
     """[SK^0, SK^e, ..., SK^{e h_max}] from the code's weight prefix alone,
     e = gid.n (1 for the rank-2 codes, 2 for SO-(4,q)).
 
@@ -115,9 +111,10 @@ def sk_recursive_chain(ctx, gid: GroupId, h_max: int, prefix: tuple):
     weight w(a) = 2(N - z - d K(a^2)^e)/3 (codes.dual_weights), so
     3 w(a) + beta = -2d K(a^2)^e with beta = -2(N - z), and a = 0 (weight 0)
     gives beta.  As a -> a^2 covers each nonzero square twice, the affine
-    Pless sums S_h = sum_a (3 w(a) + beta)^h (_pless_sums with (3, beta))
-    give SK^{eh} = (S_h - beta^h) / (2 (-2d)^h), each division asserted
-    exact: one O(h_max min(N, h_max)) loop, with no inverse table.
+    Pless sums S_h = sum_a (3 w(a) + beta)^h (_pless_sums with (3, beta),
+    which admits its steps within ops_limit) give
+    SK^{eh} = (S_h - beta^h) / (2 (-2d)^h), each division asserted exact:
+    one O(h_max min(N, h_max)) loop, with no inverse table.
     `prefix` must hold the weight counts for j <= min(N, h_max).
     """
     q, r = ctx.q, ctx.r
@@ -127,7 +124,7 @@ def sk_recursive_chain(ctx, gid: GroupId, h_max: int, prefix: tuple):
     _, z, d = delta_form(gid, q)
     beta = -2 * (n - z)
     chain, zero_word, den = [], 1, 2  # beta^h and 2 (-2d)^h
-    for h, total in enumerate(_pless_sums(prefix, n, r, h_max, 3, beta)):
+    for h, total in enumerate(_pless_sums(prefix, n, r, h_max, 3, beta, ops_limit=ops_limit)):
         num = total - zero_word
         moment, rem = divmod(num, den)
         if rem:
@@ -140,12 +137,9 @@ def sk_recursive_chain(ctx, gid: GroupId, h_max: int, prefix: tuple):
 def recursive_moments(ctx, gid: GroupId, h_max: int, *,
                       ops_limit: int = charsums.DEFAULT_OPS_LIMIT):
     """The recursion chain of the code: weight_prefix -> sk_recursive_chain,
-    each admitted under ops_limit (the chain's Pless steps by
-    _admit_pless_steps, at (3, -2(N - z)))."""
+    each admitted under ops_limit."""
     prefix = weight_prefix(gid, ctx, h_max, ops_limit=ops_limit)
-    n, (_, z, _) = group_order(gid, ctx.q), delta_form(gid, ctx.q)
-    _admit_pless_steps(n, ctx.r, h_max, 3, -2 * (n - z), ops_limit)
-    return sk_recursive_chain(ctx, gid, h_max, prefix)
+    return sk_recursive_chain(ctx, gid, h_max, prefix, ops_limit=ops_limit)
 
 
 @dataclass(frozen=True)
@@ -169,20 +163,19 @@ def pless_check(ctx, gid: GroupId, h: int, *,
     a -> a^2 covers each nonzero square twice, so the sum runs over the value
     histogram of K: 2 sum_k mult(k) w(k)^h.  Right side: _pless_sums, the
     factorial moments of the code's weight counts C_j, j <= min(N, h), for
-    a ternary [N, r] dual, stepped up to w^h.  The K table, the weight
-    prefix behind the right side and its Pless steps are all admitted under
-    ops_limit.
+    a ternary [N, r] dual, stepped up to w^h.  The weight prefix behind the
+    right side, its Pless steps and the K table are admitted under ops_limit,
+    in that order, each before its own work.
     """
     if h < 0:
         raise DomainError("h must be nonnegative")
     q, n = ctx.q, group_order(gid, ctx.q)
     prefix = weight_prefix(gid, ctx, h, ops_limit=ops_limit)
-    _admit_pless_steps(n, ctx.r, h, 1, 0, ops_limit)
+    rhs = _pless_sums(prefix, n, ctx.r, h, ops_limit=ops_limit)[h]
     values, mults = zip(*charsums.kloosterman_histogram(ctx, ops_limit=ops_limit))
     lhs = 2 * sum(m * w ** h for m, w in zip(mults, dual_weights(gid, q, values)))
     if h == 0:
         lhs += 1  # the zero codeword contributes 0^0 = 1
-    rhs = _pless_sums(prefix, n, ctx.r, h)[h]
     return PlessCheck(gid, h, lhs, rhs)
 
 
@@ -197,13 +190,13 @@ class MomentRow:
         return self.direct == self.recursive
 
 
-@dataclass
+@dataclass(frozen=True)
 class MomentReport:
     """Per-code comparison of direct moments against the recursion output."""
 
     code: str
-    rows: list = field(default_factory=list)
-    elapsed_ms: float = 0.0
+    rows: list
+    elapsed_ms: float
 
     @property
     def all_match(self) -> bool:
@@ -213,17 +206,20 @@ class MomentReport:
 def verify_report(ctx, h_max: int, *, ops_limit: int = charsums.DEFAULT_OPS_LIMIT):
     """Run the recursion of every code against direct moments: SK^h for
     h <= h_max on the rank-2 codes, SK^{2h} for h <= h_max // 2 on the rank-4
-    code.  Returns one MomentReport per code."""
+    code.  Every code's chain (weight prefix and Pless steps, timed per code
+    as elapsed_ms) is admitted and run before the direct column reads the
+    K table, so a refusal on the recursion side costs no direct work.
+    Returns one MomentReport per code."""
     if h_max < 1:
         raise DomainError("h_max must be positive")
-    direct = [charsums.sk_moment(ctx, h, ops_limit=ops_limit) for h in range(h_max + 1)]
-    reports = []
+    chains = []
     for gid in GroupId:
-        e = gid.n
-        if h_max // e < 1:
+        if h_max // gid.n < 1:
             continue
         start = time.perf_counter()
-        chain = recursive_moments(ctx, gid, h_max // e, ops_limit=ops_limit)
-        rows = [MomentRow(e * h, direct[e * h], chain[h]) for h in range(1, len(chain))]
-        reports.append(MomentReport(gid.value, rows, (time.perf_counter() - start) * 1e3))
-    return reports
+        chain = recursive_moments(ctx, gid, h_max // gid.n, ops_limit=ops_limit)
+        chains.append((gid, chain, (time.perf_counter() - start) * 1e3))
+    direct = [charsums.sk_moment(ctx, h, ops_limit=ops_limit) for h in range(h_max + 1)]
+    return [MomentReport(gid.value, [MomentRow(gid.n * h, direct[gid.n * h], chain[h])
+                                     for h in range(1, len(chain))], elapsed_ms)
+            for gid, chain, elapsed_ms in chains]

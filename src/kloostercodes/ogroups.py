@@ -30,19 +30,15 @@ from .gauss import gauss_sum_of_k
 class GroupId(enum.Enum):
     """A group, named by variant and matrix size 2n: "so4" is SO-(4,q), with
     variant "so" ("o" for O-(2n,q)) and n = 2.  Every per-group fact reads
-    these two properties."""
+    these two attributes, set once per member."""
 
     SO2 = "so2"
     O2 = "o2"
     SO4 = "so4"
 
-    @property
-    def variant(self) -> str:
-        return self.value.rstrip("0123456789")
-
-    @property
-    def n(self) -> int:
-        return int(self.value[len(self.variant):]) // 2
+    def __init__(self, value: str):
+        self.variant = value.rstrip("0123456789")
+        self.n = int(value[len(self.variant):]) // 2
 
 
 def so_minus_order(n: int, q: int) -> int:

@@ -120,7 +120,7 @@ def test_pless_lhs_matches_the_per_a_weight_sum(r):
             assert pless_check(ctx, gid, h).lhs == sum(w ** h for w in weights) + (h == 0)
 
 
-def test_pless_and_verify_honour_ops_limit(f27):
+def test_pless_and_verify_honour_ops_limit(monkeypatch, f27):
     # the weight prefix at q = 27 costs 81 + (distinct weights) * (j+1)^2
     with pytest.raises(CapacityError) as exc:
         weight_prefix(GroupId.O2, f27, 10, ops_limit=400)
@@ -129,9 +129,19 @@ def test_pless_and_verify_honour_ops_limit(f27):
         pless_check(f27, GroupId.O2, 10, ops_limit=400)
     assert "weight prefix" in str(exc.value)
     assert pless_check(f27, GroupId.O2, 10, ops_limit=10 ** 4).match
+    # verify admits the recursion side before the direct column reads the K table
+    direct = []
+    real = charsums.sk_moment
+
+    def counted(*args, **kwargs):
+        direct.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(charsums, "sk_moment", counted)
     with pytest.raises(CapacityError) as exc:
         verify_report(f27, 10, ops_limit=400)
     assert "weight prefix" in str(exc.value)
+    assert direct == []
 
 
 def test_pless_steps_are_priced_by_their_word_size(f3):
@@ -140,9 +150,12 @@ def test_pless_steps_are_priced_by_their_word_size(f3):
     # = 1872 has 11 bits, W = (2*300 + 300*11) // 64 + 1 = 61 and the steps
     # cost 300 * 301 * 61; the Pless check runs at (1, 0), B = N has 10 bits,
     # W = (600 + 3000) // 64 + 1 = 57.  Both are just past the default limit,
-    # and each weight prefix costs only 3 + 3 * 301^2 = 271806
+    # and each weight prefix costs only 3 + 3 * 301^2 = 271806; the public
+    # chain on that prefix prices the same steps as recursive_moments
+    prefix = weight_prefix(GroupId.SO4, f3, 300)
     for job, words in ((lambda limit: recursive_moments(f3, GroupId.SO4, 300, ops_limit=limit), 61),
-                       (lambda limit: pless_check(f3, GroupId.SO4, 300, ops_limit=limit), 57)):
+                       (lambda limit: pless_check(f3, GroupId.SO4, 300, ops_limit=limit), 57),
+                       (lambda limit: sk_recursive_chain(f3, GroupId.SO4, 300, prefix, ops_limit=limit), 61)):
         cost = 300 * 301 * words
         for limit in (charsums.DEFAULT_OPS_LIMIT, cost - 1):
             with pytest.raises(CapacityError) as exc:
@@ -153,6 +166,27 @@ def test_pless_steps_are_priced_by_their_word_size(f3):
     assert recursive_moments(f3, GroupId.SO4, 300, ops_limit=300 * 301 * 61) == [
         sk_moment(f3, 2 * h) for h in range(301)]
     assert pless_check(f3, GroupId.SO4, 300, ops_limit=300 * 301 * 57).match
+
+
+def test_recursive_moments_reads_the_delta_form_once_per_module(monkeypatch, f9):
+    # the weight prefix reads the form in codes (dual_weights), the chain in
+    # moments; recursive_moments adds no read of its own
+    from kloostercodes import codes, moments
+
+    reads = []
+
+    def counted(module):
+        real = module.delta_form
+
+        def delta_form(gid, q):
+            reads.append(module.__name__)
+            return real(gid, q)
+        return delta_form
+
+    for module in (codes, moments):
+        monkeypatch.setattr(module, "delta_form", counted(module))
+    assert recursive_moments(f9, GroupId.SO4, 5) == [sk_moment(f9, 2 * h) for h in range(6)]
+    assert sorted(reads) == ["kloostercodes.codes", "kloostercodes.moments"]
 
 
 def test_pless_check_admits_both_sides_under_its_limit():
