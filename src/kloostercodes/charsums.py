@@ -16,10 +16,14 @@ table.  Next to it the context keeps the value histogram of K over the
 nonzero squares: K(a) is -1 mod 3 and at most 2 sqrt(q) in modulus, so it
 takes at most about 4 sqrt(q)/3 + 1 values (81 at q = 3^8), and the direct
 moments SK^h = sum_k mult(k) k^h and the left side of the Pless check sum
-over those values instead of over the (q - 1)/2 squares.  f, the character sum of
-delta(1), is K(a^2) at a != 0: one routine (_delta_one_sums) computes it,
-checks its values at a != 0 as K's are checked and keeps their histogram on
-the context, which codes.weight_prefix reads for every dual weight;
+over those values instead of over the (q - 1)/2 squares: sk_moment for one
+h, sk_moments for every h up to h_max by one running product per value,
+priced by h.  K(1) and K(2) are checked against the Hasse-Davenport lift of
+their values over GF(3), the one check of the table that does not come from
+the transform.  f, the character sum of delta(1), is K(a^2) at a != 0:
+one routine (_delta_one_sums) computes it, checks its values at a != 0 as
+K's are checked (f(1) = f(2) = K(1) by the lift) and keeps their histogram
+on the context, which codes.weight_prefix reads for every dual weight;
 delta(m) is the character sum of f^m.  Inside the package the delta(m)
 table stays an integer array in the word its second sum ran in (ogroups
 groups it by value); delta_count, the public boundary, turns it into a
@@ -28,6 +32,7 @@ other, and no other module runs a character sum or writes a kept table.
 """
 
 import math
+import operator
 
 import numpy as np
 
@@ -49,7 +54,9 @@ def _kloosterman_table(ctx, ops_limit: int = DEFAULT_OPS_LIMIT):
     runs in the word character_sums picks from their L1 bound, at most
     q max|A| + q max|B| = 2 q.  The table is checked to have
     sum_{a != 0} K(a) = 1 and sum_{a != 0} K(a)^2 = q^2 - q - 1, the
-    squares formed in int64.
+    squares formed in int64, and K(1), K(2) equal to their Hasse-Davenport
+    lifts from GF(3) (_lifted), the one check that does not come from the
+    transform itself.
     It is admitted at about q*r + q operations, then kept on ctx together
     with its value histogram over the nonzero squares; the limit is checked
     before the kept table is read.
@@ -73,8 +80,31 @@ def _kloosterman_table(ctx, ops_limit: int = DEFAULT_OPS_LIMIT):
             "Kloosterman table over GF(%d) has sum %d and square sum %d over a != 0, "
             "expected 1 and %d" % (q, total, squares, q * q - q - 1)
         )
+    _check_lift(ctx, "K", k, (-1, 2))
     ctx._k_table, ctx._k_histogram = k, histogram
     return k
+
+
+def _lifted(r: int, k1: int) -> int:
+    """K_r(a) for a in the prime field, from K_1(a) = k1 by the Hasse-Davenport
+    relation: with alpha + beta = -k1 and alpha beta = 3, K_r(a) = -p_r for
+    the power sums p_j = alpha^j + beta^j, which p_0 = 2, p_1 = -k1 and
+    p_j = -k1 p_{j-1} - 3 p_{j-2} give in integers (O(r) steps).  Over GF(3),
+    K_1(1) = -1 and K_1(2) = 2."""
+    before, power = 2, -k1
+    for _ in range(r - 1):
+        before, power = power, -k1 * power - 3 * before
+    return -power
+
+
+def _check_lift(ctx, name: str, sums, base: tuple) -> None:
+    """Raise unless sums[1], sums[2] equal the lifts of base, their values
+    over GF(3)."""
+    found = (int(sums[1]), int(sums[2]))
+    lifted = tuple(_lifted(ctx.r, k1) for k1 in base)
+    if found != lifted:
+        raise ConsistencyError("%s(1), %s(2) over GF(%d) are %d, %d; the Hasse-Davenport lift "
+                               "gives %d, %d" % ((name, name, ctx.q) + found + lifted))
 
 
 def _value_count(q: int) -> int:
@@ -142,6 +172,25 @@ def sk_moment(ctx, h: int, *, ops_limit: int = DEFAULT_OPS_LIMIT) -> int:
     return sum(m * k ** h for k, m in kloosterman_histogram(ctx, ops_limit=ops_limit))
 
 
+def sk_moments(ctx, h_max: int, *, ops_limit: int = DEFAULT_OPS_LIMIT) -> list:
+    """[SK^0, ..., SK^h_max], the direct moments of sk_moment for every h at
+    once: one running product mult(k) k^h per value k of K's histogram,
+    multiplied by k at each h.  After the K table, the products are admitted
+    at h_max * values * W operations, W the number of 64-bit words of the
+    largest power max|k|^h_max."""
+    if h_max < 0:
+        raise DomainError("moment order must be nonnegative")
+    values, terms = zip(*kloosterman_histogram(ctx, ops_limit=ops_limit))
+    words = h_max * max(map(abs, values)).bit_length() // 64 + 1
+    admit("direct moments up to h=%d over %d values of K (h * values products on integers "
+          "of W = %d words)" % (h_max, len(values), words), h_max * len(values) * words, ops_limit)
+    moments = [sum(terms)]
+    for _ in range(h_max):
+        terms = list(map(operator.mul, terms, values))
+        moments.append(sum(terms))
+    return moments
+
+
 def _delta_one(ctx):
     """Root counts of x^2 - beta*x + 1 for every beta (x + 1/x by digit
     addition), cross-checked against 1 + chi(beta - 1) chi(beta + 1), which
@@ -164,9 +213,13 @@ def _delta_one_sums(ctx):
     """f(a) = sum_beta delta(1; beta) omega^{tr(a beta)} for every a, an
     array indexed by a: f(0) = q - 1 and f(a) = K(a^2) at a != 0.  Every call
     runs the transform and checks f on the nonzero a with _value_histogram
-    (total q - 1, Weil bound, -1 mod 3), then keeps that histogram on ctx."""
+    (total q - 1, Weil bound, -1 mod 3) and f(1) = f(2) = K(1) against the
+    Hasse-Davenport lift (_lifted, no K table read), then keeps that
+    histogram on ctx."""
     f = ctx.character_sums(_delta_one(ctx))
-    ctx._f_histogram = _value_histogram(ctx.q, f[1:], ctx.q - 1)
+    histogram = _value_histogram(ctx.q, f[1:], ctx.q - 1)
+    _check_lift(ctx, "f", f, (-1, -1))  # f(2) = K(4) = K(1)
+    ctx._f_histogram = histogram
     return f
 
 

@@ -7,8 +7,11 @@ byte-identical across runs for the same flags; timing is opt-in via
 Each run takes one path: argparse parses the flags, each integer flag's
 type checks its lower bound (--r, --n, --a and --h-max >= 1; --h, --max-j,
 --t and --limit-ops >= 0), run_command builds the field once, the handler
-computes, and run_command writes stdout once, JSON through _dumps, which
-writes the json module's sorted, 2-space layout directly.  Each subcommand's
+computes and returns its records once (_Records), and run_command writes
+stdout once, shaped by one of _text, _csv and _json for the format asked
+for and by no other.  JSON comes out in the json module's sorted, 2-space
+layout: each record list through one %-template per record shape, the rest
+through _dumps.  Each subcommand's
 parser is built at its first run_command and serves every later call; only
 -h and a missing or unknown command build the parser of every subcommand.
 Flags may also be supplied through environment variables with the
@@ -30,7 +33,9 @@ import functools
 import json
 import os
 import sys
+from collections import namedtuple
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 from . import charsums, gauss, moments, ogroups
 from .codes import weight_prefix
@@ -172,10 +177,20 @@ def _make_ctx(args):
     return ctx
 
 
-# each handler maps (args, ctx) to (exit status, json payload, csv rows, text lines)
+class _Records(namedtuple("_Records", "head rows fields text key json csv", defaults=(None,) * 3)):
+    """A subcommand's output.  rows are tuples under the csv header fields,
+    each written by the csv %-template (by default every column by str);
+    text is a row's %-template, or a function giving every line.  The json
+    document is head with the rows under key: one object per row when json
+    is a tuple of per-column %-formats (None leaves a column out, "bool"
+    writes true or false), else one member per row by the %-template json,
+    ordered by its key as a string; with no key, head is the document.  A
+    list of heads is a list of documents, with one list of rows each and
+    the text given by a function."""
+
 
 def _cmd_field(args, ctx):
-    payload = {
+    head = {
         "r": ctx.r,
         "q": ctx.q,
         "modulus": list(ctx.modulus),
@@ -183,69 +198,49 @@ def _cmd_field(args, ctx):
         "epsilon": ctx.epsilon,
         "num_squares": (ctx.q - 1) // 2,
     }
-    rows = [("key", "value")] + [(k, payload[k]) for k in sorted(payload)]
-    text = ["GF(%d), modulus %s" % (ctx.q, payload["modulus_str"]),
-            "epsilon (least nonsquare) = %d" % ctx.epsilon,
-            "nonzero squares: %d" % payload["num_squares"]]
-    return 0, payload, rows, text
+    return 0, _Records(head, sorted(head.items()), ("key", "value"), lambda: [
+        "GF(%(q)d), modulus %(modulus_str)s" % head, "epsilon (least nonsquare) = %(epsilon)d" % head,
+        "nonzero squares: %(num_squares)d" % head])
 
 
 def _cmd_kloosterman(args, ctx):
-    targets = [args.a] if args.a is not None else list(range(1, ctx.q))
-    values = {a: charsums.kloosterman(ctx, a, ops_limit=args.limit_ops) for a in targets}
-    payload = {"q": ctx.q, "values": {str(a): str(v) for a, v in values.items()}}
-    rows = [("a", "K")] + [(a, v) for a, v in sorted(values.items())]
-    text = ["K(%d) = %d" % (a, v) for a, v in sorted(values.items())]
-    return 0, payload, rows, text
+    targets = [args.a] if args.a is not None else range(1, ctx.q)
+    rows = [(a, charsums.kloosterman(ctx, a, ops_limit=args.limit_ops)) for a in targets]
+    return 0, _Records({"q": ctx.q}, rows, ("a", "K"), "K(%d) = %d", "values", '"%d": "%d"')
 
 
 def _cmd_moments(args, ctx):
     if args.mode == "direct":
-        vals = [charsums.sk_moment(ctx, h, ops_limit=args.limit_ops) for h in range(args.h + 1)]
-        step, key, label = 1, "source", "direct"
+        vals = charsums.sk_moments(ctx, args.h, ops_limit=args.limit_ops)
+        step, head = 1, {"source": "direct"}
     else:
         gid = GroupId(args.code)
         vals = moments.recursive_moments(ctx, gid, args.h, ops_limit=args.limit_ops)
         # the SO-(2n,q) chain holds SK^0, SK^n, ..., SK^{nh}
-        step = gid.n
-        key = "source" if gid.n == 1 else "code"
-        label = args.code
-    hs = [step * i for i in range(len(vals))]
-    payload = {
-        "q": ctx.q, "r": ctx.r, key: label,
-        "rows": [{"h": h, "sk": str(v)} for h, v in zip(hs, vals)],
-    }
-    rows = [("h", "sk")] + list(zip(hs, vals))
-    text = ["SK^%d = %d" % hv for hv in zip(hs, vals)]
-    return 0, payload, rows, text
+        step, head = gid.n, {"source" if gid.n == 1 else "code": args.code}
+    head.update(q=ctx.q, r=ctx.r)
+    rows = [(step * h, v) for h, v in enumerate(vals)]
+    return 0, _Records(head, rows, ("h", "sk"), "SK^%d = %d", "rows", ("%d", '"%d"'))
 
 
 def _cmd_weights(args, ctx):
     prefix = weight_prefix(GroupId(args.code), ctx, args.max_j, ops_limit=args.limit_ops)
-    payload = {
-        "q": ctx.q, "r": ctx.r, "code": args.code, "max_j": args.max_j,
-        "counts": {str(j): str(c) for j, c in enumerate(prefix)},
-    }
-    rows = [("j", "count")] + list(enumerate(prefix))
-    text = ["C_%d = %d" % (j, c) for j, c in enumerate(prefix)]
-    return 0, payload, rows, text
+    head = {"q": ctx.q, "r": ctx.r, "code": args.code, "max_j": args.max_j}
+    return 0, _Records(head, list(enumerate(prefix)), ("j", "count"), "C_%d = %d", "counts",
+                       '"%d": "%d"')
 
 
 def _cmd_groups(args, ctx):
-    gid = GroupId(args.group)
-    enum = ogroups.enumerate_group(ctx, gid, ops_limit=args.limit_ops)
-    payload = {"group": args.group, "q": ctx.q, "order": len(enum.elements)}
+    enum = ogroups.enumerate_group(ctx, GroupId(args.group), ops_limit=args.limit_ops)
+    head = {"group": args.group, "q": ctx.q, "order": len(enum.elements)}
     if args.mode == "enumerate":
         hist = sorted(enum.histogram.as_dict().items())
-        payload["histogram"] = {str(b): c for b, c in hist}
-        rows = [("beta", "count")] + hist
-        text = ["|%s(%d)| = %d" % (args.group, ctx.q, len(enum.elements)),
-                "trace histogram: " + ", ".join("%d:%d" % bc for bc in hist)]
-    else:
-        payload["elements"] = [list(w) for w in enum.elements]
-        rows = [("element",)] + [(" ".join(map(str, w)),) for w in enum.elements]
-        text = [" ".join(map(str, w)) for w in enum.elements]
-    return 0, payload, rows, text
+        return 0, _Records(head, hist, ("beta", "count"), lambda: [
+            "|%(group)s(%(q)d)| = %(order)d" % head,
+            "trace histogram: " + ", ".join("%d:%d" % bc for bc in hist)], "histogram", '"%d": %d')
+    head["elements"] = enum.elements
+    line = " ".join(["%d"] * len(enum.elements[0]))
+    return 0, _Records(head, enum.elements, ("element",), line, csv=line)
 
 
 def _cmd_gauss(args, ctx):
@@ -261,8 +256,8 @@ def _cmd_gauss(args, ctx):
     if args.group == "gl":
         t = 1 if args.t is None else args.t
         val = gauss.kloosterman_gl(ctx, t, args.a, ops_limit=args.limit_ops)
-        payload = {"q": ctx.q, "group": "gl", "t": t, "a": args.a, "value": str(val)}
-        text = ["K_GL(%d, %d)(a=%d) = %d" % (t, ctx.q, args.a, val)]
+        head = {"q": ctx.q, "group": "gl", "t": t, "a": args.a}
+        line = "K_GL(%d, %d)(a=%d) = %%d" % (t, ctx.q, args.a)
     else:
         if args.n is not None:
             n, variant = args.n, args.variant or "so"
@@ -271,31 +266,80 @@ def _cmd_gauss(args, ctx):
             n, variant = gid.n, gid.variant
         req = gauss.GaussSumRequest(n=n, variant=variant, a=args.a)
         val = gauss.gauss_sum_closed(ctx, req, ops_limit=args.limit_ops)
-        payload = {"q": ctx.q, "n": n, "variant": variant, "a": args.a, "value": str(val)}
-        text = ["gauss sum %s-(2*%d, %d), a=%d: %d" % (variant, n, ctx.q, args.a, val)]
-    return 0, payload, [("value",), (val,)], text
+        head = {"q": ctx.q, "n": n, "variant": variant, "a": args.a}
+        line = "gauss sum %s-(2*%d, %d), a=%d: %%d" % (variant, n, ctx.q, args.a)
+    head["value"] = str(val)
+    return 0, _Records(head, [(val,)], ("value",), line)
 
 
 def _cmd_verify(args, ctx):
     if args.timing and args.format != "json":
         raise DomainError("--timing adds elapsed_ms under --format json only")
     reports = moments.verify_report(ctx, args.h_max, ops_limit=args.limit_ops)
-    payload, rows, text = [], [("code", "h", "direct", "recursive", "match")], []
+    heads, rows = [], []
     for rep in reports:
-        report = {"q": ctx.q, "r": ctx.r, "code": rep.code, "rows": []}
+        heads.append({"q": ctx.q, "r": ctx.r, "code": rep.code})
         if args.timing:
-            report["elapsed_ms"] = round(rep.elapsed_ms, 3)
-        payload.append(report)
-        for row in rep.rows:
-            report["rows"].append({"h": row.h, "direct": str(row.direct),
-                                   "recursive": str(row.recursive), "match": row.match})
-            rows.append((rep.code, row.h, row.direct, row.recursive, row.match))
-            text.append("%s h=%d direct=%d recursive=%d %s"
-                        % (rep.code, row.h, row.direct, row.recursive,
-                           "ok" if row.match else "MISMATCH"))
+            heads[-1]["elapsed_ms"] = round(rep.elapsed_ms, 3)
+        rows.append([(rep.code, row.h, row.direct, row.recursive, row.match) for row in rep.rows])
     ok = all(rep.all_match for rep in reports)
-    text.append("verified: all moments match" if ok else "verification FAILED")
-    return (0 if ok else 1), payload, rows, text
+
+    def text():
+        return ["%s h=%d direct=%d recursive=%d %s" % (*row[:4], "ok" if row[4] else "MISMATCH")
+                for part in rows for row in part] + [
+                    "verified: all moments match" if ok else "verification FAILED"]
+
+    return (0 if ok else 1), _Records(heads, rows, ("code", "h", "direct", "recursive", "match"),
+                                      text, "rows", (None, "%d", '"%d"', '"%d"', "bool"))
+
+
+def _text(out):
+    return out.text() if callable(out.text) else [out.text % row for row in out.rows]
+
+
+def _csv(out):
+    line = out.csv or ",".join(["%s"] * len(out.fields))
+    rows = [row for part in out.rows for row in part] if isinstance(out.head, list) else out.rows
+    return [",".join(out.fields)] + [line % row for row in rows]
+
+
+def _json(out):
+    if not isinstance(out.head, list):
+        return [_document(out, out.head, out.rows, "\n")]
+    return ["[\n  " + ",\n  ".join(_document(out, head, part, "\n  ")
+                                  for head, part in zip(out.head, out.rows)) + "\n]"]
+
+
+def _document(out, head, rows, indent):
+    """head with the rows under out.key, as json.dumps(..., sort_keys=True,
+    indent=2) writes it at indent: the head through _dumps, each row through
+    one %-template."""
+    if out.key is None:
+        return _dumps(head, indent)
+    inner, deeper = indent + "  ", indent + "    "
+    if isinstance(out.json, str):
+        lines, ends = [out.json % row for row in sorted(rows, key=lambda row: str(row[0]))], "{}"
+    else:
+        lines, ends = _objects(out.fields, out.json, rows, deeper), "[]"
+    block = ends[0] + deeper + ("," + deeper).join(lines) + inner + ends[1] if lines else ends
+    members = sorted([(k, _dumps(v, inner)) for k, v in head.items()] + [(out.key, block)])
+    return "{" + inner + ("," + inner).join(encode_basestring_ascii(k) + ": " + v
+                                           for k, v in members) + indent + "}"
+
+
+def _objects(fields, kinds, rows, indent):
+    """One json object per row at indent, keys sorted: each column by its
+    %-format in kinds, None leaving it out and "bool" writing true or false."""
+    inner = indent + "  "
+    cols = sorted((name, i, kind) for i, (name, kind) in enumerate(zip(fields, kinds)) if kind)
+    pick = itemgetter(*[i for _, i, kind in cols if kind != "bool"])
+    flag = [i for _, i, kind in cols if kind == "bool"]
+    templates = ["{" + inner + ("," + inner).join('"%s": %s' % (name, word if kind == "bool" else kind)
+                                                  for name, _, kind in cols) + indent + "}"
+                 for word in ("false", "true")]
+    if not flag:
+        return [templates[0] % pick(row) for row in rows]
+    return [templates[row[flag[0]]] % pick(row) for row in rows]
 
 
 _HANDLERS = {
@@ -323,18 +367,14 @@ def run_command(argv) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        status, payload, csv_rows, text_lines = _HANDLERS[args.command](args, _make_ctx(args))
+        status, records = _HANDLERS[args.command](args, _make_ctx(args))
     except (DomainError, FieldConstructionError, CapacityError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except ConsistencyError as exc:
         print("consistency failure: %s" % exc, file=sys.stderr)
         return 1
-    if args.format == "json":
-        text_lines = [_dumps(payload)]
-    elif args.format == "csv":
-        text_lines = [",".join(str(c) for c in row) for row in csv_rows]
-    for line in text_lines:
+    for line in {"json": _json, "csv": _csv, "text": _text}[args.format](records):
         print(line)
     return status
 

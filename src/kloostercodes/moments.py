@@ -16,9 +16,11 @@ u_t <- alpha u_{t+1} + (alpha t + beta) u_t per h.  With (alpha, beta) =
 SK^{eh} = (S_h - beta^h) / (2 (-2d)^h), SK^h on the rank-2 codes (e = 1)
 and SK^{2h} on the rank-4 code (e = 2), with no inverse table.  The per-h
 steps multiply big integers only by small ones, and _pless_sums admits them
-at their own price before it runs them, for every caller.  All arithmetic
-is in integers; every division is asserted exact.  Every function returns
-values (verify_report returns MomentReports); cli shapes every output format.
+at their own price before it runs them, for every caller.  verify_report
+runs every chain before the direct column (charsums.sk_moments) and checks
+both columns against the closed SK^1 and SK^2.  All arithmetic is in
+integers; every division is asserted exact.  Every function returns values
+(verify_report returns MomentReports); cli shapes every output format.
 """
 
 import time
@@ -207,8 +209,17 @@ def verify_report(ctx, h_max: int, *, ops_limit: int = charsums.DEFAULT_OPS_LIMI
     """Run the recursion of every code against direct moments: SK^h for
     h <= h_max on the rank-2 codes, SK^{2h} for h <= h_max // 2 on the rank-4
     code.  Every code's chain (weight prefix and Pless steps, timed per code
-    as elapsed_ms) is admitted and run before the direct column reads the
-    K table, so a refusal on the recursion side costs no direct work.
+    as elapsed_ms) is admitted and run before the direct column
+    (charsums.sk_moments) reads the K table, so a refusal on the recursion
+    side costs no direct work.  Both columns are then checked against the
+    closed forms that read no table, raising ConsistencyError on a
+    mismatch.  With chi the quadratic character and G its Gauss sum,
+    G^2 = chi(-1) q and chi(-1) = (-1)^r:
+    SK^1 = (1 + (-1)^r q)/2, half of sum_{a != 0} K(a) = 1 plus
+    sum_a chi(a) K(a) = G^2; SK^2 = (q^2 - 2q - 1)/2, half of
+    sum_{a != 0} K(a)^2 = q^2 - q - 1 plus sum_a chi(a) K(a)^2 =
+    G sum_{x, y != 0} omega^{tr(x + y)} chi(x + y) chi(xy) = -chi(-1) G^2 = -q
+    (for s = x + y != 0, sum_x chi(x (s - x)) = -chi(-1)).
     Returns one MomentReport per code."""
     if h_max < 1:
         raise DomainError("h_max must be positive")
@@ -219,7 +230,15 @@ def verify_report(ctx, h_max: int, *, ops_limit: int = charsums.DEFAULT_OPS_LIMI
         start = time.perf_counter()
         chain = recursive_moments(ctx, gid, h_max // gid.n, ops_limit=ops_limit)
         chains.append((gid, chain, (time.perf_counter() - start) * 1e3))
-    direct = [charsums.sk_moment(ctx, h, ops_limit=ops_limit) for h in range(h_max + 1)]
+    direct = charsums.sk_moments(ctx, h_max, ops_limit=ops_limit)
+    q = ctx.q
+    closed = {1: (1 + (-1) ** ctx.r * q) // 2, 2: (q * q - 2 * q - 1) // 2}
+    columns = [("direct", 1, direct)] + [(gid.value, gid.n, chain) for gid, chain, _ in chains]
+    for name, step, column in columns:
+        for h in range(1, min(len(column), 2 // step + 1)):
+            if column[h] != closed[step * h]:
+                raise ConsistencyError("%s SK^%d over GF(%d) is %d; the closed form gives %d"
+                                       % (name, step * h, q, column[h], closed[step * h]))
     return [MomentReport(gid.value, [MomentRow(gid.n * h, direct[gid.n * h], chain[h])
                                      for h in range(1, len(chain))], elapsed_ms)
             for gid, chain, elapsed_ms in chains]

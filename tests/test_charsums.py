@@ -15,7 +15,7 @@ from kloostercodes import (
     weight_prefix,
 )
 from kloostercodes import charsums
-from kloostercodes.charsums import _kloosterman_table, kloosterman_histogram
+from kloostercodes.charsums import _kloosterman_table, kloosterman_histogram, sk_moments
 
 from oracles import OmegaSum, delta_convolution, kloosterman_per_a
 
@@ -479,3 +479,69 @@ def test_table_cost_estimates_admit_themselves(f27, job, cost):
     with pytest.raises(CapacityError) as exc:
         job(f27, cost - 1)
     assert "about %d operations" % cost in str(exc.value)
+
+
+@pytest.mark.parametrize("r", range(1, 11))
+def test_k_and_f_at_one_and_two_match_the_hasse_davenport_lift(r):
+    # K(1), K(2) and f(1) = f(2) = K(1) against the lift of K_1(1) = -1 and
+    # K_1(2) = 2 from GF(3); at r <= 6 also against one literal sum per a, and
+    # at r = 10 against the values measured when the lift was first checked
+    ctx = field_create(r, _LEAST.get(r))
+    lifted = (charsums._lifted(r, -1), charsums._lifted(r, 2))
+    assert (kloosterman(ctx, 1), kloosterman(ctx, 2)) == lifted
+    f = charsums._delta_one_sums(ctx)
+    assert (f[1], f[2]) == (lifted[0],) * 2
+    if r <= 6:
+        assert tuple(kloosterman_per_a(ctx)[:2]) == lifted
+    if r == 10:
+        assert lifted == (-475, 482)
+
+
+@pytest.mark.parametrize("table", ["K", "f"])
+def test_a_swapped_value_at_one_fails_the_lift(monkeypatch, table):
+    # K(1) swapped with K(b) at a nonzero square b keeps the sum, the square
+    # sum and the value histogram over the squares, and f(1) swapped with
+    # f(b) keeps f's histogram: the lift alone sees either
+    ctx, other = field_create(3), field_create(3)
+    k = _kloosterman_table(other) if table == "K" else charsums._delta_one_sums(other)
+    b = next(b for b in ctx.squares() if k[b] != k[1])
+    real = ctx.character_sums
+
+    def swapped(*args):
+        sums = real(*args)
+        if len(args) == (2 if table == "K" else 1):
+            sums[[1, b]] = sums[[b, 1]]
+        return sums
+
+    monkeypatch.setattr(ctx, "character_sums", swapped)
+    with pytest.raises(ConsistencyError, match="%s\\(1\\), %s\\(2\\) over GF\\(27\\)" % (table, table)):
+        _kloosterman_table(ctx) if table == "K" else charsums._delta_one_sums(ctx)
+    assert ctx._k_table is None and ctx._f_histogram is None
+
+
+@pytest.mark.parametrize("r", range(1, 9))
+def test_sk_moments_match_sk_moment(r):
+    ctx = field_create(r)
+    assert sk_moments(ctx, 100) == [sk_moment(ctx, h) for h in range(101)]
+
+
+def test_sk_moments_at_the_largest_shipped_field_and_high_h():
+    # 81 values of K at r = 8, max |k| = 161 (8 bits): h = 3000 costs
+    # 3000 * 81 * (3000 * 8 // 64 + 1) = 91368000 operations, past the
+    # default limit; just at its price it runs, and just below it is refused
+    price = 3000 * 81 * 376
+    f6561 = field_create(8)
+    with pytest.raises(CapacityError) as exc:
+        sk_moments(f6561, 3000, ops_limit=price - 1)
+    assert "about %d operations" % price in str(exc.value) and "--limit-ops" in str(exc.value)
+    with pytest.raises(CapacityError):
+        sk_moments(f6561, 3000)
+    found = sk_moments(f6561, 3000, ops_limit=price)
+    assert [found[h] for h in (0, 1, 2, 1000, 3000)] == \
+        [sk_moment(f6561, h) for h in (0, 1, 2, 1000, 3000)]
+
+
+def test_sk_moments_validation(f9):
+    assert sk_moments(f9, 10) == SK9
+    with pytest.raises(DomainError):
+        sk_moments(f9, -1)

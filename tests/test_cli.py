@@ -17,11 +17,14 @@ import kloostercodes
 from kloostercodes import (
     CapacityError,
     GaussSumRequest,
+    GroupId,
     field_create,
     gauss_sum_closed,
     kloosterman_gl,
+    sk_moment,
+    weight_prefix,
 )
-from kloostercodes import cli
+from kloostercodes import cli, moments
 from kloostercodes.cli import ENV_PREFIX, run_command
 
 from test_golden import GOLDEN
@@ -833,3 +836,77 @@ def test_help_available_everywhere(capsys):
 def test_unknown_flag_is_usage_error(capsys):
     code, _, _ = run(capsys, "verify", "--frobnicate")
     assert code == 2
+
+
+def _shapes(head, key, records, fields, rows, lines):
+    """The json, csv and text stdout of one document, built here: json by the
+    json module, csv and text line by line."""
+    doc = dict(head, **{key: records})
+    return {"json": json.dumps(doc, sort_keys=True, indent=2) + "\n",
+            "csv": "".join(",".join(map(str, row)) + "\n" for row in [fields] + rows),
+            "text": "".join(line + "\n" for line in lines)}
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_verify_past_the_golden_sizes(capsys, r):
+    # h_max = 80 at r = 1, 2, where golden_cli.json stops at 10
+    ctx = field_create(r)
+    reports = moments.verify_report(ctx, 80)
+    docs = [{"q": ctx.q, "r": r, "code": rep.code,
+             "rows": [{"h": row.h, "direct": str(row.direct), "recursive": str(row.recursive),
+                       "match": row.match} for row in rep.rows]} for rep in reports]
+    rows = [(rep.code, row.h, row.direct, row.recursive, row.match)
+            for rep in reports for row in rep.rows]
+    assert all(row[-1] for row in rows)
+    want = {"json": json.dumps(docs, sort_keys=True, indent=2) + "\n",
+            "csv": "".join(",".join(map(str, row)) + "\n"
+                           for row in [("code", "h", "direct", "recursive", "match")] + rows),
+            "text": "".join("%s h=%d direct=%d recursive=%d ok\n" % row[:4] for row in rows)
+            + "verified: all moments match\n"}
+    argv = ["verify", "--r", str(r), "--h-max", "80", "--format"]
+    for fmt, out in want.items():
+        assert run(capsys, *argv, fmt) == (0, out, "")
+    code, out, err = run(capsys, *argv, "json", "--timing")
+    timed = json.loads(out)
+    assert (code, err) == (0, "") and all(type(doc["elapsed_ms"]) is float for doc in timed)
+    for doc, found in zip(docs, timed):
+        doc["elapsed_ms"] = found["elapsed_ms"]
+    assert out == json.dumps(docs, sort_keys=True, indent=2) + "\n"
+
+
+def test_moments_and_weights_past_the_golden_sizes(capsys):
+    ctx = field_create(2)
+    direct = [sk_moment(ctx, h) for h in range(201)]
+    so4 = [(2 * h, sk_moment(ctx, 2 * h)) for h in range(41)]
+    prefix = weight_prefix(GroupId.SO2, ctx, 40)
+    jobs = {
+        "moments direct --r 2 --h 200": _shapes(
+            {"q": 9, "r": 2, "source": "direct"}, "rows",
+            [{"h": h, "sk": str(v)} for h, v in enumerate(direct)],
+            ("h", "sk"), list(enumerate(direct)), ["SK^%d = %d" % hv for hv in enumerate(direct)]),
+        "moments recursive --code so4 --r 2 --h 40": _shapes(
+            {"q": 9, "r": 2, "code": "so4"}, "rows", [{"h": h, "sk": str(v)} for h, v in so4],
+            ("h", "sk"), so4, ["SK^%d = %d" % hv for hv in so4]),
+        "weights --code so2 --r 2 --max-j 40": _shapes(
+            {"q": 9, "r": 2, "code": "so2", "max_j": 40}, "counts",
+            {str(j): str(c) for j, c in enumerate(prefix)},
+            ("j", "count"), list(enumerate(prefix)), ["C_%d = %d" % jc for jc in enumerate(prefix)]),
+    }
+    for command, want in jobs.items():
+        for fmt, out in want.items():
+            assert run(capsys, *command.split(), "--format", fmt) == (0, out, "")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_each_format_is_shaped_alone(capsys, monkeypatch, fmt):
+    # text and csv never reach _dumps, and no format runs another's shaper
+    def refused(*args):
+        raise AssertionError("shaped a format that was not asked for")
+
+    for name in {"json", "csv", "text"} - {fmt}:
+        monkeypatch.setattr(cli, "_" + name, refused)
+    if fmt != "json":
+        monkeypatch.setattr(cli, "_dumps", refused)
+    for command in sorted(GOLDEN):
+        if command.endswith("--format " + fmt):
+            assert run(capsys, *command.split()) == (0, GOLDEN[command], "")

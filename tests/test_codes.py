@@ -268,6 +268,7 @@ def test_recursion_never_reads_the_k_table_or_its_histogram(monkeypatch, f27):
 
     for target in ("kloostercodes.charsums._kloosterman_table",
                    "kloostercodes.charsums.kloosterman_histogram",
+                   "kloostercodes.charsums.sk_moments",
                    "kloostercodes.charsums.kloosterman", "kloostercodes.codes.kloosterman",
                    "kloostercodes.kloosterman", "kloostercodes.gauss.kloosterman"):
         monkeypatch.setattr(target, forbidden)
@@ -374,16 +375,17 @@ def test_prefix_validation(f3):
 
 
 def test_corrupted_dual_weight_is_detected(monkeypatch):
-    # f(1) = K(1) = 5 at q = 9: off by -3 it moves one dual weight by 2, which
-    # breaks the exact division by q; off by +3 it breaks the Weil bound
-    # (each patched on a context of its own, as f's histogram is kept on it)
-    for shift, match in ((-3, "not divisible by q=9"), (3, "Weil bound")):
+    # f(3) = 2 at q = 9: off by -3 it moves one dual weight by 2, which
+    # breaks the exact division by q (f(1) and f(2) would be caught first by
+    # their Hasse-Davenport lift); f(1) = K(1) = 5 off by +3 breaks the Weil
+    # bound (each patched on a context of its own, as f's histogram is kept on it)
+    for a, shift, match in ((3, -3, "not divisible by q=9"), (1, 3, "Weil bound")):
         ctx = field_create(2)
         real = ctx.character_sums
 
-        def skewed(*args, shift=shift):
+        def skewed(*args, a=a, shift=shift):
             sums = real(*args)
-            sums[1] += shift
+            sums[a] += shift
             return sums
 
         monkeypatch.setattr(ctx, "character_sums", skewed)

@@ -131,13 +131,15 @@ def test_pless_and_verify_honour_ops_limit(monkeypatch, f27):
     assert pless_check(f27, GroupId.O2, 10, ops_limit=10 ** 4).match
     # verify admits the recursion side before the direct column reads the K table
     direct = []
-    real = charsums.sk_moment
 
-    def counted(*args, **kwargs):
-        direct.append(args)
-        return real(*args, **kwargs)
+    def counting(real):
+        def counted(*args, **kwargs):
+            direct.append(args)
+            return real(*args, **kwargs)
+        return counted
 
-    monkeypatch.setattr(charsums, "sk_moment", counted)
+    monkeypatch.setattr(charsums, "sk_moment", counting(charsums.sk_moment))
+    monkeypatch.setattr(charsums, "sk_moments", counting(charsums.sk_moments))
     with pytest.raises(CapacityError) as exc:
         verify_report(f27, 10, ops_limit=400)
     assert "weight prefix" in str(exc.value)
@@ -323,6 +325,27 @@ def test_verify_report_meets_the_closed_low_moments(r):
     assert [(rep.code, [row.h for row in rep.rows]) for rep in reports] == [
         ("so2", [1, 2]), ("o2", [1, 2]), ("so4", [2])]
     assert [(row.direct, row.recursive) for row in rows] == [(closed[row.h],) * 2 for row in rows]
+
+
+@pytest.mark.parametrize("column, h", [("direct", 1), ("direct", 2), ("so4", 2)])
+def test_verify_report_checks_both_columns_against_the_closed_low_moments(monkeypatch, column, h):
+    # a direct SK^1 or SK^2, or the rank-4 chain's SK^2 (its entry 1), moved
+    # off its closed form raises before any report is formed
+    from kloostercodes import moments
+
+    name, at = ("sk_moments", h) if column == "direct" else ("recursive_moments", 1)
+    module = charsums if column == "direct" else moments
+    real = getattr(module, name)
+
+    def skewed(*args, **kwargs):
+        values = real(*args, **kwargs)
+        if column == "direct" or args[1] is GroupId.SO4:
+            values[at] += 3
+        return values
+
+    monkeypatch.setattr(module, name, skewed)
+    with pytest.raises(ConsistencyError, match="%s SK\\^%d over GF\\(9\\)" % (column, h)):
+        verify_report(field_create(2), 4)
 
 
 def test_verify_report_runs_one_delta_one_transform_per_field(monkeypatch):
