@@ -16,18 +16,18 @@ table.  Next to it the context keeps the value histogram of K over the
 nonzero squares: K(a) is -1 mod 3 and at most 2 sqrt(q) in modulus, so it
 takes at most about 4 sqrt(q)/3 + 1 values (81 at q = 3^8), and the direct
 moments SK^h = sum_k mult(k) k^h and the left side of the Pless check sum
-over those values instead of over the (q - 1)/2 squares: sk_moment for one
-h, sk_moments for every h up to h_max by one running product per value,
-priced by h.  K(1) and K(2) are checked against the Hasse-Davenport lift of
-their values over GF(3), the one check of the table that does not come from
-the transform.  f, the character sum of delta(1), is K(a^2) at a != 0:
-one routine (_delta_one_sums) computes it, checks its values at a != 0 as
-K's are checked (f(1) = f(2) = K(1) by the lift) and keeps their histogram
-on the context, which codes.weight_prefix reads for every dual weight;
-delta(m) is the character sum of f^m.  Inside the package the delta(m)
-table stays an integer array in the word its second sum ran in (ogroups
-groups it by value); delta_count, the public boundary, turns it into a
-tuple of Python ints indexed by beta.  The two tables never read each
+over those values instead of over the (q - 1)/2 squares: sk_moment for one h
+by one power per value, sk_moments for every h up to h_max by one running
+product per value, each priced by h.  K(1) and K(2) are checked against the
+Hasse-Davenport lift of their values over GF(3), the one check of the table
+that does not come from the transform.  f, the character sum of delta(1), is
+K(a^2) at a != 0: one routine (_delta_one_sums) computes it, checks its
+values at a != 0 as K's are checked (f(1) = f(2) = K(1) by the lift) and
+keeps their histogram on the context, which codes.weight_prefix reads for
+every dual weight; delta(m) is the character sum of f^m.  Inside the package
+the delta(m) table stays an integer array in the word its second sum ran in
+(ogroups groups it by value); delta_count, the public boundary, turns it
+into a tuple of Python ints indexed by beta.  The two tables never read each
 other, and no other module runs a character sum or writes a kept table.
 """
 
@@ -164,12 +164,21 @@ def kloosterman(ctx, a: int, *, ops_limit: int = DEFAULT_OPS_LIMIT) -> int:
 
 def sk_moment(ctx, h: int, *, ops_limit: int = DEFAULT_OPS_LIMIT) -> int:
     """Direct h-th power moment of the Kloosterman sums over the nonzero
-    squares, sum_k mult(k) k^h over the value histogram of K."""
+    squares, sum_k mult(k) k^h over the value histogram of K.  After the K
+    table, the powers are admitted at values * W * bits(h) operations, the
+    square-and-multiply steps of each k ** h on integers of
+    W = h bits(isqrt(4q)) // 64 + 1 words, the Weil bound |k| <= 2 sqrt(q)
+    standing in for max|k|; SK^0 = (q - 1)/2 is read off q alone."""
     if h < 0:
         raise DomainError("moment order must be nonnegative")
     if h == 0:
         return (ctx.q - 1) // 2
-    return sum(m * k ** h for k, m in kloosterman_histogram(ctx, ops_limit=ops_limit))
+    histogram = kloosterman_histogram(ctx, ops_limit=ops_limit)
+    words = h * math.isqrt(4 * ctx.q).bit_length() // 64 + 1
+    admit("direct moment h=%d over %d values of K (values * bits(h) square-and-multiply steps "
+          "on integers of W = %d words)" % (h, len(histogram), words),
+          len(histogram) * words * h.bit_length(), ops_limit)
+    return sum(m * k ** h for k, m in histogram)
 
 
 def sk_moments(ctx, h_max: int, *, ops_limit: int = DEFAULT_OPS_LIMIT) -> list:

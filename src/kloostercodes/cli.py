@@ -9,11 +9,12 @@ type checks its lower bound (--r, --n, --a and --h-max >= 1; --h, --max-j,
 --t and --limit-ops >= 0), run_command builds the field once, the handler
 computes and returns its records once (_Records), and run_command writes
 stdout once, shaped by one of _text, _csv and _json for the format asked
-for and by no other.  JSON comes out in the json module's sorted, 2-space
-layout: each record list through one %-template per record shape, the rest
-through _dumps.  Each subcommand's
-parser is built at its first run_command and serves every later call; only
--h and a missing or unknown command build the parser of every subcommand.
+for and by no other.  The records hold the json document itself, and
+_dumps, the one JSON writer, writes it whole in the json module's sorted,
+2-space layout, each record list in it (a _Rows block) through one
+%-template per record shape.  Each subcommand's parser is built at its
+first run_command and serves every later call; only -h and a missing or
+unknown command build the parser of every subcommand.
 Flags may also be supplied through environment variables with the
 KLOOSTERCODES_ prefix (e.g. KLOOSTERCODES_H_MAX=6, or KLOOSTERCODES_TIMING=1
 for the --timing switch, 0 leaving it off); these are read at every call,
@@ -177,20 +178,25 @@ def _make_ctx(args):
     return ctx
 
 
-class _Records(namedtuple("_Records", "head rows fields text key json csv", defaults=(None,) * 3)):
-    """A subcommand's output.  rows are tuples under the csv header fields,
-    each written by the csv %-template (by default every column by str);
-    text is a row's %-template, or a function giving every line.  The json
-    document is head with the rows under key: one object per row when json
-    is a tuple of per-column %-formats (None leaves a column out, "bool"
-    writes true or false), else one member per row by the %-template json,
-    ordered by its key as a string; with no key, head is the document.  A
-    list of heads is a list of documents, with one list of rows each and
-    the text given by a function."""
+class _Records(namedtuple("_Records", "doc rows fields text csv", defaults=(None,))):
+    """A subcommand's output, one field per format.  doc is the json
+    document (a list of documents for verify), with each record list in it
+    a _Rows block; _json is _dumps(doc).  rows are tuples under the csv
+    header fields, each written by the csv %-template (by default every
+    column by str); text is a row's %-template, or a function giving every
+    line."""
+
+
+class _Rows(namedtuple("_Rows", "rows fields json")):
+    """A record list inside a json document, written by _dumps one
+    %-template per record: with json a %-template, an object of one member
+    per row, ordered by its key as a string; with json a tuple of
+    per-column %-formats, a list of one object per row under the names
+    fields, None leaving a column out and "bool" writing true or false."""
 
 
 def _cmd_field(args, ctx):
-    head = {
+    doc = {
         "r": ctx.r,
         "q": ctx.q,
         "modulus": list(ctx.modulus),
@@ -198,49 +204,52 @@ def _cmd_field(args, ctx):
         "epsilon": ctx.epsilon,
         "num_squares": (ctx.q - 1) // 2,
     }
-    return 0, _Records(head, sorted(head.items()), ("key", "value"), lambda: [
-        "GF(%(q)d), modulus %(modulus_str)s" % head, "epsilon (least nonsquare) = %(epsilon)d" % head,
-        "nonzero squares: %(num_squares)d" % head])
+    return 0, _Records(doc, sorted(doc.items()), ("key", "value"), lambda: [
+        "GF(%(q)d), modulus %(modulus_str)s" % doc, "epsilon (least nonsquare) = %(epsilon)d" % doc,
+        "nonzero squares: %(num_squares)d" % doc])
 
 
 def _cmd_kloosterman(args, ctx):
-    targets = [args.a] if args.a is not None else range(1, ctx.q)
-    rows = [(a, charsums.kloosterman(ctx, a, ops_limit=args.limit_ops)) for a in targets]
-    return 0, _Records({"q": ctx.q}, rows, ("a", "K"), "K(%d) = %d", "values", '"%d": "%d"')
+    span = slice(1, None) if args.a is None else slice(args.a, args.a + 1)
+    k = charsums._kloosterman_table(ctx, args.limit_ops)[span].tolist()  # one admission, one read
+    rows = list(zip(range(span.start, ctx.q), k))
+    values = _Rows(rows, ("a", "K"), '"%d": "%d"')
+    return 0, _Records({"q": ctx.q, "values": values}, rows, values.fields, "K(%d) = %d")
 
 
 def _cmd_moments(args, ctx):
     if args.mode == "direct":
         vals = charsums.sk_moments(ctx, args.h, ops_limit=args.limit_ops)
-        step, head = 1, {"source": "direct"}
+        step, doc = 1, {"source": "direct"}
     else:
         gid = GroupId(args.code)
         vals = moments.recursive_moments(ctx, gid, args.h, ops_limit=args.limit_ops)
         # the SO-(2n,q) chain holds SK^0, SK^n, ..., SK^{nh}
-        step, head = gid.n, {"source" if gid.n == 1 else "code": args.code}
-    head.update(q=ctx.q, r=ctx.r)
-    rows = [(step * h, v) for h, v in enumerate(vals)]
-    return 0, _Records(head, rows, ("h", "sk"), "SK^%d = %d", "rows", ("%d", '"%d"'))
+        step, doc = gid.n, {"source" if gid.n == 1 else "code": args.code}
+    block = _Rows([(step * h, v) for h, v in enumerate(vals)], ("h", "sk"), ("%d", '"%d"'))
+    doc.update(q=ctx.q, r=ctx.r, rows=block)
+    return 0, _Records(doc, block.rows, block.fields, "SK^%d = %d")
 
 
 def _cmd_weights(args, ctx):
     prefix = weight_prefix(GroupId(args.code), ctx, args.max_j, ops_limit=args.limit_ops)
-    head = {"q": ctx.q, "r": ctx.r, "code": args.code, "max_j": args.max_j}
-    return 0, _Records(head, list(enumerate(prefix)), ("j", "count"), "C_%d = %d", "counts",
-                       '"%d": "%d"')
+    counts = _Rows(list(enumerate(prefix)), ("j", "count"), '"%d": "%d"')
+    doc = {"q": ctx.q, "r": ctx.r, "code": args.code, "max_j": args.max_j, "counts": counts}
+    return 0, _Records(doc, counts.rows, counts.fields, "C_%d = %d")
 
 
 def _cmd_groups(args, ctx):
     enum = ogroups.enumerate_group(ctx, GroupId(args.group), ops_limit=args.limit_ops)
-    head = {"group": args.group, "q": ctx.q, "order": len(enum.elements)}
+    doc = {"group": args.group, "q": ctx.q, "order": len(enum.elements)}
     if args.mode == "enumerate":
-        hist = sorted(enum.histogram.as_dict().items())
-        return 0, _Records(head, hist, ("beta", "count"), lambda: [
-            "|%(group)s(%(q)d)| = %(order)d" % head,
-            "trace histogram: " + ", ".join("%d:%d" % bc for bc in hist)], "histogram", '"%d": %d')
-    head["elements"] = enum.elements
+        hist = doc["histogram"] = _Rows(sorted(enum.histogram.as_dict().items()),
+                                        ("beta", "count"), '"%d": %d')
+        return 0, _Records(doc, hist.rows, hist.fields, lambda: [
+            "|%(group)s(%(q)d)| = %(order)d" % doc,
+            "trace histogram: " + ", ".join("%d:%d" % bc for bc in hist.rows)])
+    doc["elements"] = enum.elements
     line = " ".join(["%d"] * len(enum.elements[0]))
-    return 0, _Records(head, enum.elements, ("element",), line, csv=line)
+    return 0, _Records(doc, enum.elements, ("element",), line, csv=line)
 
 
 def _cmd_gauss(args, ctx):
@@ -256,7 +265,7 @@ def _cmd_gauss(args, ctx):
     if args.group == "gl":
         t = 1 if args.t is None else args.t
         val = gauss.kloosterman_gl(ctx, t, args.a, ops_limit=args.limit_ops)
-        head = {"q": ctx.q, "group": "gl", "t": t, "a": args.a}
+        doc = {"q": ctx.q, "group": "gl", "t": t, "a": args.a}
         line = "K_GL(%d, %d)(a=%d) = %%d" % (t, ctx.q, args.a)
     else:
         if args.n is not None:
@@ -266,31 +275,32 @@ def _cmd_gauss(args, ctx):
             n, variant = gid.n, gid.variant
         req = gauss.GaussSumRequest(n=n, variant=variant, a=args.a)
         val = gauss.gauss_sum_closed(ctx, req, ops_limit=args.limit_ops)
-        head = {"q": ctx.q, "n": n, "variant": variant, "a": args.a}
+        doc = {"q": ctx.q, "n": n, "variant": variant, "a": args.a}
         line = "gauss sum %s-(2*%d, %d), a=%d: %%d" % (variant, n, ctx.q, args.a)
-    head["value"] = str(val)
-    return 0, _Records(head, [(val,)], ("value",), line)
+    doc["value"] = str(val)
+    return 0, _Records(doc, [(val,)], ("value",), line)
 
 
 def _cmd_verify(args, ctx):
     if args.timing and args.format != "json":
         raise DomainError("--timing adds elapsed_ms under --format json only")
     reports = moments.verify_report(ctx, args.h_max, ops_limit=args.limit_ops)
-    heads, rows = [], []
+    fields = ("code", "h", "direct", "recursive", "match")
+    kinds = (None, "%d", '"%d"', '"%d"', "bool")
+    docs, rows = [], []
     for rep in reports:
-        heads.append({"q": ctx.q, "r": ctx.r, "code": rep.code})
+        part = [(rep.code, row.h, row.direct, row.recursive, row.match) for row in rep.rows]
+        docs.append({"q": ctx.q, "r": ctx.r, "code": rep.code, "rows": _Rows(part, fields, kinds)})
         if args.timing:
-            heads[-1]["elapsed_ms"] = round(rep.elapsed_ms, 3)
-        rows.append([(rep.code, row.h, row.direct, row.recursive, row.match) for row in rep.rows])
+            docs[-1]["elapsed_ms"] = round(rep.elapsed_ms, 3)
+        rows += part
     ok = all(rep.all_match for rep in reports)
 
     def text():
         return ["%s h=%d direct=%d recursive=%d %s" % (*row[:4], "ok" if row[4] else "MISMATCH")
-                for part in rows for row in part] + [
-                    "verified: all moments match" if ok else "verification FAILED"]
+                for row in rows] + ["verified: all moments match" if ok else "verification FAILED"]
 
-    return (0 if ok else 1), _Records(heads, rows, ("code", "h", "direct", "recursive", "match"),
-                                      text, "rows", (None, "%d", '"%d"', '"%d"', "bool"))
+    return (0 if ok else 1), _Records(docs, rows, fields, text)
 
 
 def _text(out):
@@ -299,47 +309,11 @@ def _text(out):
 
 def _csv(out):
     line = out.csv or ",".join(["%s"] * len(out.fields))
-    rows = [row for part in out.rows for row in part] if isinstance(out.head, list) else out.rows
-    return [",".join(out.fields)] + [line % row for row in rows]
+    return [",".join(out.fields)] + [line % row for row in out.rows]
 
 
 def _json(out):
-    if not isinstance(out.head, list):
-        return [_document(out, out.head, out.rows, "\n")]
-    return ["[\n  " + ",\n  ".join(_document(out, head, part, "\n  ")
-                                  for head, part in zip(out.head, out.rows)) + "\n]"]
-
-
-def _document(out, head, rows, indent):
-    """head with the rows under out.key, as json.dumps(..., sort_keys=True,
-    indent=2) writes it at indent: the head through _dumps, each row through
-    one %-template."""
-    if out.key is None:
-        return _dumps(head, indent)
-    inner, deeper = indent + "  ", indent + "    "
-    if isinstance(out.json, str):
-        lines, ends = [out.json % row for row in sorted(rows, key=lambda row: str(row[0]))], "{}"
-    else:
-        lines, ends = _objects(out.fields, out.json, rows, deeper), "[]"
-    block = ends[0] + deeper + ("," + deeper).join(lines) + inner + ends[1] if lines else ends
-    members = sorted([(k, _dumps(v, inner)) for k, v in head.items()] + [(out.key, block)])
-    return "{" + inner + ("," + inner).join(encode_basestring_ascii(k) + ": " + v
-                                           for k, v in members) + indent + "}"
-
-
-def _objects(fields, kinds, rows, indent):
-    """One json object per row at indent, keys sorted: each column by its
-    %-format in kinds, None leaving it out and "bool" writing true or false."""
-    inner = indent + "  "
-    cols = sorted((name, i, kind) for i, (name, kind) in enumerate(zip(fields, kinds)) if kind)
-    pick = itemgetter(*[i for _, i, kind in cols if kind != "bool"])
-    flag = [i for _, i, kind in cols if kind == "bool"]
-    templates = ["{" + inner + ("," + inner).join('"%s": %s' % (name, word if kind == "bool" else kind)
-                                                  for name, _, kind in cols) + indent + "}"
-                 for word in ("false", "true")]
-    if not flag:
-        return [templates[0] % pick(row) for row in rows]
-    return [templates[row[flag[0]]] % pick(row) for row in rows]
+    return [_dumps(out.doc)]
 
 
 _HANDLERS = {
@@ -380,8 +354,9 @@ def run_command(argv) -> int:
 
 
 def _dumps(value, indent="\n"):
-    """json.dumps(value, sort_keys=True, indent=2), written directly: with
-    indent set, the json module encodes in pure Python, value by value."""
+    """json.dumps(value, sort_keys=True, indent=2), written directly, a _Rows
+    block as the object or list of its records: with indent set, the json
+    module encodes in pure Python, value by value."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if type(value) is bool:
@@ -394,11 +369,33 @@ def _dumps(value, indent="\n"):
             return "{}"
         items = (encode_basestring_ascii(k) + ": " + _dumps(v, inner) for k, v in sorted(value.items()))
         return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(value, _Rows):
+        lines, ends = _records(value, inner)
+        return ends[0] + inner + ("," + inner).join(lines) + indent + ends[1] if lines else ends
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
         return "[" + inner + ("," + inner).join(_dumps(v, inner) for v in value) + indent + "]"
     return json.dumps(value)  # None and floats
+
+
+def _records(block, indent):
+    """The json lines of a _Rows block's records, one per row at indent
+    (an object's keys sorted once for every row), and the brackets around
+    them."""
+    if isinstance(block.json, str):
+        return [block.json % row for row in sorted(block.rows, key=lambda row: str(row[0]))], "{}"
+    inner = indent + "  "
+    cols = sorted((name, i, kind) for i, (name, kind) in enumerate(zip(block.fields, block.json))
+                  if kind)
+    pick = itemgetter(*[i for _, i, kind in cols if kind != "bool"])
+    flag = [i for _, i, kind in cols if kind == "bool"]
+    templates = ["{" + inner + ("," + inner).join('"%s": %s' % (name, word if kind == "bool" else kind)
+                                                  for name, _, kind in cols) + indent + "}"
+                 for word in ("false", "true")]
+    if not flag:
+        return [templates[0] % pick(row) for row in block.rows], "[]"
+    return [templates[row[flag[0]]] % pick(row) for row in block.rows], "[]"
 
 
 def main():

@@ -23,11 +23,12 @@ character sums, whose digit 0 is the trace.  The field keeps four tables
 where it is used: the trace is s mod 3; negation is x + x (characteristic
 3), the diagonal of the half-width table; 1/g^k = g^-k is one gather
 through exp and log; the squares are the even powers of g, so chi is the
-parity of the log, and the least nonsquare the least odd power.  The scalar methods read
-those arrays and return Python ints and bools; addition is an O(r) digit
-loop.  Adding +-1 moves only digit 0 of an index, so
-chi(beta^2 - 1) = chi(beta - 1) chi(beta + 1) comes from two index
-shifts.  `FieldContext.character_sums` is the one exact additive
+parity of the log, and the least nonsquare the least odd power.  The
+scalar methods read those arrays and return Python ints and bools; a
+scalar x + y is two reads of the half-width table, as for arrays.  Adding
++-1 moves only digit 0 of an index, so chi(beta^2 - 1) =
+chi(beta - 1) chi(beta + 1) comes from two index shifts.
+`FieldContext.character_sums` is the one exact additive
 character sum, a -> sum_beta f(beta) omega^{tr(a beta)} for every a,
 asserted real, run by charsums alone, in the word _word picks from twice
 the L1 norm of its input (derived in its docstring); the context also
@@ -285,16 +286,13 @@ class FieldContext:
             raise DomainError("element index %r out of range for GF(%d)" % (x, self.q))
 
     def add(self, x: int, y: int) -> int:
+        """x + y: the high halves and the low halves through the addition
+        table, as _add_vec adds."""
         self._check(x)
         self._check(y)
-        x, y, z = int(x), int(y), 0
-        p = 1
-        while x or y:
-            z += ((x % 3) + (y % 3)) % 3 * p
-            x //= 3
-            y //= 3
-            p *= 3
-        return z
+        half = self._half
+        (xh, xl), (yh, yl) = divmod(int(x), half), divmod(int(y), half)
+        return int(self._add_half[xh * half + yh]) * half + int(self._add_half[xl * half + yl])
 
     def neg(self, x: int) -> int:
         return self.add(x, x)

@@ -1,5 +1,6 @@
 import cmath
 import math
+import time
 
 import pytest
 
@@ -539,6 +540,36 @@ def test_sk_moments_at_the_largest_shipped_field_and_high_h():
     found = sk_moments(f6561, 3000, ops_limit=price)
     assert [found[h] for h in (0, 1, 2, 1000, 3000)] == \
         [sk_moment(f6561, h) for h in (0, 1, 2, 1000, 3000)]
+
+
+def test_sk_moment_is_priced_by_h(f9):
+    # after the K table (27 at q = 9), K's 3 values each raised to h = 100:
+    # bits(100) = 7 square-and-multiply steps on W = 100 * bits(isqrt(36)) // 64 + 1
+    # = 5 words, 3 * 5 * 7 = 105 operations
+    assert sk_moment(f9, 100, ops_limit=105) == sk_moment(f9, 100, ops_limit=10 ** 9)
+    with pytest.raises(CapacityError) as exc:
+        sk_moment(f9, 100, ops_limit=104)
+    assert "about 105 operations" in str(exc.value) and "--limit-ops" in str(exc.value)
+
+
+def test_sk_moment_at_the_largest_shipped_field():
+    # 81 values of K at r = 8, bits(isqrt(4q)) = 8: h = 20 costs
+    # 81 * (20 * 8 // 64 + 1) * bits(20) = 1215, below the K table's 59049,
+    # and h = 3000 costs 81 * 376 * 12 = 365472, both under the default
+    # limit; h = 10^6 costs 81 * 125001 * 20 = 202501620, refused before any
+    # power
+    f6561 = field_create(8)
+    assert sk_moment(f6561, 20, ops_limit=59049) == sum(m * k ** 20 for k, m in
+                                                        kloosterman_histogram(f6561))
+    assert sk_moment(f6561, 3000) == sk_moment(f6561, 3000, ops_limit=365472)
+    with pytest.raises(CapacityError) as exc:
+        sk_moment(f6561, 3000, ops_limit=365471)
+    assert "about 365472 operations" in str(exc.value)
+    start = time.perf_counter()
+    with pytest.raises(CapacityError) as exc:
+        sk_moment(f6561, 10 ** 6)
+    assert time.perf_counter() - start < 1
+    assert "about 202501620 operations" in str(exc.value) and "--limit-ops" in str(exc.value)
 
 
 def test_sk_moments_validation(f9):

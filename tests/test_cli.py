@@ -20,11 +20,12 @@ from kloostercodes import (
     GroupId,
     field_create,
     gauss_sum_closed,
+    kloosterman,
     kloosterman_gl,
     sk_moment,
     weight_prefix,
 )
-from kloostercodes import cli, moments
+from kloostercodes import charsums, cli, moments
 from kloostercodes.cli import ENV_PREFIX, run_command
 
 from test_golden import GOLDEN
@@ -489,6 +490,60 @@ def test_kloosterman_r8_reads_one_table(capsys):
     assert max(abs(v) for v in values) <= 2 * 3 ** 4
 
 
+@pytest.mark.parametrize("a", [None, 1, 40, 80])
+def test_kloosterman_past_the_golden_sizes(capsys, monkeypatch, a):
+    # r = 4, where golden_cli.json stops at 3: every format against the
+    # documents built here from kloosterman(ctx, a), and each call admits the
+    # K table once and reads no K(a) one a at a time
+    ctx = field_create(4)
+    rows = [(b, kloosterman(ctx, b)) for b in (range(1, 81) if a is None else [a])]
+    want = _shapes({"q": 81}, "values", {str(b): str(k) for b, k in rows}, ("a", "K"), rows,
+                   ["K(%d) = %d" % row for row in rows])
+    calls, table = [], charsums._kloosterman_table
+
+    def spy(ctx, ops_limit):
+        calls.append(ops_limit)
+        return table(ctx, ops_limit)
+
+    def refused(*args, **kw):
+        raise AssertionError("read K(a) one a at a time")
+
+    monkeypatch.setattr(charsums, "_kloosterman_table", spy)
+    monkeypatch.setattr(charsums, "kloosterman", refused)
+    argv = ["kloosterman", "--r", "4"] + ([] if a is None else ["--a", str(a)])
+    for fmt, out in want.items():
+        calls.clear()
+        assert run(capsys, *argv, "--format", fmt) == (0, out, "")
+        assert calls == [charsums.DEFAULT_OPS_LIMIT]
+
+
+_VERIFY_FIELDS = ("code", "h", "direct", "recursive", "match")
+
+
+@pytest.mark.parametrize("block, plain", [
+    # members ordered by their key as a string, by a decimal-string or a bare value
+    (cli._Rows([(10, -2), (1, 5), (2, 7)], ("a", "K"), '"%d": "%d"'),
+     {"10": "-2", "1": "5", "2": "7"}),
+    (cli._Rows([(0, 3), (2, 1)], ("beta", "count"), '"%d": %d'), {"0": 3, "2": 1}),
+    # objects with sorted keys, a left-out column and a bool column
+    (cli._Rows([("so2", 1, -1, -1, True), ("so2", 2, 5, 6, False)], _VERIFY_FIELDS,
+               (None, "%d", '"%d"', '"%d"', "bool")),
+     [{"h": 1, "direct": "-1", "recursive": "-1", "match": True},
+      {"h": 2, "direct": "5", "recursive": "6", "match": False}]),
+    (cli._Rows([(0, 4), (2, 31)], ("h", "sk"), ("%d", '"%d"')),
+     [{"h": 0, "sk": "4"}, {"h": 2, "sk": "31"}]),
+    # empty blocks
+    (cli._Rows([], ("a", "K"), '"%d": "%d"'), {}),
+    (cli._Rows([], _VERIFY_FIELDS, (None, "%d", '"%d"', '"%d"', "bool")), []),
+], ids=["members", "bare-members", "objects-bool", "objects", "no-members", "no-objects"])
+def test_dumps_writes_rows_blocks(block, plain):
+    # alone, as a document's member and inside a list of documents: the
+    # json module's layout of the block written out
+    for wrap in (lambda v: v, lambda v: {"q": 9, "rows": v, "a": [1]},
+                 lambda v: [{"z": v, "code": "so2"}, {"rows": v}]):
+        assert cli._dumps(wrap(block)) == json.dumps(wrap(plain), sort_keys=True, indent=2)
+
+
 # each job at r <= 2 with the estimate of the last job it admits: n is drawn
 # around it, so both sides of every refusal are covered
 _PARITY_JOBS = [
@@ -608,13 +663,12 @@ def test_verify_h_max_one_leaves_out_the_rank_four_code(capsys):
 
 
 def test_consistency_failure_exits_one(capsys, monkeypatch):
-    from kloostercodes import charsums
     from kloostercodes.errors import ConsistencyError
 
-    def broken(ctx, a, **kw):
+    def broken(ctx, ops_limit):
         raise ConsistencyError("K table broken")
 
-    monkeypatch.setattr(charsums, "kloosterman", broken)
+    monkeypatch.setattr(charsums, "_kloosterman_table", broken)
     code, out, err = run(capsys, "kloosterman", "--r", "1")
     assert (code, out) == (1, "")
     assert err == "consistency failure: K table broken\n"
