@@ -162,19 +162,25 @@ def kloosterman(ctx, a: int, *, ops_limit: int = DEFAULT_OPS_LIMIT) -> int:
     return int(_kloosterman_table(ctx, ops_limit)[a])
 
 
+def _power_words(ctx, h: int) -> int:
+    """64-bit words of the largest power |k|^h of a value k of K, from the
+    Weil bound |k| <= 2 sqrt(q): h bits(isqrt(4q)) // 64 + 1.  The direct
+    moments price their products with it and never scan the histogram."""
+    return h * math.isqrt(4 * ctx.q).bit_length() // 64 + 1
+
+
 def sk_moment(ctx, h: int, *, ops_limit: int = DEFAULT_OPS_LIMIT) -> int:
     """Direct h-th power moment of the Kloosterman sums over the nonzero
     squares, sum_k mult(k) k^h over the value histogram of K.  After the K
     table, the powers are admitted at values * W * bits(h) operations, the
     square-and-multiply steps of each k ** h on integers of
-    W = h bits(isqrt(4q)) // 64 + 1 words, the Weil bound |k| <= 2 sqrt(q)
-    standing in for max|k|; SK^0 = (q - 1)/2 is read off q alone."""
+    W = _power_words(ctx, h) words; SK^0 = (q - 1)/2 is read off q alone."""
     if h < 0:
         raise DomainError("moment order must be nonnegative")
     if h == 0:
         return (ctx.q - 1) // 2
     histogram = kloosterman_histogram(ctx, ops_limit=ops_limit)
-    words = h * math.isqrt(4 * ctx.q).bit_length() // 64 + 1
+    words = _power_words(ctx, h)
     admit("direct moment h=%d over %d values of K (values * bits(h) square-and-multiply steps "
           "on integers of W = %d words)" % (h, len(histogram), words),
           len(histogram) * words * h.bit_length(), ops_limit)
@@ -185,12 +191,11 @@ def sk_moments(ctx, h_max: int, *, ops_limit: int = DEFAULT_OPS_LIMIT) -> list:
     """[SK^0, ..., SK^h_max], the direct moments of sk_moment for every h at
     once: one running product mult(k) k^h per value k of K's histogram,
     multiplied by k at each h.  After the K table, the products are admitted
-    at h_max * values * W operations, W the number of 64-bit words of the
-    largest power max|k|^h_max."""
+    at h_max * values * W operations, W = _power_words(ctx, h_max)."""
     if h_max < 0:
         raise DomainError("moment order must be nonnegative")
     values, terms = zip(*kloosterman_histogram(ctx, ops_limit=ops_limit))
-    words = h_max * max(map(abs, values)).bit_length() // 64 + 1
+    words = _power_words(ctx, h_max)
     admit("direct moments up to h=%d over %d values of K (h * values products on integers "
           "of W = %d words)" % (h_max, len(values), words), h_max * len(values) * words, ops_limit)
     moments = [sum(terms)]

@@ -7,7 +7,9 @@ O(q^2 j^3) big-integer steps and is kept as an oracle for small fields.
 coordinate pairs, as `pair_scan` does on the trace vector itself.
 `delta_convolution` and `kloosterman_per_a` are the O(q^2) loops that the
 library's delta and K tables used before the radix-3 transform replaced them;
-neither reads a library character sum.  `field_tables_reference` is the
+neither reads a library character sum.  `digit_add` is the O(r) digit loop
+that `FieldContext.add` ran before it read the half-width addition table;
+the oracles that add field elements call it, not the library's table.  `field_tables_reference` is the
 Python-list construction of a field's tables that `FieldContext` used before
 it built them with numpy, and `is_irreducible_trial` the trial division that
 its irreducibility check used before Rabin's test.  `mat_det` and `mat_trace` are the scalar,
@@ -164,7 +166,7 @@ def delta_convolution(ctx, m: int) -> list:
     """delta(m, q; beta) for every beta, by m additive convolutions of
     delta(1) in Python ints, starting from the point mass at 0."""
     q = ctx.q
-    add = [[ctx.add(x, y) for y in range(q)] for x in range(q)]
+    add = [[digit_add(x, y) for y in range(q)] for x in range(q)]
     d1 = [0] * q
     for x in range(1, q):
         d1[add[x][ctx.inv(x)]] += 1
@@ -203,8 +205,8 @@ def weight_prefix_dp(hist, ctx, j_max: int) -> tuple:
             continue
         shift = [
             list(range(q)),
-            [ctx.add(s, beta) for s in range(q)],
-            [ctx.add(s, ctx.neg(beta)) for s in range(q)],
+            [digit_add(s, beta) for s in range(q)],
+            [digit_add(s, digit_add(beta, beta)) for s in range(q)],
         ]
         tri = [
             [trinomial(n, nu, mu) for mu in range(j_max - nu + 1)]
@@ -252,6 +254,17 @@ def _poly_mul(a, b):
     return _poly_trim(out)
 
 
+def digit_add(x: int, y: int) -> int:
+    """x + y in GF(3^r) on element indices, digit by digit mod 3."""
+    z, p = 0, 1
+    while x or y:
+        z += (x % 3 + y % 3) % 3 * p
+        x //= 3
+        y //= 3
+        p *= 3
+    return z
+
+
 def _raw_mul(modulus, x: int, y: int) -> int:
     """x y by polynomial arithmetic on the base-3 digits of the indices."""
     def to_poly(v):
@@ -294,7 +307,7 @@ def field_tables_reference(ctx) -> dict:
     trace read off them, under the method names (inv[0] = 0), by Python-list
     loops.
 
-    Reads only the modulus of ctx and its digit-loop `add`, and multiplies
+    Reads only the modulus of ctx, adds by `digit_add`, and multiplies
     by polynomial arithmetic: the generator is the least g with
     g^((q-1)/p) != 1 for every prime p dividing q - 1, found among all
     p < q; the chain 1, g, g^2, ... grows in doubling blocks, multiplying by
@@ -330,7 +343,7 @@ def field_tables_reference(ctx) -> dict:
     for i in range(r):
         t, z = 0, 3 ** i
         for _ in range(r):
-            t = ctx.add(t, z)
+            t = digit_add(t, z)
             z = _raw_mul(modulus, _raw_mul(modulus, z, z), z)
         basis_tr.append(t)
     trace = ((digits.astype(np.int64) @ np.array(basis_tr, dtype=np.int64)) % 3).astype(np.int8)

@@ -527,7 +527,7 @@ def test_sk_moments_match_sk_moment(r):
 
 
 def test_sk_moments_at_the_largest_shipped_field_and_high_h():
-    # 81 values of K at r = 8, max |k| = 161 (8 bits): h = 3000 costs
+    # 81 values of K at r = 8, |k| <= isqrt(4q) = 162 (8 bits): h = 3000 costs
     # 3000 * 81 * (3000 * 8 // 64 + 1) = 91368000 operations, past the
     # default limit; just at its price it runs, and just below it is refused
     price = 3000 * 81 * 376

@@ -15,7 +15,7 @@ from kloostercodes import (
     load_modulus_config,
 )
 from kloostercodes.gf3r import DEFAULT_MODULI, _is_irreducible, _l1_bound, format_poly
-from oracles import field_tables_reference, is_irreducible_trial
+from oracles import digit_add, field_tables_reference, is_irreducible_trial
 
 
 def test_default_contexts_construct():
@@ -412,10 +412,24 @@ def test_half_table_addition_matches_the_digit_loop(r, modulus):
     xs, ys = rng.integers(0, ctx.q, (2, 500)).astype(ctx._np_exp.dtype)
     got = ctx._add_vec(xs, ys)
     assert got.dtype == ctx._np_exp.dtype
-    assert got.tolist() == [ctx.add(int(x), int(y)) for x, y in zip(xs, ys)]
+    assert got.tolist() == [digit_add(int(x), int(y)) for x, y in zip(xs, ys)]
     # broadcasting, as the build's sum of the images of the two halves
     assert np.array_equal(ctx._add_vec(xs[:20, None], ys[None, :30]),
-                          [[ctx.add(int(x), int(y)) for y in ys[:30]] for x in xs[:20]])
+                          [[digit_add(int(x), int(y)) for y in ys[:30]] for x in xs[:20]])
+
+
+@pytest.mark.parametrize("r", [*range(1, 9), 10, 11])
+def test_scalar_add_neg_sub_match_the_digit_loop(r):
+    # the scalar x + y reads the half-width table; every pair up to r = 4,
+    # 500 random pairs past it, against the digit loop
+    ctx = field_create(r, {10: _R10, 11: _R11}.get(r))
+    if r <= 4:
+        pairs = list(itertools.product(range(ctx.q), repeat=2))
+    else:
+        pairs = np.random.default_rng(r).integers(0, ctx.q, (500, 2)).tolist()
+    assert [ctx.add(x, y) for x, y in pairs] == [digit_add(x, y) for x, y in pairs]
+    assert [ctx.neg(x) for x, _ in pairs] == [digit_add(x, x) for x, _ in pairs]
+    assert [ctx.sub(x, y) for x, y in pairs] == [digit_add(x, digit_add(y, y)) for x, y in pairs]
 
 
 def test_mul_vec_where_the_index_product_wraps():
