@@ -3,11 +3,12 @@
 Field elements are canonical integer indices in [0, q), q = 3^r: the index
 encodes the coefficient vector of the residue polynomial in base 3, so 0 is
 the additive identity and 1 the multiplicative identity.  A FieldContext
-verifies its modulus irreducible by Rabin's test and builds each table once,
-as a numpy array and nowhere else, for every r with a modulus, shipped
-(r <= 8) or given.  Every q-sized table holds indices in one machine word,
-_word(2(q - 1)), and is built in it; no array holds the digits of every
-index.  _word is the one rule that picks an integer word in the package.
+builds each table once, as a numpy array and nowhere else, for every r with
+a modulus, shipped (r <= 8) or given; its generator search refuses a
+reducible modulus before any q-sized array.  Every q-sized table holds
+indices in one machine word, _word(2(q - 1)), and is built in it; no array
+holds the digits of every index.  _word is the one rule that picks an
+integer word in the package.
 Indices add digit by digit through one table of the sums of half-width
 indices (below 3^h, h = ceil(r/2)): a + b is two gathers, one for the high
 halves and one for the low.  A GF(3)-linear index map, v -> v @ M for an
@@ -15,7 +16,8 @@ r x r digit matrix M, is the sum of the images of the low half and of the
 high half, 3^h values each, in one broadcast addition.  Two such maps build
 the tables: beta -> g beta for the least generator g (g^((q-1)/p) != 1 for
 the primes p dividing q - 1, tested on the matrices of multiplication, 16
-candidates at a time, one set of squarings for every p), whose powers by
+candidates at a time, one set of squarings for every p; the first to pass
+has g^(q-1) = 1 exactly when the modulus is irreducible), whose powers by
 composition give the chain 1, g, g^2, ... and so log/antilog, and
 a -> s(a), the map through the Hankel matrix tr(x^(i+k)) that reads the
 character sums, whose digit 0 is the trace.  The field keeps four tables
@@ -77,26 +79,6 @@ def format_poly(coeffs) -> str:
     return " + ".join(terms) if terms else "0"
 
 
-def _poly_trim(p):
-    p = list(p)
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_mod(a, m):
-    """a mod m over GF(3), m's nonzero leading coefficient its own inverse."""
-    a = _poly_trim(a)
-    dm = len(m) - 1
-    while len(a) - 1 >= dm:
-        c = a[-1] * m[-1]
-        shift = len(a) - 1 - dm
-        for i, mc in enumerate(m):
-            a[shift + i] = (a[shift + i] - c * mc) % 3
-        a = _poly_trim(a)
-    return a
-
-
 def _prime_factors(n):
     """The distinct primes dividing n >= 1, by trial division up to sqrt(n)."""
     primes, p = [], 2
@@ -107,29 +89,6 @@ def _prime_factors(n):
                 n //= p
         p += 1
     return primes + [n] if n > 1 else primes
-
-
-def _is_irreducible(m) -> bool:
-    """Rabin's test: a monic m of degree r >= 1 is irreducible over GF(3)
-    exactly when x^(3^r) = x mod m and gcd(x^(3^(r/p)) - x, m) = 1 for every
-    prime p dividing r.  Cubing is GF(3)-linear, (sum c_i x^i)^3 =
-    sum c_i x^(3i): each x^(3^k) mod m is the last one spread out, reduced."""
-    r = len(m) - 1
-    frob = [_poly_mod([0, 1], m)]  # x^(3^k) mod m for k = 0, 1, ..., r
-    for _ in range(r):
-        spread = [0] * (3 * len(frob[-1]))
-        spread[::3] = frob[-1]
-        frob.append(_poly_mod(spread, m))
-    if frob[r] != frob[0]:
-        return False
-    for p in _prime_factors(r):  # here r >= 2, so x mod m = x
-        a = list(m)
-        b = _poly_trim([(c - (i == 1)) % 3 for i, c in enumerate(frob[r // p] + [0, 0])])
-        while b:
-            a, b = b, _poly_mod(a, b)
-        if len(a) > 1:
-            return False
-    return True
 
 
 def _word(bound):
@@ -153,17 +112,25 @@ def _l1_bound(part) -> int:
     return sum(int(part[i:i + step].sum()) for i in range(0, part.size, step))
 
 
+def _is_integer(x) -> bool:
+    """An int or a numpy integer, not a bool: what r, a coefficient and an
+    element index must be."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 class FieldContext:
     """The field GF(3^r) with a fixed irreducible modulus.
 
     Elements are plain ints in [0, q); all methods take and return such
-    indices.  The constructor checks the modulus monic, of degree r and
-    irreducible; :func:`field_create` is the same constructor by name.
+    indices.  The constructor checks r and the coefficients integers and the
+    modulus monic and of degree r; the generator search then refuses a
+    reducible one.  :func:`field_create` is the same constructor by name.
     """
 
     def __init__(self, r: int, modulus=None):
-        if r < 1:
-            raise FieldConstructionError("field exponent r must be >= 1, got %r" % (r,))
+        if not _is_integer(r) or r < 1:
+            raise FieldConstructionError("field exponent r must be an integer >= 1, got %r" % (r,))
+        r = int(r)
         if modulus is None:
             if r not in DEFAULT_MODULI:
                 raise FieldConstructionError(
@@ -171,15 +138,14 @@ class FieldContext:
                     "pass one explicitly" % (r, max(DEFAULT_MODULI))
                 )
             modulus = DEFAULT_MODULI[r]
+        modulus = tuple(modulus)
+        if not all(_is_integer(c) for c in modulus):
+            raise FieldConstructionError("modulus coefficients must be integers, got %r" % (modulus,))
         modulus = tuple(int(c) % 3 for c in modulus)
         if len(modulus) != r + 1 or modulus[-1] != 1:
             raise FieldConstructionError(
                 "modulus must be monic of degree %d over GF(3), got %s"
                 % (r, format_poly(modulus))
-            )
-        if not _is_irreducible(modulus):
-            raise FieldConstructionError(
-                "modulus %s is reducible over GF(3)" % format_poly(modulus)
             )
         self.r = r
         self.q = 3 ** r
@@ -196,17 +162,6 @@ class FieldContext:
         # the word of every index table holds a sum of two logs, below 2(q - 1)
         dt = self._dtype = _word(2 * (q - 1))
         pow3 = 3 ** np.arange(r)
-        # a + b digit by digit: an index is hi 3^h + lo with lo < 3^h, h = ceil(r/2),
-        # and the halves add through one (3^h, 3^h) table, built a digit at a
-        # time (row 3a + d, column 3b + e holds 3 T[a, b] + (d + e) mod 3)
-        h = (r + 1) // 2
-        half = self._half = 3 ** h
-        table = np.zeros((1, 1), dtype=np.min_scalar_type(half - 1))
-        while table.shape[0] < half:
-            n = 3 * table.shape[0]
-            table = (3 * table[:, None, :, None] + _DIGIT_SUM[:, None, :]).astype(table.dtype).reshape(n, n)
-        self._add_half = table.ravel()
-
         # y -> x y is GF(3)-linear on digit vectors: digits(x y) = digits(y) @ M_x,
         # row i of M_x the digits of x X^i, so M_x = sum_i x_i C^i with C the
         # companion matrix of the modulus
@@ -222,6 +177,33 @@ class FieldContext:
         def mul_matrix(x):  # M_x, or a stack of them for an array x
             return np.tensordot(np.asarray(x)[..., None] // pow3 % 3, powers[:r], 1) % 3
 
+        # the least generator g, before any q-sized array: g^((q-1)/p) != 1 for
+        # every prime p dividing q - 1, tested by square-and-multiply on a block
+        # of 16 candidates' matrices, one set of squarings shared by every exponent
+        exps = [(q - 1) // p for p in _prime_factors(q - 1)]
+        for start in range(2, q, 16):  # candidates in blocks, least first
+            cands = np.arange(start, min(start + 16, q))
+            mats, outs = mul_matrix(cands), [eye] * len(exps)
+            for bit in range(max(exps).bit_length()):
+                outs = [(out @ mats) % 3 if e >> bit & 1 else out for out, e in zip(outs, exps)]
+                mats = (mats @ mats) % 3
+            ok = ~np.any([(out == eye).all(axis=(1, 2)) for out in outs], axis=0)
+            if ok.any():
+                break
+        i = int(np.flatnonzero(ok)[0])
+        g = int(cands[i])
+        # g^(q-1) = 1 decides whether the modulus m is irreducible.  If it holds,
+        # g has order q - 1, so all q - 1 nonzero elements are units and the ring
+        # is a field.  A reducible m = f h has the zero divisor f, of index in
+        # [3, q), and no power of a zero divisor is 1: some candidate always
+        # passes, and under a reducible m the first to pass has g^(q-1) != 1.
+        # outs[0] holds g^((q-1)/2), 2 being the least prime factor of the even q - 1.
+        if np.any(outs[0][i] @ outs[0][i] % 3 != eye):
+            raise FieldConstructionError("modulus %s is reducible over GF(3)" % format_poly(self.modulus))
+
+        # an index is hi 3^h + lo with lo < 3^h, h = ceil(r/2)
+        h = (r + 1) // 2
+        half = self._half = 3 ** h
         # the digits of every v below 3^h, low digit first (np.indices starts at the top)
         low = np.indices((3,) * h).reshape(h, -1)[::-1].T
 
@@ -231,23 +213,15 @@ class FieldContext:
             return (low @ mat[:h] % 3 @ pow3,
                     low[:q // half, :r - h] @ mat[h:] % 3 @ pow3)
 
-        # the least generator g: g^((q-1)/p) != 1 for every prime p dividing
-        # q - 1, tested by square-and-multiply on a block of 16 candidates'
-        # matrices, one set of squarings shared by every exponent
-        exps = [(q - 1) // p for p in _prime_factors(q - 1)]
-        g = None
-        for start in range(2, q, 16):  # candidates in blocks, least first
-            cands = np.arange(start, min(start + 16, q))
-            mats, outs = mul_matrix(cands), [eye] * len(exps)
-            for bit in range(max(exps).bit_length()):
-                outs = [(out @ mats) % 3 if e >> bit & 1 else out for out, e in zip(outs, exps)]
-                mats = (mats @ mats) % 3
-            ok = ~np.any([(out == eye).all(axis=(1, 2)) for out in outs], axis=0)
-            if ok.any():
-                g = int(cands[ok][0])
-                break
-        if g is None:  # pragma: no cover
-            raise FieldConstructionError("no multiplicative generator found")
+        # a + b digit by digit: the high halves and the low halves add through
+        # one (3^h, 3^h) table, built a digit at a time (row 3a + d, column
+        # 3b + e holds 3 T[a, b] + (d + e) mod 3)
+        table = np.zeros((1, 1), dtype=np.min_scalar_type(half - 1))
+        while table.shape[0] < half:
+            n = 3 * table.shape[0]
+            table = (3 * table[:, None, :, None] + _DIGIT_SUM[:, None, :]).astype(table.dtype).reshape(n, n)
+        self._add_half = table.ravel()
+
         # the chain 1, g, g^2, ... in doubling blocks: step maps beta to
         # g^n beta, the index map of M_g composed with itself while another
         # block is still to come
@@ -282,7 +256,7 @@ class FieldContext:
     # -- arithmetic --------------------------------------------------------
 
     def _check(self, x):
-        if not (isinstance(x, (int, np.integer)) and 0 <= x < self.q):
+        if not (_is_integer(x) and 0 <= x < self.q):
             raise DomainError("element index %r out of range for GF(%d)" % (x, self.q))
 
     def add(self, x: int, y: int) -> int:
@@ -439,7 +413,7 @@ class FieldContext:
 
 
 def field_create(r: int, modulus=None) -> FieldContext:
-    """Build GF(3^r), verifying the (given or default) modulus irreducible."""
+    """Build GF(3^r) over the given or default modulus, refusing a reducible one."""
     return FieldContext(r, modulus)
 
 

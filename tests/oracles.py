@@ -7,13 +7,18 @@ O(q^2 j^3) big-integer steps and is kept as an oracle for small fields.
 coordinate pairs, as `pair_scan` does on the trace vector itself.
 `delta_convolution` and `kloosterman_per_a` are the O(q^2) loops that the
 library's delta and K tables used before the radix-3 transform replaced them;
-neither reads a library character sum.  `digit_add` is the O(r) digit loop
-that `FieldContext.add` ran before it read the half-width addition table;
-the oracles that add field elements call it, not the library's table.  `field_tables_reference` is the
-Python-list construction of a field's tables that `FieldContext` used before
-it built them with numpy, and `is_irreducible_trial` the trial division that
-its irreducibility check used before Rabin's test.  `mat_det` and `mat_trace` are the scalar,
-one-field-operation-at-a-time references for `ogroups._dets` and the traces
+neither reads a library character sum.  `hasse_davenport_lift` carries a
+K value from a subfield GF(3^d) up to GF(3^(d m)).  `digit_add` is the O(r)
+digit loop that `FieldContext.add` ran before it read the half-width
+addition table; the oracles that add field elements call it, not the
+library's table.
+`field_tables_reference` is the Python-list construction of a field's tables
+that `FieldContext` used before it built them with numpy, and
+`is_irreducible_trial` decides irreducibility by trial division, which the
+field build's refusal of a reducible modulus must match.  The polynomial
+arithmetic under them (`_poly_mod`, `_poly_trim`, `_poly_mul`) is the
+oracles' own: the library has none.  `mat_det` and `mat_trace` are the
+scalar, one-field-operation-at-a-time references for `ogroups._dets` and the traces
 that `enumerate_group` reads off the diagonals of its index array.
 `delta_form_pinned` holds the three (c, z, d) triples that
 `ogroups.delta_form` kept as a table before it read them off the group
@@ -43,7 +48,6 @@ from kloostercodes.charsums import DEFAULT_OPS_LIMIT, kloosterman_histogram
 from kloostercodes.codes import dual_weights
 from kloostercodes.errors import admit
 from kloostercodes.gauss import _odd_power_product
-from kloostercodes.gf3r import _poly_mod, _poly_trim
 from kloostercodes.moments import _pless_sums
 from kloostercodes.ogroups import delta_form, group_order, j_form
 
@@ -162,6 +166,17 @@ def kloosterman_per_a(ctx) -> list:
     return out
 
 
+def hasse_davenport_lift(k: int, d: int, m: int) -> int:
+    """K(a) over GF(3^(d m)) for a in its subfield GF(3^d), from k = K(a)
+    over GF(3^d): with alpha + beta = s = -k and alpha beta = 3^d, the lift
+    is -p_m for the power sums p_j = alpha^j + beta^j, p_0 = 2, p_1 = s and
+    p_j = s p_{j-1} - 3^d p_{j-2}."""
+    before, power = 2, -k
+    for _ in range(m - 1):
+        before, power = power, -k * power - 3 ** d * before
+    return -power
+
+
 def delta_convolution(ctx, m: int) -> list:
     """delta(m, q; beta) for every beta, by m additive convolutions of
     delta(1) in Python ints, starting from the point mass at 0."""
@@ -241,6 +256,26 @@ def pair_counts(hist, ctx):
     same = sum(c * (c - 1) // 2 for c in n)
     opposite = n[0] * (n[0] - 1) // 2 + sum(n[b] * n[ctx.neg(b)] for b in range(1, ctx.q)) // 2
     return (1, 2 * n[0], 2 * same + 2 * opposite)
+
+
+def _poly_trim(p):
+    p = list(p)
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _poly_mod(a, m):
+    """a mod m over GF(3), m's nonzero leading coefficient its own inverse."""
+    a = _poly_trim(a)
+    dm = len(m) - 1
+    while len(a) - 1 >= dm:
+        c = a[-1] * m[-1]
+        shift = len(a) - 1 - dm
+        for i, mc in enumerate(m):
+            a[shift + i] = (a[shift + i] - c * mc) % 3
+        a = _poly_trim(a)
+    return a
 
 
 def _poly_mul(a, b):

@@ -18,7 +18,7 @@ from kloostercodes import (
 from kloostercodes import charsums
 from kloostercodes.charsums import _kloosterman_table, kloosterman_histogram, sk_moments
 
-from oracles import OmegaSum, delta_convolution, kloosterman_per_a
+from oracles import OmegaSum, delta_convolution, hasse_davenport_lift, kloosterman_per_a
 
 # frozen over the default modulus x^2 + 1 for GF(9)
 K9 = {1: 5, 2: 2, 3: -1, 4: -4, 5: 2, 6: -1, 7: -4, 8: 2}
@@ -245,6 +245,19 @@ def test_kloosterman_table_matches_per_a_loop(r):
     assert sum(per_a) == 1
     assert sum(k * k for k in per_a) == ctx.q ** 2 - ctx.q - 1
     assert [kloosterman(ctx, a) for a in ctx.squares()] == [per_a[a - 1] for a in ctx.squares()]
+
+
+@pytest.mark.parametrize("r, d", [(4, 2), (6, 2), (6, 3), (8, 2), (8, 4), (9, 3), (10, 2), (10, 5)])
+def test_kloosterman_on_a_subfield_is_the_hasse_davenport_lift(r, d):
+    # the nonzero elements of GF(3^d) inside GF(3^r) are g^(k (q - 1)/(3^d - 1));
+    # their K values, as a multiset, are the lifts of the K table of a
+    # separately built GF(3^d) (isomorphic to the subfield, so the multisets agree)
+    moduli = {9: (1, 0, 1, 2, 0, 0, 0, 0, 0, 1), 10: (1, 0, 2, 0, 0, 0, 0, 0, 0, 0, 1)}
+    big, small = field_create(r, moduli.get(r)), field_create(d)
+    subfield = big._np_exp[::(big.q - 1) // (small.q - 1)]
+    assert len(subfield) == small.q - 1
+    lifts = [hasse_davenport_lift(k, d, r // d) for k in _kloosterman_table(small)[1:].tolist()]
+    assert sorted(_kloosterman_table(big)[subfield].tolist()) == sorted(lifts)
 
 
 @pytest.mark.parametrize("shift", [(1, 0), (0, 1)])

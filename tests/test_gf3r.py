@@ -13,8 +13,9 @@ from kloostercodes import (
     FieldConstructionError,
     field_create,
     load_modulus_config,
+    verify_report,
 )
-from kloostercodes.gf3r import DEFAULT_MODULI, _is_irreducible, _l1_bound, format_poly
+from kloostercodes.gf3r import DEFAULT_MODULI, _l1_bound, format_poly
 from oracles import digit_add, field_tables_reference, is_irreducible_trial
 
 
@@ -40,22 +41,83 @@ def test_reducible_modulus_rejected():
     assert "x^2 + 2" in str(exc.value)
 
 
-def test_rabin_matches_trial_division():
-    # every monic polynomial of degree 1..7, 3,279 of them
+def test_field_builds_exactly_on_the_irreducible_moduli():
+    # every monic polynomial of degree 1..7, 3,279 of them, against trial division
     for r in range(1, 8):
         for tail in itertools.product(range(3), repeat=r):
             modulus = tail + (1,)
-            assert _is_irreducible(modulus) == is_irreducible_trial(modulus), modulus
+            if is_irreducible_trial(modulus):
+                assert field_create(r, modulus).modulus == modulus
+            else:
+                with pytest.raises(FieldConstructionError, match="is reducible"):
+                    field_create(r, modulus)
 
 
-def test_rabin_at_r12():
+def test_irreducibility_at_r12():
     # x^12 + x^11 + x^8 + 1 is irreducible; x^12 + 1 = (x^4 + 1)^3 is not
-    assert _is_irreducible((1,) + (0,) * 7 + (1, 0, 0, 1, 1))
     ctx = field_create(12, (1,) + (0,) * 7 + (1, 0, 0, 1, 1))
     assert ctx.q == 3 ** 12
     with pytest.raises(FieldConstructionError) as exc:
         field_create(12, (1,) + (0,) * 11 + (1,))
     assert "x^12 + 1 is reducible" in str(exc.value)
+
+
+def test_reducible_modulus_refused_before_any_field_sized_array():
+    # x^14 + 1 has the factor x^2 + 1; the half-width addition table of
+    # GF(3^14) alone takes 9.6 MB
+    field_create(2)  # numpy's allocations on first use stay out of the count
+    tracemalloc.start()
+    try:
+        with pytest.raises(FieldConstructionError, match="x\\^14 \\+ 1 is reducible"):
+            field_create(14, (1,) + (0,) * 13 + (1,))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, peak
+
+
+def test_product_of_two_half_degree_irreducibles_refused():
+    # a product of two irreducibles of degree 6: no factor of low degree, and
+    # the slowest refusal found at r = 12, as the generator search scans
+    # the most candidates before the first one passes
+    modulus = (1, 2, 1, 0, 2, 2, 2, 1, 2, 0, 2, 1, 1)
+    assert not is_irreducible_trial(modulus)
+    with pytest.raises(FieldConstructionError, match="is reducible"):
+        field_create(12, modulus)
+
+
+@pytest.mark.parametrize("r, modulus, named", [
+    (2.5, None, "2.5"), (2.0, None, "2.0"), ("2", None, "'2'"), (None, None, "None"),
+    (True, (1, 1), "True"), (2, (1, 0, 1.5), "(1, 0, 1.5)"), (2, (1, 0, True), "(1, 0, True)"),
+    (2, "101", "('1', '0', '1')"),
+])
+def test_non_integer_input_refused(r, modulus, named):
+    # a 1.5 is not truncated, nor a bool read as an integer: the value is named
+    with pytest.raises(FieldConstructionError, match="integer") as exc:
+        field_create(r, modulus)
+    assert named in str(exc.value)
+
+
+def test_numpy_integer_input_accepted():
+    ctx = field_create(np.int64(2), np.array([1, 0, 1]))
+    assert (type(ctx.r), type(ctx.q), ctx.modulus) == (int, int, (1, 0, 1))
+    assert ctx.squares() == field_create(2).squares()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5).flatmap(
+    lambda r: st.tuples(st.just(r), st.lists(st.integers(0, 2), min_size=r, max_size=r))))
+def test_random_modulus_builds_exactly_when_irreducible(case):
+    # when it builds, verify's rows equal those of the default modulus: every
+    # moment is invariant under the choice of modulus
+    r, tail = case
+    modulus = tuple(tail) + (1,)
+    if not is_irreducible_trial(modulus):
+        with pytest.raises(FieldConstructionError, match="is reducible"):
+            field_create(r, modulus)
+        return
+    rows = [(rep.code, rep.rows) for rep in verify_report(field_create(r, modulus), 10)]
+    assert rows == [(rep.code, rep.rows) for rep in verify_report(field_create(r), 10)]
 
 
 def test_wrong_degree_modulus_rejected():
@@ -505,6 +567,16 @@ def test_pow_edge_cases(f9):
         f9.inv(0)
     with pytest.raises(DomainError):
         f9.add(9, 0)
+
+
+@pytest.mark.parametrize("x", [True, False, 1.0, "1"])
+def test_non_integer_element_index_refused(f9, x):
+    # a bool would index the numpy tables as a mask, not as 0 or 1
+    for method in (f9.add, f9.mul):
+        with pytest.raises(DomainError, match="element index"):
+            method(x, 1)
+    with pytest.raises(DomainError, match="element index"):
+        f9.trace(x)
 
 
 def test_modulus_config_roundtrip(tmp_path):
