@@ -36,7 +36,7 @@ import operator
 
 import numpy as np
 
-from .errors import ConsistencyError, DomainError, admit
+from .errors import ConsistencyError, admit, integer
 from .gf3r import _word
 
 # The K table costs about q*r + q operations and delta(m) about (2r + m) q,
@@ -157,8 +157,7 @@ def kloosterman_histogram(ctx, *, ops_limit: int = DEFAULT_OPS_LIMIT):
 def kloosterman(ctx, a: int, *, ops_limit: int = DEFAULT_OPS_LIMIT) -> int:
     """Exact Kloosterman sum K(a) = sum_{x != 0} omega^{tr(x + a x^{-1})},
     read off the K table."""
-    if not 0 < a < ctx.q:
-        raise DomainError("Kloosterman argument must be a nonzero element, got %r" % (a,))
+    a = integer(a, 1, "Kloosterman argument must be a nonzero element", ctx.q - 1)
     return int(_kloosterman_table(ctx, ops_limit)[a])
 
 
@@ -175,8 +174,7 @@ def sk_moment(ctx, h: int, *, ops_limit: int = DEFAULT_OPS_LIMIT) -> int:
     table, the powers are admitted at values * W * bits(h) operations, the
     square-and-multiply steps of each k ** h on integers of
     W = _power_words(ctx, h) words; SK^0 = (q - 1)/2 is read off q alone."""
-    if h < 0:
-        raise DomainError("moment order must be nonnegative")
+    h = integer(h, 0, "moment order must be nonnegative")
     if h == 0:
         return (ctx.q - 1) // 2
     histogram = kloosterman_histogram(ctx, ops_limit=ops_limit)
@@ -192,8 +190,7 @@ def sk_moments(ctx, h_max: int, *, ops_limit: int = DEFAULT_OPS_LIMIT) -> list:
     once: one running product mult(k) k^h per value k of K's histogram,
     multiplied by k at each h.  After the K table, the products are admitted
     at h_max * values * W operations, W = _power_words(ctx, h_max)."""
-    if h_max < 0:
-        raise DomainError("moment order must be nonnegative")
+    h_max = integer(h_max, 0, "moment order must be nonnegative")
     values, terms = zip(*kloosterman_histogram(ctx, ops_limit=ops_limit))
     words = _power_words(ctx, h_max)
     admit("direct moments up to h=%d over %d values of K (h * values products on integers "
@@ -259,8 +256,7 @@ def _delta_table(ctx, m: int, ops_limit: int):
     sum for an even m, q (q - 1)^m for an odd one, whose f^m has negative
     entries), by the rule derived in character_sums, and g // q keeps it.
     """
-    if m < 0:
-        raise DomainError("m must be nonnegative")
+    m = integer(m, 0, "m must be nonnegative")
     q = ctx.q
     admit("delta(%d, %d) by two radix-3 transforms ((2r + m) q)" % (m, q),
           (2 * ctx.r + m) * q, ops_limit)

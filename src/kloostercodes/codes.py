@@ -24,7 +24,7 @@ tests/oracles.py.
 """
 
 from .charsums import DEFAULT_OPS_LIMIT, _delta_one_histogram, _value_count, kloosterman
-from .errors import ConsistencyError, DomainError, admit
+from .errors import ConsistencyError, admit, integer
 from .ogroups import GroupId, delta_form, group_order
 
 
@@ -48,8 +48,7 @@ def codeword_weight_formula(ctx, gid: GroupId, a: int) -> int:
     """Hamming weight of the dual word via its Kloosterman sum K(a^2), by
     dual_weights.  Needs no enumeration."""
     group_order(gid, ctx.q)
-    if not 0 < a < ctx.q:
-        raise DomainError("a must be a nonzero element")
+    a = integer(a, 1, "a must be a nonzero element", ctx.q - 1)
     return dual_weights(gid, ctx.q, [kloosterman(ctx, ctx.mul(a, a))])[0]
 
 
@@ -79,8 +78,7 @@ def weight_prefix(gid: GroupId, ctx, j_max: int, *,
     character sum at the upper bound q*r + D(q) (min(j_max, N) + 1)^2
     big-integer operations.
     """
-    if j_max < 0:
-        raise DomainError("j_max must be nonnegative")
+    j_max = integer(j_max, 0, "j_max must be nonnegative")
     q, n = ctx.q, group_order(gid, ctx.q)
     top, weights = min(j_max, n), 1 + _value_count(q)
     admit("weight prefix over GF(%d) up to j=%d (q*r + %d possible dual weights * (j+1)^2)"

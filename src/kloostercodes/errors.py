@@ -1,4 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its two refusal rules:
+`admit`, the work limit every super-linear job passes before it runs, and
+`integer`, the rule every integer argument (an order, an index, a field
+exponent) passes as it enters.  `integer` takes an int or a numpy integer,
+never a bool, a float or a string, inside its bounds, and hands on a
+Python int, so no numpy scalar reaches the exact big-integer loops, where
+int64 would wrap."""
+
+import numbers
 
 
 class KloosterError(Exception):
@@ -32,3 +40,19 @@ def admit(what: str, cost: int, limit: int) -> None:
             "%s costs about %d operations (limit %d); raise the limit with --limit-ops"
             % (what, cost, limit)
         )
+
+
+def is_integer(x) -> bool:
+    """An int or a numpy integer (numpy registers its integers as
+    numbers.Integral), not a bool."""
+    return type(x) is int or isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def integer(value, low, message: str, high=None, error=DomainError) -> int:
+    """int(value) for an integer (is_integer) with low <= value <= high, a
+    bound of None leaving that side open; anything else is refused with
+    `error`, the message followed by the value."""
+    if (type(value) is int or is_integer(value)) and (low is None or low <= value) and (
+            high is None or value <= high):
+        return int(value)
+    raise error("%s, got %r" % (message, value))

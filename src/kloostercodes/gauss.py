@@ -17,13 +17,13 @@ bound: one schoolbook product at the final size.
 from dataclasses import dataclass
 
 from .charsums import DEFAULT_OPS_LIMIT, kloosterman
-from .errors import ConsistencyError, DomainError, admit
+from .errors import ConsistencyError, DomainError, admit, integer
 
 
 def q_binomial(n: int, r: int, q: int):
     """Gaussian binomial coefficient, exact."""
-    if r < 0 or r > n:
-        raise DomainError("q_binomial needs 0 <= r <= n, got n=%d r=%d" % (n, r))
+    n = integer(n, 0, "q_binomial needs n >= 0")
+    r = integer(r, 0, "q_binomial needs 0 <= r <= n", n)
     out = 1
     for i in range(1, r + 1):
         num = out * (q ** (n - r + i) - 1)
@@ -63,10 +63,8 @@ def _admit_size(what: str, q: int, exponent: int, ops_limit: int) -> None:
 def kloosterman_gl(ctx, t: int, a: int, *, ops_limit: int = DEFAULT_OPS_LIMIT):
     """Kloosterman sum over GL(t, q) for the canonical character, by the
     exact recursion in K = K(a); K_GL(0) = 1."""
-    if t < 0:
-        raise DomainError("t must be nonnegative")
-    if not 0 < a < ctx.q:
-        raise DomainError("argument a must be a nonzero element")
+    t = integer(t, 0, "t must be nonnegative")
+    a = integer(a, 1, "argument a must be a nonzero element", ctx.q - 1)
     _admit_size("K_GL(%d) over GF(%d)" % (t, ctx.q), ctx.q, t * t, ops_limit)
     if t == 0:
         return 1
@@ -86,13 +84,12 @@ def gauss_sum_of_k(q: int, n: int, variant: str, k: int) -> int:
     """G = sum_w psi(Tr w) over SO-(2n,q) (variant "so") or O-(2n,q) ("o")
     for every a with K(a^2) = k; reads no field table."""
     kgl = _gl_chain(q, k, n - 1)
-    even_sum = odd_sum = 0
+    sums = [0, 0]  # over the even s and over the odd s
     for s in range(n):
-        base = q_binomial(n - 1, s, q) * kgl[n - 1 - s]
-        if s % 2 == 0:
-            even_sum += base * q ** (s * n - s * s // 4) * _odd_power_product(q, s // 2)
-        else:
-            odd_sum += base * q ** (s * n - (s + 1) ** 2 // 4) * _odd_power_product(q, (s + 1) // 2)
+        h = (s + 1) // 2  # ceil(s/2): s^2 // 4 = h^2 for an even s, (s + 1)^2 // 4 for an odd one
+        sums[s % 2] += (q_binomial(n - 1, s, q) * kgl[n - 1 - s]
+                        * q ** (s * n - h * h) * _odd_power_product(q, h))
+    even_sum, odd_sum = sums
     pre = q ** ((n - 1) * (n + 2) // 2)
     if variant == "so":
         return -pre * (k * even_sum + (q + 1) * odd_sum)
@@ -107,13 +104,10 @@ def gauss_sum_closed(ctx, req: GaussSumRequest, *, ops_limit: int = DEFAULT_OPS_
     Independent enumeration cross-checks exist only for n <= 2, so values
     for larger n are reported as computed.
     """
-    n, a = req.n, req.a
-    if n < 1:
-        raise DomainError("half-rank n must be >= 1")
+    n = integer(req.n, 1, "half-rank n must be >= 1")
     if req.variant not in ("so", "o"):
         raise DomainError("variant must be 'so' or 'o'")
-    if not 0 < a < ctx.q:
-        raise DomainError("character scaling a must be a nonzero element")
+    a = integer(req.a, 1, "character scaling a must be a nonzero element", ctx.q - 1)
     _admit_size("Gauss sum over %s-(2*%d, %d)" % (req.variant.upper(), n, ctx.q),
                 ctx.q, 2 * n * n, ops_limit)
     k = kloosterman(ctx, ctx.mul(a, a), ops_limit=ops_limit)

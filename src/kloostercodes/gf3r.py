@@ -43,7 +43,7 @@ import json
 
 import numpy as np
 
-from .errors import ConsistencyError, DomainError, FieldConstructionError
+from .errors import ConsistencyError, DomainError, FieldConstructionError, integer, is_integer
 
 # Shipped irreducible moduli, coefficient lists low degree first (monic).
 # Smallest monic irreducible of each degree in the canonical base-3 index
@@ -112,25 +112,19 @@ def _l1_bound(part) -> int:
     return sum(int(part[i:i + step].sum()) for i in range(0, part.size, step))
 
 
-def _is_integer(x) -> bool:
-    """An int or a numpy integer, not a bool: what r, a coefficient and an
-    element index must be."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-
-
 class FieldContext:
     """The field GF(3^r) with a fixed irreducible modulus.
 
     Elements are plain ints in [0, q); all methods take and return such
-    indices.  The constructor checks r and the coefficients integers and the
-    modulus monic and of degree r; the generator search then refuses a
-    reducible one.  :func:`field_create` is the same constructor by name.
+    indices, each index and pow's exponent read through errors.integer.  The
+    constructor reads r through errors.integer, checks the coefficients with
+    its predicate errors.is_integer and the modulus monic and of degree r;
+    the generator search then refuses a reducible one.  :func:`field_create`
+    is the same constructor by name.
     """
 
     def __init__(self, r: int, modulus=None):
-        if not _is_integer(r) or r < 1:
-            raise FieldConstructionError("field exponent r must be an integer >= 1, got %r" % (r,))
-        r = int(r)
+        r = integer(r, 1, "field exponent r must be an integer >= 1", error=FieldConstructionError)
         if modulus is None:
             if r not in DEFAULT_MODULI:
                 raise FieldConstructionError(
@@ -139,7 +133,7 @@ class FieldContext:
                 )
             modulus = DEFAULT_MODULI[r]
         modulus = tuple(modulus)
-        if not all(_is_integer(c) for c in modulus):
+        if not all(is_integer(c) for c in modulus):
             raise FieldConstructionError("modulus coefficients must be integers, got %r" % (modulus,))
         modulus = tuple(int(c) % 3 for c in modulus)
         if len(modulus) != r + 1 or modulus[-1] != 1:
@@ -149,6 +143,7 @@ class FieldContext:
             )
         self.r = r
         self.q = 3 ** r
+        self._index_rule = "element index out of range for GF(%d)" % self.q  # _check's refusal
         self.modulus = modulus
         self._build_tables()
         self._k_table = None  # charsums._kloosterman_table
@@ -255,17 +250,15 @@ class FieldContext:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _check(self, x):
-        if not (_is_integer(x) and 0 <= x < self.q):
-            raise DomainError("element index %r out of range for GF(%d)" % (x, self.q))
+    def _check(self, x) -> int:
+        """x as a Python int, for an element index x (errors.integer)."""
+        return integer(x, 0, self._index_rule, self.q - 1)
 
     def add(self, x: int, y: int) -> int:
         """x + y: the high halves and the low halves through the addition
         table, as _add_vec adds."""
-        self._check(x)
-        self._check(y)
         half = self._half
-        (xh, xl), (yh, yl) = divmod(int(x), half), divmod(int(y), half)
+        (xh, xl), (yh, yl) = divmod(self._check(x), half), divmod(self._check(y), half)
         return int(self._add_half[xh * half + yh]) * half + int(self._add_half[xl * half + yl])
 
     def neg(self, x: int) -> int:
@@ -275,20 +268,20 @@ class FieldContext:
         return self.add(x, self.neg(y))
 
     def mul(self, x: int, y: int) -> int:
-        self._check(x)
-        self._check(y)
+        x, y = self._check(x), self._check(y)
         if x == 0 or y == 0:
             return 0
         return int(self._np_exp[(self._np_log[x] + self._np_log[y]) % (self.q - 1)])
 
     def inv(self, x: int) -> int:
-        self._check(x)
+        x = self._check(x)
         if x == 0:
             raise DomainError("0 has no multiplicative inverse in GF(%d)" % self.q)
         return int(self._np_exp[-self._np_log[x]])
 
     def pow(self, x: int, e: int) -> int:
-        self._check(x)
+        x = self._check(x)
+        e = integer(e, None, "exponent must be an integer")
         if x == 0:
             if e < 0:
                 raise DomainError("negative power of 0")
@@ -298,7 +291,7 @@ class FieldContext:
     def trace(self, x: int) -> int:
         """Field trace down to GF(3), returned as an element of {0, 1, 2}:
         digit 0 of s(x)."""
-        self._check(x)
+        x = self._check(x)
         return int(self._functional[x] % 3)
 
     def squares(self):
@@ -307,7 +300,7 @@ class FieldContext:
 
     def is_square(self, x: int) -> bool:
         """True for a nonzero x of even log."""
-        self._check(x)
+        x = self._check(x)
         return bool(x) and not self._np_log[x] % 2
 
     # -- vectorized internals (element-index numpy arrays) ------------------

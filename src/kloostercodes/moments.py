@@ -8,8 +8,8 @@ z + d k^e.  So 3 w(a) + beta = -2d K(a^2)^e with beta = -2(N - z), and the
 zero word gives beta.  The Pless power moment identity gives sums over the
 dual words from the code's low weight counts C_j alone; one function
 (_pless_sums) forms S_h = sum_a (alpha w(a) + beta)^h for every h <= h_max
-from the factorial moments u_t = sum_a (w(a))_t, which Horner's rule and one
-binomial row give from the C_j (_pless_inner), by the affine step
+from the factorial moments u_t = sum_a (w(a))_t, which the double sum of
+binomial terms gives from the C_j (_pless_inner), by the affine step
 u_t <- alpha u_{t+1} + (alpha t + beta) u_t per h.  With (alpha, beta) =
 (1, 0) it gives the power moments of the Pless check; with
 (3, -2(N - z)) one recursion serves every code:
@@ -28,33 +28,30 @@ from dataclasses import dataclass
 
 from . import charsums
 from .codes import dual_weights, weight_prefix
-from .errors import ConsistencyError, DomainError, admit
+from .errors import ConsistencyError, DomainError, admit, integer
 from .ogroups import GroupId, delta_form, group_order
 
 
 def _pless_inner(prefix: tuple, n: int, top: int) -> list:
     """[D_0, ..., D_top], D_t = sum_{j<=t} (-1)^j C_j 2^{t-j} C(n-j, t-j), from
     the weight counts C_j of a ternary code of length n >= top; D_t does not
-    depend on h.  D_t = [x^t] (1 + 2x)^(n - top) S(x), where
-    S = sum_j C_j (-x)^j (1 + 2x)^(top - j) comes by Horner's rule (each step
-    multiplies by 1 + 2x: add twice the coefficient below) and the
-    coefficients C(n - top, i) 2^i by the running product
-    C(m, i) = C(m, i - 1) (m - i + 1)/i, each division checked exact."""
+    depend on h.  The double sum itself, one running term per weight count:
+    the term of C_j is (-1)^j C_j at t = j, and from t to t + 1 it is
+    multiplied by 2 C(n-j, t+1-j)/C(n-j, t-j) = 2 (n - t)/(t + 1 - j), each
+    division checked exact.  That is (top + 1)(top + 2)/2 products of a big
+    integer by a small one, and no product of two big integers."""
     if len(prefix) <= top:
         raise DomainError("weight prefix covers j <= %d but j <= %d is needed" % (len(prefix) - 1, top))
-    poly = []  # S <- S (1 + 2x) + (-1)^j C_j x^j for j = 0..top
+    sums = [0] * (top + 1)
     for j in range(top + 1):
-        poly.append(0)
-        for i in range(j, 0, -1):
-            poly[i] += 2 * poly[i - 1]
-        poly[j] += -prefix[j] if j & 1 else prefix[j]
-    row = [1]
-    for i in range(1, top + 1):
-        c, rem = divmod(row[-1] * 2 * (n - top - i + 1), i)
-        if rem:
-            raise ConsistencyError("binomial row of (1 + 2y)^%d is non-integral at i=%d" % (n - top, i))
-        row.append(c)
-    return [sum(row[t - i] * poly[i] for i in range(t + 1)) for t in range(top + 1)]
+        term = -prefix[j] if j & 1 else prefix[j]
+        sums[j] += term
+        for t in range(j, top):
+            term, rem = divmod(term * 2 * (n - t), t + 1 - j)
+            if rem:
+                raise ConsistencyError("term of C_%d in D_%d is non-integral" % (j, t + 1))
+            sums[t + 1] += term
+    return sums
 
 
 def _pless_sums(prefix: tuple, n: int, r: int, h_max: int, alpha: int = 1, beta: int = 0, *,
@@ -121,8 +118,7 @@ def sk_recursive_chain(ctx, gid: GroupId, h_max: int, prefix: tuple, *,
     """
     q, r = ctx.q, ctx.r
     n = group_order(gid, q)
-    if h_max < 0:
-        raise DomainError("h_max must be nonnegative")
+    h_max = integer(h_max, 0, "h_max must be nonnegative")
     _, z, d = delta_form(gid, q)
     beta = -2 * (n - z)
     chain, zero_word, den = [], 1, 2  # beta^h and 2 (-2d)^h
@@ -169,8 +165,7 @@ def pless_check(ctx, gid: GroupId, h: int, *,
     right side, its Pless steps and the K table are admitted under ops_limit,
     in that order, each before its own work.
     """
-    if h < 0:
-        raise DomainError("h must be nonnegative")
+    h = integer(h, 0, "h must be nonnegative")
     q, n = ctx.q, group_order(gid, ctx.q)
     prefix = weight_prefix(gid, ctx, h, ops_limit=ops_limit)
     rhs = _pless_sums(prefix, n, ctx.r, h, ops_limit=ops_limit)[h]
@@ -221,8 +216,7 @@ def verify_report(ctx, h_max: int, *, ops_limit: int = charsums.DEFAULT_OPS_LIMI
     G sum_{x, y != 0} omega^{tr(x + y)} chi(x + y) chi(xy) = -chi(-1) G^2 = -q
     (for s = x + y != 0, sum_x chi(x (s - x)) = -chi(-1)).
     Returns one MomentReport per code."""
-    if h_max < 1:
-        raise DomainError("h_max must be positive")
+    h_max = integer(h_max, 1, "h_max must be positive")
     chains = []
     for gid in GroupId:
         if h_max // gid.n < 1:

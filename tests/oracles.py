@@ -23,8 +23,9 @@ that `enumerate_group` reads off the diagonals of its index array.
 `delta_form_pinned` holds the three (c, z, d) triples that
 `ogroups.delta_form` kept as a table before it read them off the group
 character sum, each with its derivation.
-`pless_inner_literal` is the double sum of binomial coefficients that
-`moments._pless_inner` formed before Horner's rule replaced it.
+`pless_inner_literal` is the double sum of binomial coefficients, each
+term formed from math.comb, that `moments._pless_inner` forms by one
+running term per weight count.
 `macwilliams_product_prefix` is the O(j^2)-per-weight MacWilliams product
 that `codes.weight_prefix` formed before its three-term rows, on dual weights
 read off the K table, and `sk_chain_difference_table` the recursion chain as

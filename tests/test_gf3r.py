@@ -569,6 +569,31 @@ def test_pow_edge_cases(f9):
         f9.add(9, 0)
 
 
+@pytest.mark.parametrize("e", [1.5, True, "3"], ids=repr)
+def test_pow_refuses_a_non_integer_exponent(f9, e):
+    # the exponent has no lower bound (1/x = x^-1), but it is an integer:
+    # 2^1.5 does not index the tables, 0^1.5 is not 0
+    for x in (2, 0):
+        with pytest.raises(DomainError, match="exponent") as exc:
+            f9.pow(x, e)
+        assert repr(e) in str(exc.value)
+
+
+def test_pow_takes_any_integer_exponent(f9):
+    for x in range(1, 9):
+        assert f9.pow(x, -1) == f9.inv(x)
+        for e in (np.int64(5), np.int32(-3), 2 ** 70):
+            assert f9.pow(x, e) == _pow_by_mul(f9, x, int(e))
+
+
+def _pow_by_mul(ctx, x, e):
+    # x^e by repeated multiplication, e reduced mod q - 1 (x != 0)
+    out = 1
+    for _ in range(e % (ctx.q - 1)):
+        out = ctx.mul(out, x)
+    return out
+
+
 @pytest.mark.parametrize("x", [True, False, 1.0, "1"])
 def test_non_integer_element_index_refused(f9, x):
     # a bool would index the numpy tables as a mask, not as 0 or 1
