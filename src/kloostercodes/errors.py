@@ -1,7 +1,7 @@
 """Exception types shared across the package, and its two refusal rules:
 `admit`, the work limit every super-linear job passes before it runs, and
 `integer`, the rule every integer argument (an order, an index, a field
-exponent) passes as it enters.  `integer` takes an int or a numpy integer,
+exponent, a field size q) passes as it enters.  `integer` takes an int or a numpy integer,
 never a bool, a float or a string, inside its bounds, and hands on a
 Python int, so no numpy scalar reaches the exact big-integer loops, where
 int64 would wrap."""

@@ -24,6 +24,7 @@ def q_binomial(n: int, r: int, q: int):
     """Gaussian binomial coefficient, exact."""
     n = integer(n, 0, "q_binomial needs n >= 0")
     r = integer(r, 0, "q_binomial needs 0 <= r <= n", n)
+    q = integer(q, 2, "the field size q must be at least 2")
     out = 1
     for i in range(1, r + 1):
         num = out * (q ** (n - r + i) - 1)
@@ -83,6 +84,9 @@ class GaussSumRequest:
 def gauss_sum_of_k(q: int, n: int, variant: str, k: int) -> int:
     """G = sum_w psi(Tr w) over SO-(2n,q) (variant "so") or O-(2n,q) ("o")
     for every a with K(a^2) = k; reads no field table."""
+    q = integer(q, 2, "the field size q must be at least 2")
+    n = integer(n, 1, "the rank n must be positive")
+    k = integer(k, None, "K(a^2) must be an integer")
     kgl = _gl_chain(q, k, n - 1)
     sums = [0, 0]  # over the even s and over the odd s
     for s in range(n):

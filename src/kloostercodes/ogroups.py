@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import charsums
-from .errors import ConsistencyError, DomainError, admit
+from .errors import ConsistencyError, DomainError, admit, integer
 from .gauss import gauss_sum_of_k
 
 
@@ -43,6 +43,8 @@ class GroupId(enum.Enum):
 
 def so_minus_order(n: int, q: int) -> int:
     """|SO-(2n, q)|."""
+    n = integer(n, 1, "the rank n must be positive")
+    q = integer(q, 2, "the field size q must be at least 2")
     out = q ** (n * n - n) * (q ** n + 1)
     for j in range(1, n):
         out *= q ** (2 * j) - 1
@@ -211,6 +213,7 @@ def delta_form(gid: GroupId, q: int) -> tuple:
     G: the triples pinned in tests/oracles.py, the enumerations at n <= 2,
     and verify's direct side, which reads the K table and never G."""
     order = group_order(gid, q)
+    q = integer(q, 2, "the field size q must be at least 2")
     g = [gauss_sum_of_k(q, gid.n, gid.variant, k) for k in range(gid.n + 1)]
     z, d = g[0], g[1] - g[0]
     for k, gk in enumerate(g):

@@ -19,10 +19,5 @@ def f27():
 
 
 @pytest.fixture(scope="session")
-def f81():
-    return field_create(4)
-
-
-@pytest.fixture(scope="session")
 def f243():
     return field_create(5)

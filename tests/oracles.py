@@ -146,20 +146,21 @@ def sk_chain_difference_table(ctx, gid: GroupId, h_max: int, prefix: tuple) -> l
     return chain
 
 
-def kloosterman_per_a(ctx) -> list:
-    """[K(1), ..., K(q - 1)], one O(q) count of exponents per a.
+def kloosterman_per_a(ctx, points=None) -> list:
+    """[K(a) for a in points], by default [K(1), ..., K(q - 1)], one O(q)
+    count of exponents per a.
 
     K(a) = c_0 + c_1 omega + c_2 omega^2 with c_e the number of x != 0 with
     tr(x) + tr(a/x) = e mod 3; each sum is asserted real (c_1 = c_2), so
-    K(a) = c_0 - c_2.
+    K(a) = c_0 - c_2.  The trace is s mod 3: no addition, no transform.
     """
     q = ctx.q
     nz = np.arange(1, q)
-    trace = np.array([ctx.trace(x) for x in range(q)])
-    tr_x = trace[nz]
+    trace = ctx._functional % 3
+    tr_x, inv_x = trace[nz], ctx._np_exp[-ctx._np_log[nz]]
     out = []
-    for a in range(1, q):
-        e = (tr_x + trace[ctx._mul_vec(a, ctx._np_exp[-ctx._np_log[nz]])]) % 3
+    for a in range(1, q) if points is None else points:
+        e = (tr_x + trace[ctx._mul_vec(a, inv_x)]) % 3
         c0, c1, c2 = np.bincount(e, minlength=3).tolist()
         if c1 != c2:
             raise ConsistencyError("K(%d) over GF(%d) is not real: %d != %d" % (a, q, c1, c2))

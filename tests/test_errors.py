@@ -1,5 +1,5 @@
 """The integer-argument rule (errors.integer) at every public entry that
-takes an order or an element index."""
+takes an order, an element index or a field size q."""
 
 import numpy as np
 import pytest
@@ -20,10 +20,13 @@ from kloostercodes import (
     sk_moment,
     sk_moments,
     sk_recursive_chain,
+    so_minus_order,
     verify_report,
     weight_prefix,
 )
 from kloostercodes.errors import integer, is_integer
+from kloostercodes.gauss import gauss_sum_of_k
+from kloostercodes.ogroups import delta_form
 
 # each entry with the integer argument under test as x, every other argument valid
 ENTRIES = {
@@ -35,6 +38,10 @@ ENTRIES = {
     "codeword_weight_formula a": lambda ctx, x: codeword_weight_formula(ctx, GroupId.SO2, x),
     "q_binomial n": lambda ctx, x: q_binomial(x, 1, ctx.q),
     "q_binomial r": lambda ctx, x: q_binomial(4, x, ctx.q),
+    "q_binomial q": lambda ctx, x: q_binomial(4, 2, x),
+    "so_minus_order q": lambda ctx, x: so_minus_order(2, x),
+    "gauss_sum_of_k q": lambda ctx, x: gauss_sum_of_k(x, 2, "so", 1),
+    "delta_form q": lambda ctx, x: delta_form(GroupId.SO4, x),
     "kloosterman_gl t": lambda ctx, x: kloosterman_gl(ctx, x, 1),
     "kloosterman_gl a": lambda ctx, x: kloosterman_gl(ctx, 2, x),
     "gauss_sum_closed n": lambda ctx, x: gauss_sum_closed(ctx, GaussSumRequest(x, "so", 1)),
@@ -58,8 +65,8 @@ def test_non_integer_argument_refused(f9, entry, value):
 
 @pytest.mark.parametrize("word", [np.int64, np.int32])
 def test_numpy_integer_arguments_give_the_int_results(word):
-    # a numpy order reaches the big-integer loops as a Python int: in int64,
-    # N - t and the Pless steps would wrap
+    # a numpy order, q, n or K reaches the big-integer loops as a Python int:
+    # in int64, N - t, the Pless steps, |SO-(4, 3^8)|, q^3 and G would wrap
     ctx = field_create(2)
 
     def rows(reports):
@@ -75,6 +82,10 @@ def test_numpy_integer_arguments_give_the_int_results(word):
     for got, want in ((sk_moment(ctx, word(5)), sk_moment(ctx, 5)),
                       (kloosterman(ctx, word(3)), kloosterman(ctx, 3))):
         assert (got, type(got)) == (want, int)
+    assert so_minus_order(word(2), word(6561)) == 79766443076872466816640
+    assert gauss_sum_of_k(word(6561), word(2), "so", word(100)) == gauss_sum_of_k(6561, 2, "so", 100)
+    q = 6561 ** 3 if word is np.int64 else 6561
+    assert q_binomial(3, 1, word(q)) == q * q + q + 1
 
 
 def test_the_rule_hands_on_a_python_int():

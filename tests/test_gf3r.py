@@ -16,6 +16,7 @@ from kloostercodes import (
     verify_report,
 )
 from kloostercodes.gf3r import DEFAULT_MODULI, _l1_bound, format_poly
+from frontier import modulus
 from oracles import digit_add, field_tables_reference, is_irreducible_trial
 
 
@@ -189,16 +190,17 @@ def test_square_subgroup_size(r):
     assert sum(ctx.is_square(x) for x in range(1, ctx.q)) == (ctx.q - 1) // 2
 
 
-def _last_irreducible(r):
-    """The monic irreducible of degree r that comes last in index order."""
-    for idx in range(3 ** r - 1, -1, -1):
+def _irreducibles(r, step=1):
+    """The monic irreducibles of degree r in index order, from the last one
+    at step = -1."""
+    for idx in range(3 ** r)[::step]:
         modulus = tuple((idx // 3 ** k) % 3 for k in range(r)) + (1,)
         if is_irreducible_trial(modulus):
-            return modulus
+            yield modulus
 
 
 @pytest.mark.parametrize("r, modulus", [(r, None) for r in range(1, 9)]
-                         + [(r, _last_irreducible(r)) for r in (2, 5, 7)])
+                         + [(r, next(_irreducibles(r, -1))) for r in (2, 5, 7)])
 def test_log_tables_use_the_least_generator(r, modulus):
     ctx = field_create(r, modulus)
     assert np.array_equal(np.sort(ctx._np_exp), np.arange(1, ctx.q))
@@ -208,22 +210,10 @@ def test_log_tables_use_the_least_generator(r, modulus):
     assert all(math.gcd(int(ctx._np_log[x]), ctx.q - 1) > 1 for x in range(2, g))
 
 
-def _first_irreducibles(r, count):
-    """The first `count` monic irreducibles of degree r in index order."""
-    out = []
-    for idx in range(3 ** r):
-        modulus = tuple((idx // 3 ** k) % 3 for k in range(r)) + (1,)
-        if is_irreducible_trial(modulus):
-            out.append(modulus)
-            if len(out) == count:
-                break
-    return out
-
-
 @pytest.mark.parametrize("r", range(1, 9))
 def test_tables_match_the_list_reference(r):
     # the default modulus comes first in index order; r = 1 has only three
-    moduli = _first_irreducibles(r, 4)
+    moduli = list(itertools.islice(_irreducibles(r), 4))
     assert moduli[0] == DEFAULT_MODULI[r]
     for modulus in moduli:
         ctx = field_create(r, modulus)
@@ -320,7 +310,7 @@ def _literal_sums(ctx, a, b):
 
 
 @pytest.mark.parametrize("r, modulus", [(1, None), (2, None), (3, None), (4, None),
-                                        (4, _last_irreducible(4))],
+                                        (4, next(_irreducibles(4, -1)))],
                          ids=["1", "2", "3", "4", "4-last"])
 @pytest.mark.parametrize("dtype", [np.int32, np.int64, object])
 def test_transform_matches_literal_sum(r, modulus, dtype):
@@ -419,11 +409,6 @@ def test_character_sums_exact_at_the_int32_bound(r, over):
     _check_word_at_the_bound(r, over, 2 ** 31, np.int32, np.int64)
 
 
-# the least monic irreducibles of degree 10 and 11
-_R10 = (1, 0, 2, 0, 0, 0, 0, 0, 0, 0, 1)
-_R11 = (2, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1)
-
-
 def test_field_build_memory_per_element():
     # no (q, r) digit array, no int64 index table and no table that the
     # four kept ones restate: at r = 10 the build peaks at <= 30 bytes per
@@ -431,7 +416,7 @@ def test_field_build_memory_per_element():
     field_create(2)  # numpy's allocations on first use stay out of the count
     tracemalloc.start()
     try:
-        ctx = field_create(10, _R10)
+        ctx = field_create(10, modulus(10))
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -446,7 +431,7 @@ def test_transform_memory(bound, dtype, with_b):
     # at r = 10 one transform holds its inputs (read in place here, as they
     # have the chosen dtype), four working arrays and the output, in that
     # dtype; 2^17 bytes cover numpy's buffer for the int32 index of the gather
-    ctx = field_create(10, _R10)
+    ctx = field_create(10, modulus(10))
     rng = np.random.default_rng(10)
     a = rng.integers(-bound, bound, ctx.q).astype(dtype)
     beta = np.arange(ctx.q)
@@ -465,7 +450,7 @@ def test_transform_memory(bound, dtype, with_b):
     assert sums[0] == a.sum() and np.array_equal(sums, sums[neg])
 
 
-@pytest.mark.parametrize("r, modulus", [(10, _R10), (11, _R11)])
+@pytest.mark.parametrize("r, modulus", [(r, modulus(r)) for r in (10, 11)])
 def test_half_table_addition_matches_the_digit_loop(r, modulus):
     # a + b through the table of half-width sums, at an even r and at an odd
     # one (whose high half is a digit shorter), against the scalar digit loop
@@ -484,7 +469,7 @@ def test_half_table_addition_matches_the_digit_loop(r, modulus):
 def test_scalar_add_neg_sub_match_the_digit_loop(r):
     # the scalar x + y reads the half-width table; every pair up to r = 4,
     # 500 random pairs past it, against the digit loop
-    ctx = field_create(r, {10: _R10, 11: _R11}.get(r))
+    ctx = field_create(r, modulus(r))
     if r <= 4:
         pairs = list(itertools.product(range(ctx.q), repeat=2))
     else:
@@ -497,7 +482,7 @@ def test_scalar_add_neg_sub_match_the_digit_loop(r):
 def test_mul_vec_where_the_index_product_wraps():
     # x y is a multiple of 2^32 for each pair, so an int32 product of the
     # indices would wrap to 0: zeros are found factor by factor
-    ctx = field_create(11, _R11)
+    ctx = field_create(11, modulus(11))
     pairs = [(2 ** 16, 2 ** 16), (2 ** 16, 2 ** 17), (2 ** 17, 2 ** 17),
              (2 ** 15, 2 ** 17), (3 * 2 ** 15, 2 ** 17), (2 ** 17, 3 * 2 ** 15)]
     assert all(x < ctx.q and y < ctx.q and x * y % 2 ** 32 == 0 for x, y in pairs)

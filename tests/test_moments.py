@@ -23,6 +23,7 @@ from kloostercodes.cli import run_command
 from kloostercodes.moments import _pless_inner, _pless_sums
 from kloostercodes.ogroups import group_order
 
+from frontier import modulus
 from oracles import pless_inner_literal, sk_chain_difference_table, trinomial
 
 C3_Q9_PREFIX = (
@@ -301,11 +302,10 @@ def test_verify_report_q3(f3):
     assert all(row.recursive == 1 for row in so4.rows)
 
 
-@pytest.mark.parametrize("r, modulus", [(9, (1, 0, 1, 2, 0, 0, 0, 0, 0, 1)),
-                                        (10, (1, 0, 2, 0, 0, 0, 0, 0, 0, 0, 1))])
-def test_verify_report_past_the_shipped_moduli(r, modulus):
+@pytest.mark.parametrize("r, modulus", [(r, modulus(r)) for r in (9, 10)])
+def test_verify_report_past_the_shipped_moduli(r, modulus, ops_limit=charsums.DEFAULT_OPS_LIMIT):
     # the least monic irreducibles of degree 9 and 10, passed explicitly
-    reports = verify_report(field_create(r, modulus), 10)
+    reports = verify_report(field_create(r, modulus), 10, ops_limit=ops_limit)
     assert [rep.code for rep in reports] == ["so2", "o2", "so4"]
     assert all(row.match for rep in reports for row in rep.rows)
 
@@ -317,7 +317,7 @@ def test_verify_report_meets_the_closed_low_moments(r):
     # sum_{a != 0} chi(a) K(a) = G(chi)^2 = chi(-1) q, chi(-1) = (-1)^r;
     # SK^2 = (q^2 - 2q - 1)/2 is pinned as measured at r = 1..9 (half of
     # sum K(a)^2 = q^2 - q - 1 plus sum chi(a) K(a)^2, measured as -q)
-    ctx = field_create(r, (1, 0, 1, 2, 0, 0, 0, 0, 0, 1) if r == 9 else None)
+    ctx = field_create(r, modulus(r))
     q = ctx.q
     closed = {1: (1 + (-1) ** r * q) // 2, 2: (q * q - 2 * q - 1) // 2}
     reports = verify_report(ctx, 2)

@@ -25,8 +25,10 @@ from kloostercodes import (
     so_minus_order,
 )
 from kloostercodes import ogroups
+from kloostercodes.charsums import DEFAULT_OPS_LIMIT
 from kloostercodes.ogroups import _dets, j_form
 
+from frontier import modulus
 from oracles import delta_convolution, delta_eps, delta_form_pinned, mat_det, mat_mul, mat_trace, satisfies_relation
 
 G2_HIST_Q9 = {0: 10, 1: 1, 2: 1, 4: 2, 5: 2, 7: 2, 8: 2}
@@ -180,7 +182,7 @@ def test_histogram_total_is_summed_once(f27):
     assert hist == fresh and hash(hist) == hash(fresh)
 
 
-def test_so4_histogram_never_reads_kloosterman(monkeypatch, f243):
+def _so4_histogram_reads_no_k(monkeypatch, ctx):
     # the delta side stays independent of the K values it is checked against
     def forbidden(*args, **kwargs):
         raise AssertionError("the SO-(4,q) histogram read a Kloosterman sum")
@@ -189,15 +191,20 @@ def test_so4_histogram_never_reads_kloosterman(monkeypatch, f243):
         for target in ("kloostercodes.charsums.kloosterman",
                        "kloostercodes.charsums._kloosterman_table"):
             patch.setattr(target, forbidden)
-        hist = histogram_closed_form(f243, GroupId.SO4)
-    assert hist.total == group_order(GroupId.SO4, 243)
+        hist = histogram_closed_form(ctx, GroupId.SO4)
+    assert hist.total == group_order(GroupId.SO4, ctx.q)
     # sum_beta n(beta) omega^{tr(a beta)} is the closed-form group character sum
     for a in (1, 2, 5):
+        traces = (ctx._functional[ctx._mul_vec(a, np.arange(ctx.q))] % 3).tolist()
         acc = [0, 0, 0]
-        for beta, n in enumerate(hist.counts):
-            acc[f243.trace(f243.mul(a, beta))] += n
+        for t, n in zip(traces, hist.counts):
+            acc[t] += n
         assert acc[1] == acc[2]
-        assert acc[0] - acc[2] == gauss_sum_closed(f243, GaussSumRequest(n=2, variant="so", a=a))
+        assert acc[0] - acc[2] == gauss_sum_closed(ctx, GaussSumRequest(n=2, variant="so", a=a))
+
+
+def test_so4_histogram_never_reads_kloosterman(monkeypatch, f243):
+    _so4_histogram_reads_no_k(monkeypatch, f243)
 
 
 @pytest.mark.parametrize("gid", list(GroupId))
@@ -223,36 +230,26 @@ def test_closed_form_grouping_is_checked(monkeypatch, f9, gid):
         histogram_closed_form(f9, gid)
 
 
+def so4_counts(ctx, ops_limit=DEFAULT_OPS_LIMIT):
+    """The SO-(4,q) closed-form counts: they total |G|, equal ones one int."""
+    counts = histogram_closed_form(ctx, GroupId.SO4, ops_limit=ops_limit).counts
+    assert sum(counts) == group_order(GroupId.SO4, ctx.q)
+    assert len({id(c) for c in counts[1:]}) == len(set(counts[1:]))
+    return counts
+
+
 @pytest.mark.parametrize("r", [6, 7, 8])
 def test_closed_form_counts_share_one_int_per_value(r):
     # each distinct delta(2) value gives one Python int, placed by reference
     # (beta = 0 carries z on top of its own)
     ctx = field_create(r)
-    counts = histogram_closed_form(ctx, GroupId.SO4).counts
-    assert len({id(c) for c in counts[1:]}) == len(set(counts[1:]))
+    counts = so4_counts(ctx)
     assert len(set(counts[1:])) == len(set(delta_count(ctx, 2)[1:]))
 
 
 def test_so4_histogram_past_the_shipped_moduli(monkeypatch):
     # r = 9 through the least monic irreducible of degree 9, passed explicitly
-    ctx = field_create(9, (1, 0, 1, 2, 0, 0, 0, 0, 0, 1))
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("the SO-(4,q) histogram read a Kloosterman sum")
-
-    with monkeypatch.context() as patch:
-        for target in ("kloostercodes.charsums.kloosterman",
-                       "kloostercodes.charsums._kloosterman_table"):
-            patch.setattr(target, forbidden)
-        hist = histogram_closed_form(ctx, GroupId.SO4)
-    assert hist.total == group_order(GroupId.SO4, ctx.q)
-    for a in (1, 2, 5):
-        traces = (ctx._functional[ctx._mul_vec(a, np.arange(ctx.q))] % 3).tolist()
-        acc = [0, 0, 0]
-        for t, n in zip(traces, hist.counts):
-            acc[t] += n
-        assert acc[1] == acc[2]
-        assert acc[0] - acc[2] == gauss_sum_closed(ctx, GaussSumRequest(n=2, variant="so", a=a))
+    _so4_histogram_reads_no_k(monkeypatch, field_create(9, modulus(9)))
 
 
 @pytest.mark.parametrize("r", [2, 3, 4])

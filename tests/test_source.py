@@ -2,10 +2,12 @@
 
 import ast
 import pathlib
+import re
 
 import pytest
 
-SRC = sorted((pathlib.Path(__file__).resolve().parents[1] / "src" / "kloostercodes").glob("*.py"))
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = sorted((ROOT / "src" / "kloostercodes").glob("*.py"))
 
 
 @pytest.mark.parametrize("path", SRC, ids=lambda p: p.name)
@@ -83,3 +85,9 @@ def test_gauss_sum_of_k_stays_behind_the_delta_form(path):
         assert lines, "%s does not name gauss_sum_of_k: the search finds nothing" % path.name
     else:
         assert not lines, "%s names gauss_sum_of_k at lines %s" % (path.name, lines)
+
+
+def test_workflow_runs_no_inline_python():
+    # the checks past tier-1 live in tests/frontier.py, which tier-1 runs at small r
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
+    assert not re.findall(r".*python3? (?:-O )?-c\b.*", workflow)
